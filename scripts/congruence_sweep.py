@@ -1,37 +1,21 @@
 #!/usr/bin/env python3
 """Sweep every Levi subset of the exceptional types and verify the shift
 congruence delta' - delta - rho in Q.Pi_0 plus the sl2 weight-sum identity."""
-import itertools
 import time
 
-from orbitcert import certify as ct
 from orbitcert import rootsys as rs
+from orbitcert.certify import congruence_sweep
 
 
 def sweep(label):
-    model = rs.build(label)
-    rho = rs.rho(model)
-    zero = ct._zero(model)
     subsets = pairs = 0
     start = time.monotonic()
-    for size in range(model.rank + 1):
-        for pi0 in itertools.combinations(range(model.rank), size):
+    for pi0, key, ok in congruence_sweep(rs.build(label)):
+        assert ok, (label, pi0, key)
+        if key is None:
             subsets += 1
-            h = ct.h_regular(model, pi0)
-            theta = ct.theta_for_levi(model, pi0)
-            resid = ct.delta_prime(model, h) - ct.delta(model, pi0, h) - rho
-            ok, _ = ct.in_levi_span(model, resid, pi0)
-            assert ok, (label, pi0)
-            sums = {}
-            for beta in model.roots:
-                key = (beta.dot(theta), beta.dot(h))
-                sums[key] = sums[key] + beta if key in sums else beta
-            for (k, l), s in sums.items():
-                if l <= 0:
-                    continue
-                ok, _ = ct.in_levi_span(model, s - sums.get((k, -l), zero), pi0)
-                assert ok, (label, pi0, k, l)
-                pairs += 1
+        else:
+            pairs += 1
     print(f"{label}: {subsets} subsets, {pairs} (k,l) pairs, "
           f"{time.monotonic() - start:.1f}s")
 

@@ -8,30 +8,7 @@ import sys
 import time
 
 from orbitcert import lsinduce as ls
-from orbitcert.orbits import Partition, dim_z_partition
-
-
-def random_descriptor(rng, kind, max_ambient):
-    if kind == "gl":
-        n = rng.randint(2, min(8, max_ambient))
-        k = rng.randint(1, n - 1)
-        return ls.LeviDescriptor("gl", n, tuple(
-            ls.GLBlock(sz, Partition(rng.choice(list(ls.partitions_of(sz)))))
-            for sz in (k, n - k)))
-    while True:
-        n = rng.randint(4, max_ambient)
-        if kind == "sp" and n % 2:
-            continue
-        k = rng.randint(1, n // 2)
-        m = n - 2 * k
-        if kind == "sp" and m % 2:
-            continue
-        tail = None
-        if m:
-            tail = ls.Tail(m, ls.collapse(rng.choice(list(ls.partitions_of(m))), kind))
-        return ls.LeviDescriptor(
-            kind, n, (ls.GLBlock(k, Partition(rng.choice(list(ls.partitions_of(k))))),),
-            tail)
+from orbitcert.orbits import dim_z_partition
 
 
 def main():
@@ -41,7 +18,7 @@ def main():
     start = time.monotonic()
     for kind in ("gl", "so", "sp"):
         for i in range(count):
-            levi = random_descriptor(rng, kind, max_ambient=10)
+            levi = ls.random_descriptor(rng, kind, max_ambient=10)
             combinatorial = ls.induce(levi)
             matrix = ls.jordan_oracle(levi, seed=seed + i, trials=4)
             assert combinatorial == matrix, (levi.to_json_dict(),

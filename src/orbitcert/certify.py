@@ -20,6 +20,7 @@ not a positive integer, for every positive root alpha of the subsystem.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -146,8 +147,10 @@ def check_A(model: RootSystemModel, pi0, lambda_prime: Weight,
 def check_B(model: RootSystemModel, lambda_prime: Weight, h: Weight) -> CheckResult:
     """Associated-variety dimension equals the orbit dimension, via the
     integral-system formula; undecided when its positivity hypothesis fails."""
-    va_dim = cor68_dim(model, lambda_prime)
-    orb_dim = orbit_dim_from_h(model, h)
+    return _verdict_B(cor68_dim(model, lambda_prime), orbit_dim_from_h(model, h))
+
+
+def _verdict_B(va_dim: int | None, orb_dim: int) -> CheckResult:
     if va_dim is None:
         return CheckResult(
             UNDECIDED,
@@ -161,7 +164,11 @@ def check_B(model: RootSystemModel, lambda_prime: Weight, h: Weight) -> CheckRes
 
 def check_C(model: RootSystemModel, pi0, h: Weight, lambda_prime: Weight) -> CheckResult:
     """lambda' - delta' lies in the rational span of Pi_0."""
-    ok, info = in_levi_span(model, lambda_prime - delta_prime(model, h), pi0)
+    return _verdict_C(model, pi0, lambda_prime - delta_prime(model, h))
+
+
+def _verdict_C(model: RootSystemModel, pi0, mu: Weight) -> CheckResult:
+    ok, info = in_levi_span(model, mu, pi0)
     if ok:
         return CheckResult(PASS, witness=info)
     return CheckResult(FAIL, witness=info, detail="nonzero residual off the Levi span")
@@ -255,15 +262,46 @@ class CertificateReport:
 
 
 def certify(inp: CertificateInput) -> CertificateReport:
-    """Run all four checks and aggregate; deterministic and side-effect free."""
+    """Run all four checks and aggregate; deterministic and side-effect free.
+    cor68, dim O and delta' are computed once and feed verdicts and report."""
     model = inp.model
+    verdict_A = check_A(model, inp.levi, inp.lambda_prime, inp.principal_in_levi)
+    cor68 = cor68_dim(model, inp.lambda_prime)
+    dim_orbit = orbit_dim_from_h(model, inp.h)
+    dprime = delta_prime(model, inp.h)
     return CertificateReport(
-        verdict_A=check_A(model, inp.levi, inp.lambda_prime, inp.principal_in_levi),
-        verdict_B=check_B(model, inp.lambda_prime, inp.h),
-        verdict_C=check_C(model, inp.levi, inp.h, inp.lambda_prime),
+        verdict_A=verdict_A,
+        verdict_B=_verdict_B(cor68, dim_orbit),
+        verdict_C=_verdict_C(model, inp.levi, inp.lambda_prime - dprime),
         verdict_D=check_D(inp.principal_in_levi),
         dim_g=model.dim,
-        dim_orbit=orbit_dim_from_h(model, inp.h),
-        cor68=cor68_dim(model, inp.lambda_prime),
-        delta_prime=delta_prime(model, inp.h),
+        dim_orbit=dim_orbit,
+        cor68=cor68,
+        delta_prime=dprime,
     )
+
+
+def congruence_sweep(model: RootSystemModel):
+    """Yield (pi0, key, ok) for the shift congruences on every Levi subset.
+
+    With h the regular characteristic of Pi_0, key None is the congruence
+    delta' - delta - rho in Q.Pi_0, and key (k, l), l > 0, is the sl2
+    weight-sum identity S(k, l) - S(k, -l) in Q.Pi_0, where S(k, l) sums the
+    roots beta with <beta, theta> = k and <beta, h> = l.
+    """
+    r0 = rootsys.rho(model)
+    zero = _zero(model)
+    for size in range(model.rank + 1):
+        for pi0 in itertools.combinations(range(model.rank), size):
+            h = h_regular(model, pi0)
+            theta = theta_for_levi(model, pi0)
+            resid = delta_prime(model, h) - delta(model, pi0, h) - r0
+            yield pi0, None, in_levi_span(model, resid, pi0)[0]
+            sums = {}
+            for beta in model.roots:
+                key = (beta.dot(theta), beta.dot(h))
+                sums[key] = sums[key] + beta if key in sums else beta
+            for (k, l), s in sums.items():
+                if l > 0:
+                    diff = s - sums.get((k, -l), zero)
+                    yield pi0, (k, l), in_levi_span(model, diff, pi0)[0]

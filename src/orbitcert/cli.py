@@ -9,6 +9,7 @@ in which case the entries are coefficients on the simple roots.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from . import orbits as orb
 from . import rootsys as rs
 from .certify import (FAIL, PASS, CertificateInput, certify, delta_prime,
                       h_regular)
-from .integral import cor68_dim, integral_system
+from .integral import cor68_from_system, integral_system
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED = 0, 1, 2, 3
 
@@ -195,7 +196,7 @@ def _cmd_integral(args) -> int:
     model = rs.build(args.type)
     lambda_prime = _parse_weight(model, args.lambda_prime, args.root_coords)
     isys = integral_system(model, lambda_prime)
-    value = cor68_dim(model, lambda_prime)
+    value = cor68_from_system(model, isys)
     _emit({
         "integral_type": rs.format_type(isys.cartan_type),
         "simple_roots": [b.to_strings() for b in isys.simple_system],
@@ -233,34 +234,30 @@ def _cmd_dimz(args) -> int:
     return EXIT_PASS
 
 
+# table -> (records, label field, one-row payload, listing row)
+_TABLES = {
+    "rigid": (orb.RIGID_TABLE, "bala_carter", lambda r: {"dim_z": r.dim_z, "q": r.q_type},
+              lambda r: {"algebra": r.algebra, "label": r.bala_carter,
+                         "q_type": r.q_type, "dim_z": r.dim_z}),
+    "duality": (orb.DUALITY_TABLE, "e_label", lambda r: {"dual": r.e_dual_label},
+                lambda r: {"algebra": r.algebra, "label": r.e_label, "dual": r.e_dual_label}),
+}
+
+
 def _cmd_tables(args) -> int:
-    if args.table == "rigid":
-        rows = [rec for rec in orb.RIGID_TABLE
-                if (args.algebra is None or rec.algebra == args.algebra)
-                and (args.label is None or rec.bala_carter == args.label)]
-        if args.algebra is not None and args.label is not None:
-            row = orb.rigid_table(args.algebra, args.label)
-            _emit(None if row is None else {"dim_z": row.dim_z, "q": row.q_type},
-                  args.output)
-            return EXIT_PASS
-        if args.output == "text":
-            print(orb.rigid_table_csv(), end="")
-            return EXIT_PASS
-        _emit([{"algebra": r.algebra, "label": r.bala_carter,
-                "q_type": r.q_type, "dim_z": r.dim_z} for r in rows], args.output)
-        return EXIT_PASS
-    rows = [rec for rec in orb.DUALITY_TABLE
-            if (args.algebra is None or rec.algebra == args.algebra)
-            and (args.label is None or rec.e_label == args.label)]
+    records, label_field, one_row, listing_row = _TABLES[args.table]
+    matches = [rec for rec in records
+               if (args.algebra is None or rec.algebra == args.algebra)
+               and (args.label is None or getattr(rec, label_field) == args.label)]
     if args.algebra is not None and args.label is not None:
-        row = orb.duality_table(args.algebra, args.label)
-        _emit(None if row is None else {"dual": row.e_dual_label}, args.output)
-        return EXIT_PASS
-    if args.output == "text":
-        print(orb.duality_table_csv(), end="")
-        return EXIT_PASS
-    _emit([{"algebra": r.algebra, "label": r.e_label, "dual": r.e_dual_label}
-           for r in rows], args.output)
+        _emit(one_row(matches[0]) if matches else None, args.output)
+    elif args.output == "text":
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(listing_row(records[0])),
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(map(listing_row, matches))
+    else:
+        _emit([listing_row(rec) for rec in matches], args.output)
     return EXIT_PASS
 
 

@@ -106,8 +106,12 @@ def cor68_dim(model: RootSystemModel, lambda_prime: Weight) -> int | None:
 
     dim g(lambda) carries the full Cartan: #Delta(lambda) + rank g.
     """
-    isys = integral_system(model, lambda_prime)
-    if not all(pairing(model, lambda_prime, beta) > 0 for beta in isys.simple_system):
+    return cor68_from_system(model, integral_system(model, lambda_prime))
+
+
+def cor68_from_system(model: RootSystemModel, isys: IntegralSystem) -> int | None:
+    """``cor68_dim`` for an integral system that is already built."""
+    if not all(pairing(model, isys.lambda_prime, beta) > 0 for beta in isys.simple_system):
         return None
     dim_g_lambda = isys.size + model.rank
     return model.dim - dim_g_lambda

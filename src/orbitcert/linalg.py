@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals (no floating point)."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -10,11 +11,8 @@ def rank(rows) -> int:
         return 0
     work = []
     for row in rows:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
-        work.append([int(x * denom) if isinstance(x, Fraction) else int(x) * denom for x in row])
+        denom = math.lcm(*(x.denominator for x in row))
+        work.append([int(x * denom) for x in row])
     m, n = len(work), len(work[0])
     r = 0
     prev = 1
@@ -35,10 +33,28 @@ def rank(rows) -> int:
     return r
 
 
-def nullity(rows, ncols: int | None = None) -> int:
-    if not rows:
-        return ncols or 0
-    return len(rows[0]) - rank(rows)
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan reduced row echelon form: (reduced rows, pivot columns)."""
+    aug = [[Fraction(x) for x in row] for row in rows]
+    m = len(aug)
+    n = len(aug[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    return aug, pivots
 
 
 def solve(matrix, rhs):
@@ -47,29 +63,10 @@ def solve(matrix, rhs):
     ``matrix`` is a list of rows.  Underdetermined systems get the solution
     with free variables set to zero.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(matrix[0]) if matrix else 0
+    aug, pivots = _rref([list(row) + [rhs[i]] for i, row in enumerate(matrix)])
+    if n in pivots:
+        return None
     sol = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         sol[c] = aug[i][n]
@@ -78,49 +75,15 @@ def solve(matrix, rhs):
 
 def kernel_basis(rows):
     """Basis of the right kernel of a matrix (rows of ints/Fractions)."""
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
     n = len(rows[0])
-    aug = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    aug, pivots = _rref(rows)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
             vec[pc] = -aug[i][fc]
         basis.append(vec)
     return basis
-
-
-def express_in_basis(vectors, target):
-    """Coefficients c with sum(c_i * vectors[i]) == target, or None."""
-    if not vectors:
-        return [] if all(x == 0 for x in target) else None
-    dim = len(target)
-    matrix = [[vectors[j][i] for j in range(len(vectors))] for i in range(dim)]
-    return solve(matrix, list(target))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -13,8 +13,6 @@ Spaltenstein duals (8 rows).
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import warnings
 from dataclasses import dataclass, asdict
@@ -194,24 +192,6 @@ def rigid_table_json() -> str:
 
 def duality_table_json() -> str:
     return json.dumps([asdict(rec) for rec in DUALITY_TABLE], sort_keys=True)
-
-
-def rigid_table_csv() -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["algebra", "label", "q_type", "dim_z"])
-    for rec in RIGID_TABLE:
-        writer.writerow([rec.algebra, rec.bala_carter, rec.q_type, rec.dim_z])
-    return out.getvalue()
-
-
-def duality_table_csv() -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["algebra", "label", "dual"])
-    for rec in DUALITY_TABLE:
-        writer.writerow([rec.algebra, rec.e_label, rec.e_dual_label])
-    return out.getvalue()
 
 
 def bv_candidate(model: RootSystemModel, h_dual: Weight) -> Weight:

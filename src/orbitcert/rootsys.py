@@ -537,11 +537,6 @@ def _arm_length(branch: int, first: int, adj) -> int:
         length += 1
 
 
-def identify_type(model: RootSystemModel, simple_system) -> tuple[str, ...]:
-    """Cartan type (multiset of labels, sorted) of a simple system of roots."""
-    return classify_simple_system(simple_system)
-
-
 def dual_label(label: str) -> str:
     """Label of the dual root system component (B <-> C; others self-dual)."""
     series, rank = parse_label(label)

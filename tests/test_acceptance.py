@@ -82,7 +82,7 @@ def test_criterion_2_table_levi_realizations():
             for size in range(1, model.rank + 1):
                 for pi0 in itertools.combinations(range(model.rank), size):
                     _, simp = rs.levi_subsystem(model, pi0)
-                    if tuple(sorted(rs.identify_type(model, simp))) != tuple(sorted(target)):
+                    if tuple(sorted(rs.classify_simple_system(simp))) != tuple(sorted(target)):
                         continue
                     shorts = sum(1 for a in simp if a.dot(a) == min_norm)
                     if short_count is not None and shorts != short_count:
@@ -95,26 +95,8 @@ def test_criterion_3_delta_congruence_sweep():
     with criterion(3, "delta congruence + sl2 weight-sum identity sweep, < 30 s"):
         start = time.monotonic()
         for label in ("G2", "F4", "E6", "E7", "E8"):
-            model = rs.build(label)
-            r0 = rs.rho(model)
-            zero = ct._zero(model)
-            for size in range(model.rank + 1):
-                for pi0 in itertools.combinations(range(model.rank), size):
-                    h = ct.h_regular(model, pi0)
-                    theta = ct.theta_for_levi(model, pi0)
-                    resid = ct.delta_prime(model, h) - ct.delta(model, pi0, h) - r0
-                    ok, _ = ct.in_levi_span(model, resid, pi0)
-                    assert ok, (label, pi0)
-                    sums = {}
-                    for beta in model.roots:
-                        key = (beta.dot(theta), beta.dot(h))
-                        sums[key] = sums[key] + beta if key in sums else beta
-                    for (k, l), s in sums.items():
-                        if l <= 0:
-                            continue
-                        diff = s - sums.get((k, -l), zero)
-                        ok, _ = ct.in_levi_span(model, diff, pi0)
-                        assert ok, (label, pi0, k, l)
+            for pi0, key, ok in ct.congruence_sweep(rs.build(label)):
+                assert ok, (label, pi0, key)
         assert time.monotonic() - start < 30.0
 
 
@@ -168,7 +150,7 @@ def test_criterion_6_induction_invariants():
         rng = random.Random(20240817)
         for kind in ("gl", "so", "sp"):
             for i in range(50):
-                levi = _random_descriptor(rng, kind)
+                levi = ls.random_descriptor(rng, kind, 9)
                 assert ls.jordan_oracle(levi, seed=i, trials=3) == ls.induce(levi), levi
         # (c) gl componentwise-sum rule == oracle, exhaustive for ambient <= 6
         for n in range(1, 7):
@@ -185,30 +167,6 @@ def test_criterion_6_induction_invariants():
             permuted = tuple(blocks[i] for i in perm)
             assert (ls.induce(ls.LeviDescriptor("sp", 10, permuted)).parts
                     == ls.induce(ls.LeviDescriptor("sp", 10, blocks)).parts)
-
-
-def _random_descriptor(rng, kind):
-    if kind == "gl":
-        n = rng.randint(2, 7)
-        k = rng.randint(1, n - 1)
-        return ls.LeviDescriptor("gl", n, tuple(
-            ls.GLBlock(sz, Partition(rng.choice(list(ls.partitions_of(sz)))))
-            for sz in (k, n - k)))
-    while True:
-        n = rng.randint(4, 9)
-        if kind == "sp" and n % 2:
-            continue
-        k = rng.randint(1, n // 2)
-        m = n - 2 * k
-        if kind == "sp" and m % 2:
-            continue
-        tail = None
-        if m:
-            c = ls.collapse(rng.choice(list(ls.partitions_of(m))), kind)
-            tail = ls.Tail(m, c)
-        return ls.LeviDescriptor(
-            kind, n, (ls.GLBlock(k, Partition(rng.choice(list(ls.partitions_of(k))))),),
-            tail)
 
 
 def test_criterion_7_rigidity_brute_force():

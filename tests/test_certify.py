@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction as Fr
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcert import certify as ct
+from orbitcert import integral as ig
+from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
 
 import conftest
@@ -291,6 +294,25 @@ def test_report_json_shape(e8, flagship_lambda_prime, flagship_h):
     assert data["delta_prime"] == ["1", "1/2", "3/2", "1/2", "1", "0", "1/2",
                                    "-1/2", "-9/2"]
     assert data["unverified"]
+
+
+def test_certify_computes_each_quantity_once(monkeypatch, e8, flagship_lambda_prime,
+                                             flagship_h):
+    inp = ct.CertificateInput(e8, LEVI, flagship_h, flagship_lambda_prime,
+                              principal_in_levi=True)
+    calls = collections.Counter()
+    for name, home in (("integral_system", ig), ("orbit_dim_from_h", ob),
+                       ("delta_prime", ct)):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        for mod in (ct, ig, ob):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    assert ct.certify(inp).overall == ct.PASS
+    assert calls == {"integral_system": 1, "orbit_dim_from_h": 1, "delta_prime": 1}
 
 
 @settings(max_examples=20, deadline=None)

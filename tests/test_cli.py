@@ -157,6 +157,19 @@ def test_tables_csv(capsys):
     assert lines[0] == "algebra,label,q_type,dim_z"
     assert len(lines) == 35
     assert "E8,A5+A1,2A1,46" in lines
+    assert "F4,~A1,A3,30" in lines
+
+
+def test_tables_csv_filters_rows(capsys):
+    code, out, _ = run(capsys, "--output", "text", "tables", "--table", "rigid",
+                       "--algebra", "G2")
+    assert code == 0
+    assert out.splitlines() == ["algebra,label,q_type,dim_z",
+                                "G2,A1,A1,8", "G2,~A1,A1,6"]
+    code, out, _ = run(capsys, "--output", "text", "tables", "--table", "duality",
+                       "--label", "2A1")
+    assert out.splitlines() == ["algebra,label,dual",
+                                "E7,2A1,E7(a2)", "E8,2A1,E8(a2)"]
 
 
 def test_tables_duality_lookup(capsys):

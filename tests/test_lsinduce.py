@@ -174,31 +174,8 @@ def test_oracle_agrees_with_induce_seeded():
     rng = random.Random(7)
     for kind in ("gl", "so", "sp"):
         for trial in range(12):
-            levi = random_descriptor(rng, kind)
+            levi = ls.random_descriptor(rng, kind, 9)
             assert ls.jordan_oracle(levi, seed=trial, trials=3) == ls.induce(levi)
-
-
-def random_descriptor(rng, kind, max_ambient=9):
-    if kind == "gl":
-        n = rng.randint(2, 7)
-        k = rng.randint(1, n - 1)
-        blocks = tuple(ls.GLBlock(sz, P(rng.choice(list(ls.partitions_of(sz)))))
-                       for sz in (k, n - k))
-        return ls.LeviDescriptor("gl", n, blocks)
-    while True:
-        n = rng.randint(4, max_ambient)
-        if kind == "sp" and n % 2:
-            continue
-        k = rng.randint(1, n // 2)
-        m = n - 2 * k
-        if kind == "sp" and m % 2:
-            continue
-        blocks = (ls.GLBlock(k, P(rng.choice(list(ls.partitions_of(k))))),)
-        tail = None
-        if m:
-            c = ls.collapse(rng.choice(list(ls.partitions_of(m))), kind)
-            tail = ls.Tail(m, c)
-        return ls.LeviDescriptor(kind, n, blocks, tail)
 
 
 # centralizer oracle ----------------------------------------------------------

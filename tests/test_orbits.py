@@ -144,10 +144,6 @@ def test_table_exports_parse():
     assert len(rows) == 34
     assert {"algebra": "E8", "bala_carter": "A5+A1", "q_type": "2A1",
             "dim_z": 46} in rows
-    csv_text = ob.rigid_table_csv()
-    assert csv_text.splitlines()[0] == "algebra,label,q_type,dim_z"
-    assert "E8,A5+A1,2A1,46" in csv_text.splitlines()
-    assert "F4,~A1,A3,30" in csv_text.splitlines()
     duality_rows = json.loads(ob.duality_table_json())
     assert len(duality_rows) == 8
 

@@ -258,36 +258,36 @@ def test_simple_system_of_rejects_non_roots(e8):
 # type identification ---------------------------------------------------------
 
 def test_identify_type_basics(e8):
-    assert rs.identify_type(e8, e8.simple_roots) == ("E8",)
-    assert rs.identify_type(e8, [e8.simple_roots[0], e8.simple_roots[2]]) == ("A1", "A1")
+    assert rs.classify_simple_system(e8.simple_roots) == ("E8",)
+    assert rs.classify_simple_system([e8.simple_roots[0], e8.simple_roots[2]]) == ("A1", "A1")
     _, simp = rs.levi_subsystem(e8, conftest.LEVI_A5A1)
-    assert rs.identify_type(e8, simp) == ("A5", "A1")
+    assert rs.classify_simple_system(simp) == ("A5", "A1")
 
 
 def test_identify_type_b_vs_c():
     f4 = rs.build("F4")
-    assert rs.identify_type(f4, [f4.simple_roots[i] for i in (0, 1, 2)]) == ("B3",)
-    assert rs.identify_type(f4, [f4.simple_roots[i] for i in (1, 2, 3)]) == ("C3",)
-    assert rs.identify_type(f4, [f4.simple_roots[i] for i in (1, 2)]) == ("B2",)
+    assert rs.classify_simple_system([f4.simple_roots[i] for i in (0, 1, 2)]) == ("B3",)
+    assert rs.classify_simple_system([f4.simple_roots[i] for i in (1, 2, 3)]) == ("C3",)
+    assert rs.classify_simple_system([f4.simple_roots[i] for i in (1, 2)]) == ("B2",)
     b4 = rs.build("B4")
-    assert rs.identify_type(b4, b4.simple_roots) == ("B4",)
+    assert rs.classify_simple_system(b4.simple_roots) == ("B4",)
     c4 = rs.build("C4")
-    assert rs.identify_type(c4, c4.simple_roots) == ("C4",)
+    assert rs.classify_simple_system(c4.simple_roots) == ("C4",)
 
 
 def test_identify_type_d_and_e():
     d4 = rs.build("D4")
-    assert rs.identify_type(d4, d4.simple_roots) == ("D4",)
+    assert rs.classify_simple_system(d4.simple_roots) == ("D4",)
     e6 = rs.build("E6")
-    assert rs.identify_type(e6, e6.simple_roots) == ("E6",)
+    assert rs.classify_simple_system(e6.simple_roots) == ("E6",)
     e7 = rs.build("E7")
-    assert rs.identify_type(e7, e7.simple_roots) == ("E7",)
+    assert rs.classify_simple_system(e7.simple_roots) == ("E7",)
 
 
 def test_identify_type_rejects_dependent(e8):
     a = e8.simple_roots[0]
     with pytest.raises(ValueError):
-        rs.identify_type(e8, [a, -a])
+        rs.classify_simple_system([a, -a])
 
 
 def test_identify_type_rejects_non_crystallographic(e8):
@@ -304,10 +304,10 @@ def test_identify_type_permutation_invariant(perm, mask):
     e8 = rs.build("E8")
     subset = [i for i in range(8) if mask & (1 << i)]
     _, simp = rs.levi_subsystem(e8, subset)
-    base = rs.identify_type(e8, simp)
+    base = rs.classify_simple_system(simp)
     shuffled = [simp[perm[i] % len(simp)] for i in range(len(simp))]
     if len(set(shuffled)) == len(simp):
-        assert rs.identify_type(e8, shuffled) == base
+        assert rs.classify_simple_system(shuffled) == base
 
 
 def test_dual_label():

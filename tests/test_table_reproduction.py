@@ -28,7 +28,7 @@ def levi_survey(label):
     for size in range(1, model.rank + 1):
         for pi0 in itertools.combinations(range(model.rank), size):
             _, simp = rs.levi_subsystem(model, pi0)
-            labels = tuple(sorted(rs.identify_type(model, simp)))
+            labels = tuple(sorted(rs.classify_simple_system(simp)))
             shorts = (sum(1 for a in simp if a.dot(a) == min_norm)
                       if len(norms) > 1 else None)
             dim = ob.centralizer_dim_from_h(model, ct.h_regular(model, pi0))
