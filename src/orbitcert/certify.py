@@ -23,12 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import rootsys
 from .integral import cor68_dim
 from .orbits import orbit_dim_from_h
-from .rootsys import (RootSystemModel, Weight, fundamental_coweights,
-                      levi_subsystem, pairing)
+from .rootsys import RootSystemModel, Weight, combine, h_values, levi_mask
 
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 
@@ -37,61 +37,90 @@ def _zero(model: RootSystemModel) -> Weight:
     return Weight(tuple(Fraction(0) for _ in range(model.ambient_dim)))
 
 
+def _levi(model: RootSystemModel, pi0) -> tuple[list[int], int]:
+    """Validated Pi_0 as (sorted indices, bit set)."""
+    indices = sorted(rootsys._check_indices(model, pi0))
+    return indices, levi_mask(indices)
+
+
+def _root_values(model: RootSystemModel, values) -> list[int]:
+    """<beta, h> on each positive root, from h's values on the simple roots."""
+    return [sum(map(mul, coeff, values)) for coeff in model.pos_coefficients]
+
+
+def _coefficient_sum(vectors, rank: int) -> list[int]:
+    return [sum(col) for col in zip(*vectors)] if vectors else [0] * rank
+
+
 def theta_for_levi(model: RootSystemModel, pi0) -> Weight:
     """The dominant coweight cutting out the Levi: sum of omega_i^vee, i not in Pi_0.
 
     Pairs to 0 with the Levi simple roots and to 1 with the others; a root
-    pairs to zero with it exactly when it lies in the Levi span.
+    pairs to zero with it exactly when it lies in the Levi span, and its
+    pairing with a root is the root's coefficient sum outside Pi_0.
     """
     indices = rootsys._check_indices(model, pi0)
-    theta = _zero(model)
-    for i, w in enumerate(fundamental_coweights(model)):
-        if i not in indices:
-            theta = theta + w
-    return theta
+    rows, den = model.coweight_rows
+    off = [row for i, row in enumerate(rows) if i not in indices]
+    return combine(model, _coefficient_sum(off, model.rank), den)
+
+
+def _regular_coroot_sum(model: RootSystemModel, mask: int) -> list[int]:
+    """2 rho_0^vee on the simple coroots: the sum of the Levi's positive coroots."""
+    off = ~mask
+    return _coefficient_sum([cv for cv, s in zip(model.coroot_coefficients, model.supports)
+                             if not s & off], model.rank)
+
+
+def _regular_values(model: RootSystemModel, mask: int) -> list[int]:
+    """<alpha_j, h> for the regular characteristic h of the Levi."""
+    coroot_sum = _regular_coroot_sum(model, mask)
+    return [sum(map(mul, row, coroot_sum)) for row in model.cartan]
 
 
 def h_regular(model: RootSystemModel, pi0) -> Weight:
     """Characteristic of the regular nilpotent of the Levi: the sum of its
     positive coroots (= 2 rho_0^vee); pairs to 2 on each Levi simple root."""
-    pos, _ = levi_subsystem(model, pi0)
-    acc = [Fraction(0)] * model.ambient_dim
-    for beta in pos:
-        for i, c in enumerate(model.coroot(beta).coords):
-            acc[i] += c
-    return Weight._raw(tuple(acc))
+    _, mask = _levi(model, pi0)
+    scale, scale_den = model.coroot_scale
+    return combine(model, list(map(mul, _regular_coroot_sum(model, mask), scale)), scale_den)
+
+
+def _two_delta(model: RootSystemModel, mask: int, values) -> list[int]:
+    """2 delta on the simple roots, from the h-values of the positive roots."""
+    off = ~mask
+    terms = []
+    for coeff, s, v in zip(model.pos_coefficients, model.supports, values):
+        # the theta-negative root -beta: <-beta, h> = -1 counts half, <= -2 fully
+        if s & off and v >= 1:
+            terms.append(coeff)
+            if v >= 2:
+                terms.append(coeff)
+    return [-x for x in _coefficient_sum(terms, model.rank)]
+
+
+def _two_delta_prime(model: RootSystemModel, values) -> list[int]:
+    """2 delta' on the simple roots, from the h-values of the positive roots."""
+    return _coefficient_sum([coeff for coeff, v in zip(model.pos_coefficients, values)
+                             if v == 0 or v == 1], model.rank)
 
 
 def delta(model: RootSystemModel, pi0, h: Weight) -> Weight:
     """The shift weight: over theta-negative roots, half-sum of those with
     <alpha, h> = -1 plus the full sum of those with <alpha, h> <= -2."""
-    theta = theta_for_levi(model, pi0)
-    acc = [Fraction(0)] * model.ambient_dim
-    for beta in model.roots:
-        if beta.dot(theta) < 0:
-            ev = beta.dot(h)
-            if ev.denominator != 1:
-                raise ValueError(f"h is not integral on root {beta}")
-            if ev == -1:
-                for i, c in enumerate(beta.coords):
-                    acc[i] += c / 2
-            elif ev <= -2:
-                for i, c in enumerate(beta.coords):
-                    acc[i] += c
-    return Weight._raw(tuple(acc))
+    _, mask = _levi(model, pi0)
+    npos = len(model.positive_roots)
+    theta_negative = [model.roots[npos + k] for k, s in enumerate(model.supports) if s & ~mask]
+    if not theta_negative:
+        return _zero(model)
+    values = _root_values(model, h_values(model, h, theta_negative))
+    return combine(model, _two_delta(model, mask, values), 2)
 
 
 def delta_prime(model: RootSystemModel, h: Weight) -> Weight:
     """Half-sum of the positive roots alpha with <alpha, h> in {0, 1}."""
-    acc = [Fraction(0)] * model.ambient_dim
-    for beta in model.positive_roots:
-        ev = beta.dot(h)
-        if ev.denominator != 1:
-            raise ValueError(f"h is not integral on root {beta}")
-        if ev in (0, 1):
-            for i, c in enumerate(beta.coords):
-                acc[i] += c / 2
-    return Weight._raw(tuple(acc))
+    values = _root_values(model, h_values(model, h))
+    return combine(model, _two_delta_prime(model, values), 2)
 
 
 def in_levi_span(model: RootSystemModel, mu: Weight, pi0
@@ -99,25 +128,20 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
     """Exact solve of mu = sum c_i alpha_i over Pi_0.
 
     Returns (True, coefficients) on success or (False, residual) on failure.
-    Coefficients are read off against the dual basis of coweights (exact
-    rationals); membership additionally requires the coefficients outside
-    Pi_0 and the root-span complement components to vanish, so inputs
-    outside the root span fail with the honest residual.
+    mu's coordinates on the simple roots are read once (those of its
+    projection onto the root span); membership is the support check that
+    the coefficients outside Pi_0 vanish, plus mu lying in the root span,
+    so inputs outside the root span fail with the honest residual.
     """
-    indices = rootsys._check_indices(model, pi0)
+    ordered, mask = _levi(model, pi0)
     mu = rootsys.canonicalize(model, mu.coords)
-    coweights = fundamental_coweights(model)
-    inside = (all(mu.dot(coweights[j]) == 0
-                  for j in range(model.rank) if j not in indices)
-              and all(mu.dot(v) == 0 for v in rootsys.span_complement(model)))
-    ordered = sorted(indices)
-    coeffs = tuple(mu.dot(coweights[i]) for i in ordered)
-    if inside:
+    nums, den = rootsys.root_coords(model, mu)
+    coeffs = tuple(Fraction(nums[i], den) for i in ordered)
+    if (all(x == 0 for i, x in enumerate(nums) if not mask >> i & 1)
+            and rootsys.in_root_span(model, mu)):
         return True, coeffs
-    recon = _zero(model)
-    for c, i in zip(coeffs, ordered):
-        recon = recon + c * model.simple_roots[i]
-    return False, mu - recon
+    return False, mu - combine(model, [x if mask >> i & 1 else 0
+                                       for i, x in enumerate(nums)], den)
 
 
 @dataclass(frozen=True)
@@ -135,12 +159,15 @@ def check_A(model: RootSystemModel, pi0, lambda_prime: Weight,
     """Levi-antidominance of lambda (undecided unless e is regular in the Levi)."""
     if not principal_in_levi:
         return CheckResult(UNDECIDED, detail="criterion needs e regular in the Levi")
-    pos, _ = levi_subsystem(model, pi0)
-    for beta in pos:
-        val = pairing(model, lambda_prime, beta)
-        if val.denominator == 1 and val > 0:
+    _, mask = _levi(model, pi0)
+    labels, den = rootsys.dynkin_labels(model, lambda_prime)
+    for beta, cv, s in zip(model.positive_roots, model.coroot_coefficients, model.supports):
+        if s & ~mask:
+            continue
+        val = sum(map(mul, cv, labels))
+        if val > 0 and val % den == 0:
             return CheckResult(FAIL, witness=beta,
-                               detail=f"<lambda', alpha^vee> = {val} in Z_>0")
+                               detail=f"<lambda', alpha^vee> = {val // den} in Z_>0")
     return CheckResult(PASS)
 
 
@@ -197,15 +224,13 @@ class CertificateInput:
         object.__setattr__(
             self, "lambda_prime",
             rootsys.canonicalize(self.model, self.lambda_prime.coords))
-        for beta in self.model.positive_roots:
-            if beta.dot(self.h).denominator != 1:
-                raise ValueError(f"h is not integral on root {beta}")
+        values = h_values(self.model, self.h)
         ok, residual = in_levi_span(self.model, self.h, indices)
         if not ok:
             raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
         if self.principal_in_levi:
             for i in indices:
-                if self.model.simple_roots[i].dot(self.h) != 2:
+                if values[i] != 2:
                     raise ValueError("principal_in_levi requires <alpha, h> = 2 "
                                      "on every Levi simple root")
 
@@ -287,21 +312,29 @@ def congruence_sweep(model: RootSystemModel):
     With h the regular characteristic of Pi_0, key None is the congruence
     delta' - delta - rho in Q.Pi_0, and key (k, l), l > 0, is the sl2
     weight-sum identity S(k, l) - S(k, -l) in Q.Pi_0, where S(k, l) sums the
-    roots beta with <beta, theta> = k and <beta, h> = l.
+    roots beta with <beta, theta> = k and <beta, h> = l.  Everything is in
+    integer simple-root coordinates: <beta, theta> is beta's coefficient sum
+    outside Pi_0, and a sum of roots lies in Q.Pi_0 exactly when its
+    coefficients outside Pi_0 vanish.
     """
-    r0 = rootsys.rho(model)
-    zero = _zero(model)
-    for size in range(model.rank + 1):
-        for pi0 in itertools.combinations(range(model.rank), size):
-            h = h_regular(model, pi0)
-            theta = theta_for_levi(model, pi0)
-            resid = delta_prime(model, h) - delta(model, pi0, h) - r0
-            yield pi0, None, in_levi_span(model, resid, pi0)[0]
-            sums = {}
-            for beta in model.roots:
-                key = (beta.dot(theta), beta.dot(h))
-                sums[key] = sums[key] + beta if key in sums else beta
+    rank = model.rank
+    two_rho = _coefficient_sum(model.pos_coefficients, rank)
+    for size in range(rank + 1):
+        for pi0 in itertools.combinations(range(rank), size):
+            mask = levi_mask(pi0)
+            outside = [i for i in range(rank) if not mask >> i & 1]
+            values = _root_values(model, _regular_values(model, mask))
+            resid = [a - b - c for a, b, c in zip(_two_delta_prime(model, values),
+                                                  _two_delta(model, mask, values), two_rho)]
+            yield pi0, None, all(resid[i] == 0 for i in outside)
+            sums: dict[tuple[int, int], list[int]] = {}
+            for sign in (1, -1):
+                for coeff, v in zip(model.pos_coefficients, values):
+                    key = (sign * sum(coeff[i] for i in outside), sign * v)
+                    acc = sums.setdefault(key, [0] * rank)
+                    for i in outside:
+                        acc[i] += sign * coeff[i]
             for (k, l), s in sums.items():
                 if l > 0:
-                    diff = s - sums.get((k, -l), zero)
-                    yield pi0, (k, l), in_levi_span(model, diff, pi0)[0]
+                    diff = sums.get((k, -l))
+                    yield pi0, (k, l), all(s[i] == (diff[i] if diff else 0) for i in outside)

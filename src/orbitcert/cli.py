@@ -31,11 +31,7 @@ def _parse_weight(model: rs.RootSystemModel, text: str, root_coords: bool) -> rs
     if root_coords:
         if len(entries) != model.rank:
             raise ValueError(f"expected {model.rank} simple-root coefficients")
-        acc = [Fraction(0)] * model.ambient_dim
-        for c, alpha in zip(entries, model.simple_roots):
-            for i, x in enumerate(alpha.coords):
-                acc[i] += c * x
-        return rs.Weight(tuple(acc))
+        return rs.combine(model, entries)
     return rs.canonicalize(model, entries)
 
 

@@ -2,16 +2,18 @@
 
 The integral system of a weight consists of the roots whose coroots pair
 integrally with lambda + rho.  The coroot set is always closed inside the
-dual root system, so simple systems and Cartan types are extracted on the
-coroot side and the component labels dualized (B <-> C) to report the
-integral root system itself; for simply-laced ambients this is a no-op.
+dual root system, so the simple system is extracted on the coroot side:
+the roots whose coroots are not sums of two integral positive coroots.  The
+Cartan type is read from the Gram matrix of those simple roots, so it is
+that of the integral root system itself (B and C are not swapped).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+
 from . import rootsys
-from .rootsys import (RootSystemModel, Weight, classify_simple_system, dual_label,
-                      pairing, rho, _indecomposables)
+from .rootsys import RootSystemModel, Weight
 
 
 @dataclass(frozen=True)
@@ -22,6 +24,7 @@ class IntegralSystem:
     coroots: tuple[Weight, ...]       # roots with integral coroot pairing, +/- closed
     simple_system: tuple[Weight, ...]  # roots dual to the simple coroots, positive in Delta
     cartan_type: tuple[str, ...]       # component labels of Delta(lambda), dual-adjusted
+    simple_pairings: tuple[int, ...]   # <lambda', beta^vee> on the simple system
 
     @property
     def size(self) -> int:
@@ -30,24 +33,27 @@ class IntegralSystem:
 
 
 def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSystem:
-    """Roots alpha with <lambda', alpha^vee> integral, with simple system and type."""
-    r = rho(model)
-    pos: list[Weight] = []
-    for beta in model.positive_roots:
-        val = pairing(model, lambda_prime, beta)
-        if val.denominator == 1:
-            # integrality against lambda and lambda + rho agree since rho is integral
-            assert (val - pairing(model, r, beta)).denominator == 1
-            pos.append(beta)
-    covecs = [model.coroot(beta) for beta in pos]
-    co_simple = set(map(tuple, (cv.coords for cv in _indecomposables(covecs))))
-    simple_roots = tuple(beta for beta, cv in zip(pos, covecs)
-                         if tuple(cv.coords) in co_simple)
-    simple_covecs = [model.coroot(beta) for beta in simple_roots]
-    labels = tuple(sorted((dual_label(l) for l in classify_simple_system(simple_covecs)),
-                          key=rootsys._label_sort_key))
-    allroots = tuple(pos) + tuple(-beta for beta in pos)
-    return IntegralSystem(lambda_prime, allroots, simple_roots, labels)
+    """Roots alpha with <lambda', alpha^vee> integral, with simple system and type.
+
+    rho is integral (checked when the model is built), so integrality
+    against lambda' = lambda + rho and against lambda agree.
+    """
+    labels, den = rootsys.dynkin_labels(model, lambda_prime)
+    coroots = model.coroot_coefficients
+    values = [sum(map(mul, cv, labels)) for cv in coroots]
+    chosen = [k for k, v in enumerate(values) if v % den == 0]
+    codes = [model.coroot_codes[k] for k in chosen]
+    simple = [k for k, ind in zip(chosen, rootsys.indecomposables(codes)) if ind]
+    rows = [model.pos_coefficients[k] for k in simple]
+    images = [[sum(map(mul, form_row, row)) for form_row in model.gram] for row in rows]
+    cartan_type = rootsys.classify_gram([[sum(map(mul, row, image)) for row in rows]
+                                         for image in images])
+    npos = len(model.positive_roots)
+    allroots = (tuple(model.positive_roots[k] for k in chosen)
+                + tuple(model.roots[npos + k] for k in chosen))
+    return IntegralSystem(lambda_prime, allroots,
+                          tuple(model.positive_roots[k] for k in simple), cartan_type,
+                          tuple(values[k] // den for k in simple))
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ def cor68_dim(model: RootSystemModel, lambda_prime: Weight) -> int | None:
 
 def cor68_from_system(model: RootSystemModel, isys: IntegralSystem) -> int | None:
     """``cor68_dim`` for an integral system that is already built."""
-    if not all(pairing(model, isys.lambda_prime, beta) > 0 for beta in isys.simple_system):
+    if not all(v > 0 for v in isys.simple_pairings):
         return None
     dim_g_lambda = isys.size + model.rank
     return model.dim - dim_g_lambda

@@ -73,6 +73,16 @@ def solve(matrix, rhs):
     return sol
 
 
+def inverse(matrix):
+    """Exact inverse of a square matrix (list of rows), or None if singular."""
+    n = len(matrix)
+    aug, pivots = _rref([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(matrix)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in aug]
+
+
 def kernel_basis(rows):
     """Basis of the right kernel of a matrix (rows of ints/Fractions)."""
     if not rows:

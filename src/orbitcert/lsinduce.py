@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .orbits import Partition, dim_z_partition, parity_valid
+from .orbits import Partition, dim_z_partition, parity_valid, transpose
 
 DEFAULT_ORACLE_AMBIENT = 16
 DEFAULT_RIGID_AMBIENT = 14
@@ -214,14 +214,7 @@ def jordan_type(mat) -> tuple[int, ...]:
                 raise ValueError("matrix is not nilpotent")
             power = _matmul(power, mat)
     drops = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
-    return transpose_parts(drops)
-
-
-def transpose_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
-    parts = tuple(p for p in parts if p)
-    if not parts:
-        return ()
-    return tuple(sum(1 for q in parts if q >= i) for i in range(1, max(parts) + 1))
+    return transpose(Partition(drops)).parts
 
 
 def _eps_sign(i: int, n: int, kind: str) -> int:

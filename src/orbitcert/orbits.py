@@ -16,17 +16,17 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, asdict
-from .rootsys import RootSystemModel, Weight, rho
+from operator import mul
+
+from .rootsys import RootSystemModel, Weight, h_values, rho
 
 
 def graded_dims(model: RootSystemModel, h: Weight) -> dict[int, int]:
     """dim g(i) for the grading by ad-h eigenvalues; h must be integral."""
+    values = h_values(model, h, show_value=True)
     dims: dict[int, int] = {0: model.rank}
-    for beta in model.positive_roots:
-        ev = beta.dot(h)
-        if ev.denominator != 1:
-            raise ValueError(f"h is not integral on root {beta}: <a,h> = {ev}")
-        k = int(ev)
+    for coeff in model.pos_coefficients:
+        k = sum(map(mul, coeff, values))
         dims[k] = dims.get(k, 0) + 1
         dims[-k] = dims.get(-k, 0) + 1
     return {k: v for k, v in sorted(dims.items()) if v}
@@ -39,8 +39,11 @@ def centralizer_dim_from_h(model: RootSystemModel, h: Weight) -> int:
 
 
 def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
+    """dim O = dim g - dim z_g(e); odd only when h is not a characteristic."""
     dim_orb = model.dim - centralizer_dim_from_h(model, h)
-    assert dim_orb % 2 == 0, "orbit dimension must be even"
+    if dim_orb % 2:
+        raise ValueError(f"orbit dimension {dim_orb} is odd: h is not the "
+                         "characteristic of a nilpotent")
     return dim_orb
 
 

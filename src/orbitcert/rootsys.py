@@ -1,19 +1,37 @@
-"""Exact root-system models in epsilon-coordinates.
+"""Exact root-system models on integer simple-root coordinates.
 
-Every model stores its simple and positive roots as vectors of exact
-rationals in an orthonormal ambient basis; the invariant form is the
-standard dot product of canonical representatives.  The E-type models live
-in the 9-coordinate quotient of R^9 by the diagonal (canonical
-representative: coordinate sum zero); E7 and E6 are the sub-root-systems
-of E8 generated by {a2..a7, a8} and {a3..a7, a8}.  All other types use the
-standard orthonormal epsilon-models and the identity canonicalizer.
+A model is built from its simple roots.  Its positive roots are enumerated
+on the integer Cartan matrix and kept as integer coefficient vectors on the
+simple roots (``pos_coefficients``); the invariant form is the integer
+symmetrized Cartan matrix ``gram`` over ``gram_den``, so that
+(alpha_i, alpha_j) = gram[i][j] / gram_den.  Inside the engine an element h
+of the Cartan is its integer values <alpha_i, h> on the simple roots
+(``h_values``) and a weight is its Dynkin labels <lambda, alpha_i^vee> over
+one common denominator (``dynkin_labels``).  Every pairing with a root is
+then an integer dot product with the root's coefficients or with its
+coroot's coefficients on the simple coroots (``coroot_coefficients``).  This
+is LiE's representation (van Leeuwen, Cohen & Lisser, 1992), with the Cartan
+data of Bourbaki, Lie Groups and Lie Algebras ch. VI.
+
+Epsilon coordinates are the I/O format.  Weights are parsed, serialized and
+returned as ``Weight`` vectors of exact rationals in an orthonormal ambient
+basis, where the form is the dot product of canonical representatives.
+The E-type models live in the 9-coordinate quotient of R^9 by the diagonal
+(canonical representative: coordinate sum zero); E7 and E6 are the
+sub-root-systems of E8 generated by {a2..a7, a8} and {a3..a7, a8}.  All
+other types use the standard orthonormal epsilon-models and the identity
+canonicalizer.  A vector enters simple-root coordinates once
+(``simple_pairings``, ``dynkin_labels``, ``h_values``, ``root_coords``) and
+leaves them once (``combine``).
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import linalg
 
@@ -117,7 +135,10 @@ class RootSystemModel:
     """Immutable enumeration of a simple root system with its invariant form.
 
     Models are interned by :func:`build` (one instance per Cartan label), so
-    identity comparison and hashing are the intended semantics.
+    identity comparison and hashing are the intended semantics.  The integer
+    tables (``pos_coefficients``, ``cartan``, ``gram``,
+    ``coroot_coefficients``) carry the arithmetic; ``positive_roots`` are the
+    same roots in epsilon coordinates, in the same order.
     """
 
     cartan_type: str
@@ -141,16 +162,85 @@ class RootSystemModel:
         return self.positive_roots + tuple(-b for b in self.positive_roots)
 
     @cached_property
-    def _pos_set(self) -> frozenset[Weight]:
-        return frozenset(self.positive_roots)
+    def _pos_index(self) -> dict[Weight, int]:
+        return {beta: k for k, beta in enumerate(self.positive_roots)}
 
     @cached_property
     def _root_set(self) -> frozenset[Weight]:
         return frozenset(self.roots)
 
     @cached_property
-    def _coeff_map(self) -> dict[Weight, tuple[int, ...]]:
-        return dict(zip(self.positive_roots, self.pos_coefficients))
+    def _basis(self) -> tuple[list[list[int]], list[tuple[int, ...]], int]:
+        """(rows, columns, den): the simple roots as integer ambient vectors / den."""
+        rows, den = _integer_rows(a.coords for a in self.simple_roots)
+        return rows, list(zip(*rows)), den
+
+    @cached_property
+    def _form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        rows, _, den = self._basis
+        return _gram(rows, den)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The integer symmetrized Cartan matrix: (a_i, a_j) = gram[i][j] / gram_den."""
+        return self._form[0]
+
+    @property
+    def gram_den(self) -> int:
+        return self._form[1]
+
+    @cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """cartan[i][j] = <a_i, a_j^vee>."""
+        return _cartan_of(self.gram)
+
+    @cached_property
+    def coroot_scale(self) -> tuple[list[int], int]:
+        """(nums, den): a_i^vee = (nums[i] / den) a_i, i.e. 2 / (a_i, a_i)."""
+        norms = [self.gram[i][i] for i in range(self.rank)]
+        den = math.lcm(*norms)
+        return [2 * self.gram_den * (den // g) for g in norms], den
+
+    @cached_property
+    def supports(self) -> tuple[int, ...]:
+        """Bit i of supports[k] is set when alpha_i occurs in positive root k."""
+        return tuple(levi_mask(i for i, c in enumerate(coeff) if c)
+                     for coeff in self.pos_coefficients)
+
+    @cached_property
+    def coroot_coefficients(self) -> tuple[tuple[int, ...], ...]:
+        """Each positive root's coroot on the simple coroots:
+        beta^vee = sum_i c_i (a_i, a_i) / (beta, beta) a_i^vee."""
+        out = []
+        for coeff in self.pos_coefficients:
+            norm = sum(c * sum(map(mul, row, coeff)) for c, row in zip(coeff, self.gram))
+            row = []
+            for i, c in enumerate(coeff):
+                q, r = divmod(c * self.gram[i][i], norm)
+                if r:
+                    raise RuntimeError(f"{self.cartan_type}: non-integral coroot {coeff}")
+                row.append(q)
+            out.append(tuple(row))
+        return tuple(out)
+
+    @cached_property
+    def coroot_codes(self) -> tuple[int, ...]:
+        """``pack`` of the coroot coefficients: sums and differences of coroots as ints."""
+        return tuple(pack(self.coroot_coefficients))
+
+    @cached_property
+    def coweight_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, den): rows[i][j] / den is the coefficient of the fundamental
+        coweight omega_i^vee on a_j, i.e. the inverse of the Gram matrix."""
+        inv = linalg.inverse(self.gram)
+        if inv is None:
+            raise RuntimeError(f"{self.cartan_type}: the Gram matrix is singular")
+        rows, den = _integer_rows(inv)
+        return [[x * self.gram_den for x in row] for row in rows], den
+
+    @cached_property
+    def _complement_rows(self) -> list[list[int]]:
+        return _integer_rows(v.coords for v in span_complement(self))[0]
 
     def inner(self, u: Weight, v: Weight) -> Fraction:
         """The invariant symmetric form: the dot product of canonical reps."""
@@ -160,15 +250,16 @@ class RootSystemModel:
         return v in self._root_set
 
     def is_positive_root(self, v: Weight) -> bool:
-        return v in self._pos_set
+        return v in self._pos_index
 
     def coefficients(self, root: Weight) -> tuple[int, ...]:
         """Integer coordinates of a root in the simple-root basis."""
-        if root in self._coeff_map:
-            return self._coeff_map[root]
-        neg = self._coeff_map.get(-root)
-        if neg is not None:
-            return tuple(-c for c in neg)
+        k = self._pos_index.get(root)
+        if k is not None:
+            return self.pos_coefficients[k]
+        k = self._pos_index.get(-root)
+        if k is not None:
+            return tuple(-c for c in self.pos_coefficients[k])
         raise ValueError(f"{root} is not a root of {self.cartan_type}")
 
     def coroot(self, root: Weight) -> Weight:
@@ -202,41 +293,135 @@ def pairing(model: RootSystemModel, lam: Weight, root: Weight) -> Fraction:
     return 2 * lam.dot(root) / root.dot(root)
 
 
-def _enumerate_positive(simples: list[Weight], limit: int | None = None
-                        ) -> tuple[list[Weight], list[tuple[int, ...]]]:
-    """All positive roots generated by a simple system, via root strings.
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rows of rationals as integer rows over their least common denominator."""
+    rows = list(rows)
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
+
+
+def _gram(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(gram, gram_den) for the vectors rows[i] / den, reduced by their common factor."""
+    raw = [[sum(map(mul, u, v)) for v in rows] for u in rows]
+    divisor = math.gcd(math.gcd(*(x for row in raw for x in row)), den * den)
+    return tuple(tuple(x // divisor for x in row) for row in raw), den * den // divisor
+
+
+def _cartan_of(gram) -> tuple[tuple[int, ...], ...]:
+    """<a_i, a_j^vee> = 2 (a_i, a_j) / (a_j, a_j) from a Gram matrix (any scale)."""
+    out = []
+    for row in gram:
+        cartan_row = []
+        for j, x in enumerate(row):
+            q, r = divmod(2 * x, gram[j][j])
+            if r:
+                raise ValueError("pairings are not those of a crystallographic simple system")
+            cartan_row.append(q)
+        out.append(tuple(cartan_row))
+    return tuple(out)
+
+
+def simple_pairings(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
+    """(nums, den) with (a_i, w) = nums[i] / den on each simple root."""
+    (nums,), den = _integer_rows([w.coords])
+    rows, _, basis_den = model._basis
+    return [sum(map(mul, row, nums)) for row in rows], den * basis_den
+
+
+def dynkin_labels(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
+    """(labels, den) with <w, a_i^vee> = labels[i] / den on each simple root.
+
+    <w, beta^vee> for the positive root k is the integer dot product of
+    ``model.coroot_coefficients[k]`` with ``labels``, over ``den``.
+    """
+    nums, den = simple_pairings(model, w)
+    scale, scale_den = model.coroot_scale
+    return list(map(mul, nums, scale)), den * scale_den
+
+
+def h_values(model: RootSystemModel, h: Weight, roots=None,
+             show_value: bool = False) -> list[int]:
+    """The integers <a_i, h> on the simple roots; <beta, h> for a root is
+    the dot product with the root's coefficients.
+
+    h is integral on every root exactly when it is on the simple roots.
+    Otherwise this raises ValueError naming the first of ``roots`` (by
+    default the positive roots, in model order) on which h is not integral,
+    with its value when ``show_value`` is set.
+    """
+    nums, den = simple_pairings(model, h)
+    if all(x % den == 0 for x in nums):
+        return [x // den for x in nums]
+    for beta in (model.positive_roots if roots is None else roots):
+        ev = Fraction(sum(map(mul, model.coefficients(beta), nums)), den)
+        if ev.denominator != 1:
+            suffix = f": <a,h> = {ev}" if show_value else ""
+            raise ValueError(f"h is not integral on root {beta}{suffix}")
+    raise ValueError("h is not integral on the simple roots")
+
+
+def root_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
+    """(nums, den): w's orthogonal projection onto the span of the simple
+    roots is sum_i (nums[i] / den) a_i."""
+    nums, den = simple_pairings(model, w)
+    rows, rows_den = model.coweight_rows
+    return [sum(map(mul, row, nums)) for row in rows], den * rows_den
+
+
+def in_root_span(model: RootSystemModel, w: Weight) -> bool:
+    """Whether w lies in the rational span of the simple roots."""
+    (nums,), _ = _integer_rows([w.coords])
+    return all(sum(map(mul, v, nums)) == 0 for v in model._complement_rows)
+
+
+def combine(model: RootSystemModel, coeffs, den: int = 1) -> Weight:
+    """The epsilon vector sum_i (coeffs[i] / den) a_i."""
+    _, columns, basis_den = model._basis
+    den *= basis_den
+    return Weight._raw(tuple(Fraction(sum(map(mul, col, coeffs)), den) for col in columns))
+
+
+def _positive_coefficients(cartan, limit: int | None = None) -> list[tuple[int, ...]]:
+    """Coefficient vectors of all positive roots of a Cartan matrix, via root strings.
 
     Walks up by height: beta + alpha_i is a root iff the alpha_i-string
     through beta does not stop, i.e. p - <beta, alpha_i^vee> > 0 where p is
-    the number of times alpha_i can be subtracted.  Returns the roots and
-    their integer coefficient vectors in the given simple basis.
+    the number of times alpha_i can be subtracted.  Sorted by height, then
+    by coefficient vector.
     """
-    n = len(simples)
-    coeffs: dict[Weight, tuple[int, ...]] = {
-        s: tuple(1 if j == i else 0 for j in range(n)) for i, s in enumerate(simples)
-    }
-    frontier = list(simples)
+    n = len(cartan)
+    found = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    frontier = sorted(found)
     while frontier:
-        new: list[Weight] = []
+        new: list[tuple[int, ...]] = []
         for beta in frontier:
-            for i, alpha in enumerate(simples):
-                gamma = beta + alpha
-                if gamma in coeffs:
+            for i in range(n):
+                gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if gamma in found:
                     continue
                 p = 0
-                cur = beta - alpha
-                while cur in coeffs:
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in found:
                     p += 1
-                    cur = cur - alpha
-                if p - 2 * beta.dot(alpha) / alpha.dot(alpha) > 0:
-                    coeffs[gamma] = tuple(
-                        c + (1 if j == i else 0) for j, c in enumerate(coeffs[beta]))
+                if p - sum(c * cartan[j][i] for j, c in enumerate(beta)) > 0:
+                    found.add(gamma)
                     new.append(gamma)
-                    if limit is not None and len(coeffs) > limit:
+                    if limit is not None and len(found) > limit:
                         raise ValueError("simple system generates too many roots")
         frontier = new
-    roots = sorted(coeffs, key=lambda r: (sum(coeffs[r]), coeffs[r]))
-    return roots, [coeffs[r] for r in roots]
+    return sorted(found, key=lambda c: (sum(c), c))
+
+
+def _enumerate_positive(simples: list[Weight], limit: int | None = None
+                        ) -> tuple[list[Weight], list[tuple[int, ...]]]:
+    """All positive roots generated by a simple system (linearly independent
+    roots with an integral Cartan matrix), enumerated on integer
+    coefficients; returns the roots and their coefficient vectors."""
+    rows, den = _integer_rows(a.coords for a in simples)
+    coeffs = _positive_coefficients(_cartan_of(_gram(rows, den)[0]), limit)
+    columns = list(zip(*rows))
+    roots = [Weight._raw(tuple(Fraction(sum(map(mul, col, c)), den) for col in columns))
+             for c in coeffs]
+    return roots, coeffs
 
 
 def _eps(i: int, dim: int) -> Weight:
@@ -312,44 +497,34 @@ def build(label: str) -> RootSystemModel:
     if len(positive) != expected:
         raise AssertionError(
             f"{label}: enumerated {len(positive)} positive roots, expected {expected}")
+    # rho is integral: <rho, a_i^vee> = 1 on every simple root
+    two_rho = [sum(col) for col in zip(*coeffs)]
+    if any(sum(map(mul, two_rho, col)) != 2 for col in zip(*model.cartan)):
+        raise AssertionError(f"{label}: <rho, a_i^vee> is not 1 on every simple root")
     return model
 
 
+@lru_cache(maxsize=None)
 def rho(model: RootSystemModel) -> Weight:
     """Half-sum of the positive roots; <rho, a_i^vee> = 1 for simple a_i."""
-    total = Weight(tuple(Fraction(0) for _ in range(model.ambient_dim)))
-    for beta in model.positive_roots:
-        total = total + beta
-    return Fraction(1, 2) * total
-
-
-def _dual_basis(model: RootSystemModel, gram_entry) -> tuple[Weight, ...]:
-    """Solve for vectors w_i in span(Pi) with gram_entry(w_i, a_j) = delta_ij."""
-    simples = model.simple_roots
-    n = len(simples)
-    matrix = [[gram_entry(simples[k], simples[j]) for k in range(n)] for j in range(n)]
-    out = []
-    for i in range(n):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        coeff = linalg.solve(matrix, rhs)
-        assert coeff is not None
-        w = Weight(tuple(
-            sum(coeff[k] * simples[k].coords[d] for k in range(n))
-            for d in range(model.ambient_dim)))
-        out.append(w)
-    return tuple(out)
+    return combine(model, [sum(col) for col in zip(*model.pos_coefficients)], 2)
 
 
 @lru_cache(maxsize=None)
 def fundamental_weights(model: RootSystemModel) -> tuple[Weight, ...]:
-    """Weights pi_i in span(Pi) with <pi_i, a_j^vee> = delta_ij (exact solve)."""
-    return _dual_basis(model, lambda ak, aj: 2 * ak.dot(aj) / aj.dot(aj))
+    """Weights pi_i in span(Pi) with <pi_i, a_j^vee> = delta_ij:
+    pi_i = (a_i, a_i) / 2 omega_i^vee."""
+    rows, den = model.coweight_rows
+    scale, scale_den = model.coroot_scale
+    return tuple(combine(model, [x * scale_den for x in row], den * s)
+                 for row, s in zip(rows, scale))
 
 
 @lru_cache(maxsize=None)
 def fundamental_coweights(model: RootSystemModel) -> tuple[Weight, ...]:
     """Coweights w_i in span(Pi), as weights via the form: (a_j, w_i) = delta_ij."""
-    return _dual_basis(model, lambda ak, aj: ak.dot(aj))
+    rows, den = model.coweight_rows
+    return tuple(combine(model, row, den) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -367,13 +542,17 @@ def levi_subsystem(model: RootSystemModel, pi0) -> tuple[tuple[Weight, ...], tup
     """Positive roots lying in the span of the simple subset Pi_0.
 
     Returns (positive roots of the Levi subsystem, the simple system Pi_0
-    itself).  Span membership is decided on integer simple-root coordinates.
+    itself).  Span membership is a support check on simple-root coordinates.
     """
     indices = _check_indices(model, pi0)
-    pos = tuple(
-        beta for beta, coeff in zip(model.positive_roots, model.pos_coefficients)
-        if all(c == 0 or i in indices for i, c in enumerate(coeff)))
+    off = ~levi_mask(indices)
+    pos = tuple(beta for beta, s in zip(model.positive_roots, model.supports) if not s & off)
     return pos, tuple(model.simple_roots[i] for i in sorted(indices))
+
+
+def levi_mask(indices) -> int:
+    """The bit set of a subset of simple-root indices."""
+    return sum(1 << i for i in indices)
 
 
 def _check_indices(model: RootSystemModel, pi0) -> frozenset[int]:
@@ -383,11 +562,22 @@ def _check_indices(model: RootSystemModel, pi0) -> frozenset[int]:
     return indices
 
 
-def _indecomposables(pos_vectors: list[Weight]) -> list[Weight]:
-    """Elements of a positive system not expressible as a sum of two others."""
-    vset = set(pos_vectors)
-    return [beta for beta in pos_vectors
-            if not any((beta - gamma) in vset for gamma in pos_vectors if gamma != beta)]
+def pack(vectors) -> list[int]:
+    """Encode nonnegative integer vectors as ints, additively.
+
+    Digits are in the balanced base 2m + 1 (m the largest entry), so the
+    difference of two codes is the code of the difference vector, and a
+    difference is a member's code only when it is that member.
+    """
+    vectors = list(vectors)
+    base = 2 * max((max(v) for v in vectors), default=0) + 1
+    return [sum(c * base ** i for i, c in enumerate(v)) for v in vectors]
+
+
+def indecomposables(codes: list[int]) -> list[bool]:
+    """For a set of packed positive vectors: which are not a sum of two members."""
+    members = set(codes)
+    return [not any(code - other in members for other in codes) for code in codes]
 
 
 def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
@@ -403,15 +593,19 @@ def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
     for v in rset:
         if not model.is_root(v):
             raise ValueError(f"{v} is not a root of {model.cartan_type}")
-    pos = [beta for beta in model.positive_roots if beta in rset or -beta in rset]
-    simples = _indecomposables(pos)
+    npos = len(model.positive_roots)
+    chosen = [k for k, beta in enumerate(model.positive_roots)
+              if beta in rset or model.roots[npos + k] in rset]
+    codes = pack(model.pos_coefficients[k] for k in chosen)
+    simples = [model.positive_roots[k] for k, simple in zip(chosen, indecomposables(codes))
+               if simple]
     if any(a.dot(b) > 0 for i, a in enumerate(simples) for b in simples[i + 1:]):
         raise ValueError("root set is not closed under the subsystem structure")
     try:
-        generated, _ = _enumerate_positive(simples, limit=len(pos))
+        generated, _ = _enumerate_positive(simples, limit=len(chosen))
     except ValueError:
         raise ValueError("root set is not closed under the subsystem structure")
-    if set(generated) != set(pos):
+    if set(generated) != {model.positive_roots[k] for k in chosen}:
         raise ValueError("root set is not closed under the subsystem structure")
     return tuple(simples)
 
@@ -425,13 +619,18 @@ def classify_simple_system(vectors) -> tuple[str, ...]:
     components are reported as "B2".
     """
     vecs = list(vectors)
-    n = len(vecs)
+    return classify_gram([[u.dot(v) for v in vecs] for u in vecs])
+
+
+def classify_gram(gram) -> tuple[str, ...]:
+    """``classify_simple_system`` for a simple system given by its Gram
+    matrix under a positive definite form (any positive scale)."""
+    n = len(gram)
     if n == 0:
         return ()
-    if linalg.rank([list(v.coords) for v in vecs]) != n:
+    if linalg.rank(gram) != n:
         raise ValueError("simple system is not linearly independent")
-    cartan = [[2 * vecs[i].dot(vecs[j]) / vecs[j].dot(vecs[j]) for j in range(n)]
-              for i in range(n)]
+    cartan = [[Fraction(2 * gram[i][j], gram[j][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and cartan[i][j] not in (0, -1, -2, -3):
@@ -452,7 +651,7 @@ def classify_simple_system(vectors) -> tuple[str, ...]:
                     seen.add(j)
                     comp.append(j)
                     queue.append(j)
-        labels.append(_classify_component(comp, cartan, vecs))
+        labels.append(_classify_component(comp, cartan, gram))
     return tuple(sorted(labels, key=_label_sort_key))
 
 
@@ -461,7 +660,7 @@ def _label_sort_key(label: str):
     return (-rank, series)
 
 
-def _classify_component(comp: list[int], cartan, vecs) -> str:
+def _classify_component(comp: list[int], cartan, gram) -> str:
     n = len(comp)
     if n == 1:
         return "A1"
@@ -499,7 +698,7 @@ def _classify_component(comp: list[int], cartan, vecs) -> str:
         if k == 0:
             path.reverse()
         end, prev = path[-1], path[-2]
-        ratio = vecs[end].dot(vecs[end]) / vecs[prev].dot(vecs[prev])
+        ratio = Fraction(gram[end][end], gram[prev][prev])
         return f"B{n}" if ratio < 1 else f"C{n}"
     # simply laced
     if not branch:

@@ -1,0 +1,173 @@
+"""Reference implementations in epsilon coordinates.
+
+These are the root-system routines as they were written on ``Weight``
+vectors and ``Fraction`` dot products, before the engine moved to integer
+simple-root coordinates.  The differential test compares the engine against
+them; nothing in ``src/`` imports this module.
+"""
+from fractions import Fraction
+from functools import lru_cache
+
+from orbitcert import linalg
+from orbitcert import rootsys as rs
+from orbitcert.integral import IntegralSystem
+from orbitcert.rootsys import Weight
+
+
+def enumerate_positive(simples, limit=None):
+    """All positive roots generated by a simple system, via root strings."""
+    n = len(simples)
+    coeffs = {s: tuple(1 if j == i else 0 for j in range(n)) for i, s in enumerate(simples)}
+    frontier = list(simples)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i, alpha in enumerate(simples):
+                gamma = beta + alpha
+                if gamma in coeffs:
+                    continue
+                p = 0
+                cur = beta - alpha
+                while cur in coeffs:
+                    p += 1
+                    cur = cur - alpha
+                if p - 2 * beta.dot(alpha) / alpha.dot(alpha) > 0:
+                    coeffs[gamma] = tuple(
+                        c + (1 if j == i else 0) for j, c in enumerate(coeffs[beta]))
+                    new.append(gamma)
+                    if limit is not None and len(coeffs) > limit:
+                        raise ValueError("simple system generates too many roots")
+        frontier = new
+    roots = sorted(coeffs, key=lambda r: (sum(coeffs[r]), coeffs[r]))
+    return roots, [coeffs[r] for r in roots]
+
+
+def _zero(model):
+    return Weight(tuple(Fraction(0) for _ in range(model.ambient_dim)))
+
+
+def rho(model):
+    total = _zero(model)
+    for beta in model.positive_roots:
+        total = total + beta
+    return Fraction(1, 2) * total
+
+
+@lru_cache(maxsize=None)
+def fundamental_coweights(model):
+    """Solve (a_j, w_i) = delta_ij for w_i in span(Pi), one column at a time."""
+    simples = model.simple_roots
+    n = len(simples)
+    matrix = [[simples[k].dot(simples[j]) for k in range(n)] for j in range(n)]
+    out = []
+    for i in range(n):
+        coeff = linalg.solve(matrix, [Fraction(int(j == i)) for j in range(n)])
+        out.append(Weight(tuple(sum(coeff[k] * simples[k].coords[d] for k in range(n))
+                                for d in range(model.ambient_dim))))
+    return tuple(out)
+
+
+def fundamental_weights(model):
+    """pi_i = (a_i, a_i)/2 w_i: <pi_i, a_j^vee> = delta_ij."""
+    return tuple(a.dot(a) / 2 * w
+                 for a, w in zip(model.simple_roots, fundamental_coweights(model)))
+
+
+def levi_positive(model, pi0):
+    return tuple(beta for beta, coeff in zip(model.positive_roots, model.pos_coefficients)
+                 if all(c == 0 or i in pi0 for i, c in enumerate(coeff)))
+
+
+def theta_for_levi(model, pi0):
+    theta = _zero(model)
+    for i, w in enumerate(fundamental_coweights(model)):
+        if i not in pi0:
+            theta = theta + w
+    return theta
+
+
+def _indecomposables(pos_vectors):
+    vset = set(pos_vectors)
+    return [beta for beta in pos_vectors
+            if not any((beta - gamma) in vset for gamma in pos_vectors if gamma != beta)]
+
+
+def integral_system(model, lambda_prime):
+    pos = [beta for beta in model.positive_roots
+           if rs.pairing(model, lambda_prime, beta).denominator == 1]
+    covecs = [model.coroot(beta) for beta in pos]
+    co_simple = set(map(tuple, (cv.coords for cv in _indecomposables(covecs))))
+    simple_roots = tuple(beta for beta, cv in zip(pos, covecs)
+                         if tuple(cv.coords) in co_simple)
+    simple_covecs = [model.coroot(beta) for beta in simple_roots]
+    labels = tuple(sorted((rs.dual_label(l) for l in rs.classify_simple_system(simple_covecs)),
+                          key=rs._label_sort_key))
+    allroots = tuple(pos) + tuple(-beta for beta in pos)
+    pairings = tuple(int(rs.pairing(model, lambda_prime, beta)) for beta in simple_roots)
+    return IntegralSystem(lambda_prime, allroots, simple_roots, labels, pairings)
+
+
+def graded_dims(model, h):
+    dims = {0: model.rank}
+    for beta in model.positive_roots:
+        ev = beta.dot(h)
+        if ev.denominator != 1:
+            raise ValueError(f"h is not integral on root {beta}: <a,h> = {ev}")
+        k = int(ev)
+        dims[k] = dims.get(k, 0) + 1
+        dims[-k] = dims.get(-k, 0) + 1
+    return {k: v for k, v in sorted(dims.items()) if v}
+
+
+def h_regular(model, pi0):
+    acc = [Fraction(0)] * model.ambient_dim
+    for beta in levi_positive(model, pi0):
+        for i, c in enumerate(model.coroot(beta).coords):
+            acc[i] += c
+    return Weight(tuple(acc))
+
+
+def delta(model, pi0, h):
+    theta = theta_for_levi(model, pi0)
+    acc = [Fraction(0)] * model.ambient_dim
+    for beta in model.roots:
+        if beta.dot(theta) < 0:
+            ev = beta.dot(h)
+            if ev.denominator != 1:
+                raise ValueError(f"h is not integral on root {beta}")
+            if ev == -1:
+                for i, c in enumerate(beta.coords):
+                    acc[i] += c / 2
+            elif ev <= -2:
+                for i, c in enumerate(beta.coords):
+                    acc[i] += c
+    return Weight(tuple(acc))
+
+
+def delta_prime(model, h):
+    acc = [Fraction(0)] * model.ambient_dim
+    for beta in model.positive_roots:
+        ev = beta.dot(h)
+        if ev.denominator != 1:
+            raise ValueError(f"h is not integral on root {beta}")
+        if ev in (0, 1):
+            for i, c in enumerate(beta.coords):
+                acc[i] += c / 2
+    return Weight(tuple(acc))
+
+
+def in_levi_span(model, mu, pi0):
+    indices = frozenset(pi0)
+    mu = rs.canonicalize(model, mu.coords)
+    coweights = fundamental_coweights(model)
+    inside = (all(mu.dot(coweights[j]) == 0
+                  for j in range(model.rank) if j not in indices)
+              and all(mu.dot(v) == 0 for v in rs.span_complement(model)))
+    ordered = sorted(indices)
+    coeffs = tuple(mu.dot(coweights[i]) for i in ordered)
+    if inside:
+        return True, coeffs
+    recon = _zero(model)
+    for c, i in zip(coeffs, ordered):
+        recon = recon + c * model.simple_roots[i]
+    return False, mu - recon

@@ -1,4 +1,4 @@
-"""The Gauss-Jordan routines (solve, kernel_basis) against Bareiss rank."""
+"""The Gauss-Jordan routines (solve, inverse, kernel_basis) against Bareiss rank."""
 from fractions import Fraction as Fr
 
 from hypothesis import given, settings
@@ -46,3 +46,17 @@ def test_solve_exactly_when_consistent(matrix, in_image, data):
         assert sol is not None and apply(matrix, sol) == rhs
     else:
         assert sol is None
+
+
+@settings(max_examples=150)
+@given(matrices())
+def test_inverse_exactly_when_full_rank(matrix):
+    n = len(matrix)
+    square = [(row + [Fr(0)] * n)[:n] for row in matrix]
+    inv = linalg.inverse(square)
+    if linalg.rank(square) == n:
+        # column j of square @ inv is the unit vector e_j
+        assert [apply(square, col) for col in zip(*inv)] == [
+            [int(i == j) for i in range(n)] for j in range(n)]
+    else:
+        assert inv is None

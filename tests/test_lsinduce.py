@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcert import lsinduce as ls
+from orbitcert import orbits as ob
 from orbitcert.orbits import Partition, dim_z_partition
 
 
@@ -314,4 +315,4 @@ def test_very_even_flag():
 @settings(max_examples=40)
 def test_transpose_rank_duality_of_partitions(parts):
     parts = tuple(sorted(parts, reverse=True))
-    assert ls.transpose_parts(ls.transpose_parts(parts)) == parts
+    assert ob.transpose(ob.transpose(P(parts))).parts == parts

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -50,6 +54,19 @@ def test_centralizer_and_orbit_dims(e8, flagship_h):
     zero = rs.canonicalize(e8, (0,) * 9)
     assert ob.centralizer_dim_from_h(e8, zero) == 248
     assert ob.orbit_dim_from_h(e8, zero) == 0
+
+
+def test_odd_orbit_dimension_raises_under_optimize():
+    # h = (1, 0) on A1 pairs to 1 with the root: dim O would be 3 - 2 = 1
+    code = ("from orbitcert import rootsys as rs, orbits as ob\n"
+            "try:\n"
+            "    ob.orbit_dim_from_h(rs.build('A1'), rs.weight((1, 0)))\n"
+            "except ValueError as exc:\n"
+            "    print('raised:', exc)\n")
+    src = str(Path(ob.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True).stdout
+    assert out.startswith("raised: orbit dimension 1 is odd")
 
 
 def test_g2_long_root_centralizer():
