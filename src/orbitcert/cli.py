@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import lsinduce as ls
 from . import orbits as orb
@@ -77,7 +77,9 @@ def _emit_text(payload, indent: str = "") -> None:
         print(f"{indent}{payload}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="orbitcert",
         description="Exact certificates and orbit computations for classical "
@@ -216,8 +218,7 @@ def _cmd_rigid(args) -> int:
     p = _parse_partition(args.partition, args.type)
     if args.ambient is not None and args.ambient != p.total:
         raise ValueError(f"partition sums to {p.total}, not {args.ambient}")
-    bound = int(os.environ.get("ORBITCERT_MAX_AMBIENT", ls.DEFAULT_RIGID_AMBIENT))
-    rigid, witness = ls.is_rigid(p, max_ambient=bound)
+    rigid, witness = ls.is_rigid(p)
     _emit({"rigid": rigid,
            "witness": None if witness is None else witness.to_json_dict()},
           args.output)
@@ -279,8 +280,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -24,10 +24,12 @@ from .orbits import Partition, dim_z_partition, parity_valid, transpose
 DEFAULT_ORACLE_AMBIENT = 16
 DEFAULT_RIGID_AMBIENT = 14
 _ENTRY_RANGE = 9  # random integer entries are drawn from [-9, 9]
+_MAX_TRIES = 200  # degree-2 samples per target Jordan type
 
 
 def max_oracle_ambient() -> int:
-    """Oracle size bound; overridable via ORBITCERT_MAX_AMBIENT."""
+    """Matrix-oracle size bound, overridable via ORBITCERT_MAX_AMBIENT; the
+    rigidity search keeps its fixed DEFAULT_RIGID_AMBIENT."""
     return int(os.environ.get("ORBITCERT_MAX_AMBIENT", DEFAULT_ORACLE_AMBIENT))
 
 
@@ -151,7 +153,9 @@ def collapse(parts, kind: str) -> Partition:
         else:
             work.append(1)
     result = Partition(tuple(work), kind)
-    assert parity_valid(result) and dominates(parts, result.parts)
+    if not (parity_valid(result) and dominates(parts, result.parts)):
+        raise RuntimeError(f"collapse of {parts} gave {result.parts}, which is not a valid "
+                           f"{kind} partition dominated by the input")
     return result
 
 
@@ -186,7 +190,6 @@ def _zero(n: int) -> list[list[int]]:
 
 
 def _matmul(a, b):
-    n = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
@@ -217,48 +220,49 @@ def jordan_type(mat) -> tuple[int, ...]:
     return transpose(Partition(drops)).parts
 
 
-def _eps_sign(i: int, n: int, kind: str) -> int:
-    if kind == "sp":
-        return 1 if i < n // 2 else -1
-    return 1
+def _algebra_basis(kind: str, n: int) -> list[list[tuple[int, int, int]]]:
+    """A basis of gl_n / so_n / sp_n as sparse [(row, col, entry), ...] elements.
 
-
-def _pair_position(i: int, j: int, n: int) -> tuple[int, int]:
-    return (n - 1 - j, n - 1 - i)
-
-
-def _classical_basis(kind: str, n: int) -> list[tuple[tuple[int, int], list[list[int]]]]:
-    """Basis of so_n/sp_n for the antidiagonal form, keyed by canonical position.
-
-    A member of the algebra satisfies X[i][j] = -e_i e_j X[n-1-j][n-1-i]
-    (e = 1 for so, the split sign for sp); one basis element per canonical
-    matrix position, whose coefficient in any algebra element is just the
-    entry at that position.
+    One element per canonical position, in row-major order; the first triple
+    is (i, j, 1) at that position, so its coefficient in any member of the
+    algebra is the entry there.  gl: the elementary matrices.  so/sp, for the
+    antidiagonal form: a member satisfies X[i][j] = -e_i e_j X[n-1-j][n-1-i]
+    (e = 1 for so, the split sign for sp), the canonical position of a
+    mirrored pair is the one with i + j < n - 1, and the antidiagonal is zero
+    in so and free in sp.
     """
+    if kind == "gl":
+        return [[(i, j, 1)] for i in range(n) for j in range(n)]
+    sign = [1 if kind == "so" or i < n // 2 else -1 for i in range(n)]
     basis = []
     for i in range(n):
-        for j in range(n):
-            pi, pj = _pair_position(i, j, n)
-            if (pi, pj) < (i, j):
-                continue
-            s = _eps_sign(i, n, kind) * _eps_sign(j, n, kind)
-            mat = _zero(n)
-            if (pi, pj) == (i, j):
-                if kind == "so" or s == 1:
-                    continue  # entry forced to zero
-                mat[i][j] = 1
-            else:
-                mat[i][j] = 1
-                mat[pi][pj] = -s
-            basis.append(((i, j), mat))
+        for j in range(n - i):
+            if i + j < n - 1:
+                basis.append([(i, j, 1), (n - 1 - j, n - 1 - i, -sign[i] * sign[j])])
+            elif kind == "sp":
+                basis.append([(i, j, 1)])
     return basis
 
 
+def _random_element(basis, n: int, rng: random.Random, start=None) -> list[list[int]]:
+    """start (default zero) plus a randint(-9, 9) multiple of each basis
+    element, drawn in basis order."""
+    mat = [row[:] for row in start] if start else _zero(n)
+    for element in basis:
+        coeff = rng.randint(-_ENTRY_RANGE, _ENTRY_RANGE)
+        for r, c, x in element:
+            mat[r][c] += coeff * x
+    return mat
+
+
 def _in_algebra(mat, kind: str) -> bool:
+    """Independent membership check: X[i][j] = -e_i e_j X[n-1-j][n-1-i]."""
+    if kind == "gl":
+        return True
     n = len(mat)
-    return all(
-        mat[i][j] == -_eps_sign(i, n, kind) * _eps_sign(j, n, kind) * mat[n - 1 - j][n - 1 - i]
-        for i in range(n) for j in range(n))
+    sign = [1 if kind == "so" or i < n // 2 else -1 for i in range(n)]
+    return all(mat[i][j] == -sign[i] * sign[j] * mat[n - 1 - j][n - 1 - i]
+               for i in range(n) for j in range(n))
 
 
 def _sl2_weights(parts) -> list[int]:
@@ -270,139 +274,76 @@ def _sl2_weights(parts) -> list[int]:
 
 
 def _nilpotent_in_classical(kind: str, m: int, parts: tuple[int, ...],
-                            rng: random.Random, max_tries: int = 200) -> list[list[int]]:
+                            rng: random.Random) -> list[list[int]]:
     """A form-compatible nilpotent of Jordan type `parts` inside so_m/sp_m.
 
     Samples integer elements of the degree-2 space of the grading defined by
     the diagonal sl2 characteristic of the target orbit; a generic element
-    has exactly the target Jordan type, and no element exceeds it.
+    has exactly the target Jordan type, and no element exceeds it.  The zero
+    orbit has an empty degree-2 space and takes no draws.
     """
-    if m == 0:
-        return []
     weights = _sl2_weights(parts)
-    degree_two = [mat for (i, j), mat in _classical_basis(kind, m)
-                  if weights[i] - weights[j] == 2]
-    if not degree_two:
-        e = _zero(m)
-        if jordan_type(e) == tuple(p for p in parts if p):
-            return e
-        raise ValueError(f"no {kind}_{m} nilpotent of type {parts} found")
+    degree_two = [element for element in _algebra_basis(kind, m)
+                  if weights[element[0][0]] - weights[element[0][1]] == 2]
     target = tuple(p for p in parts if p)
-    for _ in range(max_tries):
-        e = _zero(m)
-        for mat in degree_two:
-            coeff = rng.randint(-_ENTRY_RANGE, _ENTRY_RANGE)
-            if coeff:
-                for r in range(m):
-                    for c in range(m):
-                        if mat[r][c]:
-                            e[r][c] += coeff * mat[r][c]
+    for _ in range(_MAX_TRIES):
+        e = _random_element(degree_two, m, rng)
         if jordan_type(e) == target:
-            assert _in_algebra(e, kind)
+            if not _in_algebra(e, kind):
+                raise RuntimeError(f"sampled nilpotent of type {target} is not in {kind}_{m}")
             return e
     raise ValueError(f"trial budget exhausted searching {kind}_{m} for type {parts}")
 
 
-def _block_offsets(levi: LeviDescriptor) -> tuple[list[int], list[int], int]:
-    """Block sizes and offsets of the flag (k_1 .. k_r, m, k_r .. k_1)."""
-    ks = [b.k for b in levi.gl_blocks]
-    m = levi.tail.m if levi.tail else 0
-    if levi.kind == "gl":
-        sizes = ks
-    else:
-        sizes = ks + ([m] if m else []) + ks[::-1]
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    return sizes, offsets[:-1], m
-
-
-def _levi_base_matrix(levi: LeviDescriptor, rng: random.Random) -> list[list[int]]:
-    """The Levi-orbit representative: Jordan blocks, mirrored, plus the tail."""
-    n = levi.ambient
-    base = _zero(n)
+def _levi_base_matrix(levi: LeviDescriptor, basis, rng: random.Random) -> list[list[int]]:
+    """The Levi-orbit representative: each Jordan superdiagonal entry of the
+    gl blocks is the basis element at its position (so/sp: with its mirror),
+    plus a sampled tail nilpotent."""
+    at = {element[0][:2]: element for element in basis}
+    base = _zero(levi.ambient)
     offset = 0
     for blk in levi.gl_blocks:
-        jb = _jordan_block_matrix(blk.d.parts, blk.k)
-        for a in range(blk.k):
-            for b in range(blk.k):
-                if jb[a][b]:
-                    base[offset + a][offset + b] = jb[a][b]
-                    if levi.kind != "gl":
-                        base[n - 1 - offset - b][n - 1 - offset - a] = -jb[a][b]
-        offset += blk.k
-    if levi.kind != "gl" and levi.tail and levi.tail.m:
+        for part in blk.d.parts:
+            for a in range(offset, offset + part - 1):
+                for r, c, x in at[a, a + 1]:
+                    base[r][c] = x
+            offset += part
+    if levi.tail:
         tail_mat = _nilpotent_in_classical(levi.kind, levi.tail.m,
                                            levi.tail.c.parts, rng)
-        for a in range(levi.tail.m):
-            for b in range(levi.tail.m):
-                base[offset + a][offset + b] = tail_mat[a][b]
+        for a, row in enumerate(tail_mat):
+            base[offset + a][offset:offset + levi.tail.m] = row
     return base
-
-
-def _nilradical_positions(levi: LeviDescriptor) -> list[tuple[int, int]]:
-    """Canonical positions of a basis of the nilradical of the block parabolic."""
-    n = levi.ambient
-    sizes, offsets, _ = _block_offsets(levi)
-    blk_of = []
-    for b, (sz, off) in enumerate(zip(sizes, offsets)):
-        blk_of.extend([b] * sz)
-    positions = []
-    for i in range(n):
-        for j in range(n):
-            if blk_of[i] >= blk_of[j]:
-                continue
-            if levi.kind == "gl":
-                positions.append((i, j))
-                continue
-            pi, pj = _pair_position(i, j, n)
-            if (pi, pj) < (i, j):
-                continue
-            if (pi, pj) == (i, j) and levi.kind == "so":
-                continue
-            positions.append((i, j))
-    return positions
-
-
-def _random_nilradical(levi: LeviDescriptor, rng: random.Random) -> list[list[int]]:
-    n = levi.ambient
-    mat = _zero(n)
-    for (i, j) in _nilradical_positions(levi):
-        coeff = rng.randint(-_ENTRY_RANGE, _ENTRY_RANGE)
-        if not coeff:
-            continue
-        mat[i][j] += coeff
-        if levi.kind != "gl":
-            pi, pj = _pair_position(i, j, n)
-            if (pi, pj) != (i, j):
-                s = _eps_sign(i, n, levi.kind) * _eps_sign(j, n, levi.kind)
-                mat[pi][pj] += -s * coeff
-    return mat
 
 
 def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Partition:
     """Ground-truth induced orbit via exact matrices and ranks of powers.
 
     Realizes the Levi orbit as a block matrix, adds a random integer element
-    of the parabolic's nilradical, and reads off the Jordan partition from
-    ranks over the rationals.  Returns the dominance-greatest partition over
-    the trials (deterministic for a fixed seed).
+    of the parabolic's nilradical (the basis elements whose row block comes
+    before their column block in the flag k_1 .. k_r, then m, k_r .. k_1 for
+    so/sp), and reads off the Jordan partition from ranks over the rationals.
+    Returns the dominance-greatest partition over the trials (deterministic
+    for a fixed seed).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if levi.ambient > max_oracle_ambient():
-        raise ValueError(f"ambient {levi.ambient} exceeds the oracle bound "
-                         f"{max_oracle_ambient()}")
+    n = levi.ambient
+    if n > max_oracle_ambient():
+        raise ValueError(f"ambient {n} exceeds the oracle bound {max_oracle_ambient()}")
     rng = random.Random(seed)
-    base = _levi_base_matrix(levi, rng)
+    basis = _algebra_basis(levi.kind, n)
+    base = _levi_base_matrix(levi, basis, rng)
+    if not _in_algebra(base, levi.kind):
+        raise RuntimeError(f"Levi base matrix is not in {levi.kind}_{n}")
+    sizes = [b.k for b in levi.gl_blocks]
     if levi.kind != "gl":
-        assert _in_algebra(base, levi.kind)
-    observed = []
-    for _ in range(trials):
-        nil = _random_nilradical(levi, rng)
-        e = [[base[i][j] + nil[i][j] for j in range(levi.ambient)]
-             for i in range(levi.ambient)]
-        observed.append(jordan_type(e))
+        sizes += [levi.tail.m if levi.tail else 0] + sizes[::-1]
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    nilradical = [element for element in basis
+                  if block[element[0][0]] < block[element[0][1]]]
+    observed = [jordan_type(_random_element(nilradical, n, rng, base))
+                for _ in range(trials)]
     best = observed[0]
     for cand in observed[1:]:
         if dominates(cand, best):
@@ -416,8 +357,9 @@ def centralizer_oracle(p: Partition) -> int:
     """dim ker(ad e) on the matrix algebra, for e of Jordan type p.
 
     Independent oracle for dim_z_partition: realizes e exactly (gl: Jordan
-    blocks; so/sp: sampled in the degree-2 space) and computes the kernel of
-    ad e on a basis of the algebra by exact linear algebra.
+    blocks; so/sp: sampled in the degree-2 space), brackets it with each
+    sparse basis element and reads [e, X] at the canonical positions, then
+    takes the kernel by exact linear algebra.
     """
     if not parity_valid(p):
         raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
@@ -426,24 +368,19 @@ def centralizer_oracle(p: Partition) -> int:
         raise ValueError(f"ambient {n} exceeds the oracle bound {max_oracle_ambient()}")
     if p.kind == "gl":
         e = _jordan_block_matrix(p.parts, n)
-        basis = [((i, j), None) for i in range(n) for j in range(n)]
-        mats = []
-        for (i, j), _ in basis:
-            mat = _zero(n)
-            mat[i][j] = 1
-            mats.append(mat)
     else:
         e = _nilpotent_in_classical(p.kind, n, p.parts, random.Random(0))
-        keyed = _classical_basis(p.kind, n)
-        basis = [(pos, None) for pos, _ in keyed]
-        mats = [mat for _, mat in keyed]
+    basis = _algebra_basis(p.kind, n)
+    positions = [element[0][:2] for element in basis]
     columns = []
-    for mat in mats:
-        bracket = [[sum(e[i][k] * mat[k][j] - mat[i][k] * e[k][j] for k in range(n))
-                    for j in range(n)] for i in range(n)]
-        columns.append([bracket[pos[0]][pos[1]] for pos, _ in basis])
-    rows = [[columns[b][a] for b in range(len(mats))] for a in range(len(basis))]
-    return len(mats) - linalg.rank(rows)
+    for element in basis:
+        bracket = _zero(n)  # eX - Xe
+        for r, c, x in element:
+            for i in range(n):
+                bracket[i][c] += e[i][r] * x
+                bracket[r][i] -= x * e[c][i]
+        columns.append([bracket[i][j] for i, j in positions])
+    return len(basis) - linalg.rank(columns)
 
 
 def partitions_of(n: int):

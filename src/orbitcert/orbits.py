@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, asdict
 from operator import mul
 
-from .rootsys import RootSystemModel, Weight, h_values, rho
+from .rootsys import RootSystemModel, Weight, h_values, rho, simple_pairings
 
 
 def graded_dims(model: RootSystemModel, h: Weight) -> dict[int, int]:
@@ -205,10 +205,12 @@ def bv_candidate(model: RootSystemModel, h_dual: Weight) -> Weight:
     of the dual orbit.  Emits a warning when h_dual is not even, since dual
     characteristics of rigid elements are always even.
     """
-    for alpha in model.simple_roots:
-        if alpha.dot(h_dual) < 0:
+    nums, den = simple_pairings(model, h_dual)
+    for alpha, value in zip(model.simple_roots, nums):
+        if value < 0:
             raise ValueError(f"h_dual is not dominant: <{alpha}, h_dual> < 0")
-    if any(beta.dot(h_dual) % 2 != 0 for beta in model.positive_roots):
+    # even on every positive root exactly when even on the simple roots
+    if any(value % (2 * den) for value in nums):
         warnings.warn("h_dual is not even; dual characteristics of rigid "
                       "elements are even", stacklevel=2)
     return h_dual - rho(model)

@@ -35,8 +35,6 @@ from operator import mul
 
 from . import linalg
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class Weight:

@@ -122,6 +122,17 @@ def test_rigid(capsys):
     assert data["rigid"] is False and data["witness"]["type"] == "sp"
 
 
+def test_rigid_bound_ignores_oracle_variable(capsys, monkeypatch):
+    # ORBITCERT_MAX_AMBIENT bounds the matrix oracles only; rigidity stays at 14
+    monkeypatch.setenv("ORBITCERT_MAX_AMBIENT", "20")
+    code, _, err = run(capsys, "rigid", "--type", "gl", "--partition", ",".join("1" * 15))
+    assert code == 2 and "exceeds the rigidity bound 14" in err
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_dimz(capsys):
     code, out, _ = run(capsys, "dimz", "--type", "sp", "--partition", "2,2")
     assert code == 0 and json.loads(out) == {"dim_z": 4}

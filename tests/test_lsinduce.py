@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +173,54 @@ def test_oracle_respects_ambient_bound(monkeypatch):
         ls.jordan_oracle(levi)
     monkeypatch.delenv("ORBITCERT_MAX_AMBIENT")
     assert ls.jordan_oracle(levi).parts == (2, 2, 2)
+
+
+@given(st.sampled_from(["gl", "so", "sp"]), st.integers(0, 16))
+def test_algebra_basis_is_canonical_and_in_algebra(kind, n):
+    if kind == "sp" and n % 2:
+        n -= 1
+    basis = ls._algebra_basis(kind, n)
+    assert len(basis) == {"gl": n * n, "so": n * (n - 1) // 2, "sp": n * (n + 1) // 2}[kind]
+    positions = [element[0][:2] for element in basis]
+    assert positions == sorted(set(positions))  # distinct, row-major
+    for element in basis:
+        i, j, one = element[0]
+        assert one == 1
+        if kind != "gl":  # canonical: the lesser of a mirrored pair, so has no antidiagonal
+            assert i + j < n - 1 or (kind == "sp" and i + j == n - 1)
+        mat = ls._zero(n)
+        for r, c, x in element:
+            mat[r][c] += x
+        assert ls._in_algebra(mat, kind)
+        # zero at every other canonical position: coefficients are entries
+        assert all(mat[r][c] == 0 for r, c in positions if (r, c) != (i, j))
+
+
+def test_invariant_checks_raise_under_optimize():
+    code = ("from orbitcert import lsinduce as ls\n"
+            "from orbitcert.orbits import Partition\n"
+            "ls._in_algebra = lambda mat, kind: False\n"
+            "calls = [lambda: ls.jordan_oracle(ls.LeviDescriptor(\n"
+            "             'sp', 4, (ls.GLBlock(2, Partition((1, 1))),))),\n"
+            "         lambda: ls.centralizer_oracle(Partition((2, 2), 'sp'))]\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except RuntimeError as exc:\n"
+            "        print('raised:', exc)\n"
+            "ls.parity_valid = lambda p: False\n"
+            "try:\n"
+            "    ls.collapse((3, 1), 'sp')\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n")
+    src = str(Path(ls.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True).stdout
+    assert out.splitlines() == [
+        "raised: Levi base matrix is not in sp_4",
+        "raised: sampled nilpotent of type (2, 2) is not in sp_4",
+        "raised: collapse of (3, 1) gave (2, 2), which is not a valid sp partition "
+        "dominated by the input"]
 
 
 def test_oracle_agrees_with_induce_seeded():

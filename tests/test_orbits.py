@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -194,5 +195,7 @@ def test_bv_candidate_rejects_non_dominant(e8):
 
 
 def test_bv_candidate_warns_on_odd(e8):
-    with pytest.warns(UserWarning):
-        ob.bv_candidate(e8, rs.rho(e8))
+    # rho is 1 on every simple root; rho / 2 is dominant but not integral
+    for h_dual in (rs.rho(e8), Fraction(1, 2) * rs.rho(e8)):
+        with pytest.warns(UserWarning, match="not even"):
+            ob.bv_candidate(e8, h_dual)
