@@ -26,8 +26,16 @@ from .integral import cor68_from_system, integral_system
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED = 0, 1, 2, 3
 
 
+def _parse_rational(token: str) -> Fraction:
+    token = token.strip()
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+
+
 def _parse_weight(model: rs.RootSystemModel, text: str, root_coords: bool) -> rs.Weight:
-    entries = [Fraction(part.strip()) for part in text.split(",")]
+    entries = [_parse_rational(part) for part in text.split(",")]
     if root_coords:
         if len(entries) != model.rank:
             raise ValueError(f"expected {model.rank} simple-root coefficients")

@@ -3,34 +3,50 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
+
+_denominator = attrgetter("denominator")
+
+
+def row_basis(rows) -> list[list[int]]:
+    """An integer basis of the row space of a matrix (rows of ints/Fractions).
+
+    Fraction-free elimination: each row, cleared of its denominators, is
+    reduced against the rows kept so far at their pivot columns, touching
+    only their nonzero entries; a nonzero remainder is kept, divided by the
+    gcd of its entries with a positive pivot.  Every kept row is zero at the
+    pivots of the rows kept before it, so the kept rows are independent.
+    """
+    kept: list[tuple[int, int, list[tuple[int, int]]]] = []  # (pivot, entry, nonzeros)
+    basis = []
+    for row in rows:
+        den = math.lcm(*map(_denominator, row))
+        vec = list(map(int, row)) if den == 1 else [int(x * den) for x in row]
+        for piv, p, nonzeros in kept:
+            a = vec[piv]
+            if a:
+                g = math.gcd(a, p)
+                a, q = a // g, p // g
+                if q != 1:
+                    vec = [q * x for x in vec]
+                for c, y in nonzeros:
+                    vec[c] -= a * y
+        nonzeros = [(c, x) for c, x in enumerate(vec) if x]
+        if not nonzeros:
+            continue
+        piv, lead = nonzeros[0]
+        g = math.gcd(*vec) if lead > 0 else -math.gcd(*vec)
+        if g != 1:
+            vec = [x // g for x in vec]
+            nonzeros = [(c, x // g) for c, x in nonzeros]
+        kept.append((piv, lead // g, nonzeros))
+        basis.append(vec)
+    return basis
 
 
 def rank(rows) -> int:
-    """Rank of a matrix given as a list of rows of ints/Fractions (Bareiss)."""
-    if not rows:
-        return 0
-    work = []
-    for row in rows:
-        denom = math.lcm(*(x.denominator for x in row))
-        work.append([int(x * denom) for x in row])
-    m, n = len(work), len(work[0])
-    r = 0
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(r + 1, m):
-            if any(work[i][j] != 0 for j in range(c, n)):
-                for j in range(c + 1, n):
-                    work[i][j] = (work[i][j] * work[r][c] - work[i][c] * work[r][j]) // prev
-                work[i][c] = 0
-        prev = work[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank of a matrix given as a list of rows of ints/Fractions."""
+    return len(row_basis(rows))
 
 
 def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:

@@ -25,6 +25,7 @@ DEFAULT_ORACLE_AMBIENT = 16
 DEFAULT_RIGID_AMBIENT = 14
 _ENTRY_RANGE = 9  # random integer entries are drawn from [-9, 9]
 _MAX_TRIES = 200  # degree-2 samples per target Jordan type
+_MAX_TRIALS = 1000  # nilradical samples per jordan_oracle call
 
 
 def max_oracle_ambient() -> int:
@@ -88,17 +89,45 @@ class LeviDescriptor:
     @classmethod
     def from_json_dict(cls, data: dict, kind: str | None = None,
                        ambient: int | None = None) -> "LeviDescriptor":
+        """Read a descriptor, raising ValueError on any malformed shape."""
+        if not isinstance(data, dict):
+            raise ValueError("descriptor must be a JSON object")
         kind = data.get("type", kind)
         ambient = data.get("ambient", ambient)
         if kind is None or ambient is None:
             raise ValueError("descriptor needs an ambient type and size")
-        blocks = tuple(GLBlock(int(b["k"]), Partition(tuple(b["d"]), "gl"))
-                       for b in data.get("gl_blocks", ()))
+        if not isinstance(kind, str):
+            raise ValueError(f"ambient type must be a string, not {kind!r}")
+        blocks = data.get("gl_blocks", [])
+        if not isinstance(blocks, list):
+            raise ValueError("gl_blocks must be a list")
+        gl_blocks = tuple(GLBlock(_json_int(_json_field(b, "k", "gl block"), "k"),
+                                  Partition(_json_parts(_json_field(b, "d", "gl block")), "gl"))
+                          for b in blocks)
         tail = None
-        if "tail" in data and data["tail"] is not None:
-            tail = Tail(int(data["tail"]["m"]),
-                        Partition(tuple(data["tail"]["c"]), kind if kind != "gl" else "gl"))
-        return cls(kind, int(ambient), blocks, tail)
+        if data.get("tail") is not None:
+            t = data["tail"]
+            tail = Tail(_json_int(_json_field(t, "m", "tail"), "m"),
+                        Partition(_json_parts(_json_field(t, "c", "tail")), kind))
+        return cls(kind, _json_int(ambient, "ambient"), gl_blocks, tail)
+
+
+def _json_field(obj, key: str, what: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{what} must be an object with key {key!r}")
+    return obj[key]
+
+
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _json_parts(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"partition must be a list of integers, not {value!r}")
+    return tuple(_json_int(x, "partition part") for x in value)
 
 
 def _componentwise_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -189,11 +218,6 @@ def _zero(n: int) -> list[list[int]]:
     return [[0] * n for _ in range(n)]
 
 
-def _matmul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def _jordan_block_matrix(parts, n: int) -> list[list[int]]:
     mat = _zero(n)
     pos = 0
@@ -205,17 +229,31 @@ def _jordan_block_matrix(parts, n: int) -> list[list[int]]:
 
 
 def jordan_type(mat) -> tuple[int, ...]:
-    """Jordan partition of a nilpotent matrix via ranks of its powers."""
+    """Jordan partition of a nilpotent matrix N from the ranks of its powers.
+
+    The ranks come from an image chain: an integer row basis of N^k times N
+    spans the row space of N^(k+1), so no power is formed.  The chain ends
+    when the basis is empty; a rank that stops falling before that means N
+    is not nilpotent.
+    """
     n = len(mat)
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
     ranks = [n]
-    power = [row[:] for row in mat]
-    while ranks[-1] > 0:
-        r = linalg.rank(power)
-        ranks.append(r)
-        if r > 0:
-            if len(ranks) > n + 1:
-                raise ValueError("matrix is not nilpotent")
-            power = _matmul(power, mat)
+    basis = linalg.row_basis(mat)
+    while basis:
+        if len(basis) >= ranks[-1]:
+            raise ValueError("matrix is not nilpotent")
+        ranks.append(len(basis))
+        images = []
+        for row in basis:
+            image = [0] * n
+            for x, nonzeros in zip(row, sparse):
+                if x:
+                    for j, y in nonzeros:
+                        image[j] += x * y
+            images.append(image)
+        basis = linalg.row_basis(images)
+    ranks.append(0)
     drops = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
     return transpose(Partition(drops)).parts
 
@@ -326,8 +364,8 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     Returns the dominance-greatest partition over the trials (deterministic
     for a fixed seed).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{_MAX_TRIALS}")
     n = levi.ambient
     if n > max_oracle_ambient():
         raise ValueError(f"ambient {n} exceeds the oracle bound {max_oracle_ambient()}")

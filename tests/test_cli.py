@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcert import cli
+from orbitcert import lsinduce as ls
 
 LAMBDA_PRIME = "1,7/6,1/3,1/2,2/3,5/6,1/6,-1/6,-9/2"
 H = "5,3,1,-1,-3,-5,1,-1,0"
@@ -220,3 +226,134 @@ def test_root_coords_input(capsys):
 def test_text_output_smoke(capsys):
     code, out, _ = run(capsys, "--output", "text", "info", "--type", "E8")
     assert code == 0 and "dim: 248" in out
+
+
+def test_zero_denominator_is_usage_error(capsys):
+    code, out, err = run(capsys, "pairing", "--type", "A2",
+                         "--lambda", "1/0,0,0", "--root", "1,-1,0")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("levi", ['{"gl_blocks":5}', '[1]', '{"gl_blocks":[3]}',
+                                  '{"gl_blocks":[{"k":5,"d":null}]}',
+                                  '{"gl_blocks":[{"k":2.5,"d":[2]}]}',
+                                  '{"gl_blocks":[],"tail":{"m":5,"c":5}}'])
+def test_malformed_descriptor_is_usage_error(capsys, levi):
+    code, out, err = run(capsys, "induce", "--type", "gl", "--ambient", "5", "--levi", levi)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_oracle_trials_bounded(capsys):
+    code, out, err = run(capsys, "oracle", "--type", "gl", "--ambient", "4",
+                         "--levi", '{"gl_blocks":[{"k":4,"d":[2,2]}]}',
+                         "--trials", "100000000")
+    assert code == 2 and out == "" and "trials must be in 1..1000" in err
+
+
+# argv fuzz ---------------------------------------------------------------------
+
+NUMBERS = ["0", "1", "-1", "2", "1/2", "-7/6", "3/3", " 4 ", "1.5", "1/0", "0/0",
+           "", "x", "nan", "inf", "--1", "1//2"]
+WEIGHTS = st.one_of(
+    st.sampled_from([LAMBDA_PRIME, H, "0,0,0,0,0,1,1,1,0", "1,-1,0", "1,0,-1", "2,1,0",
+                     "1,1", "1,0", "0,1", "1,2", "1/0,0,0"]),
+    st.lists(st.sampled_from(NUMBERS), max_size=10).map(",".join),
+    st.text(alphabet="0123456789/-,. x", max_size=12))
+TYPES = st.sampled_from(["A2", "B3", "C3", "D4", "G2", "F4", "E6", "E8", "a2", "A 2",
+                         "A0", "E9", "D3", "Z9", "", "gl", "so", "sp"])
+PARTITIONS = st.one_of(st.lists(st.integers(-2, 9), max_size=6).map(
+    lambda parts: ",".join(map(str, parts))), st.sampled_from(["", "x", "3,,1", "2.0", ","]))
+SMALL_INTS = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(["x", "", "1.5"]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.sampled_from(["", "gl", "so", "sp"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(["type", "ambient", "gl_blocks", "tail", "k", "d", "m", "c"]),
+        children, max_size=4),
+    max_leaves=10)
+
+
+@st.composite
+def descriptors(draw):
+    """Descriptor JSON: valid random Levis, known malformed shapes and noise."""
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        levi = ls.random_descriptor(rng, draw(st.sampled_from(["gl", "so", "sp"])), 8)
+        return json.dumps(levi.to_json_dict())
+    if choice == 1:
+        return draw(st.sampled_from(['{"gl_blocks":5}', "[1]", "{", "", "null",
+                                     '{"gl_blocks":[{"k":2}]}', '{"tail":{"m":2,"c":"x"}}']))
+    return json.dumps(draw(JSON_VALUES))
+
+
+WELL_FORMED = {
+    "info": [["--type", "E8"], ["--type", "g2"]],
+    "pairing": [["--type", "E8", "--lambda", LAMBDA_PRIME, "--root", "0,0,0,0,0,1,1,1,0"],
+                ["--type", "A2", "--lambda", "1,0,-1", "--root", "1,-1,0"],
+                ["--type", "A2", "--root-coords", "--lambda", "1,1", "--root", "1,0"]],
+    "delta-prime": [["--type", "E8", "--h", H], ["--type", "A2", "--h", "1,0,-1"]],
+    "induce": [["--type", "so", "--ambient", "8",
+                "--levi", '{"gl_blocks":[{"k":4,"d":[1,1,1,1]}]}']],
+    "dimz": [["--type", "sp", "--partition", "2,2"], ["--type", "gl", "--partition", "3,1"]],
+    "tables": [["--table", "rigid", "--algebra", "E8", "--label", "A5+A1"],
+               ["--table", "duality"]],
+    "oracle": [["--type", "sp", "--ambient", "8", "--levi",
+                '{"gl_blocks":[{"k":2,"d":[2]}],"tail":{"m":4,"c":[1,1,1,1]}}',
+                "--seed", "5", "--trials", "4"]],
+}
+
+
+@st.composite
+def argvs(draw):
+    """One cheap subcommand, well-formed or with drawn values; each required
+    flag is sometimes left out."""
+    def flag(name, values, required=True):
+        keep = draw(st.integers(0, 9)) if required else draw(st.booleans())
+        return [name, draw(values)] if keep else []
+
+    kinds = st.sampled_from(["gl", "so", "sp", "E8"])
+    command = draw(st.sampled_from(["info", "pairing", "delta-prime", "induce", "dimz",
+                                    "tables", "oracle"]))
+    if draw(st.booleans()):
+        args = list(draw(st.sampled_from(WELL_FORMED[command])))
+    elif command == "info":
+        args = flag("--type", TYPES)
+    elif command == "pairing":
+        args = flag("--type", TYPES) + flag("--lambda", WEIGHTS) + flag("--root", WEIGHTS)
+    elif command == "delta-prime":
+        args = flag("--type", TYPES) + flag("--h", WEIGHTS)
+    elif command in ("induce", "oracle"):
+        args = (flag("--type", kinds) + flag("--ambient", SMALL_INTS, required=False)
+                + flag("--levi", descriptors()))
+    elif command == "dimz":
+        args = flag("--type", kinds) + flag("--partition", PARTITIONS)
+    elif command == "tables":
+        args = (flag("--table", st.sampled_from(["rigid", "duality", "other"]))
+                + flag("--algebra", st.sampled_from(["E8", "G2", "F4", "Q"]), required=False)
+                + flag("--label", st.sampled_from(["A5+A1", "2A1", "A1", "Z99"]),
+                       required=False))
+    if command == "oracle":
+        args = (args + flag("--seed", SMALL_INTS, required=False)
+                + flag("--trials", SMALL_INTS, required=False))
+    if command in ("pairing", "delta-prime") and draw(st.booleans()):
+        args = args + ["--root-coords"]
+    prefix = draw(st.sampled_from([[], ["--output", "json"], ["--output", "xml"]]))
+    suffix = draw(st.sampled_from([[]] * 8 + [["--nope"], ["extra"]]))
+    return prefix + [command] + args + suffix
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_argv_fuzz_exit_codes_and_streams(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:  # any other exception escapes and fails the test: it would be a traceback
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert any("error: " in line for line in err.getvalue().splitlines())
+    else:
+        json.loads(out.getvalue())

@@ -1,4 +1,4 @@
-"""The Gauss-Jordan routines (solve, inverse, kernel_basis) against Bareiss rank."""
+"""The Gauss-Jordan routines (solve, inverse, kernel_basis) against the echelon rank."""
 from fractions import Fraction as Fr
 
 from hypothesis import given, settings

@@ -132,6 +132,7 @@ def test_jordan_type_of_block_matrix():
 def test_jordan_type_rank_identity():
     # number of parts >= i equals rank(e^(i-1)) - rank(e^i)
     from orbitcert import linalg
+    from matrix_reference import matmul
     mat = ls._jordan_block_matrix((4, 2, 1), 7)
     parts = ls.jordan_type(mat)
     power = [row[:] for row in mat]
@@ -140,7 +141,7 @@ def test_jordan_type_rank_identity():
         r = linalg.rank(power)
         assert sum(1 for q in parts if q >= i) == prev - r
         prev = r
-        power = ls._matmul(power, mat)
+        power = matmul(power, mat)
 
 
 def test_jordan_type_rejects_non_nilpotent():
@@ -164,6 +165,14 @@ def test_oracle_deterministic_for_seed():
     a = ls.jordan_oracle(levi, seed=11, trials=3)
     b = ls.jordan_oracle(levi, seed=11, trials=3)
     assert a == b
+
+
+def test_oracle_trials_bounded():
+    levi = ls.LeviDescriptor("gl", 2, (ls.GLBlock(1, P((1,))), ls.GLBlock(1, P((1,)))))
+    assert ls.jordan_oracle(levi, trials=1000).parts == (2,)
+    for trials in (0, 1001):
+        with pytest.raises(ValueError, match="trials must be in 1..1000"):
+            ls.jordan_oracle(levi, trials=trials)
 
 
 def test_oracle_respects_ambient_bound(monkeypatch):

@@ -1,0 +1,125 @@
+"""Differential test: row_basis rank and the image-chain Jordan type against
+the Bareiss rank and matrix powers they replaced (tests/matrix_reference.py)."""
+import math
+import random
+from fractions import Fraction as Fr
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import matrix_reference as ref
+from orbitcert import linalg
+from orbitcert import lsinduce as ls
+
+NONZERO = [1, -1, 2, -2, 3, -5, 9]
+
+
+@st.composite
+def conjugated(draw, nilpotent=True):
+    """An upper-triangular matrix (strictly so when nilpotent, else with one
+    nonzero diagonal entry), conjugated by a product of unimodular
+    elementary matrices I + c E_ij, so its Jordan type is kept and it is dense."""
+    n = draw(st.integers(1, 16))
+    entry = st.sampled_from([0] * draw(st.integers(0, 20)) + NONZERO)  # sparse to dense
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = draw(entry)
+    if not nilpotent:
+        i = draw(st.integers(0, n - 1))
+        mat[i][i] = draw(st.sampled_from([1, -1, 2, -3]))
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.sampled_from([1, -1, 2, -2, 3])),
+                          max_size=2 * n))
+    for i, j, c in steps:
+        if i == j:
+            continue
+        for k in range(n):  # (I + cE_ij) X: row i += c row j
+            mat[i][k] += c * mat[j][k]
+        for k in range(n):  # X (I - cE_ij): column j -= c column i
+            mat[k][j] -= c * mat[k][i]
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated())
+def test_jordan_type_matches_powers_on_dense_nilpotents(mat):
+    assert ls.jordan_type(mat) == ref.jordan_type(mat)
+    assert linalg.rank(mat) == ref.rank(mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugated(nilpotent=False))
+def test_jordan_type_rejects_non_nilpotent(mat):
+    for jordan_type in (ls.jordan_type, ref.jordan_type):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            jordan_type(mat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["gl", "so", "sp"]), st.integers(0, 2**32 - 1))
+def test_oracle_matrices_match_powers(kind, seed):
+    """Every matrix jordan_oracle and _nilpotent_in_classical hand to
+    jordan_type, for seeded random descriptors, gets the reference type."""
+    rng = random.Random(seed)
+    levi = ls.random_descriptor(rng, kind, 12)
+    seen = []
+    jordan_type = ls.jordan_type
+
+    def checked(mat):
+        got = jordan_type(mat)
+        assert got == ref.jordan_type(mat)
+        assert linalg.rank(mat) == ref.rank(mat)
+        seen.append(got)
+        return got
+
+    with mock.patch.object(ls, "jordan_type", checked):
+        result = ls.jordan_oracle(levi, seed=rng.randrange(2**31), trials=2)
+    assert len(seen) >= 2
+    assert result == ls.induce(levi)
+
+
+VALUE = st.sampled_from([0, 0, 0, 1, -1, 2, 7, -12, Fr(1, 2), Fr(-3, 4), Fr(5, 3), Fr(4, 2)])
+
+
+@st.composite
+def rectangular(draw):
+    """Integer or Fraction rows with inserted zero rows, zero columns and
+    repeated rows; empty matrices included."""
+    ncols = draw(st.integers(0, 9))
+    rows = draw(st.lists(st.lists(VALUE, min_size=ncols, max_size=ncols), max_size=8))
+    if not draw(st.booleans()):
+        rows = [[int(x) for x in row] for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        col = draw(st.integers(0, ncols))
+        rows = [row[:col] + [0] + row[col:] for row in rows]
+        ncols += 1
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(rows)))
+        copy = rows[draw(st.integers(0, len(rows) - 1))] if rows and draw(st.booleans()) \
+            else [0] * ncols
+        rows = rows[:pos] + [list(copy)] + rows[pos:]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangular())
+def test_rank_and_row_basis_match_bareiss(rows):
+    basis = linalg.row_basis(rows)
+    assert linalg.rank(rows) == len(basis) == ref.rank(rows)
+    for row in basis:  # primitive integer rows with a positive pivot
+        assert len(row) == len(rows[0]) and all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1 and next(x for x in row if x) > 0
+    # independent and inside the row space
+    assert ref.rank(basis) == len(basis)
+    assert ref.rank(rows + basis) == len(basis)
+
+
+def test_rank_edge_cases():
+    assert linalg.rank([]) == 0
+    assert linalg.rank([[]]) == 0
+    assert linalg.rank([[0, 0], [0, 0]]) == 0
+    assert linalg.rank([[Fr(1, 2), Fr(1, 3)], [3, 2]]) == 1
+    assert linalg.row_basis([[0, -2, 4], [0, 1, -2]]) == [[0, 1, -2]]
