@@ -34,7 +34,7 @@ PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 
 
 def _zero(model: RootSystemModel) -> Weight:
-    return Weight(tuple(Fraction(0) for _ in range(model.ambient_dim)))
+    return Weight.from_ints([0] * model.ambient_dim)
 
 
 def _levi(model: RootSystemModel, pi0) -> tuple[list[int], int]:
@@ -134,7 +134,7 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
     so inputs outside the root span fail with the honest residual.
     """
     ordered, mask = _levi(model, pi0)
-    mu = rootsys.canonicalize(model, mu.coords)
+    mu = rootsys.canonicalize(model, mu)
     nums, den = rootsys.root_coords(model, mu)
     coeffs = tuple(Fraction(nums[i], den) for i in ordered)
     if (all(x == 0 for i, x in enumerate(nums) if not mask >> i & 1)
@@ -220,10 +220,9 @@ class CertificateInput:
     def __post_init__(self):
         indices = sorted(rootsys._check_indices(self.model, self.levi))
         object.__setattr__(self, "levi", tuple(indices))
-        object.__setattr__(self, "h", rootsys.canonicalize(self.model, self.h.coords))
-        object.__setattr__(
-            self, "lambda_prime",
-            rootsys.canonicalize(self.model, self.lambda_prime.coords))
+        object.__setattr__(self, "h", rootsys.canonicalize(self.model, self.h))
+        object.__setattr__(self, "lambda_prime",
+                           rootsys.canonicalize(self.model, self.lambda_prime))
         values = h_values(self.model, self.h)
         ok, residual = in_levi_span(self.model, self.h, indices)
         if not ok:

@@ -28,6 +28,8 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED = 0, 1, 2, 3
 
 def _parse_rational(token: str) -> Fraction:
     token = token.strip()
+    if "e" in token or "E" in token:  # Fraction would compute 10**exponent first
+        raise ValueError(f"exponent notation is not accepted: {token!r}")
     try:
         return Fraction(token)
     except ZeroDivisionError:

@@ -81,16 +81,16 @@ def antidominant_rep(model: RootSystemModel, simple_system, mu: Weight
     """
     simples = list(simple_system)
     sub_pos = _subsystem_positive(simples) if simples else []
-    regular = all(2 * mu.dot(g) / g.dot(g) != 0 for g in sub_pos)
+    regular = all(sum(map(mul, mu.nums, g.nums)) for g in sub_pos)
     cur = mu
     word: list[int] = []
     while True:
+        # <cur, a^vee> has the sign of the integer (cur, a) * den(cur) * den(a)
         idx = next((i for i, a in enumerate(simples)
-                    if 2 * cur.dot(a) / a.dot(a) > 0), None)
+                    if sum(map(mul, cur.nums, a.nums)) > 0), None)
         if idx is None:
             break
-        a = simples[idx]
-        cur = cur - (2 * cur.dot(a) / a.dot(a)) * a
+        cur = rootsys.reflect(cur, simples[idx])
         word.append(idx)
     return AntidominantResult(tuple(word), cur, regular)
 
@@ -100,8 +100,7 @@ def apply_word(simple_system, word, mu: Weight) -> Weight:
     simples = list(simple_system)
     cur = mu
     for idx in word:
-        a = simples[idx]
-        cur = cur - (2 * cur.dot(a) / a.dot(a)) * a
+        cur = rootsys.reflect(cur, simples[idx])
     return cur
 
 

@@ -361,8 +361,13 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     of the parabolic's nilradical (the basis elements whose row block comes
     before their column block in the flag k_1 .. k_r, then m, k_r .. k_1 for
     so/sp), and reads off the Jordan partition from ranks over the rationals.
-    Returns the dominance-greatest partition over the trials (deterministic
-    for a fixed seed).
+
+    Las Vegas: returns the Jordan type of the first draw whose centralizer
+    dimension is that of the Levi orbit.  O_l + n lies in the closure of
+    Ind(O_l), the only orbit of that dimension there (Lusztig-Spaltenstein),
+    so that draw is in the induced orbit and the answer is exact.  Draws
+    with a smaller orbit are discarded; when all ``trials`` draws are, it
+    raises ValueError (deterministic for a fixed seed).
     """
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{_MAX_TRIALS}")
@@ -380,15 +385,13 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     block = [b for b, size in enumerate(sizes) for _ in range(size)]
     nilradical = [element for element in basis
                   if block[element[0][0]] < block[element[0][1]]]
-    observed = [jordan_type(_random_element(nilradical, n, rng, base))
-                for _ in range(trials)]
-    best = observed[0]
-    for cand in observed[1:]:
-        if dominates(cand, best):
-            best = cand
-    if not all(dominates(best, other) for other in observed):
-        raise RuntimeError("oracle trials produced dominance-incomparable types")
-    return Partition(best, levi.kind)
+    target = induced_dim_z(levi)
+    for _ in range(trials):
+        drawn = Partition(jordan_type(_random_element(nilradical, n, rng, base)), levi.kind)
+        if dim_z_partition(drawn) == target:
+            return drawn
+    raise ValueError(f"trial budget exhausted: none of {trials} draws in "
+                     f"{levi.kind}_{n} reached the induced orbit's dimension")
 
 
 def centralizer_oracle(p: Partition) -> int:

@@ -14,15 +14,18 @@ is LiE's representation (van Leeuwen, Cohen & Lisser, 1992), with the Cartan
 data of Bourbaki, Lie Groups and Lie Algebras ch. VI.
 
 Epsilon coordinates are the I/O format.  Weights are parsed, serialized and
-returned as ``Weight`` vectors of exact rationals in an orthonormal ambient
-basis, where the form is the dot product of canonical representatives.
+returned as ``Weight`` vectors in an orthonormal ambient basis, where the
+form is the dot product of canonical representatives.  A ``Weight`` is
+integer numerators ``nums`` over one positive denominator ``den`` in lowest
+terms, so its sums, scalings, dot products, equality and hash are integer
+operations; its Fraction coordinates ``coords`` are a view for I/O.
 The E-type models live in the 9-coordinate quotient of R^9 by the diagonal
 (canonical representative: coordinate sum zero); E7 and E6 are the
 sub-root-systems of E8 generated by {a2..a7, a8} and {a3..a7, a8}.  All
 other types use the standard orthonormal epsilon-models and the identity
 canonicalizer.  A vector enters simple-root coordinates once
-(``simple_pairings``, ``dynkin_labels``, ``h_values``, ``root_coords``) and
-leaves them once (``combine``).
+(``simple_pairings``, ``dynkin_labels``, ``h_values``, ``root_coords``, all
+reading ``nums`` and ``den``) and leaves them once (``combine``).
 """
 from __future__ import annotations
 
@@ -31,55 +34,97 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 from . import linalg
 
 
-@dataclass(frozen=True)
 class Weight:
-    """A vector of exact rationals in a model's ambient coordinates."""
+    """A vector of exact rationals in a model's ambient coordinates.
 
-    coords: tuple[Fraction, ...]
+    Held as integer numerators ``nums`` over one positive denominator
+    ``den``, in lowest terms, so that equality, hashing and arithmetic are
+    integer operations.  ``coords`` is the same vector as a tuple of
+    Fractions, built on first use, for I/O.  Immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+    __slots__ = ("nums", "den", "_coords", "_hash")
 
-    @classmethod
-    def _raw(cls, coords: tuple[Fraction, ...]) -> "Weight":
-        # fast path for internal arithmetic: coords are known-exact already
-        w = object.__new__(cls)
-        object.__setattr__(w, "coords", coords)
-        return w
+    def __init__(self, coords):
+        fracs = tuple(Fraction(c) for c in coords)
+        den = math.lcm(*(c.denominator for c in fracs))
+        _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in fracs))
+        _set(self, "den", den)
+        _set(self, "_coords", fracs)
+
+    @staticmethod
+    def from_ints(nums, den: int = 1) -> "Weight":
+        """The vector nums / den for integers nums and den > 0."""
+        g = math.gcd(den, *nums)
+        if g == 1:
+            return _weight(tuple(nums), den)
+        return _weight(tuple(x // g for x in nums), den // g)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coords
+        except AttributeError:
+            den = self.den
+            _set(self, "_coords", tuple(Fraction(x, den) for x in self.nums))
+            return self._coords
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Weight is immutable: cannot assign {name!r}")
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight._raw(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return Weight.from_ints(list(map(add, self.nums, other.nums)), d1)
+        return Weight.from_ints([a * d2 + b * d1 for a, b in zip(self.nums, other.nums)],
+                                d1 * d2)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight._raw(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return Weight.from_ints(list(map(sub, self.nums, other.nums)), d1)
+        return Weight.from_ints([a * d2 - b * d1 for a, b in zip(self.nums, other.nums)],
+                                d1 * d2)
 
     def __neg__(self) -> "Weight":
-        return Weight._raw(tuple(-a for a in self.coords))
+        return _weight(tuple(-x for x in self.nums), self.den)
 
     def __rmul__(self, scalar) -> "Weight":
         s = Fraction(scalar)
-        return Weight._raw(tuple(s * a for a in self.coords))
+        p = s.numerator
+        return Weight.from_ints([p * x for x in self.nums], s.denominator * self.den)
 
     def dot(self, other: "Weight") -> Fraction:
-        return sum(a * b for a, b in zip(self.coords, other.coords))
+        return Fraction(sum(map(mul, self.nums, other.nums)), self.den * other.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Weight):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.coords)
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash((self.nums, self.den)))
+            return self._hash
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.nums)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
+
+    def __repr__(self) -> str:
+        return f"Weight({self})"
+
+    def __str__(self) -> str:
+        return "[" + ", ".join(self.to_strings()) + "]"
 
     def to_strings(self) -> list[str]:
         """Serialize as exact "p/q" strings (lowest terms)."""
@@ -89,10 +134,24 @@ class Weight:
     def from_strings(cls, items) -> "Weight":
         return cls(tuple(Fraction(s) for s in items))
 
+    def __reduce__(self):
+        return _weight, (self.nums, self.den)
+
+
+_set = object.__setattr__
+
+
+def _weight(nums: tuple[int, ...], den: int) -> Weight:
+    """A Weight from numerators already in lowest terms over den > 0."""
+    w = object.__new__(Weight)
+    _set(w, "nums", nums)
+    _set(w, "den", den)
+    return w
+
 
 def weight(coords) -> Weight:
     """Coerce a sequence of ints/Fractions/strings into a Weight."""
-    return Weight(tuple(Fraction(c) for c in coords))
+    return Weight(coords)
 
 
 _VALID_RANKS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None),
@@ -170,7 +229,7 @@ class RootSystemModel:
     @cached_property
     def _basis(self) -> tuple[list[list[int]], list[tuple[int, ...]], int]:
         """(rows, columns, den): the simple roots as integer ambient vectors / den."""
-        rows, den = _integer_rows(a.coords for a in self.simple_roots)
+        rows, den = _common_rows(self.simple_roots)
         return rows, list(zip(*rows)), den
 
     @cached_property
@@ -233,12 +292,12 @@ class RootSystemModel:
         inv = linalg.inverse(self.gram)
         if inv is None:
             raise RuntimeError(f"{self.cartan_type}: the Gram matrix is singular")
-        rows, den = _integer_rows(inv)
+        rows, den = _common_rows(Weight(row) for row in inv)
         return [[x * self.gram_den for x in row] for row in rows], den
 
     @cached_property
     def _complement_rows(self) -> list[list[int]]:
-        return _integer_rows(v.coords for v in span_complement(self))[0]
+        return _common_rows(span_complement(self))[0]
 
     def inner(self, u: Weight, v: Weight) -> Fraction:
         """The invariant symmetric form: the dot product of canonical reps."""
@@ -268,34 +327,52 @@ class RootSystemModel:
 
 
 def canonicalize(model: RootSystemModel, raw_coords) -> Weight:
-    """Canonical representative of a raw coordinate vector.
+    """Canonical representative of a raw coordinate vector or a Weight.
 
     For the E-type quotient models this subtracts the coordinate mean
     (orthogonal projection onto the sum-zero hyperplane); for all other
     models it is the identity.  Idempotent either way.
     """
-    coords = tuple(Fraction(c) for c in raw_coords)
-    if len(coords) != model.ambient_dim:
+    w = raw_coords if isinstance(raw_coords, Weight) else Weight(raw_coords)
+    if len(w.nums) != model.ambient_dim:
         raise ValueError(
-            f"expected {model.ambient_dim} coordinates, got {len(coords)}")
-    if not model.sum_zero:
-        return Weight(coords)
-    mean = sum(coords) / len(coords)
-    return Weight(tuple(c - mean for c in coords))
+            f"expected {model.ambient_dim} coordinates, got {len(w.nums)}")
+    return _sum_zero(w) if model.sum_zero else w
+
+
+def _sum_zero(w: Weight) -> Weight:
+    """w minus its coordinate mean."""
+    n, total = len(w.nums), sum(w.nums)
+    if total == 0:
+        return w
+    return Weight.from_ints([x * n - total for x in w.nums], w.den * n)
 
 
 def pairing(model: RootSystemModel, lam: Weight, root: Weight) -> Fraction:
     """The exact pairing <lam, root^vee> = 2(lam, root)/(root, root)."""
     if not model.is_root(root):
         raise ValueError(f"{root} is not a root of {model.cartan_type}")
-    return 2 * lam.dot(root) / root.dot(root)
+    return Fraction(*_coroot_pairing(lam, root))
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Rows of rationals as integer rows over their least common denominator."""
-    rows = list(rows)
-    den = math.lcm(*(c.denominator for row in rows for c in row))
-    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
+def _coroot_pairing(lam: Weight, a: Weight) -> tuple[int, int]:
+    """(num, den) with <lam, a^vee> = 2(lam, a)/(a, a) = num / den and den > 0."""
+    return (2 * sum(map(mul, lam.nums, a.nums)) * a.den,
+            lam.den * sum(x * x for x in a.nums))
+
+
+def reflect(lam: Weight, a: Weight) -> Weight:
+    """The reflection s_a(lam) = lam - <lam, a^vee> a."""
+    num, den = _coroot_pairing(lam, a)
+    return Weight.from_ints([x * den * a.den - num * y * lam.den
+                             for x, y in zip(lam.nums, a.nums)], lam.den * den * a.den)
+
+
+def _common_rows(weights) -> tuple[list[list[int]], int]:
+    """Weights as integer rows over their least common denominator."""
+    weights = list(weights)
+    den = math.lcm(*(w.den for w in weights))
+    return [[x * (den // w.den) for x in w.nums] for w in weights], den
 
 
 def _gram(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -321,9 +398,9 @@ def _cartan_of(gram) -> tuple[tuple[int, ...], ...]:
 
 def simple_pairings(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
     """(nums, den) with (a_i, w) = nums[i] / den on each simple root."""
-    (nums,), den = _integer_rows([w.coords])
+    nums = w.nums
     rows, _, basis_den = model._basis
-    return [sum(map(mul, row, nums)) for row in rows], den * basis_den
+    return [sum(map(mul, row, nums)) for row in rows], w.den * basis_den
 
 
 def dynkin_labels(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
@@ -368,15 +445,19 @@ def root_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
 
 def in_root_span(model: RootSystemModel, w: Weight) -> bool:
     """Whether w lies in the rational span of the simple roots."""
-    (nums,), _ = _integer_rows([w.coords])
+    nums = w.nums
     return all(sum(map(mul, v, nums)) == 0 for v in model._complement_rows)
 
 
 def combine(model: RootSystemModel, coeffs, den: int = 1) -> Weight:
-    """The epsilon vector sum_i (coeffs[i] / den) a_i."""
+    """The epsilon vector sum_i (coeffs[i] / den) a_i; coeffs are ints or
+    exact rationals."""
+    if not all(isinstance(c, int) for c in coeffs):
+        rational = Weight(coeffs)
+        coeffs, den = rational.nums, den * rational.den
     _, columns, basis_den = model._basis
-    den *= basis_den
-    return Weight._raw(tuple(Fraction(sum(map(mul, col, coeffs)), den) for col in columns))
+    return Weight.from_ints([sum(map(mul, col, coeffs)) for col in columns],
+                            den * basis_den)
 
 
 def _positive_coefficients(cartan, limit: int | None = None) -> list[tuple[int, ...]]:
@@ -414,10 +495,10 @@ def _enumerate_positive(simples: list[Weight], limit: int | None = None
     """All positive roots generated by a simple system (linearly independent
     roots with an integral Cartan matrix), enumerated on integer
     coefficients; returns the roots and their coefficient vectors."""
-    rows, den = _integer_rows(a.coords for a in simples)
+    rows, den = _common_rows(simples)
     coeffs = _positive_coefficients(_cartan_of(_gram(rows, den)[0]), limit)
     columns = list(zip(*rows))
-    roots = [Weight._raw(tuple(Fraction(sum(map(mul, col, c)), den) for col in columns))
+    roots = [Weight.from_ints([sum(map(mul, col, c)) for col in columns], den)
              for c in coeffs]
     return roots, coeffs
 
@@ -461,9 +542,7 @@ def _simple_root_data(series: str, rank: int) -> tuple[int, list[Weight], bool]:
 def _e8_simples() -> list[Weight]:
     dim = 9
     simples = [_eps(i, dim) - _eps(i + 1, dim) for i in range(7)]
-    raw = _eps(5, dim) + _eps(6, dim) + _eps(7, dim)
-    mean = sum(raw.coords) / dim
-    simples.append(Weight(tuple(c - mean for c in raw.coords)))
+    simples.append(_sum_zero(_eps(5, dim) + _eps(6, dim) + _eps(7, dim)))
     return simples
 
 
@@ -532,8 +611,8 @@ def span_complement(model: RootSystemModel) -> tuple[Weight, ...]:
     A vector lies in the rational span of the simple roots iff it pairs to
     zero with every member (empty for models whose roots span the ambient).
     """
-    rows = [list(a.coords) for a in model.simple_roots]
-    return tuple(Weight(tuple(v)) for v in linalg.kernel_basis(rows))
+    rows = [list(a.nums) for a in model.simple_roots]
+    return tuple(Weight(v) for v in linalg.kernel_basis(rows))
 
 
 def levi_subsystem(model: RootSystemModel, pi0) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
@@ -587,10 +666,11 @@ def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
     the model's positive roots.  A set that is not closed is detected when
     the output fails to regenerate it.
     """
-    rset = set(roots)
-    for v in rset:
+    roots = list(roots)
+    for v in roots:
         if not model.is_root(v):
             raise ValueError(f"{v} is not a root of {model.cartan_type}")
+    rset = set(roots)
     npos = len(model.positive_roots)
     chosen = [k for k, beta in enumerate(model.positive_roots)
               if beta in rset or model.roots[npos + k] in rset]

@@ -2,9 +2,18 @@
 
 These are the root-system routines as they were written on ``Weight``
 vectors and ``Fraction`` dot products, before the engine moved to integer
-simple-root coordinates.  The differential test compares the engine against
+simple-root coordinates.  The differential tests compare the engine against
 them; nothing in ``src/`` imports this module.
+
+``FractionWeight`` is the ``Weight`` the engine had before it moved to
+integer numerators over one denominator: a tuple of Fractions with
+Fraction arithmetic.  The functions below it (``canonicalize``,
+``combine``, ``pairing``, ``in_levi_span_fractions``, ``antidominant_rep``,
+``apply_word``) are the replaced epsilon code on that class, so they share
+no arithmetic with the engine.  The functions above it run on the engine's
+``Weight`` and gate the simple-root kernel.
 """
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -171,3 +180,137 @@ def in_levi_span(model, mu, pi0):
     for c, i in zip(coeffs, ordered):
         recon = recon + c * model.simple_roots[i]
     return False, mu - recon
+
+
+@dataclass(frozen=True)
+class FractionWeight:
+    """A vector of exact rationals, held as a tuple of Fractions."""
+
+    coords: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+
+    def __add__(self, other):
+        return FractionWeight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        return FractionWeight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return FractionWeight(tuple(-a for a in self.coords))
+
+    def __rmul__(self, scalar):
+        s = Fraction(scalar)
+        return FractionWeight(tuple(s * a for a in self.coords))
+
+    def dot(self, other):
+        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
+
+    def is_zero(self):
+        return all(a == 0 for a in self.coords)
+
+    def __len__(self):
+        return len(self.coords)
+
+    def to_strings(self):
+        return [str(c) for c in self.coords]
+
+    def __str__(self):
+        return "[" + ", ".join(self.to_strings()) + "]"
+
+
+def fraction_weight(w):
+    """An engine Weight's coordinates as a FractionWeight."""
+    return FractionWeight(w.coords)
+
+
+def canonicalize(model, raw_coords):
+    coords = tuple(Fraction(c) for c in raw_coords)
+    if len(coords) != model.ambient_dim:
+        raise ValueError(
+            f"expected {model.ambient_dim} coordinates, got {len(coords)}")
+    if not model.sum_zero:
+        return FractionWeight(coords)
+    mean = sum(coords) / len(coords)
+    return FractionWeight(tuple(c - mean for c in coords))
+
+
+def _fraction_simples(model):
+    return [fraction_weight(a) for a in model.simple_roots]
+
+
+def combine(model, coeffs, den=1):
+    total = FractionWeight((0,) * model.ambient_dim)
+    for c, a in zip(coeffs, _fraction_simples(model)):
+        total = total + Fraction(c, den) * a
+    return total
+
+
+def pairing(roots, lam, root, label):
+    """<lam, root^vee> on FractionWeights; ``roots`` is the model's root set."""
+    if root not in roots:
+        raise ValueError(f"{root} is not a root of {label}")
+    return 2 * lam.dot(root) / root.dot(root)
+
+
+@lru_cache(maxsize=None)
+def _fraction_dual_basis(model):
+    """(coweights, complement): the dual basis of the simple roots in their
+    span, and a basis of the span's orthogonal complement."""
+    simples = _fraction_simples(model)
+    n = len(simples)
+    gram = [[simples[k].dot(simples[j]) for k in range(n)] for j in range(n)]
+    coweights = []
+    for i in range(n):
+        coeff = linalg.solve(gram, [Fraction(int(j == i)) for j in range(n)])
+        coweights.append(sum((c * a for c, a in zip(coeff, simples)),
+                             FractionWeight((0,) * model.ambient_dim)))
+    complement = [FractionWeight(v) for v in
+                  linalg.kernel_basis([list(a.coords) for a in simples])]
+    return coweights, complement
+
+
+def in_levi_span_fractions(model, mu, pi0):
+    """``in_levi_span`` by the dual basis of the simple roots, on FractionWeights."""
+    simples = _fraction_simples(model)
+    n = len(simples)
+    coweights, complement = _fraction_dual_basis(model)
+    mu = canonicalize(model, mu.coords)
+    indices = sorted(set(pi0))
+    inside = (all(mu.dot(coweights[j]) == 0 for j in range(n) if j not in indices)
+              and all(mu.dot(v) == 0 for v in complement))
+    coeffs = tuple(mu.dot(coweights[i]) for i in indices)
+    if inside:
+        return True, coeffs
+    recon = FractionWeight((0,) * model.ambient_dim)
+    for c, i in zip(coeffs, indices):
+        recon = recon + c * simples[i]
+    return False, mu - recon
+
+
+def antidominant_rep(simple_system, mu):
+    """(word, weight, minimal) by greedy reflection descent."""
+    simples = list(simple_system)
+    sub_pos = enumerate_positive(simples)[0] if simples else []
+    regular = all(2 * mu.dot(g) / g.dot(g) != 0 for g in sub_pos)
+    cur = mu
+    word = []
+    while True:
+        idx = next((i for i, a in enumerate(simples)
+                    if 2 * cur.dot(a) / a.dot(a) > 0), None)
+        if idx is None:
+            break
+        a = simples[idx]
+        cur = cur - (2 * cur.dot(a) / a.dot(a)) * a
+        word.append(idx)
+    return tuple(word), cur, regular
+
+
+def apply_word(simple_system, word, mu):
+    simples = list(simple_system)
+    cur = mu
+    for idx in word:
+        a = simples[idx]
+        cur = cur - (2 * cur.dot(a) / a.dot(a)) * a
+    return cur

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +238,47 @@ def test_zero_denominator_is_usage_error(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("token", ["1e3", "1E3", "1e3000000", "2.5e-1"])
+def test_exponent_notation_is_usage_error(capsys, token):
+    code, out, err = run(capsys, "pairing", "--type", "A2",
+                         "--lambda", f"{token},0,0", "--root", "1,-1,0")
+    assert code == 2 and out == ""
+    assert err == f"error: exponent notation is not accepted: {token!r}\n"
+
+
+def test_errors_print_weights_as_rationals(capsys):
+    code, out, err = run(capsys, "certify", "--type", "A2", "--levi", "a1",
+                         "--h", "1,0,-1", "--lambda-prime", "1,0,0")
+    assert code == 2 and out == ""
+    assert err == "error: h is not in the Levi coroot span; residual [0, 1, -1]\n"
+    code, _, err = run(capsys, "pairing", "--type", "A2",
+                       "--lambda", "1,0,0", "--root", "1/2,-1/2,0")
+    assert code == 2 and err == "error: [1/2, -1/2, 0] is not a root of A2\n"
+
+
+HASH_SEED_ARGVS = [
+    ["certify", "--type", "E8", "--levi", "a1,a2,a3,a4,a5,a7", "--h", H,
+     "--lambda-prime", LAMBDA_PRIME, "--principal"],
+    ["delta-prime", "--type", "E8", "--h", H],
+    ["integral", "--type", "E8", "--lambda-prime", LAMBDA_PRIME],
+    ["certify", "--type", "A2", "--levi", "a1", "--h", "1,0,-1", "--lambda-prime", "1,0,0"],
+]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """Fresh interpreters under two PYTHONHASHSEED values print the same bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv in HASH_SEED_ARGVS:
+        runs = []
+        for seed in ("0", "1234567"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            proc = subprocess.run([sys.executable, "-m", "orbitcert.cli", *argv],
+                                  capture_output=True, env=env, timeout=60)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0] == runs[1], argv
+        assert runs[0][1 if runs[0][0] == 0 else 2]
+
+
 @pytest.mark.parametrize("levi", ['{"gl_blocks":5}', '[1]', '{"gl_blocks":[3]}',
                                   '{"gl_blocks":[{"k":5,"d":null}]}',
                                   '{"gl_blocks":[{"k":2.5,"d":[2]}]}',
@@ -253,12 +298,12 @@ def test_oracle_trials_bounded(capsys):
 # argv fuzz ---------------------------------------------------------------------
 
 NUMBERS = ["0", "1", "-1", "2", "1/2", "-7/6", "3/3", " 4 ", "1.5", "1/0", "0/0",
-           "", "x", "nan", "inf", "--1", "1//2"]
+           "", "x", "nan", "inf", "--1", "1//2", "1e3000000", "2E-9999999"]
 WEIGHTS = st.one_of(
     st.sampled_from([LAMBDA_PRIME, H, "0,0,0,0,0,1,1,1,0", "1,-1,0", "1,0,-1", "2,1,0",
                      "1,1", "1,0", "0,1", "1,2", "1/0,0,0"]),
     st.lists(st.sampled_from(NUMBERS), max_size=10).map(",".join),
-    st.text(alphabet="0123456789/-,. x", max_size=12))
+    st.text(alphabet="0123456789/-,. xeE", max_size=12))
 TYPES = st.sampled_from(["A2", "B3", "C3", "D4", "G2", "F4", "E6", "E8", "a2", "A 2",
                          "A0", "E9", "D3", "Z9", "", "gl", "so", "sp"])
 PARTITIONS = st.one_of(st.lists(st.integers(-2, 9), max_size=6).map(

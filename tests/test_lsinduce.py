@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,26 @@ def test_oracle_deterministic_for_seed():
     a = ls.jordan_oracle(levi, seed=11, trials=3)
     b = ls.jordan_oracle(levi, seed=11, trials=3)
     assert a == b
+
+
+def test_oracle_discards_draws_below_the_induced_orbit():
+    """sp_6 from gl_3 with orbit (2, 1): under this seed the first two
+    nilradical draws land in (3, 3), below the induced orbit (4, 2).  The
+    oracle discards them by dimension and stops at the third draw; with a
+    budget of two draws it raises instead of answering (3, 3)."""
+    levi = ls.LeviDescriptor("sp", 6, (ls.GLBlock(3, P((2, 1))),))
+    seen = []
+    jordan_type = ls.jordan_type
+
+    def recorded(mat):
+        seen.append(jordan_type(mat))
+        return seen[-1]
+
+    with mock.patch.object(ls, "jordan_type", recorded):
+        assert ls.jordan_oracle(levi, seed=850592468) == ls.induce(levi) == P((4, 2), "sp")
+    assert seen == [(3, 3), (3, 3), (4, 2)]
+    with pytest.raises(ValueError, match="trial budget exhausted"):
+        ls.jordan_oracle(levi, seed=850592468, trials=2)
 
 
 def test_oracle_trials_bounded():

@@ -255,6 +255,13 @@ def test_simple_system_of_rejects_non_roots(e8):
         rs.simple_system_of(e8, {rs.canonicalize(e8, (2, 0, 0, 0, 0, 0, 0, 0, 0))})
 
 
+def test_simple_system_of_names_the_first_non_root():
+    a2 = rs.build("A2")
+    for first, second in [((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (2, 0, 0))]:
+        with pytest.raises(ValueError, match=r"^\[" + ", ".join(map(str, first)) + r"\] is not"):
+            rs.simple_system_of(a2, [rs.weight(first), a2.simple_roots[0], rs.weight(second)])
+
+
 # type identification ---------------------------------------------------------
 
 def test_identify_type_basics(e8):
@@ -346,3 +353,8 @@ def test_weight_arithmetic_and_hash():
     assert (u - v).is_zero()
     assert (2 * u).coords == (2, 1)
     assert (-u).coords == (-1, Fr(-1, 2))
+    assert (u.nums, u.den) == ((2, 1), 2)
+    assert ((2 * u).nums, (2 * u).den) == ((2, 1), 1)
+    assert str(u) == "[1, 1/2]" and repr(u) == "Weight([1, 1/2])"
+    with pytest.raises(AttributeError):
+        u.den = 1
