@@ -4,7 +4,8 @@ Subcommands wrap one engine operation each and serialize the result as JSON
 (default) or text.  Weights are entered in epsilon-coordinates as
 comma-separated exact rationals ("1,7/6,...") unless --root-coords is given,
 in which case the entries are coefficients on the simple roots.  Exit codes:
-0 success/pass, 1 fail verdict, 2 usage error, 3 undecided (certify only).
+0 success/pass, 1 fail verdict, 2 usage error, 3 undecided (certify only),
+4 internal error (a bug, never a verdict).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .certify import (FAIL, PASS, CertificateInput, certify, delta_prime,
                       h_regular)
 from .integral import cor68_from_system, integral_system
 
-EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED = 0, 1, 2, 3
+EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -293,9 +294,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad input, json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug: report it without a verdict's exit code
+        import traceback
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

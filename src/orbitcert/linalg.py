@@ -49,67 +49,38 @@ def rank(rows) -> int:
     return len(row_basis(rows))
 
 
-def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan reduced row echelon form: (reduced rows, pivot columns)."""
-    aug = [[Fraction(x) for x in row] for row in rows]
-    m = len(aug)
-    n = len(aug[0]) if m else 0
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-    return aug, pivots
-
-
-def solve(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` exactly; return x or None if inconsistent.
-
-    ``matrix`` is a list of rows.  Underdetermined systems get the solution
-    with free variables set to zero.
-    """
-    n = len(matrix[0]) if matrix else 0
-    aug, pivots = _rref([list(row) + [rhs[i]] for i, row in enumerate(matrix)])
-    if n in pivots:
-        return None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][n]
-    return sol
-
-
 def inverse(matrix):
-    """Exact inverse of a square matrix (list of rows), or None if singular."""
+    """Exact inverse of a square matrix (list of rows), or None if singular.
+
+    The kernel of [M | -I] is {(x, Mx)}; M is nonsingular exactly when its
+    basis ends in the unit vectors e_j, and then each x is a column of M^-1.
+    """
     n = len(matrix)
-    aug, pivots = _rref([list(row) + [int(i == j) for j in range(n)]
-                         for i, row in enumerate(matrix)])
-    if pivots[:n] != list(range(n)):
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    kernel = kernel_basis([list(row) + [-x for x in e] for row, e in zip(matrix, unit)])
+    if [vec[n:] for vec in kernel] != unit:
         return None
-    return [row[n:] for row in aug]
+    return [list(col) for col in zip(*(vec[:n] for vec in kernel))]
 
 
 def kernel_basis(rows):
-    """Basis of the right kernel of a matrix (rows of ints/Fractions)."""
+    """Basis of the right kernel of a matrix (rows of ints/Fractions).
+
+    ``row_basis`` sorted by pivot is a row echelon form with the pivots of
+    the reduced form.  Each non-pivot column gets the vector that is 1 there
+    and 0 at the other non-pivot columns, solved from the last row up.
+    """
     if not rows:
         return []
     n = len(rows[0])
-    aug, pivots = _rref(rows)
+    echelon = sorted((next(c for c, x in enumerate(row) if x), row) for row in row_basis(rows))
+    pivots = {piv for piv, _ in echelon}
     basis = []
-    for fc in (c for c in range(n) if c not in pivots):
+    for free in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i][fc]
+        vec[free] = Fraction(1)
+        for piv, row in reversed(echelon):
+            vec[piv] = -sum((row[c] * vec[c] for c in range(piv + 1, n) if row[c]),
+                            Fraction(0)) / row[piv]
         basis.append(vec)
     return basis

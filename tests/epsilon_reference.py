@@ -11,13 +11,16 @@ Fraction arithmetic.  The functions below it (``canonicalize``,
 ``combine``, ``pairing``, ``in_levi_span_fractions``, ``antidominant_rep``,
 ``apply_word``) are the replaced epsilon code on that class, so they share
 no arithmetic with the engine.  The functions above it run on the engine's
-``Weight`` and gate the simple-root kernel.
+``Weight`` and gate the simple-root kernel.  Linear solves, kernels and
+Cartan-type names come from ``matrix_reference`` and ``dynkin_reference``,
+so no elimination or type namer is shared with the engine either.
 """
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from orbitcert import linalg
+import dynkin_reference
+import matrix_reference
 from orbitcert import rootsys as rs
 from orbitcert.integral import IntegralSystem
 from orbitcert.rootsys import Weight
@@ -70,7 +73,7 @@ def fundamental_coweights(model):
     matrix = [[simples[k].dot(simples[j]) for k in range(n)] for j in range(n)]
     out = []
     for i in range(n):
-        coeff = linalg.solve(matrix, [Fraction(int(j == i)) for j in range(n)])
+        coeff = matrix_reference.solve(matrix, [Fraction(int(j == i)) for j in range(n)])
         out.append(Weight(tuple(sum(coeff[k] * simples[k].coords[d] for k in range(n))
                                 for d in range(model.ambient_dim))))
     return tuple(out)
@@ -109,8 +112,9 @@ def integral_system(model, lambda_prime):
     simple_roots = tuple(beta for beta, cv in zip(pos, covecs)
                          if tuple(cv.coords) in co_simple)
     simple_covecs = [model.coroot(beta) for beta in simple_roots]
-    labels = tuple(sorted((rs.dual_label(l) for l in rs.classify_simple_system(simple_covecs)),
-                          key=rs._label_sort_key))
+    labels = tuple(sorted((rs.dual_label(l)
+                           for l in dynkin_reference.classify_simple_system(simple_covecs)),
+                          key=dynkin_reference._label_sort_key))
     allroots = tuple(pos) + tuple(-beta for beta in pos)
     pairings = tuple(int(rs.pairing(model, lambda_prime, beta)) for beta in simple_roots)
     return IntegralSystem(lambda_prime, allroots, simple_roots, labels, pairings)
@@ -263,11 +267,11 @@ def _fraction_dual_basis(model):
     gram = [[simples[k].dot(simples[j]) for k in range(n)] for j in range(n)]
     coweights = []
     for i in range(n):
-        coeff = linalg.solve(gram, [Fraction(int(j == i)) for j in range(n)])
+        coeff = matrix_reference.solve(gram, [Fraction(int(j == i)) for j in range(n)])
         coweights.append(sum((c * a for c, a in zip(coeff, simples)),
                              FractionWeight((0,) * model.ambient_dim)))
     complement = [FractionWeight(v) for v in
-                  linalg.kernel_basis([list(a.coords) for a in simples])]
+                  matrix_reference.kernel_basis([list(a.coords) for a in simples])]
     return coweights, complement
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from orbitcert import cli
 from orbitcert import lsinduce as ls
+from orbitcert import rootsys as rs
 
 LAMBDA_PRIME = "1,7/6,1/3,1/2,2/3,5/6,1/6,-1/6,-9/2"
 H = "5,3,1,-1,-3,-5,1,-1,0"
@@ -40,6 +42,25 @@ def test_pairing(capsys):
                        "--lambda", LAMBDA_PRIME, "--root", "0,0,0,0,0,1,1,1,0")
     assert code == 0
     assert json.loads(out) == {"pairing": "5/6"}
+
+
+def test_info_rank_bound(capsys):
+    code, out, err = run(capsys, "info", "--type", f"A{rs.MAX_RANK + 1}")
+    assert code == 2 and out == "" and "rank out of range" in err
+
+
+@pytest.mark.parametrize("target, name, error", [
+    (rs, "build", KeyError("missing")),
+    (cli, "certify", RuntimeError("invariant broken")),
+])
+def test_engine_crash_exits_internal(capsys, target, name, error):
+    """A bug in the engine is exit 4, never a usage error or a verdict."""
+    with mock.patch.object(target, name, side_effect=error):
+        code, out, err = run(capsys, "certify", "--type", "E8",
+                             "--levi", "a1,a2,a3,a4,a5,a7", "--lambda-prime", LAMBDA_PRIME)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.splitlines()[-1] == f"internal error: {type(error).__name__}: {error}"
 
 
 def test_pairing_rejects_non_root(capsys):
@@ -148,6 +169,14 @@ def test_dimz(capsys):
     assert code == 0 and json.loads(out) == {"dim_z": 4}
     code, _, err = run(capsys, "dimz", "--type", "sp", "--partition", "3,1")
     assert code == 2 and "error" in err
+
+
+def test_dimz_huge_part(capsys):
+    code, out, _ = run(capsys, "dimz", "--type", "gl", "--partition", str(10**9))
+    assert code == 0 and json.loads(out) == {"dim_z": 10**9}
+    code, out, _ = run(capsys, "dimz", "--type", "sp", "--partition", f"{10**9},{10**9},3,3")
+    # transpose (4, 4, 4, 2, ..., 2): squares 3 * 16 + (10**9 - 3) * 4, plus two odd parts
+    assert code == 0 and json.loads(out) == {"dim_z": (4 * 10**9 + 36 + 2) // 2}
 
 
 def test_tables_single_row(capsys):
@@ -306,7 +335,8 @@ WEIGHTS = st.one_of(
     st.text(alphabet="0123456789/-,. xeE", max_size=12))
 TYPES = st.sampled_from(["A2", "B3", "C3", "D4", "G2", "F4", "E6", "E8", "a2", "A 2",
                          "A0", "E9", "D3", "Z9", "", "gl", "so", "sp"])
-PARTITIONS = st.one_of(st.lists(st.integers(-2, 9), max_size=6).map(
+PARTITIONS = st.one_of(st.lists(st.integers(-2, 9) | st.integers(10**6, 10**12),
+                                max_size=6).map(
     lambda parts: ",".join(map(str, parts))), st.sampled_from(["", "x", "3,,1", "2.0", ","]))
 SMALL_INTS = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(["x", "", "1.5"]))
 JSON_VALUES = st.recursive(

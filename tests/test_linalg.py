@@ -1,9 +1,11 @@
-"""The Gauss-Jordan routines (solve, inverse, kernel_basis) against the echelon rank."""
+"""inverse and kernel_basis, and the reference Gauss-Jordan solve that the
+epsilon reference uses, against the echelon rank."""
 from fractions import Fraction as Fr
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matrix_reference as ref
 from orbitcert import linalg
 
 SMALL = st.sampled_from([Fr(0), Fr(0), Fr(1), Fr(-1), Fr(2), Fr(1, 2), Fr(-3, 2)])
@@ -41,7 +43,7 @@ def test_solve_exactly_when_consistent(matrix, in_image, data):
     else:
         rhs = data.draw(st.lists(SMALL, min_size=len(matrix), max_size=len(matrix)))
     augmented = [row + [b] for row, b in zip(matrix, rhs)]
-    sol = linalg.solve(matrix, rhs)
+    sol = ref.solve(matrix, rhs)
     if linalg.rank(augmented) == linalg.rank(matrix):
         assert sol is not None and apply(matrix, sol) == rhs
     else:

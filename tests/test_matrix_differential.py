@@ -1,5 +1,6 @@
-"""Differential test: row_basis rank and the image-chain Jordan type against
-the Bareiss rank and matrix powers they replaced (tests/matrix_reference.py)."""
+"""Differential test: row_basis rank, the image-chain Jordan type and the
+kernel and inverse read off row_basis against the Bareiss rank, matrix
+powers and Gauss-Jordan elimination they replaced (tests/matrix_reference.py)."""
 import math
 import random
 from fractions import Fraction as Fr
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import matrix_reference as ref
 from orbitcert import linalg
 from orbitcert import lsinduce as ls
+from orbitcert import rootsys as rs
 
 NONZERO = [1, -1, 2, -2, 3, -5, 9]
 
@@ -126,3 +128,38 @@ def test_rank_edge_cases():
     assert linalg.rank([[0, 0], [0, 0]]) == 0
     assert linalg.rank([[Fr(1, 2), Fr(1, 3)], [3, 2]]) == 1
     assert linalg.row_basis([[0, -2, 4], [0, 1, -2]]) == [[0, 1, -2]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangular())
+def test_kernel_basis_matches_gauss_jordan(rows):
+    """Back-substitution over row_basis gives exactly the reduced-form kernel."""
+    basis = linalg.kernel_basis(rows)
+    assert basis == ref.kernel_basis(rows)
+    assert all(type(x) is Fr for vec in basis for x in vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangular(), st.integers(0, 6))
+def test_inverse_matches_gauss_jordan(rows, n):
+    """Square truncations and zero-paddings, singular ones included."""
+    square = [(row + [0] * n)[:n] for row in (rows + [[0] * n] * n)[:n]]
+    inv = linalg.inverse(square)
+    assert inv == ref.inverse(square)
+    assert inv is None or all(type(x) is Fr for row in inv for x in row)
+
+
+@pytest.mark.parametrize("label", ["A1", "A8", "B2", "B8", "C2", "C8", "D4", "D8",
+                                   "E6", "E7", "E8", "F4", "G2"])
+def test_model_matrices_match_gauss_jordan(label):
+    """Every model's Gram matrices (integer and epsilon) and its simple-root rows."""
+    model = rs.build(label)
+    simples = model.simple_roots
+    epsilon_gram = [[u.dot(v) for v in simples] for u in simples]
+    for gram in (model.gram, epsilon_gram):
+        assert linalg.inverse(gram) == ref.inverse(gram) is not None
+    for rows in ([list(a.nums) for a in simples], [list(a.coords) for a in simples],
+                 epsilon_gram[:-1]):
+        assert linalg.kernel_basis(rows) == ref.kernel_basis(rows)
+    assert rs.span_complement(model) == tuple(
+        rs.Weight(v) for v in ref.kernel_basis([list(a.coords) for a in simples]))

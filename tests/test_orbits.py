@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from orbitcert import certify as ct
 from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
+from orbitcert.lsinduce import valid_partitions
 
 DIM_G = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
 
@@ -114,6 +115,17 @@ def test_dim_z_partition_examples():
     assert ob.dim_z_partition(ob.Partition((4,), "sp")) == 2
     with pytest.raises(ValueError):
         ob.dim_z_partition(ob.Partition((3, 1), "sp"))
+
+
+def test_dim_z_partition_matches_transpose_squares():
+    """sum (2i - 1) p_i is the transpose square sum, on every partition up to 12."""
+    for n in range(13):
+        for kind in ("gl", "so", "sp"):
+            for p in valid_partitions(n, kind):
+                sq = sum(m * m for m in ob.transpose(p).parts)
+                odd = sum(q % 2 for q in p.parts)
+                assert ob.dim_z_partition(p) == {"gl": sq, "so": (sq - odd) // 2,
+                                                 "sp": (sq + odd) // 2}[kind]
 
 
 @given(st.lists(st.integers(1, 7), min_size=1, max_size=6))

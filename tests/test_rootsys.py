@@ -30,10 +30,17 @@ def test_dim_identities():
 
 
 @pytest.mark.parametrize("bad", ["Z3", "A0", "B1", "C1", "D3", "E5", "E9",
-                                 "F5", "G3", "E", "8", "A-1"])
+                                 "F5", "G3", "E", "8", "A-1", "A33", "B120", "D33"])
 def test_build_rejects_bad_labels(bad):
     with pytest.raises(ValueError):
         rs.build(bad)
+
+
+def test_rank_bound():
+    for series in "ABCD":
+        assert rs.parse_label(f"{series}{rs.MAX_RANK}") == (series, rs.MAX_RANK)
+        with pytest.raises(ValueError, match="rank out of range"):
+            rs.parse_label(f"{series}{rs.MAX_RANK + 1}")
 
 
 def _cartan_matrix(model):
@@ -358,3 +365,14 @@ def test_weight_arithmetic_and_hash():
     assert str(u) == "[1, 1/2]" and repr(u) == "Weight([1, 1/2])"
     with pytest.raises(AttributeError):
         u.den = 1
+
+
+def test_weight_length_mismatch_raises():
+    u, v = rs.weight((1, 2)), rs.weight((1, 2, 3))
+    for op in (lambda: u + v, lambda: u - v, lambda: u.dot(v), lambda: v.dot(u),
+               lambda: rs.reflect(u, v), lambda: rs.reflect(v, u)):
+        with pytest.raises(ValueError, match="different lengths: [23] and [23]"):
+            op()
+    a2 = rs.build("A2")
+    with pytest.raises(ValueError, match="different lengths: 9 and 3"):
+        rs.pairing(a2, rs.weight([1] * 9), a2.simple_roots[0])
