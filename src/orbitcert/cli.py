@@ -4,8 +4,9 @@ Subcommands wrap one engine operation each and serialize the result as JSON
 (default) or text.  Weights are entered in epsilon-coordinates as
 comma-separated exact rationals ("1,7/6,...") unless --root-coords is given,
 in which case the entries are coefficients on the simple roots.  Exit codes:
-0 success/pass, 1 fail verdict, 2 usage error, 3 undecided (certify only),
-4 internal error (a bug, never a verdict).
+0 success/pass, 1 fail verdict, 2 usage error, 3 undecided (a certify
+verdict, or an oracle that used up its draws), 4 internal error (a bug,
+never a verdict).
 """
 from __future__ import annotations
 
@@ -216,7 +217,7 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_induce(args) -> int:
-    levi = ls.descriptor_from_json(args.levi, kind=args.type, ambient=args.ambient)
+    levi = ls.LeviDescriptor.from_json_dict(json.loads(args.levi), args.type, args.ambient)
     result = ls.induce(levi)
     if ls.is_very_even(result):
         print("note: very even partition; labels orbits I/II ambiguously",
@@ -270,7 +271,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    levi = ls.descriptor_from_json(args.levi, kind=args.type, ambient=args.ambient)
+    levi = ls.LeviDescriptor.from_json_dict(json.loads(args.levi), args.type, args.ambient)
     result = ls.jordan_oracle(levi, seed=args.seed, trials=args.trials)
     _emit(list(result.parts), args.output)
     return EXIT_PASS
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except ls.TrialBudgetExhausted as exc:
+        _emit({"undecided": str(exc)}, args.output)
+        return EXIT_UNDECIDED
     except ValueError as exc:  # bad input, json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,25 +13,21 @@ gl_k x X_m sits block-diagonally with a mirrored gl block.
 """
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass
 
 from . import linalg
 from .orbits import Partition, dim_z_partition, parity_valid, transpose
 
-DEFAULT_ORACLE_AMBIENT = 16
-DEFAULT_RIGID_AMBIENT = 14
+MAX_ORACLE_AMBIENT = 16  # jordan_oracle and centralizer_oracle
+MAX_RIGID_AMBIENT = 14  # is_rigid
 _ENTRY_RANGE = 9  # random integer entries are drawn from [-9, 9]
 _MAX_TRIES = 200  # degree-2 samples per target Jordan type
 _MAX_TRIALS = 1000  # nilradical samples per jordan_oracle call
 
 
-def max_oracle_ambient() -> int:
-    """Matrix-oracle size bound, overridable via ORBITCERT_MAX_AMBIENT; the
-    rigidity search keeps its fixed DEFAULT_RIGID_AMBIENT."""
-    return int(os.environ.get("ORBITCERT_MAX_AMBIENT", DEFAULT_ORACLE_AMBIENT))
+class TrialBudgetExhausted(ValueError):
+    """A randomized oracle used up its draws: the run is undecided, not wrong."""
 
 
 @dataclass(frozen=True)
@@ -218,16 +214,6 @@ def _zero(n: int) -> list[list[int]]:
     return [[0] * n for _ in range(n)]
 
 
-def _jordan_block_matrix(parts, n: int) -> list[list[int]]:
-    mat = _zero(n)
-    pos = 0
-    for part in parts:
-        for i in range(part - 1):
-            mat[pos + i][pos + i + 1] = 1
-        pos += part
-    return mat
-
-
 def jordan_type(mat) -> tuple[int, ...]:
     """Jordan partition of a nilpotent matrix N from the ranks of its powers.
 
@@ -330,22 +316,30 @@ def _nilpotent_in_classical(kind: str, m: int, parts: tuple[int, ...],
             if not _in_algebra(e, kind):
                 raise RuntimeError(f"sampled nilpotent of type {target} is not in {kind}_{m}")
             return e
-    raise ValueError(f"trial budget exhausted searching {kind}_{m} for type {parts}")
+    raise TrialBudgetExhausted(f"trial budget exhausted searching {kind}_{m} for type {parts}")
+
+
+def _jordan_blocks(parts, basis, n: int) -> list[list[int]]:
+    """Jordan blocks of the given sizes down the diagonal of an n x n matrix:
+    each superdiagonal entry is the basis element at its position, so so/sp
+    get its mirrored entry too."""
+    at = {element[0][:2]: element for element in basis}
+    mat = _zero(n)
+    offset = 0
+    for part in parts:
+        for a in range(offset, offset + part - 1):
+            for r, c, x in at[a, a + 1]:
+                mat[r][c] = x
+        offset += part
+    return mat
 
 
 def _levi_base_matrix(levi: LeviDescriptor, basis, rng: random.Random) -> list[list[int]]:
-    """The Levi-orbit representative: each Jordan superdiagonal entry of the
-    gl blocks is the basis element at its position (so/sp: with its mirror),
+    """The Levi-orbit representative: Jordan blocks for the gl blocks' orbits
     plus a sampled tail nilpotent."""
-    at = {element[0][:2]: element for element in basis}
-    base = _zero(levi.ambient)
-    offset = 0
-    for blk in levi.gl_blocks:
-        for part in blk.d.parts:
-            for a in range(offset, offset + part - 1):
-                for r, c, x in at[a, a + 1]:
-                    base[r][c] = x
-            offset += part
+    base = _jordan_blocks([part for blk in levi.gl_blocks for part in blk.d.parts],
+                          basis, levi.ambient)
+    offset = sum(blk.k for blk in levi.gl_blocks)
     if levi.tail:
         tail_mat = _nilpotent_in_classical(levi.kind, levi.tail.m,
                                            levi.tail.c.parts, rng)
@@ -367,13 +361,13 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     Ind(O_l), the only orbit of that dimension there (Lusztig-Spaltenstein),
     so that draw is in the induced orbit and the answer is exact.  Draws
     with a smaller orbit are discarded; when all ``trials`` draws are, it
-    raises ValueError (deterministic for a fixed seed).
+    raises TrialBudgetExhausted (deterministic for a fixed seed).
     """
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{_MAX_TRIALS}")
     n = levi.ambient
-    if n > max_oracle_ambient():
-        raise ValueError(f"ambient {n} exceeds the oracle bound {max_oracle_ambient()}")
+    if n > MAX_ORACLE_AMBIENT:
+        raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
     rng = random.Random(seed)
     basis = _algebra_basis(levi.kind, n)
     base = _levi_base_matrix(levi, basis, rng)
@@ -390,8 +384,8 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
         drawn = Partition(jordan_type(_random_element(nilradical, n, rng, base)), levi.kind)
         if dim_z_partition(drawn) == target:
             return drawn
-    raise ValueError(f"trial budget exhausted: none of {trials} draws in "
-                     f"{levi.kind}_{n} reached the induced orbit's dimension")
+    raise TrialBudgetExhausted(f"trial budget exhausted: none of {trials} draws in "
+                               f"{levi.kind}_{n} reached the induced orbit's dimension")
 
 
 def centralizer_oracle(p: Partition) -> int:
@@ -405,13 +399,13 @@ def centralizer_oracle(p: Partition) -> int:
     if not parity_valid(p):
         raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
     n = p.total
-    if n > max_oracle_ambient():
-        raise ValueError(f"ambient {n} exceeds the oracle bound {max_oracle_ambient()}")
+    if n > MAX_ORACLE_AMBIENT:
+        raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
+    basis = _algebra_basis(p.kind, n)
     if p.kind == "gl":
-        e = _jordan_block_matrix(p.parts, n)
+        e = _jordan_blocks(p.parts, basis, n)
     else:
         e = _nilpotent_in_classical(p.kind, n, p.parts, random.Random(0))
-    basis = _algebra_basis(p.kind, n)
     positions = [element[0][:2] for element in basis]
     columns = []
     for element in basis:
@@ -426,9 +420,6 @@ def centralizer_oracle(p: Partition) -> int:
 
 def partitions_of(n: int):
     """All partitions of n in descending lexicographic order."""
-    if n == 0:
-        yield ()
-        return
     def rec(rem, maxpart):
         if rem == 0:
             yield ()
@@ -468,41 +459,31 @@ def random_descriptor(rng: random.Random, kind: str, max_ambient: int
     return LeviDescriptor(kind, n, (GLBlock(k, Partition(orbit(k))),), tail)
 
 
-def is_rigid(p: Partition, max_ambient: int = DEFAULT_RIGID_AMBIENT
-             ) -> tuple[bool, LeviDescriptor | None]:
+def is_rigid(p: Partition) -> tuple[bool, LeviDescriptor | None]:
     """Exhaustive search for a proper Levi inducing p.
 
     Returns (True, None) when no proper Levi descriptor induces p, else
-    (False, witness).  Enumerating a single gl block suffices: componentwise
-    sums of partitions of the block sizes are partitions of the total, so
-    finer splits reach nothing more.
+    (False, witness).  One gl block of size k suffices, next to the rest of
+    the ambient (gl: a second block of n - k; so/sp: the tail of n - 2k):
+    componentwise sums of partitions of the block sizes are partitions of
+    the total, so finer splits reach nothing more.
     """
     n = p.total
-    if n > max_ambient:
-        raise ValueError(f"ambient {n} exceeds the rigidity bound {max_ambient}")
+    if n > MAX_RIGID_AMBIENT:
+        raise ValueError(f"ambient {n} exceeds the rigidity bound {MAX_RIGID_AMBIENT}")
     if not parity_valid(p):
         raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
-    if p.kind == "gl":
-        for k in range(1, n // 2 + 1):
-            for d1 in partitions_of(k):
-                for d2 in partitions_of(n - k):
-                    levi = LeviDescriptor("gl", n, (
-                        GLBlock(k, Partition(d1, "gl")),
-                        GLBlock(n - k, Partition(d2, "gl"))))
-                    if induce(levi).parts == p.parts:
-                        return False, levi
-        return True, None
     if p.kind == "so" and n <= 2:
         # so_2 is abelian (gl_1 in it is the whole algebra): no proper Levi
         return True, None
     for k in range(1, n // 2 + 1):
-        m = n - 2 * k
-        if p.kind == "sp" and m % 2:
-            continue
+        rest = n - k if p.kind == "gl" else n - 2 * k
+        rests = list(valid_partitions(rest, p.kind))
         for d in partitions_of(k):
-            for c in valid_partitions(m, p.kind):
-                tail = Tail(m, c) if m else None
-                levi = LeviDescriptor(p.kind, n, (GLBlock(k, Partition(d, "gl")),), tail)
+            block = GLBlock(k, Partition(d, "gl"))
+            for c in rests:
+                levi = (LeviDescriptor("gl", n, (block, GLBlock(rest, c))) if p.kind == "gl"
+                        else LeviDescriptor(p.kind, n, (block,), Tail(rest, c) if rest else None))
                 if induce(levi).parts == p.parts:
                     return False, levi
     return True, None
@@ -520,8 +501,3 @@ def induced_dim_z(levi: LeviDescriptor) -> int:
     if levi.tail:
         total += dim_z_partition(Partition(levi.tail.c.parts, levi.kind))
     return total
-
-
-def descriptor_from_json(text: str, kind: str | None = None,
-                         ambient: int | None = None) -> LeviDescriptor:
-    return LeviDescriptor.from_json_dict(json.loads(text), kind, ambient)

@@ -67,24 +67,27 @@ class Partition:
     def total(self) -> int:
         return sum(self.parts)
 
-    def multiplicity(self, part: int) -> int:
-        return self.parts.count(part)
-
 
 def parity_valid(p: Partition) -> bool:
-    """so: even parts have even multiplicity; sp: odd parts do; gl: anything."""
-    if p.kind == "so":
-        return all(p.multiplicity(q) % 2 == 0 for q in set(p.parts) if q % 2 == 0)
-    if p.kind == "sp":
-        return all(p.multiplicity(q) % 2 == 0 for q in set(p.parts) if q % 2 == 1)
-    return True
+    """so: even parts have even multiplicity; sp: odd parts do; gl: anything.
+
+    The parts are weakly decreasing, so the bad-parity parts have even
+    multiplicities exactly when they pair up.
+    """
+    if p.kind == "gl":
+        return True
+    bad_parity = 1 if p.kind == "sp" else 0
+    bad = [q for q in p.parts if q % 2 == bad_parity]
+    return bad[::2] == bad[1::2]
 
 
 def transpose(p: Partition) -> Partition:
-    """Young-diagram transpose (an involution on the parts)."""
-    if not p.parts:
-        return p
-    cols = [sum(1 for q in p.parts if q >= i) for i in range(1, p.parts[0] + 1)]
+    """Young-diagram transpose (an involution on the parts): part index i
+    appears p_i - p_(i+1) times, for i from the number of parts down to 1."""
+    parts = p.parts + (0,)
+    cols: list[int] = []
+    for i in range(len(p.parts), 0, -1):
+        cols += [i] * (parts[i - 1] - parts[i])
     return Partition(tuple(cols), p.kind)
 
 

@@ -569,8 +569,13 @@ _E_SUBSETS = {7: (1, 2, 3, 4, 5, 6, 7), 6: (2, 3, 4, 5, 6, 7)}
 
 @lru_cache(maxsize=None)
 def build(label: str) -> RootSystemModel:
-    """Build the exact model for a Cartan type label such as "E8" or "B3"."""
-    series, rank = parse_label(label)
+    """The exact model for a Cartan type label such as "E8" or "B3"; every
+    spelling of one (series, rank), such as "e8" and "E_8", gives the same object."""
+    return _build(*parse_label(label))
+
+
+@lru_cache(maxsize=None)
+def _build(series: str, rank: int) -> RootSystemModel:
     if series == "E":
         e8_simples = _e8_simples()
         simples = (e8_simples if rank == 8
@@ -590,11 +595,11 @@ def build(label: str) -> RootSystemModel:
     expected = _POS_COUNTS[series](rank)
     if len(positive) != expected:
         raise RuntimeError(
-            f"{label}: enumerated {len(positive)} positive roots, expected {expected}")
+            f"{model.cartan_type}: enumerated {len(positive)} positive roots, expected {expected}")
     # rho is integral: <rho, a_i^vee> = 1 on every simple root
     two_rho = [sum(col) for col in zip(*coeffs)]
     if any(sum(map(mul, two_rho, col)) != 2 for col in zip(*model.cartan)):
-        raise RuntimeError(f"{label}: <rho, a_i^vee> is not 1 on every simple root")
+        raise RuntimeError(f"{model.cartan_type}: <rho, a_i^vee> is not 1 on every simple root")
     return model
 
 

@@ -111,6 +111,30 @@ def test_certify_undecided_exit_code(capsys):
     assert json.loads(out)["overall"] == "undecided"
 
 
+@pytest.mark.parametrize("levi, type_, message", [
+    ("a1,b2", "E8", "malformed simple root name 'b2'"),
+    ("a9", "E8", "simple root index 9 out of 1..8"),
+])
+def test_certify_rejects_bad_levi_names(capsys, levi, type_, message):
+    code, out, err = run(capsys, "certify", "--type", type_, "--levi", levi,
+                         "--lambda-prime", LAMBDA_PRIME)
+    assert code == 2 and out == "" and message in err
+
+
+def test_certify_text_output_nests(capsys):
+    code, out, _ = run(capsys, "--output", "text", "certify", "--type", "E8",
+                       "--levi", "a1,a2,a3,a4,a5,a7", "--h", H,
+                       "--lambda-prime", LAMBDA_PRIME, "--principal")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "overall: pass"
+    c = lines.index("C:")
+    assert lines[c + 1:c + 4] == ["  status: pass", "  witness:", "    0"]
+    d = lines.index("delta_prime:")
+    assert lines[d + 1:d + 10] == ["  1", "  1/2", "  3/2", "  1/2", "  1",
+                                   "  0", "  1/2", "  -1/2", "  -9/2"]
+
+
 def test_certify_levi_numeric_names(capsys):
     code, out, _ = run(capsys, "certify", "--type", "E8",
                        "--levi", "1,2,3,4,5,7", "--h", H,
@@ -136,6 +160,12 @@ def test_induce(capsys):
     assert json.loads(out) == [2, 2]
 
 
+def test_induce_text_output(capsys):
+    code, out, _ = run(capsys, "--output", "text", "induce", "--type", "sp",
+                       "--ambient", "6", "--levi", '{"gl_blocks":[{"k":3,"d":[2,1]}]}')
+    assert code == 0 and out == "4\n2\n"
+
+
 def test_induce_very_even_note(capsys):
     code, out, err = run(capsys, "induce", "--type", "so", "--ambient", "8",
                          "--levi", '{"gl_blocks":[{"k":4,"d":[1,1,1,1]}]}')
@@ -153,11 +183,14 @@ def test_rigid(capsys):
     assert data["rigid"] is False and data["witness"]["type"] == "sp"
 
 
-def test_rigid_bound_ignores_oracle_variable(capsys, monkeypatch):
-    # ORBITCERT_MAX_AMBIENT bounds the matrix oracles only; rigidity stays at 14
-    monkeypatch.setenv("ORBITCERT_MAX_AMBIENT", "20")
+def test_rigid_bound_ignores_oracle_variable(capsys):
     code, _, err = run(capsys, "rigid", "--type", "gl", "--partition", ",".join("1" * 15))
     assert code == 2 and "exceeds the rigidity bound 14" in err
+
+
+def test_rigid_rejects_ambient_mismatch(capsys):
+    code, out, err = run(capsys, "rigid", "--type", "sp", "--partition", "2,1", "--ambient", "4")
+    assert code == 2 and out == "" and "partition sums to 3, not 4" in err
 
 
 def test_parser_built_once():
@@ -236,6 +269,24 @@ def test_oracle_seed_reproducible(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0 and out1 == out2
     assert json.loads(out1) == [4, 2, 1, 1]
+
+
+def test_oracle_exhausted_budget_is_undecided(capsys):
+    """Two draws under this seed both land below the induced orbit (see
+    test_lsinduce): the run is undecided, exit 3 with JSON, not a usage error."""
+    levi = '{"gl_blocks":[{"k":3,"d":[2,1]}]}'
+    code, out, err = run(capsys, "oracle", "--type", "sp", "--ambient", "6", "--levi", levi,
+                         "--seed", "850592468", "--trials", "2")
+    assert code == cli.EXIT_UNDECIDED == 3 and err == ""
+    assert json.loads(out) == {"undecided": "trial budget exhausted: none of 2 draws in "
+                                            "sp_6 reached the induced orbit's dimension"}
+    with pytest.raises(ls.TrialBudgetExhausted):
+        ls.jordan_oracle(ls.LeviDescriptor.from_json_dict(json.loads(levi), "sp", 6),
+                         seed=850592468, trials=2)
+    assert issubclass(ls.TrialBudgetExhausted, ValueError)
+    code, out, _ = run(capsys, "oracle", "--type", "sp", "--ambient", "6", "--levi", levi,
+                       "--seed", "850592468", "--trials", "3")
+    assert code == 0 and json.loads(out) == [4, 2]
 
 
 def test_usage_error_exit_code(capsys):

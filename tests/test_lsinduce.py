@@ -122,10 +122,26 @@ def test_descriptor_json_round_trip():
     assert ls.LeviDescriptor.from_json_dict(data) == levi
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ls.LeviDescriptor("su", 2, (ls.GLBlock(2, P((2,))),)), "unknown ambient type"),
+    (lambda: ls.LeviDescriptor("gl", 3, (ls.GLBlock(2, P((2,))),), ls.Tail(1, P((1,)))),
+     "gl ambient admits no classical tail"),
+    (lambda: ls.LeviDescriptor("so", 7, (ls.GLBlock(2, P((2,))),), ls.Tail(2, P((1, 1), "so"))),
+     "sum 2k_i \\+ m must equal the ambient size"),
+    (lambda: ls.LeviDescriptor("so", 7, (ls.GLBlock(2, P((2,))),), ls.Tail(3, P((1, 1), "so"))),
+     "tail partition \\(1, 1\\) is not of 3"),
+    (lambda: ls.LeviDescriptor.from_json_dict({"type": 5, "ambient": 2}),
+     "ambient type must be a string"),
+])
+def test_descriptor_rejects_each_bad_shape(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # jordan oracle ---------------------------------------------------------------
 
 def test_jordan_type_of_block_matrix():
-    mat = ls._jordan_block_matrix((3, 2, 2, 1), 8)
+    mat = ls._jordan_blocks((3, 2, 2, 1), ls._algebra_basis("gl", 8), 8)
     assert ls.jordan_type(mat) == (3, 2, 2, 1)
     assert ls.jordan_type([[0]]) == (1,)
 
@@ -134,7 +150,7 @@ def test_jordan_type_rank_identity():
     # number of parts >= i equals rank(e^(i-1)) - rank(e^i)
     from orbitcert import linalg
     from matrix_reference import matmul
-    mat = ls._jordan_block_matrix((4, 2, 1), 7)
+    mat = ls._jordan_blocks((4, 2, 1), ls._algebra_basis("gl", 7), 7)
     parts = ls.jordan_type(mat)
     power = [row[:] for row in mat]
     prev = 7
@@ -196,12 +212,11 @@ def test_oracle_trials_bounded():
             ls.jordan_oracle(levi, trials=trials)
 
 
-def test_oracle_respects_ambient_bound(monkeypatch):
-    monkeypatch.setenv("ORBITCERT_MAX_AMBIENT", "4")
+def test_oracle_respects_ambient_bound():
+    over = ls.LeviDescriptor("so", 17, (ls.GLBlock(8, P((1,) * 8)),), ls.Tail(1, P((1,), "so")))
+    with pytest.raises(ValueError, match="ambient 17 exceeds the oracle bound 16"):
+        ls.jordan_oracle(over)
     levi = ls.LeviDescriptor("sp", 6, (ls.GLBlock(3, P((1, 1, 1))),))
-    with pytest.raises(ValueError):
-        ls.jordan_oracle(levi)
-    monkeypatch.delenv("ORBITCERT_MAX_AMBIENT")
     assert ls.jordan_oracle(levi).parts == (2, 2, 2)
 
 
@@ -279,6 +294,12 @@ def test_centralizer_oracle_classical():
 def test_centralizer_oracle_rejects_invalid():
     with pytest.raises(ValueError):
         ls.centralizer_oracle(P((3, 1), "sp"))
+
+
+def test_centralizer_oracle_ambient_bound():
+    assert ls.centralizer_oracle(P((16,))) == 16
+    with pytest.raises(ValueError, match="ambient 17 exceeds the oracle bound 16"):
+        ls.centralizer_oracle(P((17,)))
 
 
 # dimension preservation ------------------------------------------------------

@@ -36,6 +36,12 @@ def test_build_rejects_bad_labels(bad):
         rs.build(bad)
 
 
+def test_build_interns_label_spellings():
+    """One model per (series, rank), whatever the spelling of the label."""
+    assert rs.build("e8") is rs.build("E8") is rs.build("E_8") is rs.build(" e 8 ")
+    assert rs.build("b3") is rs.build("B3") is not rs.build("C3")
+
+
 def test_rank_bound():
     for series in "ABCD":
         assert rs.parse_label(f"{series}{rs.MAX_RANK}") == (series, rs.MAX_RANK)
