@@ -72,21 +72,28 @@ def _emit(payload, fmt: str) -> None:
 
 
 def _emit_text(payload, indent: str = "") -> None:
+    """One scalar per line, nested containers indented; a container inside a
+    list opens with a line "-" of its own, and None prints as null."""
     if isinstance(payload, dict):
         for key, value in payload.items():
             if isinstance(value, (dict, list)):
                 print(f"{indent}{key}:")
                 _emit_text(value, indent + "  ")
             else:
-                print(f"{indent}{key}: {value}")
+                print(f"{indent}{key}: {_text_scalar(value)}")
     elif isinstance(payload, list):
         for value in payload:
             if isinstance(value, (dict, list)):
+                print(f"{indent}-")
                 _emit_text(value, indent + "  ")
             else:
-                print(f"{indent}{value}")
+                print(f"{indent}{_text_scalar(value)}")
     else:
-        print(f"{indent}{payload}")
+        print(f"{indent}{_text_scalar(payload)}")
+
+
+def _text_scalar(value) -> str:
+    return "null" if value is None else str(value)
 
 
 @cache

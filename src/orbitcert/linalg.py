@@ -9,19 +9,29 @@ _denominator = attrgetter("denominator")
 
 
 def row_basis(rows) -> list[list[int]]:
-    """An integer basis of the row space of a matrix (rows of ints/Fractions).
+    """An integer basis of the row space of a matrix (rows of ints/Fractions):
+    each row cleared of its denominators, then ``integer_row_basis``."""
+    cleared = []
+    for row in rows:
+        den = math.lcm(*map(_denominator, row))
+        cleared.append(list(map(int, row)) if den == 1 else [int(x * den) for x in row])
+    return integer_row_basis(cleared)
 
-    Fraction-free elimination: each row, cleared of its denominators, is
-    reduced against the rows kept so far at their pivot columns, touching
-    only their nonzero entries; a nonzero remainder is kept, divided by the
-    gcd of its entries with a positive pivot.  Every kept row is zero at the
-    pivots of the rows kept before it, so the kept rows are independent.
+
+def integer_row_basis(rows) -> list[list[int]]:
+    """An integer basis of the row space of a matrix of integer rows.
+
+    Fraction-free elimination: each row is reduced against the rows kept so
+    far at their pivot columns, touching only their nonzero entries; a
+    nonzero remainder is kept, divided by the gcd of its entries with a
+    positive pivot.  Every kept row is zero at the pivots of the rows kept
+    before it, so the kept rows are independent.  The input rows are copied,
+    never modified.
     """
     kept: list[tuple[int, int, list[tuple[int, int]]]] = []  # (pivot, entry, nonzeros)
     basis = []
     for row in rows:
-        den = math.lcm(*map(_denominator, row))
-        vec = list(map(int, row)) if den == 1 else [int(x * den) for x in row]
+        vec = list(row)
         for piv, p, nonzeros in kept:
             a = vec[piv]
             if a:

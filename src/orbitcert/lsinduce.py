@@ -14,7 +14,9 @@ gl_k x X_m sits block-diagonally with a mirrored gl block.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import linalg
 from .orbits import Partition, dim_z_partition, parity_valid, transpose
@@ -151,7 +153,8 @@ def collapse(parts, kind: str) -> Partition:
     Greedy: repeatedly take the largest bad-parity part q with odd
     multiplicity, decrement its last occurrence and push the unit onto the
     first later part that can absorb it.  Matches the brute-force dominance
-    search (tested exhaustively for small totals).
+    search (tested exhaustively for small totals).  No part moves by more
+    than 1 (tested), which ``is_rigid`` relies on.
     """
     if kind not in ("so", "sp"):
         raise ValueError("collapse applies to so/sp only")
@@ -164,19 +167,28 @@ def collapse(parts, kind: str) -> Partition:
     bad = 1 if kind == "sp" else 0
     if kind == "sp" and sum(work) % 2:
         raise ValueError(f"no sp-valid partition of odd total {sum(work)}")
-    while True:
-        viol = [q for q in set(work) if q % 2 == bad and work.count(q) % 2 == 1]
-        if not viol:
-            break
-        q = max(viol)
-        i = len(work) - 1 - work[::-1].index(q)
-        work[i] -= 1
-        for j in range(i + 1, len(work)):
-            if work[j] < q - 1:
-                work[j] += 1
-                break
+    # one pass down the runs of equal parts, whose lengths are the
+    # multiplicities: a step changes only parts below its q, so the run at
+    # `start` is never below the largest part still to fix
+    start = 0
+    while start < len(work):
+        q, end = work[start], start + 1
+        while end < len(work) and work[end] == q:
+            end += 1
+        if q % 2 != bad or (end - start) % 2 == 0:
+            start = end
+            continue
+        # the last q becomes q - 1 and the first part below q - 1 takes the
+        # unit; q > 1, as a lone sp part 1 would make the total odd
+        work[end - 1] = q - 1
+        j = end
+        while j < len(work) and work[j] == q - 1:
+            j += 1
+        if j < len(work):
+            work[j] += 1
         else:
             work.append(1)
+        start = end - 1
     result = Partition(tuple(work), kind)
     if not (parity_valid(result) and dominates(parts, result.parts)):
         raise RuntimeError(f"collapse of {parts} gave {result.parts}, which is not a valid "
@@ -217,15 +229,15 @@ def _zero(n: int) -> list[list[int]]:
 def jordan_type(mat) -> tuple[int, ...]:
     """Jordan partition of a nilpotent matrix N from the ranks of its powers.
 
-    The ranks come from an image chain: an integer row basis of N^k times N
-    spans the row space of N^(k+1), so no power is formed.  The chain ends
-    when the basis is empty; a rank that stops falling before that means N
-    is not nilpotent.
+    N has integer entries.  The ranks come from an image chain: an integer
+    row basis of N^k times N spans the row space of N^(k+1), so no power is
+    formed.  The chain ends when the basis is empty; a rank that stops
+    falling before that means N is not nilpotent.
     """
     n = len(mat)
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
     ranks = [n]
-    basis = linalg.row_basis(mat)
+    basis = linalg.integer_row_basis(mat)
     while basis:
         if len(basis) >= ranks[-1]:
             raise ValueError("matrix is not nilpotent")
@@ -238,7 +250,7 @@ def jordan_type(mat) -> tuple[int, ...]:
                     for j, y in nonzeros:
                         image[j] += x * y
             images.append(image)
-        basis = linalg.row_basis(images)
+        basis = linalg.integer_row_basis(images)
     ranks.append(0)
     drops = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
     return transpose(Partition(drops)).parts
@@ -394,7 +406,8 @@ def centralizer_oracle(p: Partition) -> int:
     Independent oracle for dim_z_partition: realizes e exactly (gl: Jordan
     blocks; so/sp: sampled in the degree-2 space), brackets it with each
     sparse basis element and reads [e, X] at the canonical positions, then
-    takes the kernel by exact linear algebra.
+    takes the kernel by exact linear algebra.  e has degree 2 for the sl2
+    weights, so rank(ad e) is the sum of the ranks of g_k -> g_(k+2).
     """
     if not parity_valid(p):
         raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
@@ -404,18 +417,35 @@ def centralizer_oracle(p: Partition) -> int:
     basis = _algebra_basis(p.kind, n)
     if p.kind == "gl":
         e = _jordan_blocks(p.parts, basis, n)
+        weights = [w for part in p.parts for w in range(part - 1, -part, -2)]
     else:
         e = _nilpotent_in_classical(p.kind, n, p.parts, random.Random(0))
-    positions = [element[0][:2] for element in basis]
-    columns = []
-    for element in basis:
-        bracket = _zero(n)  # eX - Xe
-        for r, c, x in element:
-            for i in range(n):
-                bracket[i][c] += e[i][r] * x
-                bracket[r][i] -= x * e[c][i]
-        columns.append([bracket[i][j] for i, j in positions])
-    return len(basis) - linalg.rank(columns)
+        weights = _sl2_weights(p.parts)
+    e_rows = [[(j, x) for j, x in enumerate(row) if x] for row in e]
+    e_cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*e)]
+    if any(weights[i] - weights[j] != 2 for i, row in enumerate(e_rows) for j, _ in row):
+        raise RuntimeError(f"e of type {p.parts} is not homogeneous of degree 2")
+    degree = [weights[element[0][0]] - weights[element[0][1]] for element in basis]
+    slot = [[None] * n for _ in range(n)]  # canonical position -> (degree, index in it)
+    sizes = Counter()
+    for element, k in zip(basis, degree):
+        i, j = element[0][:2]
+        slot[i][j] = (k, sizes[k])
+        sizes[k] += 1
+    blocks: dict[int, list[list[int]]] = {}  # degree k -> the rows of g_k -> g_(k+2)
+    for element, k in zip(basis, degree):
+        image = [0] * sizes[k + 2]
+        terms = [(i, c, y * x) for r, c, x in element for i, y in e_cols[r]]  # eX
+        terms += [(r, j, -x * y) for r, c, x in element for j, y in e_rows[c]]  # -Xe
+        for i, j, x in terms:
+            if slot[i][j] is not None:
+                target, index = slot[i][j]
+                if target != k + 2:
+                    raise RuntimeError(f"[e, X] for X of degree {k} has a term of "
+                                       f"degree {target}")
+                image[index] += x
+        blocks.setdefault(k, []).append(image)
+    return len(basis) - sum(linalg.rank(rows) for rows in blocks.values())
 
 
 def partitions_of(n: int):
@@ -466,7 +496,9 @@ def is_rigid(p: Partition) -> tuple[bool, LeviDescriptor | None]:
     (False, witness).  One gl block of size k suffices, next to the rest of
     the ambient (gl: a second block of n - k; so/sp: the tail of n - 2k):
     componentwise sums of partitions of the block sizes are partitions of
-    the total, so finer splits reach nothing more.
+    the total, so finer splits reach nothing more.  Given the block orbit d,
+    the gl second block can only be p - d, and a so/sp tail c is tried only
+    if c + 2d is within 1 of p at every index (collapse moves no part more).
     """
     n = p.total
     if n > MAX_RIGID_AMBIENT:
@@ -476,13 +508,25 @@ def is_rigid(p: Partition) -> tuple[bool, LeviDescriptor | None]:
     if p.kind == "so" and n <= 2:
         # so_2 is abelian (gl_1 in it is the whole algebra): no proper Levi
         return True, None
+    gl = p.kind == "gl"
     for k in range(1, n // 2 + 1):
-        rest = n - k if p.kind == "gl" else n - 2 * k
-        rests = list(valid_partitions(rest, p.kind))
+        rest = n - k if gl else n - 2 * k
+        rests = [] if gl else list(partitions_of(rest))
         for d in partitions_of(k):
-            block = GLBlock(k, Partition(d, "gl"))
-            for c in rests:
-                levi = (LeviDescriptor("gl", n, (block, GLBlock(rest, c))) if p.kind == "gl"
+            if gl:
+                c = tuple(x - y for x, y in zip_longest(p.parts, d, fillvalue=0))
+                cands = [c] if all(x >= y >= 0 for x, y in zip(c, c[1:] + (0,))) else []
+            else:
+                doubled = tuple(2 * x for x in d)
+                cands = [c for c in rests if all(
+                    abs(x - y) <= 1 for x, y in zip_longest(
+                        _componentwise_sum(c, doubled), p.parts, fillvalue=0))]
+            for parts in cands:
+                c = Partition(parts, p.kind)
+                if not parity_valid(c):
+                    continue
+                block = GLBlock(k, Partition(d, "gl"))
+                levi = (LeviDescriptor("gl", n, (block, GLBlock(rest, c))) if gl
                         else LeviDescriptor(p.kind, n, (block,), Tail(rest, c) if rest else None))
                 if induce(levi).parts == p.parts:
                     return False, levi

@@ -1,17 +1,25 @@
 """Reference induction-layer routines: the two-loop rigidity search, the
-gl Jordan-block builder, the per-part parity check and the column-count
-transpose.
+gl Jordan-block builder, the per-part parity check, the column-count
+transpose, the rescanning collapse and the dense centralizer oracle.
 
 These are ``lsinduce.is_rigid`` (with the ``partitions_of`` and
 ``valid_partitions`` it walked), ``lsinduce._jordan_block_matrix``,
-``orbits.parity_valid`` and ``orbits.transpose`` as they were written before
-one search loop, ``lsinduce._jordan_blocks``, the pairwise parity check and
-the run-built transpose replaced them.  The one edit is in ``parity_valid``:
+``orbits.parity_valid``, ``orbits.transpose``, ``lsinduce.collapse`` and
+``lsinduce.centralizer_oracle`` as they were written before one search
+loop, ``lsinduce._jordan_blocks``, the pairwise parity check, the run-built
+transpose, the one-pass collapse and the degree-graded
+centralizer rank replaced them.  The one edit is in ``parity_valid``:
 ``p.parts.count(q)`` stands for the ``Partition.multiplicity(q)`` it called,
-which was that expression and has no other caller.  The differential tests
-compare the engine against these; nothing in ``src/`` imports this module.
+which was that expression and has no other caller; the moved functions
+call this module's ``parity_valid``.  The differential tests compare the
+engine against these; nothing in ``src/`` imports this module.
 """
-from orbitcert.lsinduce import GLBlock, LeviDescriptor, Tail, induce
+import random
+
+from orbitcert import linalg
+from orbitcert.lsinduce import (MAX_ORACLE_AMBIENT, GLBlock, LeviDescriptor, Tail,
+                                _algebra_basis, _jordan_blocks, _nilpotent_in_classical,
+                                dominates, induce)
 from orbitcert.orbits import Partition
 
 DEFAULT_RIGID_AMBIENT = 14
@@ -108,3 +116,72 @@ def is_rigid(p: Partition, max_ambient: int = DEFAULT_RIGID_AMBIENT
                 if induce(levi).parts == p.parts:
                     return False, levi
     return True, None
+
+
+def collapse(parts, kind: str) -> Partition:
+    """Dominance-greatest parity-valid partition dominated by the input.
+
+    Greedy: repeatedly take the largest bad-parity part q with odd
+    multiplicity, decrement its last occurrence and push the unit onto the
+    first later part that can absorb it.  Matches the brute-force dominance
+    search (tested exhaustively for small totals).
+    """
+    if kind not in ("so", "sp"):
+        raise ValueError("collapse applies to so/sp only")
+    parts = tuple(int(p) for p in parts)
+    if any(p < 0 for p in parts):
+        raise ValueError("parts must be non-negative")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError("parts must be weakly decreasing")
+    work = [p for p in parts if p]
+    bad = 1 if kind == "sp" else 0
+    if kind == "sp" and sum(work) % 2:
+        raise ValueError(f"no sp-valid partition of odd total {sum(work)}")
+    while True:
+        viol = [q for q in set(work) if q % 2 == bad and work.count(q) % 2 == 1]
+        if not viol:
+            break
+        q = max(viol)
+        i = len(work) - 1 - work[::-1].index(q)
+        work[i] -= 1
+        for j in range(i + 1, len(work)):
+            if work[j] < q - 1:
+                work[j] += 1
+                break
+        else:
+            work.append(1)
+    result = Partition(tuple(work), kind)
+    if not (parity_valid(result) and dominates(parts, result.parts)):
+        raise RuntimeError(f"collapse of {parts} gave {result.parts}, which is not a valid "
+                           f"{kind} partition dominated by the input")
+    return result
+
+
+def centralizer_oracle(p: Partition) -> int:
+    """dim ker(ad e) on the matrix algebra, for e of Jordan type p.
+
+    Independent oracle for dim_z_partition: realizes e exactly (gl: Jordan
+    blocks; so/sp: sampled in the degree-2 space), brackets it with each
+    sparse basis element and reads [e, X] at the canonical positions, then
+    takes the kernel by exact linear algebra.
+    """
+    if not parity_valid(p):
+        raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
+    n = p.total
+    if n > MAX_ORACLE_AMBIENT:
+        raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
+    basis = _algebra_basis(p.kind, n)
+    if p.kind == "gl":
+        e = _jordan_blocks(p.parts, basis, n)
+    else:
+        e = _nilpotent_in_classical(p.kind, n, p.parts, random.Random(0))
+    positions = [element[0][:2] for element in basis]
+    columns = []
+    for element in basis:
+        bracket = _zero(n)  # eX - Xe
+        for r, c, x in element:
+            for i in range(n):
+                bracket[i][c] += e[i][r] * x
+                bracket[r][i] -= x * e[c][i]
+        columns.append([bracket[i][j] for i, j in positions])
+    return len(basis) - linalg.rank(columns)

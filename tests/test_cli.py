@@ -135,6 +135,19 @@ def test_certify_text_output_nests(capsys):
                                    "  0", "  1/2", "  -1/2", "  -9/2"]
 
 
+def test_text_output_delimits_nested_lists_and_prints_null(capsys):
+    code, out, _ = run(capsys, "--output", "text", "integral", "--type", "G2",
+                       "--lambda-prime", "1/2,0,-1/2")
+    assert code == 0
+    assert out.splitlines() == ["integral_type: A1+A1", "simple_roots:",
+                                "  -", "    -1", "    0", "    1",
+                                "  -", "    1", "    -2", "    1",
+                                "count: 4", "cor68: null"]
+    code, out, _ = run(capsys, "--output", "text", "rigid", "--type", "sp", "--partition", "4,2")
+    assert out.splitlines()[:7] == ["rigid: False", "witness:", "  type: sp", "  ambient: 6",
+                                    "  gl_blocks:", "    -", "      k: 1"]
+
+
 def test_certify_levi_numeric_names(capsys):
     code, out, _ = run(capsys, "certify", "--type", "E8",
                        "--levi", "1,2,3,4,5,7", "--h", H,
@@ -390,6 +403,7 @@ PARTITIONS = st.one_of(st.lists(st.integers(-2, 9) | st.integers(10**6, 10**12),
                                 max_size=6).map(
     lambda parts: ",".join(map(str, parts))), st.sampled_from(["", "x", "3,,1", "2.0", ","]))
 SMALL_INTS = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(["x", "", "1.5"]))
+SIZES = st.one_of(SMALL_INTS, st.integers(10**6, 10**12).map(str))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 8) | st.sampled_from(["", "gl", "so", "sp"]),
     lambda children: st.lists(children, max_size=3) | st.dictionaries(
@@ -399,13 +413,43 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
+def large_descriptors(draw):
+    """A descriptor with up to 300 distinct parts per orbit, each up to 10**12,
+    whose sizes are consistent or off by a drawn amount."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["gl", "so", "sp"]))
+
+    def parts():
+        top = rng.choice([9, 10**6, 10**12])
+        return sorted(rng.sample(range(1, top + 1), rng.randint(1, min(top, 300))),
+                      reverse=True)
+
+    blocks = [{"k": sum(d), "d": d} for d in (parts() for _ in range(rng.randint(1, 2)))]
+    out = {"type": kind, "gl_blocks": blocks}
+    k = sum(b["k"] for b in blocks)
+    if kind == "gl":
+        out["ambient"] = k
+    else:
+        c = parts()
+        if kind == "sp" and sum(c) % 2:
+            c.append(1)
+        c = list(ls.collapse(c, kind).parts)
+        out["tail"] = {"m": sum(c), "c": c}
+        out["ambient"] = 2 * k + sum(c)
+    out["ambient"] += draw(st.sampled_from([0, 0, 0, 1, -2]))
+    return out
+
+
+@st.composite
 def descriptors(draw):
     """Descriptor JSON: valid random Levis, known malformed shapes and noise."""
-    choice = draw(st.integers(0, 2))
+    choice = draw(st.integers(0, 3))
     if choice == 0:
         rng = random.Random(draw(st.integers(0, 2**16)))
         levi = ls.random_descriptor(rng, draw(st.sampled_from(["gl", "so", "sp"])), 8)
         return json.dumps(levi.to_json_dict())
+    if choice == 3:
+        return json.dumps(draw(large_descriptors()))
     if choice == 1:
         return draw(st.sampled_from(['{"gl_blocks":5}', "[1]", "{", "", "null",
                                      '{"gl_blocks":[{"k":2}]}', '{"tail":{"m":2,"c":"x"}}']))
@@ -423,6 +467,8 @@ WELL_FORMED = {
     "dimz": [["--type", "sp", "--partition", "2,2"], ["--type", "gl", "--partition", "3,1"]],
     "tables": [["--table", "rigid", "--algebra", "E8", "--label", "A5+A1"],
                ["--table", "duality"]],
+    "rigid": [["--type", "sp", "--partition", "4,4,2,2"], ["--type", "so", "--partition", "3,3,1"],
+              ["--type", "gl", "--partition", "3,2,2", "--ambient", "7"]],
     "oracle": [["--type", "sp", "--ambient", "8", "--levi",
                 '{"gl_blocks":[{"k":2,"d":[2]}],"tail":{"m":4,"c":[1,1,1,1]}}',
                 "--seed", "5", "--trials", "4"]],
@@ -438,8 +484,8 @@ def argvs(draw):
         return [name, draw(values)] if keep else []
 
     kinds = st.sampled_from(["gl", "so", "sp", "E8"])
-    command = draw(st.sampled_from(["info", "pairing", "delta-prime", "induce", "dimz",
-                                    "tables", "oracle"]))
+    command = draw(st.sampled_from(["info", "pairing", "delta-prime", "induce", "rigid",
+                                    "dimz", "tables", "oracle"]))
     if draw(st.booleans()):
         args = list(draw(st.sampled_from(WELL_FORMED[command])))
     elif command == "info":
@@ -449,8 +495,11 @@ def argvs(draw):
     elif command == "delta-prime":
         args = flag("--type", TYPES) + flag("--h", WEIGHTS)
     elif command in ("induce", "oracle"):
-        args = (flag("--type", kinds) + flag("--ambient", SMALL_INTS, required=False)
+        args = (flag("--type", kinds) + flag("--ambient", SIZES, required=False)
                 + flag("--levi", descriptors()))
+    elif command == "rigid":
+        args = (flag("--type", kinds) + flag("--partition", PARTITIONS)
+                + flag("--ambient", SIZES, required=False))
     elif command == "dimz":
         args = flag("--type", kinds) + flag("--partition", PARTITIONS)
     elif command == "tables":

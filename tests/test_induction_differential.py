@@ -1,7 +1,9 @@
-"""Differential test: the one-loop rigidity search, the basis-driven Jordan
-blocks, the pairwise parity check and the run-built transpose against the
-code they replaced (tests/induction_reference.py)."""
+"""Differential test: the one-loop pruned rigidity search, the basis-driven
+Jordan blocks, the pairwise parity check, the run-built transpose, the
+one-pass collapse and the degree-graded centralizer oracle against the code
+they replaced (tests/induction_reference.py)."""
 import inspect
+from itertools import zip_longest
 
 import pytest
 
@@ -24,11 +26,11 @@ def test_partitions_of_matches_reference():
 
 
 def test_is_rigid_matches_two_loop_search():
-    """Verdict and witness on every valid gl/so/sp partition up to total 12."""
+    """Verdict and witness on every valid gl/so/sp partition up to the bound."""
     assert list(inspect.signature(ls.is_rigid).parameters) == ["p"]
     seen = {"rigid": 0, "induced": 0}
     for kind in KINDS:
-        for parts in all_partitions(12):
+        for parts in all_partitions(ls.MAX_RIGID_AMBIENT):
             p = Partition(parts, kind)
             if not ref.parity_valid(p):
                 continue
@@ -87,3 +89,54 @@ def test_transpose_matches_column_counts():
 def test_transpose_of_a_huge_part():
     p = Partition((10**6, 3, 1))
     assert ob.transpose(p) == ref.transpose(p)
+
+
+@pytest.mark.parametrize("kind", ["so", "sp"])
+def test_collapse_matches_rescanning_greedy(kind):
+    """Every partition up to total 20; odd sp totals are rejected by both."""
+    for parts in all_partitions(20):
+        if kind == "sp" and sum(parts) % 2:
+            for collapse in (ls.collapse, ref.collapse):
+                with pytest.raises(ValueError, match="odd total"):
+                    collapse(parts, kind)
+            continue
+        assert ls.collapse(parts, kind) == ref.collapse(parts, kind), parts
+
+
+def staircase_collapse(n):
+    """collapse of 2 * (n, ..., 1) in so: each pair of even parts 2q, 2q - 2
+    meets at 2q - 1, and a last lone 2 becomes 1, 1."""
+    return tuple(q for q in range(2 * n - 1, 0, -4) for _ in range(2))
+
+
+def test_collapse_of_many_distinct_parts():
+    """The gl_k orbit (n, ..., 1) induced to so_2k: n distinct parts to collapse.
+    The closed form is checked against the rescanning greedy for n <= 60 (the
+    greedy takes seconds from n = 800 on), the engine at n = 1600."""
+    for n in range(1, 61):
+        doubled = tuple(2 * q for q in range(n, 0, -1))
+        assert ref.collapse(doubled, "so").parts == staircase_collapse(n), n
+    n = 1600
+    levi = ls.LeviDescriptor.from_json_dict(
+        {"gl_blocks": [{"k": n * (n + 1) // 2, "d": list(range(n, 0, -1))}]}, "so", n * (n + 1))
+    assert ls.induce(levi).parts == staircase_collapse(n)
+
+
+@pytest.mark.parametrize("kind", ["so", "sp"])
+def test_collapse_moves_no_part_by_more_than_one(kind):
+    """The lemma the rigidity search prunes with: |x_i - collapse(x)_i| <= 1 at
+    every index (zero-padded), for every partition x up to the rigidity bound."""
+    for parts in all_partitions(ls.MAX_RIGID_AMBIENT):
+        if kind == "sp" and sum(parts) % 2:
+            continue
+        collapsed = ls.collapse(parts, kind).parts
+        assert all(abs(x - y) <= 1 for x, y in zip_longest(parts, collapsed, fillvalue=0)), parts
+
+
+def test_graded_centralizer_oracle_matches_dense_one():
+    """Every valid gl/so/sp partition up to total 10."""
+    for kind in KINDS:
+        for parts in all_partitions(10):
+            p = Partition(parts, kind)
+            if ref.parity_valid(p):
+                assert ls.centralizer_oracle(p) == ref.centralizer_oracle(p), p

@@ -405,6 +405,36 @@ def test_gl_nonzero_orbits_all_induced():
                 assert ls.induce(witness).parts == parts
 
 
+def rigid_by_criterion(p):
+    """Collingwood-McGovern, Nilpotent Orbits in Semisimple Lie Algebras
+    (1993), 7.3: in gl only the zero orbit is rigid; in so/sp, p is rigid
+    exactly when no two consecutive parts (with a trailing 0) differ by more
+    than 1 and no part of the free parity (odd in so, even in sp) occurs
+    exactly twice."""
+    if p.kind == "gl":
+        return set(p.parts) <= {1}
+    free = 1 if p.kind == "so" else 0
+    gaps_ok = all(a - b <= 1 for a, b in zip(p.parts, p.parts[1:] + (0,)))
+    return gaps_ok and all(p.parts.count(q) != 2 for q in set(p.parts) if q % 2 == free)
+
+
+def test_is_rigid_matches_the_closed_form_criterion():
+    """The search against the criterion on every valid partition of 1..14.
+    One exception: the zero orbit (1, 1) of so_2, which the criterion calls
+    induced (from gl_1, the whole of the abelian so_2) and is_rigid calls
+    rigid, as it admits no proper Levi."""
+    checked = {True: 0, False: 0}
+    for kind in ("gl", "so", "sp"):
+        for n in range(1, ls.MAX_RIGID_AMBIENT + 1):
+            for p in ls.valid_partitions(n, kind):
+                rigid, witness = ls.is_rigid(p)
+                expected = rigid_by_criterion(p) or (kind, p.parts) == ("so", (1, 1))
+                assert rigid == expected, p
+                assert rigid == (witness is None), p
+                checked[rigid] += 1
+    assert sum(checked.values()) == 852 and checked[True] and checked[False]
+
+
 # misc ------------------------------------------------------------------------
 
 def test_very_even_flag():

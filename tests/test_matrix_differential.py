@@ -112,8 +112,16 @@ def rectangular(draw):
 @settings(max_examples=200, deadline=None)
 @given(rectangular())
 def test_rank_and_row_basis_match_bareiss(rows):
+    before = [list(row) for row in rows]
     basis = linalg.row_basis(rows)
+    assert rows == before  # the caller's rows are not modified
     assert linalg.rank(rows) == len(basis) == ref.rank(rows)
+    # the integer echelon on the rows cleared of denominators: the same basis
+    cleared = [[int(x * math.lcm(*(Fr(y).denominator for y in row))) for x in row]
+               for row in rows]
+    before = [list(row) for row in cleared]
+    assert linalg.integer_row_basis(cleared) == basis
+    assert cleared == before
     for row in basis:  # primitive integer rows with a positive pivot
         assert len(row) == len(rows[0]) and all(type(x) is int for x in row)
         assert math.gcd(*row) == 1 and next(x for x in row if x) > 0
