@@ -11,7 +11,8 @@ def sweep(label):
     subsets = pairs = 0
     start = time.monotonic()
     for pi0, key, ok in congruence_sweep(rs.build(label)):
-        assert ok, (label, pi0, key)
+        if not ok:
+            raise SystemExit(f"{label}: congruence fails at Pi_0 = {pi0}, pair {key}")
         if key is None:
             subsets += 1
         else:

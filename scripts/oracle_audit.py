@@ -21,9 +21,12 @@ def main():
             levi = ls.random_descriptor(rng, kind, max_ambient=10)
             combinatorial = ls.induce(levi)
             matrix = ls.jordan_oracle(levi, seed=seed + i, trials=4)
-            assert combinatorial == matrix, (levi.to_json_dict(),
-                                             combinatorial.parts, matrix.parts)
-            assert dim_z_partition(combinatorial) == ls.induced_dim_z(levi)
+            if combinatorial != matrix:
+                raise SystemExit(f"{levi.to_json_dict()}: induce gives {combinatorial.parts}, "
+                                 f"the Jordan oracle {matrix.parts}")
+            if dim_z_partition(combinatorial) != ls.induced_dim_z(levi):
+                raise SystemExit(f"{levi.to_json_dict()}: dim z of {combinatorial.parts} "
+                                 f"is not the induced dimension {ls.induced_dim_z(levi)}")
         print(f"{kind}: {count} descriptors agree with both oracles")
     print(f"done in {time.monotonic() - start:.1f}s")
 

@@ -263,13 +263,11 @@ class CertificateReport:
             out = {"status": res.status}
             if res.detail:
                 out["detail"] = res.detail
+            # a witness is a Weight or a tuple of ints or Fractions
             if isinstance(res.witness, Weight):
                 out["witness"] = res.witness.to_strings()
-            elif isinstance(res.witness, tuple) and res.witness and all(
-                    isinstance(x, (int, Fraction)) for x in res.witness):
-                out["witness"] = [str(x) for x in res.witness]
             elif res.witness is not None:
-                out["witness"] = str(res.witness)
+                out["witness"] = [str(x) for x in res.witness]
             return out
         return {
             "overall": self.overall,

@@ -41,8 +41,6 @@ def _parse_rational(token: str) -> Fraction:
 def _parse_weight(model: rs.RootSystemModel, text: str, root_coords: bool) -> rs.Weight:
     entries = [_parse_rational(part) for part in text.split(",")]
     if root_coords:
-        if len(entries) != model.rank:
-            raise ValueError(f"expected {model.rank} simple-root coefficients")
         return rs.combine(model, entries)
     return rs.canonicalize(model, entries)
 
@@ -93,6 +91,8 @@ def _emit_text(payload, indent: str = "") -> None:
 
 
 def _text_scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return "null" if value is None else str(value)
 
 

@@ -63,11 +63,6 @@ class AntidominantResult:
     minimal: bool           # certified minimal (mu regular on the subsystem)
 
 
-def _subsystem_positive(simple_system) -> list[Weight]:
-    roots, _ = rootsys._enumerate_positive(list(simple_system))
-    return roots
-
-
 def antidominant_rep(model: RootSystemModel, simple_system, mu: Weight
                      ) -> AntidominantResult:
     """Greedy reflection descent to the antidominant representative.
@@ -77,11 +72,11 @@ def antidominant_rep(model: RootSystemModel, simple_system, mu: Weight
     <nu, alpha^vee> <= 0 on the whole simple system.  The word is minimal
     when mu is regular on the subsystem (length = inversion count); for
     singular mu it is a valid but possibly non-minimal representative,
-    flagged via ``minimal=False``.
+    flagged via ``minimal=False``.  W permutes the roots, so mu is regular
+    exactly when the antidominant nu is strictly negative on every simple
+    root (Humphreys, Introduction to Lie Algebras, 10.3).
     """
     simples = list(simple_system)
-    sub_pos = _subsystem_positive(simples) if simples else []
-    regular = all(sum(map(mul, mu.nums, g.nums)) for g in sub_pos)
     cur = mu
     word: list[int] = []
     while True:
@@ -92,6 +87,7 @@ def antidominant_rep(model: RootSystemModel, simple_system, mu: Weight
             break
         cur = rootsys.reflect(cur, simples[idx])
         word.append(idx)
+    regular = all(sum(map(mul, cur.nums, a.nums)) < 0 for a in simples)
     return AntidominantResult(tuple(word), cur, regular)
 
 

@@ -87,9 +87,13 @@ class LeviDescriptor:
     @classmethod
     def from_json_dict(cls, data: dict, kind: str | None = None,
                        ambient: int | None = None) -> "LeviDescriptor":
-        """Read a descriptor, raising ValueError on any malformed shape."""
+        """Read a descriptor, raising ValueError on any malformed shape or
+        when its "type" or "ambient" disagrees with the given kind or ambient."""
         if not isinstance(data, dict):
             raise ValueError("descriptor must be a JSON object")
+        for key, given in (("type", kind), ("ambient", ambient)):
+            if given is not None and data.get(key, given) != given:
+                raise ValueError(f"descriptor {key} {data[key]!r} disagrees with {given!r}")
         kind = data.get("type", kind)
         ambient = data.get("ambient", ambient)
         if kind is None or ambient is None:

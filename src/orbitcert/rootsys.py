@@ -45,17 +45,16 @@ class Weight:
     Held as integer numerators ``nums`` over one positive denominator
     ``den``, in lowest terms, so that equality, hashing and arithmetic are
     integer operations.  ``coords`` is the same vector as a tuple of
-    Fractions, built on first use, for I/O.  Immutable.
+    Fractions, built on each call, for I/O.  Immutable.
     """
 
-    __slots__ = ("nums", "den", "_coords", "_hash")
+    __slots__ = ("nums", "den")
 
     def __init__(self, coords):
         fracs = tuple(Fraction(c) for c in coords)
         den = math.lcm(*(c.denominator for c in fracs))
         _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in fracs))
         _set(self, "den", den)
-        _set(self, "_coords", fracs)
 
     @staticmethod
     def from_ints(nums, den: int = 1) -> "Weight":
@@ -67,12 +66,7 @@ class Weight:
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        try:
-            return self._coords
-        except AttributeError:
-            den = self.den
-            _set(self, "_coords", tuple(Fraction(x, den) for x in self.nums))
-            return self._coords
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Weight is immutable: cannot assign {name!r}")
@@ -114,11 +108,7 @@ class Weight:
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            _set(self, "_hash", hash((self.nums, self.den)))
-            return self._hash
+        return hash((self.nums, self.den))
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -138,7 +128,7 @@ class Weight:
 
     @classmethod
     def from_strings(cls, items) -> "Weight":
-        return cls(tuple(Fraction(s) for s in items))
+        return cls(items)
 
     def __reduce__(self):
         return _weight, (self.nums, self.den)
@@ -159,9 +149,8 @@ def _weight(nums: tuple[int, ...], den: int) -> Weight:
     return w
 
 
-def weight(coords) -> Weight:
-    """Coerce a sequence of ints/Fractions/strings into a Weight."""
-    return Weight(coords)
+# Coerce a sequence of ints/Fractions/strings into a Weight.
+weight = Weight
 
 
 # The largest rank a label may ask for: D32 builds in 0.4 s but A120 takes 17 s
@@ -234,12 +223,9 @@ class RootSystemModel:
         return self.positive_roots + tuple(-b for b in self.positive_roots)
 
     @cached_property
-    def _pos_index(self) -> dict[Weight, int]:
-        return {beta: k for k, beta in enumerate(self.positive_roots)}
-
-    @cached_property
-    def _root_set(self) -> frozenset[Weight]:
-        return frozenset(self.roots)
+    def _root_index(self) -> dict[Weight, int]:
+        """Position in ``roots``: below len(positive_roots) exactly for positive roots."""
+        return {beta: k for k, beta in enumerate(self.roots)}
 
     @cached_property
     def _basis(self) -> tuple[list[list[int]], list[tuple[int, ...]], int]:
@@ -319,20 +305,10 @@ class RootSystemModel:
         return u.dot(v)
 
     def is_root(self, v: Weight) -> bool:
-        return v in self._root_set
+        return v in self._root_index
 
     def is_positive_root(self, v: Weight) -> bool:
-        return v in self._pos_index
-
-    def coefficients(self, root: Weight) -> tuple[int, ...]:
-        """Integer coordinates of a root in the simple-root basis."""
-        k = self._pos_index.get(root)
-        if k is not None:
-            return self.pos_coefficients[k]
-        k = self._pos_index.get(-root)
-        if k is not None:
-            return tuple(-c for c in self.pos_coefficients[k])
-        raise ValueError(f"{root} is not a root of {self.cartan_type}")
+        return self._root_index.get(v, len(self.roots)) < len(self.positive_roots)
 
     def coroot(self, root: Weight) -> Weight:
         """The coroot 2a/(a,a) as a weight vector via the invariant form."""
@@ -349,10 +325,13 @@ def canonicalize(model: RootSystemModel, raw_coords) -> Weight:
     models it is the identity.  Idempotent either way.
     """
     w = raw_coords if isinstance(raw_coords, Weight) else Weight(raw_coords)
-    if len(w.nums) != model.ambient_dim:
-        raise ValueError(
-            f"expected {model.ambient_dim} coordinates, got {len(w.nums)}")
+    _check_length(model, w)
     return _sum_zero(w) if model.sum_zero else w
+
+
+def _check_length(model: RootSystemModel, w: Weight) -> None:
+    if len(w.nums) != model.ambient_dim:
+        raise ValueError(f"expected {model.ambient_dim} coordinates, got {len(w.nums)}")
 
 
 def _sum_zero(w: Weight) -> Weight:
@@ -415,6 +394,7 @@ def _cartan_of(gram) -> tuple[tuple[int, ...], ...]:
 
 def simple_pairings(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
     """(nums, den) with (a_i, w) = nums[i] / den on each simple root."""
+    _check_length(model, w)
     nums = w.nums
     rows, _, basis_den = model._basis
     return [sum(map(mul, row, nums)) for row in rows], w.den * basis_den
@@ -445,7 +425,7 @@ def h_values(model: RootSystemModel, h: Weight, roots=None,
     if all(x % den == 0 for x in nums):
         return [x // den for x in nums]
     for beta in (model.positive_roots if roots is None else roots):
-        ev = Fraction(sum(map(mul, model.coefficients(beta), nums)), den)
+        ev = beta.dot(h)
         if ev.denominator != 1:
             suffix = f": <a,h> = {ev}" if show_value else ""
             raise ValueError(f"h is not integral on root {beta}{suffix}")
@@ -462,6 +442,7 @@ def root_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
 
 def in_root_span(model: RootSystemModel, w: Weight) -> bool:
     """Whether w lies in the rational span of the simple roots."""
+    _check_length(model, w)
     nums = w.nums
     return all(sum(map(mul, v, nums)) == 0 for v in model._complement_rows)
 
@@ -469,6 +450,8 @@ def in_root_span(model: RootSystemModel, w: Weight) -> bool:
 def combine(model: RootSystemModel, coeffs, den: int = 1) -> Weight:
     """The epsilon vector sum_i (coeffs[i] / den) a_i; coeffs are ints or
     exact rationals."""
+    if len(coeffs) != model.rank:
+        raise ValueError(f"expected {model.rank} simple-root coefficients")
     if not all(isinstance(c, int) for c in coeffs):
         rational = Weight(coeffs)
         coeffs, den = rational.nums, den * rational.den
@@ -689,13 +672,11 @@ def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
     the output fails to regenerate it.
     """
     roots = list(roots)
+    index, npos = model._root_index, len(model.positive_roots)
     for v in roots:
-        if not model.is_root(v):
+        if v not in index:
             raise ValueError(f"{v} is not a root of {model.cartan_type}")
-    rset = set(roots)
-    npos = len(model.positive_roots)
-    chosen = [k for k, beta in enumerate(model.positive_roots)
-              if beta in rset or model.roots[npos + k] in rset]
+    chosen = sorted({index[v] % npos for v in roots})
     codes = pack(model.pos_coefficients[k] for k in chosen)
     simples = [model.positive_roots[k] for k, simple in zip(chosen, indecomposables(codes))
                if simple]

@@ -144,8 +144,27 @@ def test_text_output_delimits_nested_lists_and_prints_null(capsys):
                                 "  -", "    1", "    -2", "    1",
                                 "count: 4", "cor68: null"]
     code, out, _ = run(capsys, "--output", "text", "rigid", "--type", "sp", "--partition", "4,2")
-    assert out.splitlines()[:7] == ["rigid: False", "witness:", "  type: sp", "  ambient: 6",
+    assert out.splitlines()[:7] == ["rigid: false", "witness:", "  type: sp", "  ambient: 6",
                                     "  gl_blocks:", "    -", "      k: 1"]
+
+
+def test_text_output_prints_booleans_as_json_does(capsys):
+    argv = ["rigid", "--type", "sp", "--partition", "2,1,1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == '{"rigid": true, "witness": null}\n'
+    code, out, _ = run(capsys, "--output", "text", *argv)
+    assert code == 0 and out.splitlines() == ["rigid: true", "witness: null"]
+
+
+def test_empty_tuple_witness_encodes_as_empty_list(capsys):
+    argv = ["certify", "--type", "G2", "--levi", "", "--h", "0,0,0", "--lambda-prime=-1,-2,3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["C"] == {"status": "pass", "witness": []}
+    code, out, _ = run(capsys, "--output", "text", *argv)
+    lines = out.splitlines()
+    c = lines.index("C:")
+    assert lines[c + 1:c + 4] == ["  status: pass", "  witness:", "D:"]
 
 
 def test_certify_levi_numeric_names(capsys):
@@ -199,6 +218,25 @@ def test_rigid(capsys):
 def test_rigid_bound_ignores_oracle_variable(capsys):
     code, _, err = run(capsys, "rigid", "--type", "gl", "--partition", ",".join("1" * 15))
     assert code == 2 and "exceeds the rigidity bound 14" in err
+
+
+@pytest.mark.parametrize("command", ["induce", "oracle"])
+@pytest.mark.parametrize("flags, levi, message", [
+    (["--type", "gl"], '{"type":"so","ambient":4,"gl_blocks":[{"k":2,"d":[2]}]}',
+     "descriptor type 'so' disagrees with 'gl'"),
+    (["--type", "sp", "--ambient", "6"], '{"ambient":4,"gl_blocks":[{"k":2,"d":[1,1]}]}',
+     "descriptor ambient 4 disagrees with 6"),
+], ids=["type", "ambient"])
+def test_descriptor_conflicting_with_flags_is_usage_error(capsys, command, flags, levi, message):
+    code, out, err = run(capsys, command, *flags, "--levi", levi)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["induce", "oracle"])
+def test_descriptor_agreeing_with_flags_is_accepted(capsys, command):
+    code, out, _ = run(capsys, command, "--type", "sp", "--ambient", "4",
+                       "--levi", '{"type":"sp","ambient":4,"gl_blocks":[{"k":2,"d":[1,1]}]}')
+    assert code == 0 and json.loads(out) == [2, 2]
 
 
 def test_rigid_rejects_ambient_mismatch(capsys):

@@ -89,7 +89,7 @@ def test_antidominant_single_reflection():
 def test_antidominant_flagship_word_length(e8, flagship_lambda_prime):
     isys = ig.integral_system(e8, flagship_lambda_prime)
     res = ig.antidominant_rep(e8, isys.simple_system, flagship_lambda_prime)
-    sub_pos = ig._subsystem_positive(list(isys.simple_system))
+    sub_pos = rs._enumerate_positive(list(isys.simple_system))[0]
     inversions = sum(1 for g in sub_pos if flagship_lambda_prime.dot(g) > 0)
     assert res.minimal
     assert len(res.word) == inversions

@@ -1,9 +1,14 @@
+import pickle
+import random
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitcert import certify as ct
+from orbitcert import integral as ig
+from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
 
 import conftest
@@ -382,3 +387,57 @@ def test_weight_length_mismatch_raises():
     a2 = rs.build("A2")
     with pytest.raises(ValueError, match="different lengths: 9 and 3"):
         rs.pairing(a2, rs.weight([1] * 9), a2.simple_roots[0])
+
+
+def test_weight_is_numerators_over_one_denominator():
+    u = rs.weight((Fr(-3, 4), 2, "1/6"))
+    assert (u.nums, u.den) == ((-9, 24, 2), 12)
+    assert u.coords == tuple(Fr(x, u.den) for x in u.nums) == (Fr(-3, 4), 2, Fr(1, 6))
+    assert hash(u) == hash((u.nums, u.den))
+    assert rs.weight is rs.Weight
+    assert rs.Weight.from_strings([" 1/2", "3"]) == rs.weight((Fr(1, 2), 3))
+    assert rs.Weight.__slots__ == ("nums", "den")
+
+
+def test_weight_pickles_and_stays_immutable():
+    u = rs.weight((Fr(1, 2), -1))
+    v = pickle.loads(pickle.dumps(u))
+    assert type(v) is rs.Weight and v == u and hash(v) == hash(u)
+    assert (v.nums, v.den) == ((1, -2), 2)
+    for name in ("nums", "den", "coords", "other"):
+        with pytest.raises(AttributeError, match=f"Weight is immutable: cannot assign '{name}'"):
+            setattr(v, name, 1)
+
+
+@pytest.mark.parametrize("label", DEFAULT_TYPES)
+def test_root_membership_matches_the_root_lists(label):
+    model = rs.build(label)
+    rng = random.Random(f"membership-{label}")
+    candidates = list(model.roots) + [-beta for beta in model.roots]
+    candidates += [2 * beta for beta in model.positive_roots]
+    candidates += [rs.weight([0] * model.ambient_dim), rs.weight([1] * (model.ambient_dim + 1)),
+                   rs.weight([Fr(rng.randint(-9, 9), rng.randint(1, 4))
+                              for _ in range(model.ambient_dim)])]
+    positives = set(model.positive_roots)
+    for v in candidates:
+        assert model.is_root(v) == (v in model.roots), v
+        assert model.is_positive_root(v) == (v in positives), v
+    # each root occurs twice among the candidates, once as itself and once negated twice
+    assert sum(map(model.is_positive_root, candidates)) == 2 * len(model.positive_roots)
+    assert sum(map(model.is_root, candidates)) == 2 * len(model.roots)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda e8: ob.graded_dims(e8, rs.weight([5, 3, 1, -1, -3, -5, 1, -1, 0, 7, 7])),
+     "expected 9 coordinates, got 11"),
+    (lambda e8: ig.integral_system(e8, rs.weight([1, 2])), "expected 9 coordinates, got 2"),
+    (lambda e8: ct.check_A(e8, (0, 1), rs.weight([5, 5])), "expected 9 coordinates, got 2"),
+    (lambda e8: rs.simple_pairings(e8, rs.weight([1] * 10)), "expected 9 coordinates, got 10"),
+    (lambda e8: rs.in_root_span(e8, rs.weight([1])), "expected 9 coordinates, got 1"),
+    (lambda e8: rs.combine(e8, [1, 2]), "expected 8 simple-root coefficients"),
+    (lambda e8: rs.combine(e8, [Fr(1, 2)] * 9), "expected 8 simple-root coefficients"),
+], ids=["graded_dims", "integral_system", "check_A", "simple_pairings", "in_root_span",
+        "combine", "combine_rational"])
+def test_kernel_rejects_vectors_of_the_wrong_length(e8, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(e8)

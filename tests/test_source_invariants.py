@@ -1,13 +1,16 @@
 """Source rules for the engine, checked on its syntax trees: no ``assert``
 (``python -O`` strips it, so invariants are explicit raises), no floating
 point (no float literal and no ``float`` name) and no environment reads
-(every bound is a constant, not a knob)."""
+(every bound is a constant, not a knob).  The experiment scripts in
+``scripts/`` check their conclusions, so they follow the ``assert`` rule too."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "orbitcert").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "orbitcert").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
@@ -31,11 +34,19 @@ def violations(tree: ast.AST) -> list[str]:
 def test_sources_found():
     assert {path.name for path in SOURCES} >= {"cli.py", "lsinduce.py", "orbits.py",
                                                "rootsys.py"}
+    assert {path.name for path in SCRIPTS} >= {"congruence_sweep.py", "oracle_audit.py",
+                                               "reproduce_e8.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_assert_float_or_environment(path):
     assert violations(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.name)
+def test_scripts_check_without_assert(path):
+    assert [v for v in violations(ast.parse(path.read_text(), filename=str(path)))
+            if v.endswith(": assert")] == []
 
 
 @pytest.mark.parametrize("source", [
