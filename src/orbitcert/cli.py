@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", type=int)
     p.add_argument("--levi", required=True, help="descriptor JSON")
 
-    p = sub.add_parser("rigid", help="brute-force rigidity test for a partition")
+    p = sub.add_parser("rigid", help="rigidity test for a partition, with an inducing Levi")
     p.add_argument("--type", required=True, choices=("gl", "so", "sp"))
     p.add_argument("--partition", required=True)
     p.add_argument("--ambient", type=int, help="defaults to the partition total")

@@ -16,13 +16,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from . import linalg
 from .orbits import Partition, dim_z_partition, parity_valid, transpose
 
 MAX_ORACLE_AMBIENT = 16  # jordan_oracle and centralizer_oracle
-MAX_RIGID_AMBIENT = 14  # is_rigid
 _ENTRY_RANGE = 9  # random integer entries are drawn from [-9, 9]
 _MAX_TRIES = 200  # degree-2 samples per target Jordan type
 _MAX_TRIALS = 1000  # nilradical samples per jordan_oracle call
@@ -158,7 +156,7 @@ def collapse(parts, kind: str) -> Partition:
     multiplicity, decrement its last occurrence and push the unit onto the
     first later part that can absorb it.  Matches the brute-force dominance
     search (tested exhaustively for small totals).  No part moves by more
-    than 1 (tested), which ``is_rigid`` relies on.
+    than 1 (tested).
     """
     if kind not in ("so", "sp"):
         raise ValueError("collapse applies to so/sp only")
@@ -494,47 +492,45 @@ def random_descriptor(rng: random.Random, kind: str, max_ambient: int
 
 
 def is_rigid(p: Partition) -> tuple[bool, LeviDescriptor | None]:
-    """Exhaustive search for a proper Levi inducing p.
+    """(True, None) if p is rigid, else (False, a Levi descriptor inducing it).
 
-    Returns (True, None) when no proper Levi descriptor induces p, else
-    (False, witness).  One gl block of size k suffices, next to the rest of
-    the ambient (gl: a second block of n - k; so/sp: the tail of n - 2k):
-    componentwise sums of partitions of the block sizes are partitions of
-    the total, so finer splits reach nothing more.  Given the block orbit d,
-    the gl second block can only be p - d, and a so/sp tail c is tried only
-    if c + 2d is within 1 of p at every index (collapse moves no part more).
+    Collingwood-McGovern (1993), 7.3, in 1-based positions with p_(L+1) = 0.
+    Induction is transitive (Lusztig-Spaltenstein, 1979), so a witness with
+    the least k has one gl block (k, (1^k)).  Gap rule: k is the first position
+    with p_k - p_(k+1) >= step, and the first k parts drop by step (gl: 1,
+    the second block; so/sp: 2, the tail).  so/sp pair rule, if its k is
+    smaller: the first value v of the free parity (odd in so, even in sp)
+    occurring exactly twice is at k, k + 1; the first k - 1 parts drop by 2
+    and the pair becomes v - 1, v - 1.  No rule, or gl (1^n): p is rigid.
     """
-    n = p.total
-    if n > MAX_RIGID_AMBIENT:
-        raise ValueError(f"ambient {n} exceeds the rigidity bound {MAX_RIGID_AMBIENT}")
     if not parity_valid(p):
         raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
+    n, parts, gl = p.total, p.parts, p.kind == "gl"
     if p.kind == "so" and n <= 2:
         # so_2 is abelian (gl_1 in it is the whole algebra): no proper Levi
         return True, None
-    gl = p.kind == "gl"
-    for k in range(1, n // 2 + 1):
-        rest = n - k if gl else n - 2 * k
-        rests = [] if gl else list(partitions_of(rest))
-        for d in partitions_of(k):
-            if gl:
-                c = tuple(x - y for x, y in zip_longest(p.parts, d, fillvalue=0))
-                cands = [c] if all(x >= y >= 0 for x, y in zip(c, c[1:] + (0,))) else []
-            else:
-                doubled = tuple(2 * x for x in d)
-                cands = [c for c in rests if all(
-                    abs(x - y) <= 1 for x, y in zip_longest(
-                        _componentwise_sum(c, doubled), p.parts, fillvalue=0))]
-            for parts in cands:
-                c = Partition(parts, p.kind)
-                if not parity_valid(c):
-                    continue
-                block = GLBlock(k, Partition(d, "gl"))
-                levi = (LeviDescriptor("gl", n, (block, GLBlock(rest, c))) if gl
-                        else LeviDescriptor(p.kind, n, (block,), Tail(rest, c) if rest else None))
-                if induce(levi).parts == p.parts:
-                    return False, levi
-    return True, None
+    step, free = (1, None) if gl else (2, 1 if p.kind == "so" else 0)
+    start = 0
+    while start < len(parts):  # one pass down the runs of equal parts
+        v, end = parts[start], start + 1
+        while end < len(parts) and parts[end] == v:
+            end += 1
+        if v % 2 == free and end - start == 2:  # pair rule: k = start + 1
+            k, lowered, rest = start + 1, start, (v - 1, v - 1) + parts[end:]
+            break
+        if v - (parts[end] if end < len(parts) else 0) >= step:  # gap rule
+            k, lowered, rest = end, end, parts[end:]
+            break
+        start = end
+    if start == len(parts) or 2 * k > n:  # 2k > n: the zero orbit of gl_n
+        return True, None
+    c = Partition(tuple(x - step for x in parts[:lowered]) + rest, p.kind)
+    block = GLBlock(k, Partition((1,) * k, "gl"))
+    witness = (LeviDescriptor("gl", n, (block, GLBlock(n - k, c))) if gl else
+               LeviDescriptor(p.kind, n, (block,), Tail(n - 2 * k, c) if c.parts else None))
+    if induce(witness).parts != parts:
+        raise RuntimeError(f"rigidity witness {witness.to_json_dict()} does not induce {parts}")
+    return False, witness
 
 
 def is_very_even(p: Partition) -> bool:

@@ -1,6 +1,7 @@
-"""Reference induction-layer routines: the two-loop rigidity search, the
-gl Jordan-block builder, the per-part parity check, the column-count
-transpose, the rescanning collapse and the dense centralizer oracle.
+"""Reference induction-layer routines: the two-loop and the pruned rigidity
+searches, the gl Jordan-block builder, the per-part parity check, the
+column-count transpose, the rescanning collapse and the dense centralizer
+oracle.
 
 These are ``lsinduce.is_rigid`` (with the ``partitions_of`` and
 ``valid_partitions`` it walked), ``lsinduce._jordan_block_matrix``,
@@ -8,18 +9,21 @@ These are ``lsinduce.is_rigid`` (with the ``partitions_of`` and
 ``lsinduce.centralizer_oracle`` as they were written before one search
 loop, ``lsinduce._jordan_blocks``, the pairwise parity check, the run-built
 transpose, the one-pass collapse and the degree-graded
-centralizer rank replaced them.  The one edit is in ``parity_valid``:
+centralizer rank replaced them.  ``pruned_is_rigid`` is the one-loop search
+that the closed-form ``is_rigid`` replaced, with its fixed bound of 14 made
+the ``max_ambient`` argument.  The one edit is in ``parity_valid``:
 ``p.parts.count(q)`` stands for the ``Partition.multiplicity(q)`` it called,
 which was that expression and has no other caller; the moved functions
 call this module's ``parity_valid``.  The differential tests compare the
 engine against these; nothing in ``src/`` imports this module.
 """
 import random
+from itertools import zip_longest
 
 from orbitcert import linalg
 from orbitcert.lsinduce import (MAX_ORACLE_AMBIENT, GLBlock, LeviDescriptor, Tail,
-                                _algebra_basis, _jordan_blocks, _nilpotent_in_classical,
-                                dominates, induce)
+                                _algebra_basis, _componentwise_sum, _jordan_blocks,
+                                _nilpotent_in_classical, dominates, induce)
 from orbitcert.orbits import Partition
 
 DEFAULT_RIGID_AMBIENT = 14
@@ -113,6 +117,51 @@ def is_rigid(p: Partition, max_ambient: int = DEFAULT_RIGID_AMBIENT
             for c in valid_partitions(m, p.kind):
                 tail = Tail(m, c) if m else None
                 levi = LeviDescriptor(p.kind, n, (GLBlock(k, Partition(d, "gl")),), tail)
+                if induce(levi).parts == p.parts:
+                    return False, levi
+    return True, None
+
+
+def pruned_is_rigid(p: Partition, max_ambient: int = DEFAULT_RIGID_AMBIENT
+                    ) -> tuple[bool, LeviDescriptor | None]:
+    """Exhaustive search for a proper Levi inducing p.
+
+    Returns (True, None) when no proper Levi descriptor induces p, else
+    (False, witness).  One gl block of size k suffices, next to the rest of
+    the ambient (gl: a second block of n - k; so/sp: the tail of n - 2k):
+    componentwise sums of partitions of the block sizes are partitions of
+    the total, so finer splits reach nothing more.  Given the block orbit d,
+    the gl second block can only be p - d, and a so/sp tail c is tried only
+    if c + 2d is within 1 of p at every index (collapse moves no part more).
+    """
+    n = p.total
+    if n > max_ambient:
+        raise ValueError(f"ambient {n} exceeds the rigidity bound {max_ambient}")
+    if not parity_valid(p):
+        raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
+    if p.kind == "so" and n <= 2:
+        # so_2 is abelian (gl_1 in it is the whole algebra): no proper Levi
+        return True, None
+    gl = p.kind == "gl"
+    for k in range(1, n // 2 + 1):
+        rest = n - k if gl else n - 2 * k
+        rests = [] if gl else list(partitions_of(rest))
+        for d in partitions_of(k):
+            if gl:
+                c = tuple(x - y for x, y in zip_longest(p.parts, d, fillvalue=0))
+                cands = [c] if all(x >= y >= 0 for x, y in zip(c, c[1:] + (0,))) else []
+            else:
+                doubled = tuple(2 * x for x in d)
+                cands = [c for c in rests if all(
+                    abs(x - y) <= 1 for x, y in zip_longest(
+                        _componentwise_sum(c, doubled), p.parts, fillvalue=0))]
+            for parts in cands:
+                c = Partition(parts, p.kind)
+                if not parity_valid(c):
+                    continue
+                block = GLBlock(k, Partition(d, "gl"))
+                levi = (LeviDescriptor("gl", n, (block, GLBlock(rest, c))) if gl
+                        else LeviDescriptor(p.kind, n, (block,), Tail(rest, c) if rest else None))
                 if induce(levi).parts == p.parts:
                     return False, levi
     return True, None

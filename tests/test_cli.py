@@ -216,8 +216,29 @@ def test_rigid(capsys):
 
 
 def test_rigid_bound_ignores_oracle_variable(capsys):
-    code, _, err = run(capsys, "rigid", "--type", "gl", "--partition", ",".join("1" * 15))
-    assert code == 2 and "exceeds the rigidity bound 14" in err
+    """rigid has no size bound: the zero orbit of gl_15 is answered."""
+    code, out, _ = run(capsys, "rigid", "--type", "gl", "--partition", ",".join("1" * 15))
+    assert code == 0 and json.loads(out) == {"rigid": True, "witness": None}
+
+
+def test_rigid_on_huge_parts(capsys):
+    p = 10**12
+    code, out, _ = run(capsys, "rigid", "--type", "sp", "--partition", f"{p},{p}")
+    data = json.loads(out)
+    assert code == 0 and data["rigid"] is False
+    witness = ls.LeviDescriptor.from_json_dict(data["witness"])
+    assert witness.tail.c.parts == (p - 1, p - 1)
+    assert ls.induce(witness).parts == (p, p)
+
+
+def test_rigid_witness_that_does_not_induce_is_internal_error(capsys):
+    """A witness is re-induced before it is printed: a rule that names a wrong
+    Levi is exit 4 with nothing on stdout, never a verdict."""
+    wrong = ls.Partition((1, 1, 1, 1), "sp")
+    with mock.patch.object(ls, "induce", return_value=wrong):
+        code, out, err = run(capsys, "rigid", "--type", "sp", "--partition", "4")
+    assert code == 4 and out == ""
+    assert "internal error: RuntimeError: rigidity witness" in err
 
 
 @pytest.mark.parametrize("command", ["induce", "oracle"])
@@ -506,7 +527,8 @@ WELL_FORMED = {
     "tables": [["--table", "rigid", "--algebra", "E8", "--label", "A5+A1"],
                ["--table", "duality"]],
     "rigid": [["--type", "sp", "--partition", "4,4,2,2"], ["--type", "so", "--partition", "3,3,1"],
-              ["--type", "gl", "--partition", "3,2,2", "--ambient", "7"]],
+              ["--type", "gl", "--partition", "3,2,2", "--ambient", "7"],
+              ["--type", "so", "--partition", f"{10**12 + 1},{10**12 - 1},1"]],
     "oracle": [["--type", "sp", "--ambient", "8", "--levi",
                 '{"gl_blocks":[{"k":2,"d":[2]}],"tail":{"m":4,"c":[1,1,1,1]}}',
                 "--seed", "5", "--trials", "4"]],

@@ -1,4 +1,4 @@
-"""Differential test: the one-loop pruned rigidity search, the basis-driven
+"""Differential test: the closed-form rigidity criterion, the basis-driven
 Jordan blocks, the pairwise parity check, the run-built transpose, the
 one-pass collapse and the degree-graded centralizer oracle against the code
 they replaced (tests/induction_reference.py)."""
@@ -13,6 +13,8 @@ from orbitcert import orbits as ob
 from orbitcert.orbits import Partition
 
 KINDS = ("gl", "so", "sp")
+TWO_LOOP_AMBIENT = 14  # the two-loop search takes seconds beyond this
+PRUNED_AMBIENT = 16
 
 
 def all_partitions(max_total):
@@ -25,29 +27,41 @@ def test_partitions_of_matches_reference():
         assert list(ls.partitions_of(n)) == list(ref.partitions_of(n))
 
 
-def test_is_rigid_matches_two_loop_search():
-    """Verdict and witness on every valid gl/so/sp partition up to the bound."""
-    assert list(inspect.signature(ls.is_rigid).parameters) == ["p"]
+def compare_is_rigid(search, max_ambient):
+    """Verdict and witness on every valid gl/so/sp partition up to max_ambient."""
     seen = {"rigid": 0, "induced": 0}
     for kind in KINDS:
-        for parts in all_partitions(ls.MAX_RIGID_AMBIENT):
+        for parts in all_partitions(max_ambient):
             p = Partition(parts, kind)
             if not ref.parity_valid(p):
                 continue
             rigid, witness = ls.is_rigid(p)
-            ref_rigid, ref_witness = ref.is_rigid(p)
+            ref_rigid, ref_witness = search(p, max_ambient)
             assert rigid == ref_rigid, p
             assert (witness is None) == (ref_witness is None), p
             if witness is not None:
                 assert witness.to_json_dict() == ref_witness.to_json_dict(), p
             seen["rigid" if rigid else "induced"] += 1
-    assert seen["rigid"] and seen["induced"]
+    return seen
+
+
+def test_is_rigid_matches_two_loop_search():
+    assert list(inspect.signature(ls.is_rigid).parameters) == ["p"]
+    assert compare_is_rigid(ref.is_rigid, TWO_LOOP_AMBIENT) == {"rigid": 83, "induced": 772}
+
+
+def test_is_rigid_matches_pruned_search():
+    assert compare_is_rigid(ref.pruned_is_rigid, PRUNED_AMBIENT) == {"rigid": 112,
+                                                                     "induced": 1375}
 
 
 def test_is_rigid_bound_is_fixed():
+    """is_rigid has no size bound; the pruned reference search keeps one."""
+    assert not hasattr(ls, "MAX_RIGID_AMBIENT")
+    for kind in KINDS:
+        assert ls.is_rigid(Partition((1,) * 16, kind)) == (True, None)
     with pytest.raises(ValueError, match="exceeds the rigidity bound 14"):
-        ls.is_rigid(Partition((1,) * (ls.MAX_RIGID_AMBIENT + 1)))
-    assert ls.is_rigid(Partition((1,) * ls.MAX_RIGID_AMBIENT))[0] is True
+        ref.pruned_is_rigid(Partition((1,) * 15))
 
 
 def test_jordan_blocks_match_unit_superdiagonal():
@@ -124,9 +138,10 @@ def test_collapse_of_many_distinct_parts():
 
 @pytest.mark.parametrize("kind", ["so", "sp"])
 def test_collapse_moves_no_part_by_more_than_one(kind):
-    """The lemma the rigidity search prunes with: |x_i - collapse(x)_i| <= 1 at
-    every index (zero-padded), for every partition x up to the rigidity bound."""
-    for parts in all_partitions(ls.MAX_RIGID_AMBIENT):
+    """|x_i - collapse(x)_i| <= 1 at every index (zero-padded), for every
+    partition x up to total 16: the lemma the reference search
+    ``pruned_is_rigid`` prunes with."""
+    for parts in all_partitions(PRUNED_AMBIENT):
         if kind == "sp" and sum(parts) % 2:
             continue
         collapsed = ls.collapse(parts, kind).parts

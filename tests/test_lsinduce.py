@@ -392,8 +392,32 @@ def test_induced_orbits_are_never_rigid():
 
 
 def test_is_rigid_bound():
-    with pytest.raises(ValueError):
-        ls.is_rigid(P((1,) * 16, "sp"))
+    """No size bound: only a partition of the wrong parity is refused."""
+    assert ls.is_rigid(P((1,) * 16, "sp")) == (True, None)
+    assert ls.is_rigid(P((3, 3, 3, 2, 2, 1, 1, 1, 1, 1, 1), "so")) == (True, None)
+    rigid, witness = ls.is_rigid(P((10**12, 10**12 - 2), "sp"))
+    assert rigid is False and ls.induce(witness).parts == (10**12, 10**12 - 2)
+    with pytest.raises(ValueError, match="not a valid sp partition"):
+        ls.is_rigid(P((1,) * 15, "sp"))
+
+
+@pytest.mark.parametrize("kind", ["so", "sp"])
+def test_is_rigid_is_linear_in_the_parts(kind):
+    """About 10**5 parts: each value from 40000 down to 1, twice if of the
+    bad parity and three times if of the free one, is rigid, and the scan
+    reads every run; one copy fewer of the last free-parity value makes
+    that value a pair, where the pair rule fires.  A scan quadratic in the
+    parts would not finish."""
+    bad = 0 if kind == "so" else 1
+    parts = tuple(v for v in range(40000, 0, -1) for _ in range(2 if v % 2 == bad else 3))
+    assert len(parts) >= 10**5
+    assert ls.is_rigid(P(parts, kind)) == (True, None)
+    pair = 1 + bad
+    i = parts.index(pair)
+    cut = parts[:i] + parts[i + 1:]
+    rigid, witness = ls.is_rigid(P(cut, kind))
+    assert rigid is False and ls.induce(witness).parts == cut
+    assert witness.gl_blocks[0].k == i + 1
 
 
 def test_gl_nonzero_orbits_all_induced():
@@ -403,6 +427,9 @@ def test_gl_nonzero_orbits_all_induced():
             assert rigid == (parts == (1,) * n)
             if not rigid:
                 assert ls.induce(witness).parts == parts
+
+
+CRITERION_AMBIENT = 14
 
 
 def rigid_by_criterion(p):
@@ -419,13 +446,13 @@ def rigid_by_criterion(p):
 
 
 def test_is_rigid_matches_the_closed_form_criterion():
-    """The search against the criterion on every valid partition of 1..14.
+    """is_rigid against the criterion on every valid partition of 1..14.
     One exception: the zero orbit (1, 1) of so_2, which the criterion calls
     induced (from gl_1, the whole of the abelian so_2) and is_rigid calls
     rigid, as it admits no proper Levi."""
     checked = {True: 0, False: 0}
     for kind in ("gl", "so", "sp"):
-        for n in range(1, ls.MAX_RIGID_AMBIENT + 1):
+        for n in range(1, CRITERION_AMBIENT + 1):
             for p in ls.valid_partitions(n, kind):
                 rigid, witness = ls.is_rigid(p)
                 expected = rigid_by_criterion(p) or (kind, p.parts) == ("so", (1, 1))
