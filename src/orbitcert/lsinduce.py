@@ -22,7 +22,6 @@ from .orbits import Partition, dim_z_partition, parity_valid, transpose
 
 MAX_ORACLE_AMBIENT = 16  # jordan_oracle and centralizer_oracle
 _ENTRY_RANGE = 9  # random integer entries are drawn from [-9, 9]
-_MAX_TRIES = 200  # degree-2 samples per target Jordan type
 _MAX_TRIALS = 1000  # nilradical samples per jordan_oracle call
 
 
@@ -311,55 +310,73 @@ def _sl2_weights(parts) -> list[int]:
     return weights
 
 
-def _nilpotent_in_classical(kind: str, m: int, parts: tuple[int, ...],
-                            rng: random.Random) -> list[list[int]]:
-    """A form-compatible nilpotent of Jordan type `parts` inside so_m/sp_m.
+def _normal_form(kind: str, parts) -> list[tuple[int, int, int]]:
+    """Edges (i, j, x) at canonical positions that `_lay` turns into a
+    nilpotent of Jordan type `parts`: the classical normal form of
+    Collingwood-McGovern (1993), 5.1, for the antidiagonal form.
 
-    Samples integer elements of the degree-2 space of the grading defined by
-    the diagonal sl2 characteristic of the target orbit; a generic element
-    has exactly the target Jordan type, and no element exceeds it.  The zero
-    orbit has an empty degree-2 space and takes no draws.
+    Positions go level by level down the sl2 weights, the chains taking a
+    level's slots in order, so every edge raises the weight by 2.  gl: each
+    chain lays all its edges.  so/sp: a chain lays its positive half and the
+    basis lays the mirror (position i mirrors to n - 1 - i).  Even chains
+    cross from weight 1 to weight -1: in so two equal ones to the mirror of
+    each other's slot, in sp each to its own (the antidiagonal).  Odd chains
+    go two at a time through one mirror pair u, n - 1 - u of weight-0
+    positions, as e_u + e_(n-1-u) and e_u - e_(n-1-u); a last one (so only)
+    takes the middle.
     """
     weights = _sl2_weights(parts)
-    degree_two = [element for element in _algebra_basis(kind, m)
-                  if weights[element[0][0]] - weights[element[0][1]] == 2]
-    target = tuple(p for p in parts if p)
-    for _ in range(_MAX_TRIES):
-        e = _random_element(degree_two, m, rng)
-        if jordan_type(e) == target:
-            if not _in_algebra(e, kind):
-                raise RuntimeError(f"sampled nilpotent of type {target} is not in {kind}_{m}")
-            return e
-    raise TrialBudgetExhausted(f"trial budget exhausted searching {kind}_{m} for type {parts}")
+    n = len(weights)
+    free = {w: weights.index(w) for w in weights}  # weight -> its next free position
+    edges, ones, twos = [], [], []  # lowest positive slot of each even / odd chain
+    for part in parts:
+        slots = []
+        for w in range(part - 1, -part if kind == "gl" else 0, -2):
+            slots.append(free[w])
+            free[w] += 1
+        edges += [(i, j, 1) for i, j in zip(slots, slots[1:])]
+        if kind != "gl":
+            (twos if part % 2 else ones).append(slots[-1] if slots else None)
+    if kind == "sp":
+        edges += [(a, n - 1 - a, 1) for a in ones]
+    else:
+        edges += [(a, n - 1 - b, 1) for a, b in zip(ones[::2], ones[1::2])]
+    u = free.get(0, 0)
+    for a, b in zip(twos[::2], twos[1::2]):
+        if a is not None:
+            edges += [(a, u, 1), (a, n - 1 - u, 1)]
+        if b is not None:
+            edges += [(b, u, 1), (b, n - 1 - u, -1)]
+        u += 1
+    if len(twos) % 2 and twos[-1] is not None:
+        edges.append((twos[-1], u, 1))
+    return edges
 
 
-def _jordan_blocks(parts, basis, n: int) -> list[list[int]]:
-    """Jordan blocks of the given sizes down the diagonal of an n x n matrix:
-    each superdiagonal entry is the basis element at its position, so so/sp
-    get its mirrored entry too."""
+def _lay(edges, basis, n: int) -> list[list[int]]:
+    """The n x n sum of x times the basis element at canonical position
+    (i, j) over the edges (i, j, x), so so/sp get each mirrored entry too."""
     at = {element[0][:2]: element for element in basis}
     mat = _zero(n)
-    offset = 0
-    for part in parts:
-        for a in range(offset, offset + part - 1):
-            for r, c, x in at[a, a + 1]:
-                mat[r][c] = x
-        offset += part
+    for i, j, x in edges:
+        for r, c, y in at[i, j]:
+            mat[r][c] += x * y
     return mat
 
 
-def _levi_base_matrix(levi: LeviDescriptor, basis, rng: random.Random) -> list[list[int]]:
-    """The Levi-orbit representative: Jordan blocks for the gl blocks' orbits
-    plus a sampled tail nilpotent."""
-    base = _jordan_blocks([part for blk in levi.gl_blocks for part in blk.d.parts],
-                          basis, levi.ambient)
-    offset = sum(blk.k for blk in levi.gl_blocks)
+def _levi_base_matrix(levi: LeviDescriptor, basis) -> list[list[int]]:
+    """The Levi-orbit representative, laid on the ambient basis: contiguous
+    Jordan blocks from position 0 for the gl blocks' orbits, then the normal
+    form of the tail orbit at offset sum k_i.  The tail block is its own
+    mirror and the ambient form restricts to the tail's form there."""
+    edges, offset = [], 0
+    for part in (part for blk in levi.gl_blocks for part in blk.d.parts):
+        edges += [(a, a + 1, 1) for a in range(offset, offset + part - 1)]
+        offset += part
     if levi.tail:
-        tail_mat = _nilpotent_in_classical(levi.kind, levi.tail.m,
-                                           levi.tail.c.parts, rng)
-        for a, row in enumerate(tail_mat):
-            base[offset + a][offset:offset + levi.tail.m] = row
-    return base
+        edges += [(offset + i, offset + j, x)
+                  for i, j, x in _normal_form(levi.kind, levi.tail.c.parts)]
+    return _lay(edges, basis, levi.ambient)
 
 
 def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Partition:
@@ -382,9 +399,8 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     n = levi.ambient
     if n > MAX_ORACLE_AMBIENT:
         raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
-    rng = random.Random(seed)
     basis = _algebra_basis(levi.kind, n)
-    base = _levi_base_matrix(levi, basis, rng)
+    base = _levi_base_matrix(levi, basis)
     if not _in_algebra(base, levi.kind):
         raise RuntimeError(f"Levi base matrix is not in {levi.kind}_{n}")
     sizes = [b.k for b in levi.gl_blocks]
@@ -394,6 +410,7 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     nilradical = [element for element in basis
                   if block[element[0][0]] < block[element[0][1]]]
     target = induced_dim_z(levi)
+    rng = random.Random(seed)
     for _ in range(trials):
         drawn = Partition(jordan_type(_random_element(nilradical, n, rng, base)), levi.kind)
         if dim_z_partition(drawn) == target:
@@ -405,11 +422,12 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
 def centralizer_oracle(p: Partition) -> int:
     """dim ker(ad e) on the matrix algebra, for e of Jordan type p.
 
-    Independent oracle for dim_z_partition: realizes e exactly (gl: Jordan
-    blocks; so/sp: sampled in the degree-2 space), brackets it with each
-    sparse basis element and reads [e, X] at the canonical positions, then
-    takes the kernel by exact linear algebra.  e has degree 2 for the sl2
-    weights, so rank(ad e) is the sum of the ranks of g_k -> g_(k+2).
+    Independent oracle for dim_z_partition: lays e down deterministically in
+    the normal form (`_normal_form`), checks that it is in the algebra, of
+    degree 2 for the sl2 weights (`_sl2_weights`) and of Jordan type p,
+    brackets it with each sparse basis element and reads [e, X] at the
+    canonical positions, then takes the kernel by exact linear algebra.  As
+    e has degree 2, rank(ad e) is the sum of the ranks of g_k -> g_(k+2).
     """
     if not parity_valid(p):
         raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
@@ -417,16 +435,16 @@ def centralizer_oracle(p: Partition) -> int:
     if n > MAX_ORACLE_AMBIENT:
         raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
     basis = _algebra_basis(p.kind, n)
-    if p.kind == "gl":
-        e = _jordan_blocks(p.parts, basis, n)
-        weights = [w for part in p.parts for w in range(part - 1, -part, -2)]
-    else:
-        e = _nilpotent_in_classical(p.kind, n, p.parts, random.Random(0))
-        weights = _sl2_weights(p.parts)
+    e = _lay(_normal_form(p.kind, p.parts), basis, n)
+    if not _in_algebra(e, p.kind):
+        raise RuntimeError(f"e of type {p.parts} is not in {p.kind}_{n}")
+    weights = _sl2_weights(p.parts)
     e_rows = [[(j, x) for j, x in enumerate(row) if x] for row in e]
     e_cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*e)]
     if any(weights[i] - weights[j] != 2 for i, row in enumerate(e_rows) for j, _ in row):
         raise RuntimeError(f"e of type {p.parts} is not homogeneous of degree 2")
+    if (got := jordan_type(e)) != p.parts:
+        raise RuntimeError(f"e of type {p.parts} has Jordan type {got}")
     degree = [weights[element[0][0]] - weights[element[0][1]] for element in basis]
     slot = [[None] * n for _ in range(n)]  # canonical position -> (degree, index in it)
     sizes = Counter()

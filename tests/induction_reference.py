@@ -1,7 +1,7 @@
 """Reference induction-layer routines: the two-loop and the pruned rigidity
 searches, the gl Jordan-block builder, the per-part parity check, the
-column-count transpose, the rescanning collapse and the dense centralizer
-oracle.
+column-count transpose, the rescanning collapse, the dense centralizer
+oracle and the degree-2 sampler of classical nilpotents.
 
 These are ``lsinduce.is_rigid`` (with the ``partitions_of`` and
 ``valid_partitions`` it walked), ``lsinduce._jordan_block_matrix``,
@@ -11,7 +11,12 @@ loop, ``lsinduce._jordan_blocks``, the pairwise parity check, the run-built
 transpose, the one-pass collapse and the degree-graded
 centralizer rank replaced them.  ``pruned_is_rigid`` is the one-loop search
 that the closed-form ``is_rigid`` replaced, with its fixed bound of 14 made
-the ``max_ambient`` argument.  The one edit is in ``parity_valid``:
+the ``max_ambient`` argument.  ``_jordan_blocks`` and
+``_nilpotent_in_classical`` (with its ``_MAX_TRIES``) are the basis-driven
+gl Jordan blocks and the sampled so/sp representative that the normal form
+``lsinduce._normal_form``, laid by ``lsinduce._lay``, replaced; this
+module's ``centralizer_oracle`` still builds its ``e`` with them.  The one
+edit is in ``parity_valid``:
 ``p.parts.count(q)`` stands for the ``Partition.multiplicity(q)`` it called,
 which was that expression and has no other caller; the moved functions
 call this module's ``parity_valid``.  The differential tests compare the
@@ -22,11 +27,13 @@ from itertools import zip_longest
 
 from orbitcert import linalg
 from orbitcert.lsinduce import (MAX_ORACLE_AMBIENT, GLBlock, LeviDescriptor, Tail,
-                                _algebra_basis, _componentwise_sum, _jordan_blocks,
-                                _nilpotent_in_classical, dominates, induce)
+                                TrialBudgetExhausted, _algebra_basis, _componentwise_sum,
+                                _in_algebra, _random_element, _sl2_weights, dominates,
+                                induce, jordan_type)
 from orbitcert.orbits import Partition
 
 DEFAULT_RIGID_AMBIENT = 14
+_MAX_TRIES = 200  # degree-2 samples per target Jordan type
 
 
 def parity_valid(p: Partition) -> bool:
@@ -204,6 +211,43 @@ def collapse(parts, kind: str) -> Partition:
         raise RuntimeError(f"collapse of {parts} gave {result.parts}, which is not a valid "
                            f"{kind} partition dominated by the input")
     return result
+
+
+def _nilpotent_in_classical(kind: str, m: int, parts: tuple[int, ...],
+                            rng: random.Random) -> list[list[int]]:
+    """A form-compatible nilpotent of Jordan type `parts` inside so_m/sp_m.
+
+    Samples integer elements of the degree-2 space of the grading defined by
+    the diagonal sl2 characteristic of the target orbit; a generic element
+    has exactly the target Jordan type, and no element exceeds it.  The zero
+    orbit has an empty degree-2 space and takes no draws.
+    """
+    weights = _sl2_weights(parts)
+    degree_two = [element for element in _algebra_basis(kind, m)
+                  if weights[element[0][0]] - weights[element[0][1]] == 2]
+    target = tuple(p for p in parts if p)
+    for _ in range(_MAX_TRIES):
+        e = _random_element(degree_two, m, rng)
+        if jordan_type(e) == target:
+            if not _in_algebra(e, kind):
+                raise RuntimeError(f"sampled nilpotent of type {target} is not in {kind}_{m}")
+            return e
+    raise TrialBudgetExhausted(f"trial budget exhausted searching {kind}_{m} for type {parts}")
+
+
+def _jordan_blocks(parts, basis, n: int) -> list[list[int]]:
+    """Jordan blocks of the given sizes down the diagonal of an n x n matrix:
+    each superdiagonal entry is the basis element at its position, so so/sp
+    get its mirrored entry too."""
+    at = {element[0][:2]: element for element in basis}
+    mat = _zero(n)
+    offset = 0
+    for part in parts:
+        for a in range(offset, offset + part - 1):
+            for r, c, x in at[a, a + 1]:
+                mat[r][c] = x
+        offset += part
+    return mat
 
 
 def centralizer_oracle(p: Partition) -> int:

@@ -1,7 +1,7 @@
-"""Differential test: the closed-form rigidity criterion, the basis-driven
+"""Differential test: the closed-form rigidity criterion, the laid Levi
 Jordan blocks, the pairwise parity check, the run-built transpose, the
-one-pass collapse and the degree-graded centralizer oracle against the code
-they replaced (tests/induction_reference.py)."""
+one-pass collapse and the degree-graded centralizer oracle on the normal form
+against the code they replaced (tests/induction_reference.py)."""
 import inspect
 from itertools import zip_longest
 
@@ -65,13 +65,22 @@ def test_is_rigid_bound_is_fixed():
 
 
 def test_jordan_blocks_match_unit_superdiagonal():
-    """With the gl basis, each superdiagonal entry is a 1, as before; padding
-    past the partition total stays zero."""
+    """The gl blocks of a Levi without a tail are laid as the contiguous
+    basis-driven Jordan blocks they were, so such a descriptor gets the same
+    oracle matrices; with the gl basis each superdiagonal entry is a 1, and
+    padding past the partition total stays zero."""
     for parts in all_partitions(9):
         total = sum(parts)
         for n in range(max(total, 1), total + 3):
-            got = ls._jordan_blocks(parts, ls._algebra_basis("gl", n), n)
+            pad = ls.GLBlock(n - total, Partition((1,) * (n - total)))
+            levi = ls.LeviDescriptor("gl", n, (ls.GLBlock(total, Partition(parts)), pad))
+            got = ls._levi_base_matrix(levi, ls._algebra_basis("gl", n))
             assert got == ref._jordan_block_matrix(parts, n), (parts, n)
+        for kind in ("so", "sp"):
+            n = 2 * total
+            basis = ls._algebra_basis(kind, n)
+            levi = ls.LeviDescriptor(kind, n, (ls.GLBlock(total, Partition(parts)),))
+            assert ls._levi_base_matrix(levi, basis) == ref._jordan_blocks(parts, basis, n)
 
 
 def test_parity_valid_matches_multiplicity_count():
@@ -149,9 +158,10 @@ def test_collapse_moves_no_part_by_more_than_one(kind):
 
 
 def test_graded_centralizer_oracle_matches_dense_one():
-    """Every valid gl/so/sp partition up to total 10."""
+    """Every valid gl/so/sp partition up to total 14: the normal form against
+    the sampled representative of the dense oracle."""
     for kind in KINDS:
-        for parts in all_partitions(10):
+        for parts in all_partitions(14):
             p = Partition(parts, kind)
             if ref.parity_valid(p):
                 assert ls.centralizer_oracle(p) == ref.centralizer_oracle(p), p

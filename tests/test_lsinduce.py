@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from induction_reference import _jordan_block_matrix
 from orbitcert import lsinduce as ls
 from orbitcert import orbits as ob
 from orbitcert.orbits import Partition, dim_z_partition
@@ -141,7 +142,7 @@ def test_descriptor_rejects_each_bad_shape(build, message):
 # jordan oracle ---------------------------------------------------------------
 
 def test_jordan_type_of_block_matrix():
-    mat = ls._jordan_blocks((3, 2, 2, 1), ls._algebra_basis("gl", 8), 8)
+    mat = _jordan_block_matrix((3, 2, 2, 1), 8)
     assert ls.jordan_type(mat) == (3, 2, 2, 1)
     assert ls.jordan_type([[0]]) == (1,)
 
@@ -150,7 +151,7 @@ def test_jordan_type_rank_identity():
     # number of parts >= i equals rank(e^(i-1)) - rank(e^i)
     from orbitcert import linalg
     from matrix_reference import matmul
-    mat = ls._jordan_blocks((4, 2, 1), ls._algebra_basis("gl", 7), 7)
+    mat = _jordan_block_matrix((4, 2, 1), 7)
     parts = ls.jordan_type(mat)
     power = [row[:] for row in mat]
     prev = 7
@@ -263,7 +264,7 @@ def test_invariant_checks_raise_under_optimize():
                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True).stdout
     assert out.splitlines() == [
         "raised: Levi base matrix is not in sp_4",
-        "raised: sampled nilpotent of type (2, 2) is not in sp_4",
+        "raised: e of type (2, 2) is not in sp_4",
         "raised: collapse of (3, 1) gave (2, 2), which is not a valid sp partition "
         "dominated by the input"]
 
@@ -289,6 +290,51 @@ def test_centralizer_oracle_classical():
     assert ls.centralizer_oracle(P((3, 2, 2, 1), "so")) == 12
     assert ls.centralizer_oracle(P((1, 1, 1, 1), "sp")) == 10
     assert ls.centralizer_oracle(P((5,), "so")) == 2
+
+
+def test_normal_form_is_exact_without_random_draws():
+    """Every valid gl/so/sp partition up to the oracle bound: the laid normal
+    form is in the algebra, homogeneous of degree 2 for the sl2 weights and
+    of the target Jordan type, and the centralizer oracle matches the
+    formula, with no random number drawn."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("random draw")
+
+    checked = 0
+    with mock.patch.object(ls.random, "Random", no_draws), \
+            mock.patch.object(ls, "_random_element", no_draws):
+        for n in range(ls.MAX_ORACLE_AMBIENT + 1):
+            for kind in ("gl", "so", "sp"):
+                for p in ls.valid_partitions(n, kind):
+                    e = ls._lay(ls._normal_form(kind, p.parts), ls._algebra_basis(kind, n), n)
+                    weights = ls._sl2_weights(p.parts)
+                    assert ls._in_algebra(e, kind), p
+                    assert all(weights[i] - weights[j] == 2 for i in range(n)
+                               for j in range(n) if e[i][j]), p
+                    assert ls.jordan_type(e) == p.parts, p
+                    assert ls.centralizer_oracle(p) == dim_z_partition(p), p
+                    checked += 1
+    assert checked == 1487
+
+
+@pytest.mark.parametrize("kind,ambient,tail", [
+    ("so", 16, (3, 2, 2, 1)), ("so", 15, (5, 3, 1)), ("so", 7, (3,)),
+    ("sp", 14, (4, 3, 3)), ("sp", 16, (2, 2, 1, 1)), ("sp", 6, (2,)),
+])
+def test_tail_laid_at_offset(kind, ambient, tail):
+    """The tail's normal form laid at offset sum k_i on the ambient basis is
+    the tail's own laid matrix there, and the Levi representative is in the
+    algebra with the gl block's orbit twice and the tail's once."""
+    m = sum(tail)
+    k = (ambient - m) // 2
+    levi = ls.LeviDescriptor(kind, ambient, (ls.GLBlock(k, P((2,) + (1,) * (k - 2))),),
+                             ls.Tail(m, P(tail, kind)))
+    base = ls._levi_base_matrix(levi, ls._algebra_basis(kind, ambient))
+    alone = ls._lay(ls._normal_form(kind, tail), ls._algebra_basis(kind, m), m)
+    assert [row[k:k + m] for row in base[k:k + m]] == alone
+    assert ls._in_algebra(base, kind)
+    expected = sorted(tail + (2, 2) + (1,) * (2 * k - 4), reverse=True)
+    assert ls.jordan_type(base) == tuple(expected)
 
 
 def test_centralizer_oracle_rejects_invalid():

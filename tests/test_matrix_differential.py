@@ -63,9 +63,9 @@ def test_jordan_type_rejects_non_nilpotent(mat):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["gl", "so", "sp"]), st.integers(0, 2**32 - 1))
 def test_oracle_matrices_match_powers(kind, seed):
-    """Every matrix jordan_oracle and _nilpotent_in_classical hand to
-    jordan_type, for seeded random descriptors and two oracle seeds, gets
-    the reference type; the oracle returns the type of its last draw."""
+    """Every matrix jordan_oracle hands to jordan_type, for seeded random
+    descriptors and two oracle seeds, gets the reference type; the oracle
+    returns the type of its last draw."""
     rng = random.Random(seed)
     levi = ls.random_descriptor(rng, kind, 12)
     seen = []
