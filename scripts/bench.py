@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Run the benchmark over every workload and write BENCH_<pr>.json.
+
+Usage: python scripts/bench.py --pr N [--checkout DIR]
+
+Each of five rounds runs ``perfbench/run.py`` once per workload named in
+BENCHMARK.json, for its ``run_seconds`` at seed ``SEED``, in the checkout (by
+default the one holding this script), with tracing off.  The file records,
+per workload, the median and quartiles of every end-to-end metric over the
+rounds, the output sha256 (which must agree across rounds), and the ops
+attempted and failed; and for the run as a whole the git revision, nproc,
+the Python version and the line counts of the checkout's ``src/`` and
+``tests/`` files that git does not ignore.  The times are perfbench's
+reference times.  The file goes to the root of the repository holding this
+script, so a clone of another commit can be measured with ``--checkout``.
+"""
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+DEFAULT_CHECKOUT = Path(__file__).resolve().parents[1]
+RUNS = 5  # rounds per workload: enough for quartiles
+SEED = 0  # one seed for every file, so their output sha256 values compare
+RUN_TIMEOUT_S = 600
+
+
+def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, str]:
+    """One perfbench run: its result line and its output sha256."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise SystemExit(f"{workload}: perfbench exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    lines = proc.stdout.strip().splitlines()
+    sha = next(line.split()[1] for line in lines if line.startswith("output_sha256 "))
+    return json.loads(lines[-1]), sha
+
+
+def summarize(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def git_revision(checkout: Path) -> str:
+    """The commit, with a "-dirty" suffix when tracked files differ from it."""
+    return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                          cwd=checkout, capture_output=True, text=True, check=True,
+                          timeout=30).stdout.strip()
+
+
+def line_counts(checkout: Path) -> dict:
+    counts = {}
+    for top in ("src", "tests"):
+        files = subprocess.run(["git", "ls-files", "--cached", "--others", "--exclude-standard",
+                                top], cwd=checkout, capture_output=True, text=True, check=True,
+                               timeout=30).stdout.split()
+        counts[top] = sum(len((checkout / name).read_bytes().splitlines()) for name in files)
+    return counts
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--checkout", type=Path, default=DEFAULT_CHECKOUT)
+    args = parser.parse_args()
+    checkout = args.checkout.resolve()
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+
+    samples = {name: {"sha": set(), "attempted": 0, "failed": 0,
+                      "metrics": {metric: [] for metric in units}} for name in names}
+    for round_no in range(RUNS):
+        for name in names:
+            result, sha = run_once(checkout, name, seconds)
+            entry = samples[name]
+            entry["sha"].add(sha)
+            entry["attempted"] += result["attempted"]
+            entry["failed"] += result["failed"]
+            for metric, values in entry["metrics"].items():
+                values.append(result["metrics"][metric]["value"])
+            print(f"round {round_no + 1}/{RUNS} {name}: "
+                  f"ops_per_s {result['metrics']['ops_per_s']['value']:.1f}", file=sys.stderr)
+
+    workloads = {}
+    for name, entry in samples.items():
+        if len(entry["sha"]) != 1:
+            raise SystemExit(f"{name}: output sha256 differs between rounds: {entry['sha']}")
+        workloads[name] = {
+            "output_sha256": entry["sha"].pop(),
+            "attempted": entry["attempted"],
+            "failed": entry["failed"],
+            "metrics": {metric: {"unit": units[metric], **summarize(values)}
+                        for metric, values in entry["metrics"].items()},
+        }
+    record = {
+        "pr": args.pr,
+        "git_revision": git_revision(checkout),
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "seed": SEED,
+        "seconds": seconds,
+        "runs": RUNS,
+        "lines": line_counts(checkout),
+        "workloads": workloads,
+    }
+    out = DEFAULT_CHECKOUT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()

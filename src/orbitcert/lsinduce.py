@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg
-from .orbits import Partition, dim_z_partition, parity_valid, transpose
+from .orbits import Partition, dim_z_partition, parity_valid
 
 MAX_ORACLE_AMBIENT = 16  # jordan_oracle and centralizer_oracle
 _ENTRY_RANGE = 9  # random integer entries are drawn from [-9, 9]
@@ -228,14 +231,18 @@ def _zero(n: int) -> list[list[int]]:
 
 
 def jordan_type(mat) -> tuple[int, ...]:
-    """Jordan partition of a nilpotent matrix N from the ranks of its powers.
+    """Jordan partition of a square nilpotent matrix N from the ranks of its powers.
 
     N has integer entries.  The ranks come from an image chain: an integer
     row basis of N^k times N spans the row space of N^(k+1), so no power is
     formed.  The chain ends when the basis is empty; a rank that stops
-    falling before that means N is not nilpotent.
+    falling before that means N is not nilpotent.  N has
+    r_(k-1) - 2 r_k + r_(k+1) blocks of size k, where r_k = rank N^k.
     """
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError(f"matrix is not square: {n} rows of lengths "
+                         f"{sorted({len(row) for row in mat})}")
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
     ranks = [n]
     basis = linalg.integer_row_basis(mat)
@@ -252,13 +259,19 @@ def jordan_type(mat) -> tuple[int, ...]:
                         image[j] += x * y
             images.append(image)
         basis = linalg.integer_row_basis(images)
-    ranks.append(0)
-    drops = tuple(ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1))
-    return transpose(Partition(drops)).parts
+    ranks += (0, 0)  # rank N^K = 0 ends the chain, and rank N^(K+1) = 0
+    parts: list[int] = []
+    for k in range(len(ranks) - 2, 0, -1):
+        count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
+        if count < 0:
+            raise ValueError(f"rank drops of the powers are not weakly decreasing: {ranks}")
+        parts += [k] * count
+    return tuple(parts)
 
 
-def _algebra_basis(kind: str, n: int) -> list[list[tuple[int, int, int]]]:
-    """A basis of gl_n / so_n / sp_n as sparse [(row, col, entry), ...] elements.
+@lru_cache(maxsize=None)  # the oracles cap n, so at most 3 * (MAX_ORACLE_AMBIENT + 1) entries
+def _algebra_basis(kind: str, n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """A basis of gl_n / so_n / sp_n as sparse ((row, col, entry), ...) elements.
 
     One element per canonical position, in row-major order; the first triple
     is (i, j, 1) at that position, so its coefficient in any member of the
@@ -266,19 +279,27 @@ def _algebra_basis(kind: str, n: int) -> list[list[tuple[int, int, int]]]:
     antidiagonal form: a member satisfies X[i][j] = -e_i e_j X[n-1-j][n-1-i]
     (e = 1 for so, the split sign for sp), the canonical position of a
     mirrored pair is the one with i + j < n - 1, and the antidiagonal is zero
-    in so and free in sp.
+    in so and free in sp.  Built once per (kind, n) and immutable, so every
+    caller shares it.
     """
     if kind == "gl":
-        return [[(i, j, 1)] for i in range(n) for j in range(n)]
+        return tuple(((i, j, 1),) for i in range(n) for j in range(n))
     sign = [1 if kind == "so" or i < n // 2 else -1 for i in range(n)]
     basis = []
     for i in range(n):
         for j in range(n - i):
             if i + j < n - 1:
-                basis.append([(i, j, 1), (n - 1 - j, n - 1 - i, -sign[i] * sign[j])])
+                basis.append(((i, j, 1), (n - 1 - j, n - 1 - i, -sign[i] * sign[j])))
             elif kind == "sp":
-                basis.append([(i, j, 1)])
-    return basis
+                basis.append(((i, j, 1),))
+    return tuple(basis)
+
+
+@lru_cache(maxsize=None)
+def _positions(kind: str, n: int) -> Mapping[tuple[int, int], tuple[tuple[int, int, int], ...]]:
+    """The read-only map from each canonical position (i, j) to its element
+    of ``_algebra_basis(kind, n)``, built once per (kind, n)."""
+    return MappingProxyType({element[0][:2]: element for element in _algebra_basis(kind, n)})
 
 
 def _random_element(basis, n: int, rng: random.Random, start=None) -> list[list[int]]:
@@ -353,10 +374,10 @@ def _normal_form(kind: str, parts) -> list[tuple[int, int, int]]:
     return edges
 
 
-def _lay(edges, basis, n: int) -> list[list[int]]:
+def _lay(edges, kind: str, n: int) -> list[list[int]]:
     """The n x n sum of x times the basis element at canonical position
     (i, j) over the edges (i, j, x), so so/sp get each mirrored entry too."""
-    at = {element[0][:2]: element for element in basis}
+    at = _positions(kind, n)
     mat = _zero(n)
     for i, j, x in edges:
         for r, c, y in at[i, j]:
@@ -364,7 +385,7 @@ def _lay(edges, basis, n: int) -> list[list[int]]:
     return mat
 
 
-def _levi_base_matrix(levi: LeviDescriptor, basis) -> list[list[int]]:
+def _levi_base_matrix(levi: LeviDescriptor) -> list[list[int]]:
     """The Levi-orbit representative, laid on the ambient basis: contiguous
     Jordan blocks from position 0 for the gl blocks' orbits, then the normal
     form of the tail orbit at offset sum k_i.  The tail block is its own
@@ -376,7 +397,7 @@ def _levi_base_matrix(levi: LeviDescriptor, basis) -> list[list[int]]:
     if levi.tail:
         edges += [(offset + i, offset + j, x)
                   for i, j, x in _normal_form(levi.kind, levi.tail.c.parts)]
-    return _lay(edges, basis, levi.ambient)
+    return _lay(edges, levi.kind, levi.ambient)
 
 
 def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Partition:
@@ -399,15 +420,14 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     n = levi.ambient
     if n > MAX_ORACLE_AMBIENT:
         raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
-    basis = _algebra_basis(levi.kind, n)
-    base = _levi_base_matrix(levi, basis)
+    base = _levi_base_matrix(levi)
     if not _in_algebra(base, levi.kind):
         raise RuntimeError(f"Levi base matrix is not in {levi.kind}_{n}")
     sizes = [b.k for b in levi.gl_blocks]
     if levi.kind != "gl":
         sizes += [levi.tail.m if levi.tail else 0] + sizes[::-1]
     block = [b for b, size in enumerate(sizes) for _ in range(size)]
-    nilradical = [element for element in basis
+    nilradical = [element for element in _algebra_basis(levi.kind, n)
                   if block[element[0][0]] < block[element[0][1]]]
     target = induced_dim_z(levi)
     rng = random.Random(seed)
@@ -435,7 +455,7 @@ def centralizer_oracle(p: Partition) -> int:
     if n > MAX_ORACLE_AMBIENT:
         raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
     basis = _algebra_basis(p.kind, n)
-    e = _lay(_normal_form(p.kind, p.parts), basis, n)
+    e = _lay(_normal_form(p.kind, p.parts), p.kind, n)
     if not _in_algebra(e, p.kind):
         raise RuntimeError(f"e of type {p.parts} is not in {p.kind}_{n}")
     weights = _sl2_weights(p.parts)
@@ -465,7 +485,7 @@ def centralizer_oracle(p: Partition) -> int:
                                        f"degree {target}")
                 image[index] += x
         blocks.setdefault(k, []).append(image)
-    return len(basis) - sum(linalg.rank(rows) for rows in blocks.values())
+    return len(basis) - sum(len(linalg.integer_row_basis(rows)) for rows in blocks.values())
 
 
 def partitions_of(n: int):

@@ -1,7 +1,8 @@
 """Reference induction-layer routines: the two-loop and the pruned rigidity
 searches, the gl Jordan-block builder, the per-part parity check, the
 column-count transpose, the rescanning collapse, the dense centralizer
-oracle and the degree-2 sampler of classical nilpotents.
+oracle, the degree-2 sampler of classical nilpotents, and the per-call
+algebra basis and position dict.
 
 These are ``lsinduce.is_rigid`` (with the ``partitions_of`` and
 ``valid_partitions`` it walked), ``lsinduce._jordan_block_matrix``,
@@ -15,21 +16,25 @@ the ``max_ambient`` argument.  ``_jordan_blocks`` and
 ``_nilpotent_in_classical`` (with its ``_MAX_TRIES``) are the basis-driven
 gl Jordan blocks and the sampled so/sp representative that the normal form
 ``lsinduce._normal_form``, laid by ``lsinduce._lay``, replaced; this
-module's ``centralizer_oracle`` still builds its ``e`` with them.  The one
-edit is in ``parity_valid``:
+module's ``centralizer_oracle`` still builds its ``e`` with them.
+``_algebra_basis`` and ``_lay`` are the per-call list basis and the laying
+helper that built its position dict on every call, which the basis and
+position map built once per (kind, n) (``lsinduce._algebra_basis``,
+``lsinduce._positions``) replaced.  The one edit is in ``parity_valid``:
 ``p.parts.count(q)`` stands for the ``Partition.multiplicity(q)`` it called,
 which was that expression and has no other caller; the moved functions
-call this module's ``parity_valid``.  The differential tests compare the
-engine against these; nothing in ``src/`` imports this module.
+call this module's ``parity_valid`` and ``_algebra_basis``.  The
+differential tests compare the engine against these; nothing in ``src/``
+imports this module.
 """
 import random
 from itertools import zip_longest
 
 from orbitcert import linalg
 from orbitcert.lsinduce import (MAX_ORACLE_AMBIENT, GLBlock, LeviDescriptor, Tail,
-                                TrialBudgetExhausted, _algebra_basis, _componentwise_sum,
-                                _in_algebra, _random_element, _sl2_weights, dominates,
-                                induce, jordan_type)
+                                TrialBudgetExhausted, _componentwise_sum, _in_algebra,
+                                _random_element, _sl2_weights, dominates, induce,
+                                jordan_type)
 from orbitcert.orbits import Partition
 
 DEFAULT_RIGID_AMBIENT = 14
@@ -55,6 +60,41 @@ def transpose(p: Partition) -> Partition:
 
 def _zero(n: int) -> list[list[int]]:
     return [[0] * n for _ in range(n)]
+
+
+def _algebra_basis(kind: str, n: int) -> list[list[tuple[int, int, int]]]:
+    """A basis of gl_n / so_n / sp_n as sparse [(row, col, entry), ...] elements.
+
+    One element per canonical position, in row-major order; the first triple
+    is (i, j, 1) at that position, so its coefficient in any member of the
+    algebra is the entry there.  gl: the elementary matrices.  so/sp, for the
+    antidiagonal form: a member satisfies X[i][j] = -e_i e_j X[n-1-j][n-1-i]
+    (e = 1 for so, the split sign for sp), the canonical position of a
+    mirrored pair is the one with i + j < n - 1, and the antidiagonal is zero
+    in so and free in sp.
+    """
+    if kind == "gl":
+        return [[(i, j, 1)] for i in range(n) for j in range(n)]
+    sign = [1 if kind == "so" or i < n // 2 else -1 for i in range(n)]
+    basis = []
+    for i in range(n):
+        for j in range(n - i):
+            if i + j < n - 1:
+                basis.append([(i, j, 1), (n - 1 - j, n - 1 - i, -sign[i] * sign[j])])
+            elif kind == "sp":
+                basis.append([(i, j, 1)])
+    return basis
+
+
+def _lay(edges, basis, n: int) -> list[list[int]]:
+    """The n x n sum of x times the basis element at canonical position
+    (i, j) over the edges (i, j, x), so so/sp get each mirrored entry too."""
+    at = {element[0][:2]: element for element in basis}
+    mat = _zero(n)
+    for i, j, x in edges:
+        for r, c, y in at[i, j]:
+            mat[r][c] += x * y
+    return mat
 
 
 def _jordan_block_matrix(parts, n: int) -> list[list[int]]:

@@ -1,0 +1,71 @@
+"""The committed BENCH_<pr>.json files written by scripts/bench.py: each
+matches the schema, names every workload and end-to-end metric of
+BENCHMARK.json, and keeps the previous file's output sha256 on every
+workload unless it gives the reason in ``outputs_changed``."""
+import json
+import re
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = {w["name"] for w in SPEC["workloads"]}
+UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+BENCH = sorted(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+TOP = {"pr": int, "git_revision": str, "nproc": int, "python": str, "seed": int,
+       "seconds": (int, float), "runs": int, "lines": dict, "workloads": dict}
+
+
+def load(path):
+    return json.loads(path.read_text())
+
+
+def test_bench_files_found():
+    assert {"BENCH_12.json", "BENCH_13.json"} <= {path.name for path in BENCH}
+
+
+@pytest.mark.parametrize("path", BENCH, ids=lambda path: path.name)
+def test_bench_file_schema(path):
+    record = load(path)
+    assert set(record) - {"outputs_changed"} == set(TOP)
+    for key, kind in TOP.items():
+        assert isinstance(record[key], kind), key
+    assert f"BENCH_{record['pr']}.json" == path.name
+    assert re.fullmatch(r"[0-9a-f]{40}(-dirty)?", record["git_revision"])
+    assert record["nproc"] >= 1 and record["runs"] >= 2
+    assert set(record["lines"]) == {"src", "tests"}
+    assert all(isinstance(n, int) and n > 0 for n in record["lines"].values())
+    if "outputs_changed" in record:
+        assert isinstance(record["outputs_changed"], str) and record["outputs_changed"].strip()
+    assert set(record["workloads"]) == WORKLOADS
+    for name, entry in record["workloads"].items():
+        assert set(entry) == {"output_sha256", "attempted", "failed", "metrics"}, name
+        assert re.fullmatch(r"[0-9a-f]{64}", entry["output_sha256"]), name
+        assert 0 <= entry["failed"] <= entry["attempted"], name
+        assert set(entry["metrics"]) == set(UNITS), name
+        for metric, stats in entry["metrics"].items():
+            assert set(stats) == {"unit", "median", "q1", "q3", "values"}, metric
+            assert stats["unit"] == UNITS[metric], metric
+            values = stats["values"]
+            assert len(values) == record["runs"], metric
+            assert min(values) <= stats["q1"] <= stats["median"] <= stats["q3"] <= max(values)
+
+
+@pytest.mark.parametrize("before,after", zip(BENCH, BENCH[1:]),
+                         ids=lambda path: path.name)
+def test_outputs_unchanged_unless_explained(before, after):
+    old, new = load(before), load(after)
+    assert new["seed"] == old["seed"]
+    if "outputs_changed" in new:
+        return
+    for name in WORKLOADS:
+        assert new["workloads"][name]["output_sha256"] == \
+            old["workloads"][name]["output_sha256"], name
+
+
+def test_summary_quartiles():
+    summarize = runpy.run_path(str(ROOT / "scripts" / "bench.py"))["summarize"]
+    assert summarize([5, 1, 4, 2, 3]) == {"median": 3, "q1": 2, "q3": 4,
+                                          "values": [5, 1, 4, 2, 3]}

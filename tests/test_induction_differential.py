@@ -1,7 +1,8 @@
 """Differential test: the closed-form rigidity criterion, the laid Levi
 Jordan blocks, the pairwise parity check, the run-built transpose, the
-one-pass collapse and the degree-graded centralizer oracle on the normal form
-against the code they replaced (tests/induction_reference.py)."""
+one-pass collapse, the degree-graded centralizer oracle on the normal form
+and the algebra basis and position map built once per (kind, n) against the
+code they replaced (tests/induction_reference.py)."""
 import inspect
 from itertools import zip_longest
 
@@ -74,13 +75,13 @@ def test_jordan_blocks_match_unit_superdiagonal():
         for n in range(max(total, 1), total + 3):
             pad = ls.GLBlock(n - total, Partition((1,) * (n - total)))
             levi = ls.LeviDescriptor("gl", n, (ls.GLBlock(total, Partition(parts)), pad))
-            got = ls._levi_base_matrix(levi, ls._algebra_basis("gl", n))
+            got = ls._levi_base_matrix(levi)
             assert got == ref._jordan_block_matrix(parts, n), (parts, n)
         for kind in ("so", "sp"):
             n = 2 * total
             basis = ls._algebra_basis(kind, n)
             levi = ls.LeviDescriptor(kind, n, (ls.GLBlock(total, Partition(parts)),))
-            assert ls._levi_base_matrix(levi, basis) == ref._jordan_blocks(parts, basis, n)
+            assert ls._levi_base_matrix(levi) == ref._jordan_blocks(parts, basis, n)
 
 
 def test_parity_valid_matches_multiplicity_count():
@@ -165,3 +166,34 @@ def test_graded_centralizer_oracle_matches_dense_one():
             p = Partition(parts, kind)
             if ref.parity_valid(p):
                 assert ls.centralizer_oracle(p) == ref.centralizer_oracle(p), p
+
+
+def test_memoized_basis_and_positions_match_the_per_call_build():
+    """gl/so/sp up to the oracle bound: the basis and position map built once
+    per (kind, n) equal the per-call list basis and the dict ``_lay`` built
+    from it, and every normal form is laid to the same matrix."""
+    for kind in KINDS:
+        for n in range(ls.MAX_ORACLE_AMBIENT + 1):
+            if kind == "sp" and n % 2:
+                continue
+            expected = ref._algebra_basis(kind, n)
+            assert [list(element) for element in ls._algebra_basis(kind, n)] == expected
+            at = ls._positions(kind, n)
+            assert len(at) == len(expected)
+            assert all(list(at[element[0][:2]]) == element for element in expected)
+            for p in ls.valid_partitions(n, kind):
+                edges = ls._normal_form(kind, p.parts)
+                assert ls._lay(edges, kind, n) == ref._lay(edges, expected, n), p
+
+
+def test_memoized_basis_is_shared_and_immutable():
+    for kind in KINDS:
+        basis, at = ls._algebra_basis(kind, 6), ls._positions(kind, 6)
+        assert ls._algebra_basis(kind, 6) is basis and ls._positions(kind, 6) is at
+        with pytest.raises(TypeError):
+            basis[0] = ()
+        with pytest.raises(TypeError):
+            basis[0][0] = (0, 0, 1)
+        with pytest.raises(TypeError):
+            at[0, 0] = ()
+

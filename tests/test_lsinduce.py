@@ -145,6 +145,7 @@ def test_jordan_type_of_block_matrix():
     mat = _jordan_block_matrix((3, 2, 2, 1), 8)
     assert ls.jordan_type(mat) == (3, 2, 2, 1)
     assert ls.jordan_type([[0]]) == (1,)
+    assert ls.jordan_type([]) == ()
 
 
 def test_jordan_type_rank_identity():
@@ -165,6 +166,12 @@ def test_jordan_type_rank_identity():
 def test_jordan_type_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         ls.jordan_type([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("mat", [[[0], [0]], [[0, 0, 0]], [[0, 1], [0]], [[]]])
+def test_jordan_type_rejects_non_square(mat):
+    with pytest.raises(ValueError, match="not square"):
+        ls.jordan_type(mat)
 
 
 def test_oracle_identity_on_full_gl_levi():
@@ -306,7 +313,7 @@ def test_normal_form_is_exact_without_random_draws():
         for n in range(ls.MAX_ORACLE_AMBIENT + 1):
             for kind in ("gl", "so", "sp"):
                 for p in ls.valid_partitions(n, kind):
-                    e = ls._lay(ls._normal_form(kind, p.parts), ls._algebra_basis(kind, n), n)
+                    e = ls._lay(ls._normal_form(kind, p.parts), kind, n)
                     weights = ls._sl2_weights(p.parts)
                     assert ls._in_algebra(e, kind), p
                     assert all(weights[i] - weights[j] == 2 for i in range(n)
@@ -329,8 +336,8 @@ def test_tail_laid_at_offset(kind, ambient, tail):
     k = (ambient - m) // 2
     levi = ls.LeviDescriptor(kind, ambient, (ls.GLBlock(k, P((2,) + (1,) * (k - 2))),),
                              ls.Tail(m, P(tail, kind)))
-    base = ls._levi_base_matrix(levi, ls._algebra_basis(kind, ambient))
-    alone = ls._lay(ls._normal_form(kind, tail), ls._algebra_basis(kind, m), m)
+    base = ls._levi_base_matrix(levi)
+    alone = ls._lay(ls._normal_form(kind, tail), kind, m)
     assert [row[k:k + m] for row in base[k:k + m]] == alone
     assert ls._in_algebra(base, kind)
     expected = sorted(tail + (2, 2) + (1,) * (2 * k - 4), reverse=True)

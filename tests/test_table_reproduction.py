@@ -4,9 +4,11 @@ For 32 of the 34 embedded rows the nilpotent is regular in the Levi named
 by its label, so dim z_g(e) must equal dim g(0) + dim g(1) for the regular
 characteristic of some simple-root subset of that type.  The two rows with
 a subregular D-component (D4(a1)+A1 and D5(a1)+A2) have no such
-realization and are excluded.  Tilde labels demand short simple roots;
-primed E7 classes share a type multiset with an unlisted non-rigid class,
-so for those only membership is asserted.
+realization; their h is solved in the coroot span of a Levi from the sl2
+labels of the D partitions (5,3) and (7,3), laid on the E8 branch node.
+Tilde labels demand short simple roots; primed E7 classes share a type
+multiset with an unlisted non-rigid class, so for those only membership is
+asserted.
 
 The same realizations give the q_type column: the reductive centralizer of
 the sl2 triple, q = z_g(e) in g(0), has dim g(0) - dim g(2), as ad e maps
@@ -19,6 +21,8 @@ from functools import lru_cache
 import pytest
 
 from orbitcert import certify as ct
+from orbitcert import linalg
+from orbitcert import lsinduce as ls
 from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
 
@@ -144,3 +148,56 @@ def test_covers_all_regular_in_levi_rows():
     assert len(LEVI_REGULAR) == 32
     for rec in LEVI_REGULAR:
         assert (rec.algebra, rec.dim_z) in covered, rec
+
+
+def d_labels(parts):
+    """Dynkin labels of the so_2r nilpotent of an even total: the nonnegative
+    half of its sl2 weights is h in epsilon coordinates, so the labels are
+    h_i - h_(i+1) on the chain and h_(r-1) + h_r on the last node."""
+    weights = ls._sl2_weights(parts)
+    h = weights[:len(weights) // 2]
+    return [a - b for a, b in zip(h, h[1:])] + [h[-2] + h[-1]]
+
+
+# (row, E8 nodes of the D component in D order, with the branch third from
+# the end, and of the regular A component): the model's E8 diagram branches
+# at node 4 with arms 3-2-1-0, 5-6 and 7
+SUBREGULAR_D = [
+    ("D4(a1)+A1", (5, 3), (3, 4, 5, 7), (1,)),
+    ("D5(a1)+A2", (7, 3), (6, 5, 4, 3, 7), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("label,parts,d_nodes,a_nodes", SUBREGULAR_D,
+                         ids=[row[0] for row in SUBREGULAR_D])
+def test_subregular_d_row_from_sl2_labels(label, parts, d_nodes, a_nodes):
+    """h in the coroot span of the Levi D_r + A_s with the labels of the D
+    partition on the D component and 2 on the A component: graded_dims
+    gives the row's dim z = dim g(0) + dim g(1) and dim q = dim g(0) - dim g(2)."""
+    e8 = rs.build("E8")
+    rank = len(d_nodes)
+    assert [[e8.cartan[i][j] for j in d_nodes] for i in d_nodes] == \
+        [list(row) for row in rs.build(f"D{rank}").cartan]
+    labels = d_labels(parts) + [2] * len(a_nodes)
+    assert d_labels(parts)[rank - 3] == 0  # the branch node of D_r
+    nodes = d_nodes + a_nodes
+    # <a_i, h> = sum_j cartan[i][j] c_j for h = sum_j c_j a_j^vee over the Levi nodes
+    inverse = linalg.inverse([[e8.cartan[i][j] for j in nodes] for i in nodes])
+    coroot = [sum(x * y for x, y in zip(row, labels)) for row in inverse]
+    scale, scale_den = e8.coroot_scale
+    coeffs = [0] * e8.rank
+    for node, c in zip(nodes, coroot):
+        coeffs[node] = c * scale[node]
+    h = rs.combine(e8, coeffs, scale_den)
+    values = rs.h_values(e8, h)
+    assert [values[node] for node in nodes] == labels
+    graded = ob.graded_dims(e8, h)
+    rec = ob.rigid_table("E8", label)
+    assert graded[0] + graded.get(1, 0) == rec.dim_z
+    assert graded[0] - graded.get(2, 0) == reductive_dim(rec.q_type)
+
+
+def test_subregular_d_rows_are_the_two_skipped_ones():
+    assert {("E8", label) for label, *_ in SUBREGULAR_D} == SKIPPED
+    rows = [ob.rigid_table("E8", label) for label, *_ in SUBREGULAR_D]
+    assert [(rec.dim_z, reductive_dim(rec.q_type)) for rec in rows] == [(72, 9), (46, 3)]
