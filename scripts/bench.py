@@ -9,24 +9,29 @@ default the one holding this script), with tracing off.  The file records,
 per workload, the median and quartiles of every end-to-end metric over the
 rounds, the output sha256 (which must agree across rounds), and the ops
 attempted and failed; and for the run as a whole the git revision, nproc,
-the Python version and the line counts of the checkout's ``src/`` and
-``tests/`` files that git does not ignore.  The times are perfbench's
-reference times.  The file goes to the root of the repository holding this
+the Python version, the line counts of the checkout's ``src/`` and
+``tests/`` files that git does not ignore, and the wall time and pass count
+of one run of the Tier-1 suite (``TIER1``) in the checkout.  The workload
+times are perfbench's reference times; the Tier-1 time is raw wall time.  The file goes to the root of the repository holding this
 script, so a clone of another commit can be measured with ``--checkout``.
 """
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 DEFAULT_CHECKOUT = Path(__file__).resolve().parents[1]
 RUNS = 5  # rounds per workload: enough for quartiles
 SEED = 0  # one seed for every file, so their output sha256 values compare
 RUN_TIMEOUT_S = 600
+# the Tier-1 command of ROADMAP.md, run with src/ first on PYTHONPATH
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, str]:
@@ -40,6 +45,20 @@ def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, str]:
     lines = proc.stdout.strip().splitlines()
     sha = next(line.split()[1] for line in lines if line.startswith("output_sha256 "))
     return json.loads(lines[-1]), sha
+
+
+def tier1(checkout: Path) -> dict:
+    """Wall time and pass count of one Tier-1 run in the checkout."""
+    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S, env={**os.environ, "PYTHONPATH": path})
+    seconds = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    passed = re.search(r"(\d+) passed", summary)
+    if passed is None:
+        raise SystemExit(f"Tier-1 ran no test (exit {proc.returncode}): {summary!r}")
+    return {"seconds": round(seconds, 2), "passed": int(passed.group(1))}
 
 
 def summarize(values: list[float]) -> dict:
@@ -109,6 +128,7 @@ def main() -> None:
         "seconds": seconds,
         "runs": RUNS,
         "lines": line_counts(checkout),
+        "tier1": tier1(checkout),
         "workloads": workloads,
     }
     out = DEFAULT_CHECKOUT / f"BENCH_{args.pr}.json"

@@ -26,9 +26,9 @@ from fractions import Fraction
 from operator import mul
 
 from . import rootsys
-from .integral import cor68_dim
-from .orbits import orbit_dim_from_h
-from .rootsys import RootSystemModel, Weight, combine, h_values, levi_mask
+from .integral import cor68_dim, cor68_from_system, integral_from_values
+from .orbits import orbit_dim_from_h, orbit_dim_from_values
+from .rootsys import RootSystemModel, Weight, combine, h_values, levi_mask, root_values
 
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 
@@ -41,11 +41,6 @@ def _levi(model: RootSystemModel, pi0) -> tuple[list[int], int]:
     """Validated Pi_0 as (sorted indices, bit set)."""
     indices = sorted(rootsys._check_indices(model, pi0))
     return indices, levi_mask(indices)
-
-
-def _root_values(model: RootSystemModel, values) -> list[int]:
-    """<beta, h> on each positive root, from h's values on the simple roots."""
-    return [sum(map(mul, coeff, values)) for coeff in model.pos_coefficients]
 
 
 def _coefficient_sum(vectors, rank: int) -> list[int]:
@@ -113,13 +108,17 @@ def delta(model: RootSystemModel, pi0, h: Weight) -> Weight:
     theta_negative = [model.roots[npos + k] for k, s in enumerate(model.supports) if s & ~mask]
     if not theta_negative:
         return _zero(model)
-    values = _root_values(model, h_values(model, h, theta_negative))
+    values = root_values(model, h_values(model, h, theta_negative))
     return combine(model, _two_delta(model, mask, values), 2)
 
 
 def delta_prime(model: RootSystemModel, h: Weight) -> Weight:
     """Half-sum of the positive roots alpha with <alpha, h> in {0, 1}."""
-    values = _root_values(model, h_values(model, h))
+    return _delta_prime(model, root_values(model, h_values(model, h)))
+
+
+def _delta_prime(model: RootSystemModel, values) -> Weight:
+    """``delta_prime`` from <beta, h> on the positive roots (``rootsys.root_values``)."""
     return combine(model, _two_delta_prime(model, values), 2)
 
 
@@ -136,10 +135,9 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
     ordered, mask = _levi(model, pi0)
     mu = rootsys.canonicalize(model, mu)
     nums, den = rootsys.root_coords(model, mu)
-    coeffs = tuple(Fraction(nums[i], den) for i in ordered)
     if (all(x == 0 for i, x in enumerate(nums) if not mask >> i & 1)
             and rootsys.in_root_span(model, mu)):
-        return True, coeffs
+        return True, tuple(Fraction(nums[i], den) for i in ordered)
     return False, mu - combine(model, [x if mask >> i & 1 else 0
                                        for i, x in enumerate(nums)], den)
 
@@ -154,18 +152,24 @@ class CheckResult:
         return self.status == PASS
 
 
+_A_UNDECIDED = CheckResult(UNDECIDED, detail="criterion needs e regular in the Levi")
+
+
 def check_A(model: RootSystemModel, pi0, lambda_prime: Weight,
             principal_in_levi: bool = True) -> CheckResult:
     """Levi-antidominance of lambda (undecided unless e is regular in the Levi)."""
     if not principal_in_levi:
-        return CheckResult(UNDECIDED, detail="criterion needs e regular in the Levi")
+        return _A_UNDECIDED
     _, mask = _levi(model, pi0)
-    labels, den = rootsys.dynkin_labels(model, lambda_prime)
-    for beta, cv, s in zip(model.positive_roots, model.coroot_coefficients, model.supports):
-        if s & ~mask:
-            continue
-        val = sum(map(mul, cv, labels))
-        if val > 0 and val % den == 0:
+    return _verdict_A(model, mask, *rootsys.coroot_values(model, lambda_prime))
+
+
+def _verdict_A(model: RootSystemModel, mask: int, values, den: int) -> CheckResult:
+    """``check_A`` for e regular in the Levi of ``mask``, from
+    <lambda', beta^vee> = values[k] / den (``rootsys.coroot_values``)."""
+    off = ~mask
+    for beta, s, val in zip(model.positive_roots, model.supports, values):
+        if not s & off and val > 0 and val % den == 0:
             return CheckResult(FAIL, witness=beta,
                                detail=f"<lambda', alpha^vee> = {val // den} in Z_>0")
     return CheckResult(PASS)
@@ -216,6 +220,8 @@ class CertificateInput:
     h: Weight                      # characteristic of e inside the Levi
     lambda_prime: Weight           # lambda + rho
     principal_in_levi: bool = False
+    # <alpha_i, h> on the simple roots, read once here and used by ``certify``
+    h_simple: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indices = sorted(rootsys._check_indices(self.model, self.levi))
@@ -224,6 +230,7 @@ class CertificateInput:
         object.__setattr__(self, "lambda_prime",
                            rootsys.canonicalize(self.model, self.lambda_prime))
         values = h_values(self.model, self.h)
+        object.__setattr__(self, "h_simple", tuple(values))
         ok, residual = in_levi_span(self.model, self.h, indices)
         if not ok:
             raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
@@ -285,12 +292,22 @@ class CertificateReport:
 
 def certify(inp: CertificateInput) -> CertificateReport:
     """Run all four checks and aggregate; deterministic and side-effect free.
-    cor68, dim O and delta' are computed once and feed verdicts and report."""
+
+    One pass per side: the values of lambda' on the positive coroots
+    (``rootsys.coroot_values``) feed (A) and the integral system behind
+    cor68, and the values of h on the positive roots (``rootsys.root_values``
+    of the simple values the input read) feed dim O and delta'.  cor68, dim O
+    and delta' are computed once and feed verdicts and report.
+    """
     model = inp.model
-    verdict_A = check_A(model, inp.levi, inp.lambda_prime, inp.principal_in_levi)
-    cor68 = cor68_dim(model, inp.lambda_prime)
-    dim_orbit = orbit_dim_from_h(model, inp.h)
-    dprime = delta_prime(model, inp.h)
+    values, den = rootsys.coroot_values(model, inp.lambda_prime)
+    verdict_A = (_verdict_A(model, levi_mask(inp.levi), values, den)
+                 if inp.principal_in_levi else _A_UNDECIDED)
+    cor68 = cor68_from_system(model, integral_from_values(model, inp.lambda_prime,
+                                                          values, den))
+    h_roots = root_values(model, inp.h_simple)
+    dim_orbit = orbit_dim_from_values(model, h_roots)
+    dprime = _delta_prime(model, h_roots)
     return CertificateReport(
         verdict_A=verdict_A,
         verdict_B=_verdict_B(cor68, dim_orbit),
@@ -320,7 +337,7 @@ def congruence_sweep(model: RootSystemModel):
         for pi0 in itertools.combinations(range(rank), size):
             mask = levi_mask(pi0)
             outside = [i for i in range(rank) if not mask >> i & 1]
-            values = _root_values(model, _regular_values(model, mask))
+            values = root_values(model, _regular_values(model, mask))
             resid = [a - b - c for a, b, c in zip(_two_delta_prime(model, values),
                                                   _two_delta(model, mask, values), two_rho)]
             yield pi0, None, all(resid[i] == 0 for i in outside)

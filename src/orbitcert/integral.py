@@ -3,9 +3,11 @@
 The integral system of a weight consists of the roots whose coroots pair
 integrally with lambda + rho.  The coroot set is always closed inside the
 dual root system, so the simple system is extracted on the coroot side:
-the roots whose coroots are not sums of two integral positive coroots.  The
-Cartan type is read from the Gram matrix of those simple roots, so it is
-that of the integral root system itself (B and C are not swapped).
+the roots whose coroots are not sums of two integral positive coroots,
+found by walking the integral coroots by coroot height
+(``rootsys.height_simples``).  The Cartan type is read from the Gram matrix
+of those simple roots, so it is that of the integral root system itself (B
+and C are not swapped).
 """
 from __future__ import annotations
 
@@ -38,16 +40,23 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
     rho is integral (checked when the model is built), so integrality
     against lambda' = lambda + rho and against lambda agree.
     """
-    labels, den = rootsys.dynkin_labels(model, lambda_prime)
-    coroots = model.coroot_coefficients
-    values = [sum(map(mul, cv, labels)) for cv in coroots]
-    chosen = [k for k, v in enumerate(values) if v % den == 0]
-    codes = [model.coroot_codes[k] for k in chosen]
-    simple = [k for k, ind in zip(chosen, rootsys.indecomposables(codes)) if ind]
+    return integral_from_values(model, lambda_prime,
+                                *rootsys.coroot_values(model, lambda_prime))
+
+
+def integral_from_values(model: RootSystemModel, lambda_prime: Weight,
+                         values: list[int], den: int) -> IntegralSystem:
+    """``integral_system`` from <lambda', beta^vee> = values[k] / den on the
+    positive roots (``rootsys.coroot_values``)."""
+    by_height = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
+    codes = model.coroot_codes
+    simple = sorted(by_height[pos]
+                    for pos in rootsys.height_simples([codes[k] for k in by_height]))
+    chosen = sorted(by_height)
     rows = [model.pos_coefficients[k] for k in simple]
-    images = [[sum(map(mul, form_row, row)) for form_row in model.gram] for row in rows]
-    cartan_type = rootsys.classify_gram([[sum(map(mul, row, image)) for row in rows]
-                                         for image in images])
+    form_rows = model.form_rows
+    cartan_type = rootsys.classify_gram([[sum(map(mul, form_rows[k], row)) for row in rows]
+                                         for k in simple])
     npos = len(model.positive_roots)
     allroots = (tuple(model.positive_roots[k] for k in chosen)
                 + tuple(model.roots[npos + k] for k in chosen))

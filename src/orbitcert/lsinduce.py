@@ -314,13 +314,24 @@ def _random_element(basis, n: int, rng: random.Random, start=None) -> list[list[
 
 
 def _in_algebra(mat, kind: str) -> bool:
-    """Independent membership check: X[i][j] = -e_i e_j X[n-1-j][n-1-i]."""
+    """Independent membership check: X[i][j] = -e_i e_j X[n-1-j][n-1-i].
+
+    e_i e_j is 1 when i and j lie on the same side of n // 2 in sp, and
+    always in so.  Each mirrored pair is checked once, at its entry with
+    i + j <= n - 1; an antidiagonal entry is its own mirror, so it must
+    vanish in so and is free in sp.
+    """
     if kind == "gl":
         return True
     n = len(mat)
-    sign = [1 if kind == "so" or i < n // 2 else -1 for i in range(n)]
-    return all(mat[i][j] == -sign[i] * sign[j] * mat[n - 1 - j][n - 1 - i]
-               for i in range(n) for j in range(n))
+    half = n // 2 if kind == "sp" else n
+    for i in range(n):
+        row, low = mat[i], i < half
+        for j in range(n - i):
+            mirror = mat[n - 1 - j][n - 1 - i]
+            if row[j] != (-mirror if low == (j < half) else mirror):
+                return False
+    return True
 
 
 def _sl2_weights(parts) -> list[int]:

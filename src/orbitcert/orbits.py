@@ -15,32 +15,48 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, asdict
-from operator import mul
 
-from .rootsys import RootSystemModel, Weight, h_values, rho, simple_pairings
+from .rootsys import RootSystemModel, Weight, h_values, rho, root_values, simple_pairings
+
+
+def _h_root_values(model: RootSystemModel, h: Weight) -> list[int]:
+    return root_values(model, h_values(model, h, show_value=True))
 
 
 def graded_dims(model: RootSystemModel, h: Weight) -> dict[int, int]:
     """dim g(i) for the grading by ad-h eigenvalues; h must be integral."""
-    values = h_values(model, h, show_value=True)
+    return _graded_dims(model, _h_root_values(model, h))
+
+
+def _graded_dims(model: RootSystemModel, values) -> dict[int, int]:
+    """``graded_dims`` from <beta, h> on the positive roots (``rootsys.root_values``):
+    beta and -beta add one each to g(k) and g(-k), the Cartan to g(0)."""
     dims: dict[int, int] = {0: model.rank}
-    for coeff in model.pos_coefficients:
-        k = sum(map(mul, coeff, values))
-        dims[k] = dims.get(k, 0) + 1
-        dims[-k] = dims.get(-k, 0) + 1
+    for k, count in Counter(values).items():
+        dims[k] = dims.get(k, 0) + count
+        dims[-k] = dims.get(-k, 0) + count
     return {k: v for k, v in sorted(dims.items()) if v}
+
+
+def _centralizer_dim(dims: dict[int, int]) -> int:
+    return dims.get(0, 0) + dims.get(1, 0)
 
 
 def centralizer_dim_from_h(model: RootSystemModel, h: Weight) -> int:
     """dim z_g(e) = dim g(0) + dim g(1) for a characteristic h of e."""
-    dims = graded_dims(model, h)
-    return dims.get(0, 0) + dims.get(1, 0)
+    return _centralizer_dim(graded_dims(model, h))
 
 
 def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
     """dim O = dim g - dim z_g(e); odd only when h is not a characteristic."""
-    dim_orb = model.dim - centralizer_dim_from_h(model, h)
+    return orbit_dim_from_values(model, _h_root_values(model, h))
+
+
+def orbit_dim_from_values(model: RootSystemModel, values) -> int:
+    """``orbit_dim_from_h`` from <beta, h> on the positive roots."""
+    dim_orb = model.dim - _centralizer_dim(_graded_dims(model, values))
     if dim_orb % 2:
         raise ValueError(f"orbit dimension {dim_orb} is odd: h is not the "
                          "characteristic of a nilpotent")

@@ -26,6 +26,28 @@ other types use the standard orthonormal epsilon-models and the identity
 canonicalizer.  A vector enters simple-root coordinates once
 (``simple_pairings``, ``dynkin_labels``, ``h_values``, ``root_coords``, all
 reading ``nums`` and ``den``) and leaves them once (``combine``).
+
+A positive root that is not simple is a simple root plus a positive root
+(Humphreys, Introduction to Lie Algebras, 10.2, Lemma A), and that positive
+root has height one less.  Two tables follow from it and turn simple-root
+numbers into values on every positive root in one pass by height, one
+addition per root: ``root_steps`` writes each positive root as a simple root
+or as an earlier positive root plus a simple root, and ``coroot_steps`` does
+the same for the coroots on the simple coroots, in order of coroot height.
+``root_values`` runs the first on h's simple values; ``coroot_values`` runs
+the second on a weight's Dynkin labels.  ``root_coords`` reads one cached
+rank x ambient integer matrix, the coweight rows times the simple-root rows
+over one denominator, so a vector's coordinates on the simple roots are one
+product.
+
+The simple system of a root subsystem is found by height too
+(``height_simples``): walk its positive roots in order of height and keep a
+root unless it minus a simple root already kept is in the subsystem.  By
+the same lemma inside the subsystem, whose simple roots have smaller height
+than the roots above them, the walk is exact; it costs one set lookup per
+pair of a root and a simple root found before it.  The integral system
+walks coroots by coroot height (the order of ``coroot_steps``),
+``simple_system_of`` walks roots by height (the model order).
 """
 from __future__ import annotations
 
@@ -248,6 +270,13 @@ class RootSystemModel:
         return self._form[1]
 
     @cached_property
+    def form_rows(self) -> tuple[tuple[int, ...], ...]:
+        """(beta, a_j) = form_rows[k][j] / gram_den for positive root k: the
+        rows of ``pos_coefficients`` times ``gram``."""
+        return tuple(tuple(sum(map(mul, coeff, col)) for col in zip(*self.gram))
+                     for coeff in self.pos_coefficients)
+
+    @cached_property
     def cartan(self) -> tuple[tuple[int, ...], ...]:
         """cartan[i][j] = <a_i, a_j^vee>."""
         return _cartan_of(self.gram)
@@ -287,6 +316,19 @@ class RootSystemModel:
         return tuple(pack(self.coroot_coefficients))
 
     @cached_property
+    def root_steps(self) -> tuple[tuple[int, int, int], ...]:
+        """``_steps`` of the positive roots, in the model order (by height)."""
+        return _steps(self.pos_coefficients, range(len(self.pos_coefficients)))
+
+    @cached_property
+    def coroot_steps(self) -> tuple[tuple[int, int, int], ...]:
+        """``_steps`` of the positive coroots on the simple coroots, by
+        coroot height (stable in the model order)."""
+        coeffs = self.coroot_coefficients
+        heights = [sum(cv) for cv in coeffs]
+        return _steps(coeffs, sorted(range(len(coeffs)), key=heights.__getitem__))
+
+    @cached_property
     def coweight_rows(self) -> tuple[list[list[int]], int]:
         """(rows, den): rows[i][j] / den is the coefficient of the fundamental
         coweight omega_i^vee on a_j, i.e. the inverse of the Gram matrix."""
@@ -295,6 +337,16 @@ class RootSystemModel:
             raise RuntimeError(f"{self.cartan_type}: the Gram matrix is singular")
         rows, den = _common_rows(Weight(row) for row in inv)
         return [[x * self.gram_den for x in row] for row in rows], den
+
+    @cached_property
+    def root_coord_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, den): w's orthogonal projection onto the span of the simple
+        roots is sum_i (rows[i] . w.nums) / (den w.den) a_i; the coweight rows
+        times the simple-root rows."""
+        coweights, coweight_den = self.coweight_rows
+        basis, _, basis_den = self._basis
+        return ([[sum(map(mul, row, col)) for col in zip(*basis)] for row in coweights],
+                coweight_den * basis_den)
 
     @cached_property
     def _complement_rows(self) -> list[list[int]]:
@@ -411,6 +463,13 @@ def dynkin_labels(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
     return list(map(mul, nums, scale)), den * scale_den
 
 
+def coroot_values(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
+    """(values, den) with <w, beta^vee> = values[k] / den on positive root k:
+    the Dynkin labels, read once, summed along ``coroot_steps``."""
+    labels, den = dynkin_labels(model, w)
+    return _step_values(model.coroot_steps, labels), den
+
+
 def h_values(model: RootSystemModel, h: Weight, roots=None,
              show_value: bool = False) -> list[int]:
     """The integers <a_i, h> on the simple roots; <beta, h> for a root is
@@ -432,12 +491,49 @@ def h_values(model: RootSystemModel, h: Weight, roots=None,
     raise ValueError("h is not integral on the simple roots")
 
 
+def root_values(model: RootSystemModel, values) -> list[int]:
+    """<beta, h> on each positive root, from h's values on the simple roots,
+    summed along ``root_steps``."""
+    return _step_values(model.root_steps, values)
+
+
+def _step_values(steps, simple_values) -> list[int]:
+    """A linear form on every root of ``steps``, from its simple values."""
+    out = [0] * len(steps)
+    for k, parent, i in steps:
+        out[k] = simple_values[i] if parent < 0 else out[parent] + simple_values[i]
+    return out
+
+
+def _steps(coeffs, order) -> tuple[tuple[int, int, int], ...]:
+    """(k, parent, i) for each positive root k of a root system, given by its
+    coefficient vectors ``coeffs`` on the simple roots, in ``order`` (by
+    weakly increasing height): root k is the simple root a_i when parent is
+    -1, and otherwise root ``parent``, earlier in the order, plus a_i."""
+    index = {c: k for k, c in enumerate(coeffs)}
+    steps = []
+    for k in order:
+        c = coeffs[k]
+        if sum(c) == 1:
+            steps.append((k, -1, c.index(1)))
+            continue
+        for i, x in enumerate(c):
+            parent = index.get(c[:i] + (x - 1,) + c[i + 1:]) if x else None
+            if parent is not None:
+                steps.append((k, parent, i))
+                break
+        else:
+            raise RuntimeError(f"positive root {c} is no positive root plus a simple root")
+    return tuple(steps)
+
+
 def root_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
     """(nums, den): w's orthogonal projection onto the span of the simple
     roots is sum_i (nums[i] / den) a_i."""
-    nums, den = simple_pairings(model, w)
-    rows, rows_den = model.coweight_rows
-    return [sum(map(mul, row, nums)) for row in rows], den * rows_den
+    _check_length(model, w)
+    nums = w.nums
+    rows, den = model.root_coord_rows
+    return [sum(map(mul, row, nums)) for row in rows], w.den * den
 
 
 def in_root_span(model: RootSystemModel, w: Weight) -> bool:
@@ -656,10 +752,21 @@ def pack(vectors) -> list[int]:
     return [sum(c * base ** i for i, c in enumerate(v)) for v in vectors]
 
 
-def indecomposables(codes: list[int]) -> list[bool]:
-    """For a set of packed positive vectors: which are not a sum of two members."""
+def height_simples(codes: list[int]) -> list[int]:
+    """Positions of the simple roots among the ``pack`` codes of a root
+    subsystem's positive roots, listed by weakly increasing height: a root
+    is simple unless it minus a simple root found before it is a member."""
     members = set(codes)
-    return [not any(code - other in members for other in codes) for code in codes]
+    simple: list[int] = []
+    simple_codes: list[int] = []
+    for pos, code in enumerate(codes):
+        for other in simple_codes:
+            if code - other in members:
+                break
+        else:
+            simple.append(pos)
+            simple_codes.append(code)
+    return simple
 
 
 def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
@@ -667,9 +774,10 @@ def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
 
     Input roots (any mix of signs) must all be roots of the model and form
     a set closed under internal sums; the result is the set of positive
-    elements not expressible as sums of two positive elements, ordered like
-    the model's positive roots.  A set that is not closed is detected when
-    the output fails to regenerate it.
+    elements not expressible as sums of two positive elements, found by
+    ``height_simples`` over the model order (which is by height) and ordered
+    like the model's positive roots.  A set that is not closed is detected
+    when the output fails to regenerate it.
     """
     roots = list(roots)
     index, npos = model._root_index, len(model.positive_roots)
@@ -678,8 +786,7 @@ def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
             raise ValueError(f"{v} is not a root of {model.cartan_type}")
     chosen = sorted({index[v] % npos for v in roots})
     codes = pack(model.pos_coefficients[k] for k in chosen)
-    simples = [model.positive_roots[k] for k, simple in zip(chosen, indecomposables(codes))
-               if simple]
+    simples = [model.positive_roots[chosen[pos]] for pos in height_simples(codes)]
     if any(a.dot(b) > 0 for i, a in enumerate(simples) for b in simples[i + 1:]):
         raise ValueError("root set is not closed under the subsystem structure")
     try:

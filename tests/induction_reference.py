@@ -20,7 +20,10 @@ module's ``centralizer_oracle`` still builds its ``e`` with them.
 ``_algebra_basis`` and ``_lay`` are the per-call list basis and the laying
 helper that built its position dict on every call, which the basis and
 position map built once per (kind, n) (``lsinduce._algebra_basis``,
-``lsinduce._positions``) replaced.  The one edit is in ``parity_valid``:
+``lsinduce._positions``) replaced.  ``_in_algebra`` is the membership check
+that walked all n^2 entries through a generator, so each mirrored pair twice,
+which the one-check-per-pair loop replaced; this module's sampler calls it.
+The one edit is in ``parity_valid``:
 ``p.parts.count(q)`` stands for the ``Partition.multiplicity(q)`` it called,
 which was that expression and has no other caller; the moved functions
 call this module's ``parity_valid`` and ``_algebra_basis``.  The
@@ -32,9 +35,8 @@ from itertools import zip_longest
 
 from orbitcert import linalg
 from orbitcert.lsinduce import (MAX_ORACLE_AMBIENT, GLBlock, LeviDescriptor, Tail,
-                                TrialBudgetExhausted, _componentwise_sum, _in_algebra,
-                                _random_element, _sl2_weights, dominates, induce,
-                                jordan_type)
+                                TrialBudgetExhausted, _componentwise_sum, _random_element,
+                                _sl2_weights, dominates, induce, jordan_type)
 from orbitcert.orbits import Partition
 
 DEFAULT_RIGID_AMBIENT = 14
@@ -60,6 +62,16 @@ def transpose(p: Partition) -> Partition:
 
 def _zero(n: int) -> list[list[int]]:
     return [[0] * n for _ in range(n)]
+
+
+def _in_algebra(mat, kind: str) -> bool:
+    """Independent membership check: X[i][j] = -e_i e_j X[n-1-j][n-1-i]."""
+    if kind == "gl":
+        return True
+    n = len(mat)
+    sign = [1 if kind == "so" or i < n // 2 else -1 for i in range(n)]
+    return all(mat[i][j] == -sign[i] * sign[j] * mat[n - 1 - j][n - 1 - i]
+               for i in range(n) for j in range(n))
 
 
 def _algebra_basis(kind: str, n: int) -> list[list[tuple[int, int, int]]]:

@@ -1,7 +1,9 @@
 """The committed BENCH_<pr>.json files written by scripts/bench.py: each
 matches the schema, names every workload and end-to-end metric of
 BENCHMARK.json, and keeps the previous file's output sha256 on every
-workload unless it gives the reason in ``outputs_changed``."""
+workload unless it gives the reason in ``outputs_changed``.  From
+BENCH_14.json on a file also records the Tier-1 wall time and pass count
+(``tier1``)."""
 import json
 import re
 import runpy
@@ -16,6 +18,7 @@ UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
 BENCH = sorted(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
 TOP = {"pr": int, "git_revision": str, "nproc": int, "python": str, "seed": int,
        "seconds": (int, float), "runs": int, "lines": dict, "workloads": dict}
+TIER1_FROM = 14  # the first file that records the Tier-1 run
 
 
 def load(path):
@@ -29,7 +32,8 @@ def test_bench_files_found():
 @pytest.mark.parametrize("path", BENCH, ids=lambda path: path.name)
 def test_bench_file_schema(path):
     record = load(path)
-    assert set(record) - {"outputs_changed"} == set(TOP)
+    required = set(TOP) | ({"tier1"} if record["pr"] >= TIER1_FROM else set())
+    assert required <= set(record) <= required | {"tier1", "outputs_changed"}
     for key, kind in TOP.items():
         assert isinstance(record[key], kind), key
     assert f"BENCH_{record['pr']}.json" == path.name
@@ -37,6 +41,11 @@ def test_bench_file_schema(path):
     assert record["nproc"] >= 1 and record["runs"] >= 2
     assert set(record["lines"]) == {"src", "tests"}
     assert all(isinstance(n, int) and n > 0 for n in record["lines"].values())
+    if "tier1" in record:
+        assert set(record["tier1"]) == {"seconds", "passed"}
+        assert isinstance(record["tier1"]["seconds"], (int, float))
+        assert record["tier1"]["seconds"] > 0
+        assert isinstance(record["tier1"]["passed"], int) and record["tier1"]["passed"] > 0
     if "outputs_changed" in record:
         assert isinstance(record["outputs_changed"], str) and record["outputs_changed"].strip()
     assert set(record["workloads"]) == WORKLOADS

@@ -298,21 +298,27 @@ def test_report_json_shape(e8, flagship_lambda_prime, flagship_h):
 
 def test_certify_computes_each_quantity_once(monkeypatch, e8, flagship_lambda_prime,
                                              flagship_h):
-    inp = ct.CertificateInput(e8, LEVI, flagship_h, flagship_lambda_prime,
-                              principal_in_levi=True)
+    """One certificate, its input included, with and without --principal,
+    reads the Dynkin labels of lambda' and the simple values of h once, and
+    makes one pass over the positive roots for each: the coroot values feed
+    (A) and the integral system, the root values feed dim O and delta'."""
     calls = collections.Counter()
-    for name, home in (("integral_system", ig), ("orbit_dim_from_h", ob),
-                       ("delta_prime", ct)):
-        original = getattr(home, name)
+    for name in ("dynkin_labels", "h_values", "coroot_values", "root_values"):
+        original = getattr(rs, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args)
-        for mod in (ct, ig, ob):
+            return _original(*args, **kwargs)
+        for mod in (rs, ct, ig, ob):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
-    assert ct.certify(inp).overall == ct.PASS
-    assert calls == {"integral_system": 1, "orbit_dim_from_h": 1, "delta_prime": 1}
+    for principal, overall in ((True, ct.PASS), (False, ct.UNDECIDED)):
+        calls.clear()
+        inp = ct.CertificateInput(e8, LEVI, flagship_h, flagship_lambda_prime,
+                                  principal_in_levi=principal)
+        assert ct.certify(inp).overall == overall
+        assert calls == {"dynkin_labels": 1, "h_values": 1, "coroot_values": 1,
+                         "root_values": 1}
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,0 +1,190 @@
+"""Differential test: the one-pass certificate against the one it replaced
+(tests/certify_reference.py).
+
+Seeded cases over every default type reach each verdict of (A)-(D), both
+--principal states and the input errors (h off the Levi coroot span, h not
+integral, h not 2 on the Levi simple roots under --principal, an odd orbit
+dimension).  For each case the CLI prints the same bytes to stdout and
+stderr and exits with the same code, in JSON and in text, when it runs the
+reference ``CertificateInput`` and ``certify``; the library gives equal
+integral systems, Levi-span solves and root coordinates; and the walk by
+coroot height finds the same simple coroots as the pair scan.
+"""
+import contextlib
+import io
+import random
+import re
+from fractions import Fraction as Fr
+from functools import cache
+
+import pytest
+
+import certify_reference as ref
+from orbitcert import certify as ct
+from orbitcert import cli
+from orbitcert import integral as ig
+from orbitcert import rootsys as rs
+
+TYPES = ("A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8")
+CASES_PER_TYPE = 48
+# lambda' = delta'(h) plus Levi terms: on the Levi span, then off it; then
+# rho (A and B fail), -rho (B undecided) and a random vector in the root span;
+# then h off the Levi span, h / 2 (not integral, or an odd orbit) and 2 h
+# (not 2 on the Levi simple roots)
+KINDS = ("on", "on", "off", "rho", "minus_rho", "random", "h_off_span", "h_half", "h_double")
+ERRORS = {"off_span": "h is not in the Levi coroot span; residual ",
+          "not_integral": "h is not integral on root ",
+          "principal": "principal_in_levi requires <alpha, h> = 2 on every Levi simple root",
+          "odd": r"orbit dimension \d+ is odd: h is not the characteristic of a nilpotent"}
+
+
+def _rational(rng, nonzero=False):
+    while True:
+        q = Fr(rng.randint(-6, 6), rng.randint(1, 6))
+        if q or not nonzero:
+            return q
+
+
+@cache
+def cases(label):
+    """(argv, levi, h, lambda') for one type, seeded by its label."""
+    model = rs.build(label)
+    rng = random.Random(f"certify-differential-{label}")
+    out = []
+    for n in range(CASES_PER_TYPE):
+        kind = KINDS[n % len(KINDS)]
+        levi = tuple(sorted(rng.sample(range(model.rank), rng.randint(0, model.rank))))
+        h = ct.h_regular(model, levi)
+        lam = ct.delta_prime(model, h)
+        for i in levi:
+            lam = lam + _rational(rng) * model.simple_roots[i]
+        outside = [i for i in range(model.rank) if i not in levi]
+        if kind == "off" and outside:
+            lam = lam + _rational(rng, nonzero=True) * model.simple_roots[rng.choice(outside)]
+        elif kind == "rho":
+            lam = rs.rho(model)
+        elif kind == "minus_rho":
+            lam = -rs.rho(model)
+        elif kind == "random":
+            lam = rs.combine(model, [_rational(rng) for _ in range(model.rank)])
+        elif kind == "h_off_span" and outside:
+            h = ct.h_regular(model, levi + (rng.choice(outside),))
+        elif kind == "h_half":
+            h = Fr(1, 2) * h
+        elif kind == "h_double":
+            h = 2 * h
+        principal = kind == "h_double" or rng.random() < 0.6
+        argv = ["certify", "--type", label, "--levi=" + ",".join(f"a{i + 1}" for i in levi),
+                "--h=" + ",".join(h.to_strings()),
+                "--lambda-prime=" + ",".join(lam.to_strings())]
+        if principal:
+            argv.append("--principal")
+        out.append((argv, levi, rs.canonicalize(model, h), lam))
+    return out
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_reference(monkeypatch, argv):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "CertificateInput", ref.CertificateInput)
+        patch.setattr(cli, "certify", ref.certify)
+        return run(argv)
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_cli_matches_reference(monkeypatch, label):
+    for argv, _, _, _ in cases(label):
+        for fmt in (["--output", "text"], []):
+            got = run(fmt + argv)
+            assert got == run_reference(monkeypatch, fmt + argv), argv
+            assert got[0] in (0, 1, 2, 3), got
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_library_matches_reference(label):
+    model = rs.build(label)
+    for _, levi, h, lam in cases(label):
+        got = ig.integral_system(model, lam)
+        assert got == ref.integral_system(model, lam)
+        values, den = rs.coroot_values(model, lam)
+        by_height = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
+        chosen = sorted(by_height)
+        walk = sorted(by_height[pos] for pos in
+                      rs.height_simples([model.coroot_codes[k] for k in by_height]))
+        scan = [k for k, simple in zip(chosen, ref.indecomposables(
+            [model.coroot_codes[k] for k in chosen])) if simple]
+        assert walk == scan
+        assert got.simple_system == tuple(model.positive_roots[k] for k in walk)
+        for mu in (h, lam, lam - rs.rho(model)):
+            assert rs.root_coords(model, mu) == ref.root_coords(model, mu)
+            assert ct.in_levi_span(model, mu, levi) == ref.in_levi_span(model, mu, levi)
+
+
+def _outcome(model, levi, h, lam, principal, module):
+    try:
+        return module.certify(module.CertificateInput(model, levi, h, lam, principal)
+                              ).to_json_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cases_reach_every_verdict_and_error():
+    """The cases reach every status of A, B, C, D and overall, both
+    --principal states and each input error, on the engine and the reference
+    alike."""
+    seen = set()
+    for label in TYPES:
+        model = rs.build(label)
+        for argv, levi, h, lam in cases(label):
+            principal = "--principal" in argv
+            got = _outcome(model, levi, h, lam, principal, ct)
+            assert got == _outcome(model, levi, h, lam, principal, ref), argv
+            seen.add(("principal", principal))
+            if isinstance(got, str):
+                seen.add(("error", next(name for name, pattern in ERRORS.items()
+                                        if re.match(pattern, got))))
+            else:
+                seen |= {(key, got[key]["status"]) for key in "ABCD"}
+                seen.add(("overall", got["overall"]))
+    expected = {("principal", True), ("principal", False),
+                ("A", "pass"), ("A", "fail"), ("A", "undecided"),
+                ("B", "pass"), ("B", "fail"), ("B", "undecided"),
+                ("C", "pass"), ("C", "fail"), ("D", "pass"), ("D", "undecided"),
+                ("overall", "pass"), ("overall", "fail"), ("overall", "undecided")}
+    expected |= {("error", name) for name in ERRORS}
+    assert seen == expected
+
+
+@pytest.mark.parametrize("label,roots", [
+    ("E8", lambda e8: rs.levi_subsystem(e8, (0,))[0]),
+    ("E8", lambda e8: rs.levi_subsystem(e8, (0, 1))[0]),
+    ("E8", lambda e8: rs.levi_subsystem(e8, (0, 2, 4))[0]),
+    ("E8", lambda e8: rs.levi_subsystem(e8, (0, 1, 2, 3, 4, 6))[0]),
+    ("E8", lambda e8: rs.levi_subsystem(e8, range(8))[0]),
+    ("E8", lambda e8: {e8.positive_roots[30], -e8.positive_roots[30]}),
+    ("E8", lambda e8: e8.roots),
+    ("E8", lambda e8: {e8.simple_roots[0], e8.simple_roots[0] + e8.simple_roots[1],
+                       -e8.simple_roots[0], -(e8.simple_roots[0] + e8.simple_roots[1])}),
+    ("A2", lambda a2: {a2.simple_roots[0], a2.simple_roots[1],
+                       -a2.simple_roots[0], -a2.simple_roots[1]}),
+    ("E8", lambda e8: {rs.canonicalize(e8, (2, 0, 0, 0, 0, 0, 0, 0, 0))}),
+    ("A2", lambda a2: [rs.weight((2, 0, 0)), a2.simple_roots[0], rs.weight((0, 2, 0))]),
+], ids=["A1", "A2", "3A1", "A5+A1", "E8", "pm_pair", "all_roots", "not_closed",
+        "not_closed_a2", "not_a_root", "first_non_root"])
+def test_simple_system_of_matches_pair_scan(label, roots):
+    """The subsystems the simple_system_of tests build, on the walk by
+    height and on the pair scan: the same simple system or the same error."""
+    def outcome(fn, model, rts):
+        try:
+            return fn(model, rts)
+        except ValueError as exc:
+            return str(exc)
+    model = rs.build(label)
+    rts = list(roots(model))
+    assert outcome(rs.simple_system_of, model, rts) == outcome(ref.simple_system_of, model, rts)

@@ -111,6 +111,15 @@ def test_certify_undecided_exit_code(capsys):
     assert json.loads(out)["overall"] == "undecided"
 
 
+def test_certify_odd_orbit_is_usage_error(capsys):
+    """h integral and in the Levi span but with an odd orbit dimension is not
+    a characteristic: exit 2 with the reason, no report."""
+    code, out, err = run(capsys, "certify", "--type", "A1", "--levi", "a1", "--h=1/2,-1/2",
+                         "--lambda-prime=0,0")
+    assert (code, out, err) == (2, "", "error: orbit dimension 1 is odd: h is not the "
+                                       "characteristic of a nilpotent\n")
+
+
 @pytest.mark.parametrize("levi, type_, message", [
     ("a1,b2", "E8", "malformed simple root name 'b2'"),
     ("a9", "E8", "simple root index 9 out of 1..8"),

@@ -1,8 +1,9 @@
 """Differential test: the closed-form rigidity criterion, the laid Levi
 Jordan blocks, the pairwise parity check, the run-built transpose, the
-one-pass collapse, the degree-graded centralizer oracle on the normal form
-and the algebra basis and position map built once per (kind, n) against the
-code they replaced (tests/induction_reference.py)."""
+one-pass collapse, the degree-graded centralizer oracle on the normal form,
+the algebra basis and position map built once per (kind, n) and the
+one-check-per-pair membership test against the code they replaced
+(tests/induction_reference.py)."""
 import inspect
 from itertools import zip_longest
 
@@ -197,3 +198,25 @@ def test_memoized_basis_is_shared_and_immutable():
         with pytest.raises(TypeError):
             at[0, 0] = ()
 
+
+
+def test_membership_check_matches_the_all_entries_scan():
+    """Every laid normal form up to the oracle bound is in its algebra for
+    both checks; with one entry perturbed, each so/sp form is rejected by
+    both.  The perturbed entry moves over the matrix from form to form and
+    skips the sp antidiagonal, where any value is in the algebra."""
+    perturbed = 0
+    for kind in KINDS:
+        for n in range(ls.MAX_ORACLE_AMBIENT + 1):
+            for p in ls.valid_partitions(n, kind):
+                e = ls._lay(ls._normal_form(kind, p.parts), kind, n)
+                assert ls._in_algebra(e, kind) and ref._in_algebra(e, kind), p
+                if kind == "gl" or n == 0:
+                    continue
+                i, j = perturbed % n, perturbed // n % n
+                if kind == "sp" and i + j == n - 1:
+                    j = (j + 1) % n
+                e[i][j] += 1
+                assert not ls._in_algebra(e, kind) and not ref._in_algebra(e, kind), (p, i, j)
+                perturbed += 1
+    assert perturbed == 570

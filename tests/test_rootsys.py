@@ -249,6 +249,31 @@ def test_levi_round_trip(e8):
         assert set(rs.simple_system_of(e8, pos)) == set(simp)
 
 
+@pytest.mark.parametrize("label", DEFAULT_TYPES)
+def test_root_and_coroot_steps(label):
+    """Each positive root (coroot) is a simple one or an earlier one plus a
+    simple one, in weakly increasing height (coroot height): the order that
+    root_values, coroot_values and the integral system's walk rely on."""
+    model = rs.build(label)
+    for steps, coeffs in ((model.root_steps, model.pos_coefficients),
+                          (model.coroot_steps, model.coroot_coefficients)):
+        assert sorted(k for k, _, _ in steps) == list(range(len(coeffs)))
+        done, heights = set(), []
+        for k, parent, i in steps:
+            step = [int(j == i) for j in range(model.rank)]
+            below = coeffs[parent] if parent >= 0 else (0,) * model.rank
+            assert parent < 0 or parent in done
+            assert list(coeffs[k]) == [a + b for a, b in zip(below, step)]
+            done.add(k)
+            heights.append(sum(coeffs[k]))
+        assert heights == sorted(heights)
+    labels = list(range(2, 2 + model.rank))
+    assert rs.root_values(model, labels) == [sum(a * b for a, b in zip(c, labels))
+                                             for c in model.pos_coefficients]
+    values, den = rs.coroot_values(model, rs.rho(model))  # <rho, beta^vee> = coroot height
+    assert values == [den * sum(cv) for cv in model.coroot_coefficients]
+
+
 def test_simple_system_of_pm_pair(e8):
     alpha = e8.positive_roots[30]
     assert rs.simple_system_of(e8, {alpha, -alpha}) == (alpha,)
