@@ -10,10 +10,14 @@ per workload, the median and quartiles of every end-to-end metric over the
 rounds, the output sha256 (which must agree across rounds), and the ops
 attempted and failed; and for the run as a whole the git revision, nproc,
 the Python version, the line counts of the checkout's ``src/`` and
-``tests/`` files that git does not ignore, and the wall time and pass count
-of one run of the Tier-1 suite (``TIER1``) in the checkout.  The workload
-times are perfbench's reference times; the Tier-1 time is raw wall time.  The file goes to the root of the repository holding this
-script, so a clone of another commit can be measured with ``--checkout``.
+``tests/`` files that git does not ignore, the wall time and pass count
+of one run of the Tier-1 suite (``TIER1``) in the checkout, and the wall
+time of each acceptance criterion in ``CRITERIA``, from one pytest run of
+just those tests, with its margin against the time budget its test
+enforces.  The workload times are perfbench's reference times; the Tier-1
+and criterion times are raw wall time.  The file goes to the root of the
+repository holding this script, so a clone of another commit can be
+measured with ``--checkout``.
 """
 import argparse
 import json
@@ -32,6 +36,10 @@ SEED = 0  # one seed for every file, so their output sha256 values compare
 RUN_TIMEOUT_S = 600
 # the Tier-1 command of ROADMAP.md, run with src/ first on PYTHONPATH
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+# acceptance criterion -> (its test in tests/test_acceptance.py, the time budget
+# in seconds that the test enforces, or None where it enforces none)
+CRITERIA = {3: ("test_criterion_3_delta_congruence_sweep", 30.0),
+            9: ("test_criterion_9_integral_properties_random", None)}
 
 
 def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, str]:
@@ -47,18 +55,43 @@ def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, str]:
     return json.loads(lines[-1]), sha
 
 
+def run_tests(checkout: Path, extra=()) -> subprocess.CompletedProcess:
+    """The Tier-1 command in the checkout, with ``extra`` arguments."""
+    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(TIER1 + list(extra), cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S, env={**os.environ, "PYTHONPATH": path})
+
+
 def tier1(checkout: Path) -> dict:
     """Wall time and pass count of one Tier-1 run in the checkout."""
-    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S, env={**os.environ, "PYTHONPATH": path})
+    proc = run_tests(checkout)
     seconds = time.perf_counter() - start
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     passed = re.search(r"(\d+) passed", summary)
     if passed is None:
         raise SystemExit(f"Tier-1 ran no test (exit {proc.returncode}): {summary!r}")
     return {"seconds": round(seconds, 2), "passed": int(passed.group(1))}
+
+
+def criteria(checkout: Path) -> dict:
+    """Per criterion of CRITERIA: the call time pytest reports for its test,
+    and with a budget, the budget and the margin left under it."""
+    proc = run_tests(checkout, ["--durations=0", "--durations-min=0"]
+                     + [f"tests/test_acceptance.py::{test}" for test, _ in CRITERIA.values()])
+    if proc.returncode != 0:
+        raise SystemExit(f"acceptance criteria failed (exit {proc.returncode}):\n"
+                         f"{proc.stdout[-2000:]}")
+    out = {}
+    for number, (test, budget) in CRITERIA.items():
+        found = re.search(rf"^([0-9.]+)s call +\S+::{test}$", proc.stdout, re.MULTILINE)
+        if found is None:
+            raise SystemExit(f"no call duration for {test} in the pytest output")
+        entry = {"seconds": float(found.group(1))}
+        if budget is not None:
+            entry.update(budget=budget, margin=round(budget - entry["seconds"], 2))
+        out[str(number)] = entry
+    return out
 
 
 def summarize(values: list[float]) -> dict:
@@ -129,6 +162,7 @@ def main() -> None:
         "runs": RUNS,
         "lines": line_counts(checkout),
         "tier1": tier1(checkout),
+        "criteria": criteria(checkout),
         "workloads": workloads,
     }
     out = DEFAULT_CHECKOUT / f"BENCH_{args.pr}.json"

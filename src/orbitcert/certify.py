@@ -132,14 +132,25 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
     the coefficients outside Pi_0 vanish, plus mu lying in the root span,
     so inputs outside the root span fail with the honest residual.
     """
-    ordered, mask = _levi(model, pi0)
+    return _levi_span(model, mu, *_levi(model, pi0))
+
+
+def _levi_span(model: RootSystemModel, mu: Weight, ordered, mask: int
+               ) -> tuple[bool, tuple[Fraction, ...] | Weight]:
+    """``in_levi_span`` for a validated Pi_0 given as (sorted indices, bit set)."""
     mu = rootsys.canonicalize(model, mu)
     nums, den = rootsys.root_coords(model, mu)
-    if (all(x == 0 for i, x in enumerate(nums) if not mask >> i & 1)
-            and rootsys.in_root_span(model, mu)):
+    if _in_span(model, mu, nums, mask):
         return True, tuple(Fraction(nums[i], den) for i in ordered)
     return False, mu - combine(model, [x if mask >> i & 1 else 0
                                        for i, x in enumerate(nums)], den)
+
+
+def _in_span(model: RootSystemModel, mu: Weight, nums, mask: int) -> bool:
+    """Whether mu, with coordinates ``nums`` on the simple roots
+    (``rootsys.root_coords``), lies in the span of the Levi of ``mask``."""
+    return (all(x == 0 for i, x in enumerate(nums) if not mask >> i & 1)
+            and rootsys.in_root_span(model, mu))
 
 
 @dataclass(frozen=True)
@@ -195,11 +206,14 @@ def _verdict_B(va_dim: int | None, orb_dim: int) -> CheckResult:
 
 def check_C(model: RootSystemModel, pi0, h: Weight, lambda_prime: Weight) -> CheckResult:
     """lambda' - delta' lies in the rational span of Pi_0."""
-    return _verdict_C(model, pi0, lambda_prime - delta_prime(model, h))
+    mu = lambda_prime - delta_prime(model, h)
+    return _verdict_C(model, *_levi(model, pi0), mu)
 
 
-def _verdict_C(model: RootSystemModel, pi0, mu: Weight) -> CheckResult:
-    ok, info = in_levi_span(model, mu, pi0)
+def _verdict_C(model: RootSystemModel, ordered, mask: int, mu: Weight) -> CheckResult:
+    """``check_C`` for mu = lambda' - delta' and a validated Pi_0 given as
+    (sorted indices, bit set)."""
+    ok, info = _levi_span(model, mu, ordered, mask)
     if ok:
         return CheckResult(PASS, witness=info)
     return CheckResult(FAIL, witness=info, detail="nonzero residual off the Levi span")
@@ -224,15 +238,16 @@ class CertificateInput:
     h_simple: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        indices = sorted(rootsys._check_indices(self.model, self.levi))
+        model = self.model
+        indices = sorted(rootsys._check_indices(model, self.levi))
         object.__setattr__(self, "levi", tuple(indices))
-        object.__setattr__(self, "h", rootsys.canonicalize(self.model, self.h))
-        object.__setattr__(self, "lambda_prime",
-                           rootsys.canonicalize(self.model, self.lambda_prime))
-        values = h_values(self.model, self.h)
+        h = rootsys.canonicalize(model, self.h)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "lambda_prime", rootsys.canonicalize(model, self.lambda_prime))
+        values = h_values(model, h)
         object.__setattr__(self, "h_simple", tuple(values))
-        ok, residual = in_levi_span(self.model, self.h, indices)
-        if not ok:
+        if not _in_span(model, h, rootsys.root_coords(model, h)[0], levi_mask(indices)):
+            _, residual = in_levi_span(model, h, indices)
             raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
         if self.principal_in_levi:
             for i in indices:
@@ -300,8 +315,9 @@ def certify(inp: CertificateInput) -> CertificateReport:
     and delta' are computed once and feed verdicts and report.
     """
     model = inp.model
+    mask = levi_mask(inp.levi)
     values, den = rootsys.coroot_values(model, inp.lambda_prime)
-    verdict_A = (_verdict_A(model, levi_mask(inp.levi), values, den)
+    verdict_A = (_verdict_A(model, mask, values, den)
                  if inp.principal_in_levi else _A_UNDECIDED)
     cor68 = cor68_from_system(model, integral_from_values(model, inp.lambda_prime,
                                                           values, den))
@@ -311,7 +327,7 @@ def certify(inp: CertificateInput) -> CertificateReport:
     return CertificateReport(
         verdict_A=verdict_A,
         verdict_B=_verdict_B(cor68, dim_orbit),
-        verdict_C=_verdict_C(model, inp.levi, inp.lambda_prime - dprime),
+        verdict_C=_verdict_C(model, inp.levi, mask, inp.lambda_prime - dprime),
         verdict_D=check_D(inp.principal_in_levi),
         dim_g=model.dim,
         dim_orbit=dim_orbit,

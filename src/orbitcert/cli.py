@@ -2,8 +2,9 @@
 
 Subcommands wrap one engine operation each and serialize the result as JSON
 (default) or text.  Weights are entered in epsilon-coordinates as
-comma-separated exact rationals ("1,7/6,...") unless --root-coords is given,
-in which case the entries are coefficients on the simple roots.  Exit codes:
+comma-separated exact rationals ("1,7/6,...", read as integers; any other
+form ``Fraction`` accepts, such as "0.5", also works) unless --root-coords
+is given, in which case the entries are coefficients on the simple roots.  Exit codes:
 0 success/pass, 1 fail verdict, 2 usage error, 3 undecided (a certify
 verdict, or an oracle that used up its draws), 4 internal error (a bug,
 never a verdict).
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -38,11 +40,36 @@ def _parse_rational(token: str) -> Fraction:
         raise ValueError(f"zero denominator in {token!r}") from None
 
 
+# the documented token form [+-]p[/q], in ASCII digits, read straight to integers
+_INTEGER_TOKEN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+
+
 def _parse_weight(model: rs.RootSystemModel, text: str, root_coords: bool) -> rs.Weight:
-    entries = [_parse_rational(part) for part in text.split(",")]
+    """The comma-separated tokens of ``text`` as one Weight over the lcm of
+    their denominators.  A token of the form [+-]p[/q] is read as integers
+    in the order ``Fraction`` reads it (p, then q, then the zero check);
+    any other token goes through ``_parse_rational``, so every value and
+    every error is the one ``Fraction`` gives."""
+    fullmatch = re.compile(_INTEGER_TOKEN).fullmatch  # compiled on first use, then from re's cache
+    nums, dens = [], []
+    for part in text.split(","):
+        token = part.strip()
+        m = fullmatch(token)
+        if m is None:
+            value = _parse_rational(token)
+            num, den = value.numerator, value.denominator
+        else:
+            p, q = m.groups()
+            num, den = int(p), 1 if q is None else int(q)
+            if den == 0:
+                raise ValueError(f"zero denominator in {token!r}")
+        nums.append(num)
+        dens.append(den)
+    den = math.lcm(*dens)
+    nums = [x * (den // d) for x, d in zip(nums, dens)]
     if root_coords:
-        return rs.combine(model, entries)
-    return rs.canonicalize(model, entries)
+        return rs.combine(model, nums, den)
+    return rs.canonicalize(model, rs.Weight.from_ints(nums, den))
 
 
 def _parse_levi_indices(text: str, model: rs.RootSystemModel) -> tuple[int, ...]:

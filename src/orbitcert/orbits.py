@@ -55,8 +55,12 @@ def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
 
 
 def orbit_dim_from_values(model: RootSystemModel, values) -> int:
-    """``orbit_dim_from_h`` from <beta, h> on the positive roots."""
-    dim_orb = model.dim - _centralizer_dim(_graded_dims(model, values))
+    """``orbit_dim_from_h`` from <beta, h> on the positive roots (a list):
+    dim z_g(e) = dim g(0) + dim g(1) = rank + 2 #{0} + #{1} + #{-1}, since
+    beta and -beta both lie in g(0) when <beta, h> = 0, and one of them lies
+    in g(1) when <beta, h> = +-1."""
+    dim_z = model.rank + 2 * values.count(0) + values.count(1) + values.count(-1)
+    dim_orb = model.dim - dim_z
     if dim_orb % 2:
         raise ValueError(f"orbit dimension {dim_orb} is odd: h is not the "
                          "characteristic of a nilpotent")

@@ -18,7 +18,8 @@ returned as ``Weight`` vectors in an orthonormal ambient basis, where the
 form is the dot product of canonical representatives.  A ``Weight`` is
 integer numerators ``nums`` over one positive denominator ``den`` in lowest
 terms, so its sums, scalings, dot products, equality and hash are integer
-operations; its Fraction coordinates ``coords`` are a view for I/O.
+operations, and it is printed from them too (``to_strings``); its Fraction
+coordinates ``coords`` are a view for library callers.
 The E-type models live in the 9-coordinate quotient of R^9 by the diagonal
 (canonical representative: coordinate sum zero); E7 and E6 are the
 sub-root-systems of E8 generated by {a2..a7, a8} and {a3..a7, a8}.  All
@@ -52,6 +53,7 @@ walks coroots by coroot height (the order of ``coroot_steps``),
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,13 +69,15 @@ class Weight:
     Held as integer numerators ``nums`` over one positive denominator
     ``den``, in lowest terms, so that equality, hashing and arithmetic are
     integer operations.  ``coords`` is the same vector as a tuple of
-    Fractions, built on each call, for I/O.  Immutable.
+    Fractions, built on each call.  Entries (and the scalar of
+    ``scalar * w``) are exact rationals or strings; anything else, a float
+    included, raises TypeError.  Immutable.
     """
 
     __slots__ = ("nums", "den")
 
     def __init__(self, coords):
-        fracs = tuple(Fraction(c) for c in coords)
+        fracs = tuple(Fraction(_exact(c)) for c in coords)
         den = math.lcm(*(c.denominator for c in fracs))
         _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in fracs))
         _set(self, "den", den)
@@ -115,7 +119,7 @@ class Weight:
         return _weight(tuple(-x for x in self.nums), self.den)
 
     def __rmul__(self, scalar) -> "Weight":
-        s = Fraction(scalar)
+        s = Fraction(_exact(scalar))
         p = s.numerator
         return Weight.from_ints([p * x for x in self.nums], s.denominator * self.den)
 
@@ -145,8 +149,14 @@ class Weight:
         return "[" + ", ".join(self.to_strings()) + "]"
 
     def to_strings(self) -> list[str]:
-        """Serialize as exact "p/q" strings (lowest terms)."""
-        return [str(c) for c in self.coords]
+        """Serialize as exact "p/q" strings in lowest terms ("p" when q is 1),
+        the strings ``str(Fraction)`` gives."""
+        den = self.den
+        out = []
+        for x in self.nums:
+            g = math.gcd(x, den)
+            out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return out
 
     @classmethod
     def from_strings(cls, items) -> "Weight":
@@ -157,6 +167,15 @@ class Weight:
 
 
 _set = object.__setattr__
+
+
+def _exact(value):
+    """value, if it is an exact rational or a string; TypeError otherwise
+    (a float would enter as its binary expansion)."""
+    if not isinstance(value, (numbers.Rational, str)):
+        raise TypeError(f"a Weight entry must be an exact rational or a string, "
+                        f"not {type(value).__name__}: {value!r}")
+    return value
 
 
 def _length_error(u: Weight, v: Weight) -> ValueError:
@@ -807,19 +826,25 @@ def classify_simple_system(vectors) -> tuple[str, ...]:
     components are reported as "B2".
     """
     vecs = list(vectors)
-    return classify_gram([[u.dot(v) for v in vecs] for u in vecs])
+    for v in vecs[1:]:
+        if len(v.nums) != len(vecs[0].nums):
+            raise _length_error(vecs[0], v)
+    return classify_gram(_gram(*_common_rows(vecs))[0])
 
 
 def classify_gram(gram) -> tuple[str, ...]:
     """``classify_simple_system`` for a simple system given by its Gram
-    matrix under a positive definite form (any positive scale).
+    matrix under a positive definite form (any positive scale), of ints or
+    of exact rationals.
 
     Independent vectors with Cartan entries in {0, -1, -2, -3} form one of
     the diagrams A-G (Humphreys, Introduction to Lie Algebras, 11.4), so a
     component is named from its rank, largest bond, number of short simple
     roots and the leaf count at its branch node.
     """
-    if linalg.rank(gram) != len(gram):
+    integer = all(type(x) is int for row in gram for x in row)
+    basis = linalg.integer_row_basis(gram) if integer else linalg.row_basis(gram)
+    if len(basis) != len(gram):
         raise ValueError("simple system is not linearly independent")
     cartan = _cartan_of(gram)
     if any(x not in (0, -1, -2, -3) for i, row in enumerate(cartan)

@@ -3,7 +3,9 @@ matches the schema, names every workload and end-to-end metric of
 BENCHMARK.json, and keeps the previous file's output sha256 on every
 workload unless it gives the reason in ``outputs_changed``.  From
 BENCH_14.json on a file also records the Tier-1 wall time and pass count
-(``tier1``)."""
+(``tier1``), and from BENCH_15.json on the wall times of acceptance
+criteria 3 and 9 and the margin of criterion 3 against its 30 s budget
+(``criteria``)."""
 import json
 import re
 import runpy
@@ -19,6 +21,7 @@ BENCH = sorted(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("
 TOP = {"pr": int, "git_revision": str, "nproc": int, "python": str, "seed": int,
        "seconds": (int, float), "runs": int, "lines": dict, "workloads": dict}
 TIER1_FROM = 14  # the first file that records the Tier-1 run
+CRITERIA_FROM = 15  # the first file that records the criterion times
 
 
 def load(path):
@@ -32,8 +35,9 @@ def test_bench_files_found():
 @pytest.mark.parametrize("path", BENCH, ids=lambda path: path.name)
 def test_bench_file_schema(path):
     record = load(path)
-    required = set(TOP) | ({"tier1"} if record["pr"] >= TIER1_FROM else set())
-    assert required <= set(record) <= required | {"tier1", "outputs_changed"}
+    required = (set(TOP) | ({"tier1"} if record["pr"] >= TIER1_FROM else set())
+                | ({"criteria"} if record["pr"] >= CRITERIA_FROM else set()))
+    assert required <= set(record) <= required | {"tier1", "criteria", "outputs_changed"}
     for key, kind in TOP.items():
         assert isinstance(record[key], kind), key
     assert f"BENCH_{record['pr']}.json" == path.name
@@ -46,6 +50,15 @@ def test_bench_file_schema(path):
         assert isinstance(record["tier1"]["seconds"], (int, float))
         assert record["tier1"]["seconds"] > 0
         assert isinstance(record["tier1"]["passed"], int) and record["tier1"]["passed"] > 0
+    if "criteria" in record:
+        criteria = record["criteria"]
+        assert set(criteria) == {"3", "9"}
+        assert set(criteria["3"]) == {"seconds", "budget", "margin"}
+        assert set(criteria["9"]) == {"seconds"}
+        assert all(isinstance(c["seconds"], (int, float)) and c["seconds"] >= 0
+                   for c in criteria.values())
+        assert criteria["3"]["budget"] == 30
+        assert criteria["3"]["margin"] == round(30 - criteria["3"]["seconds"], 2)
     if "outputs_changed" in record:
         assert isinstance(record["outputs_changed"], str) and record["outputs_changed"].strip()
     assert set(record["workloads"]) == WORKLOADS

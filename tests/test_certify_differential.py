@@ -23,6 +23,7 @@ import certify_reference as ref
 from orbitcert import certify as ct
 from orbitcert import cli
 from orbitcert import integral as ig
+from orbitcert import orbits as orb
 from orbitcert import rootsys as rs
 
 TYPES = ("A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8")
@@ -126,6 +127,39 @@ def test_library_matches_reference(label):
             assert ct.in_levi_span(model, mu, levi) == ref.in_levi_span(model, mu, levi)
 
 
+def test_orbit_dim_from_values_matches_graded_dims():
+    """dim O read off three counts of the root values equals dim g minus
+    dim g(0) + dim g(1) of the whole grading (``orbits._graded_dims``), or
+    raises the same odd-orbit error, for every integral h of the cases;
+    ``orbit_dim_from_h`` agrees with the reference on every h.  The cases
+    reach both parities."""
+    parities = set()
+    for label in TYPES:
+        model = rs.build(label)
+        for _, _, h, _ in cases(label):
+            assert _outcome_of(orb.orbit_dim_from_h, model, h) == \
+                _outcome_of(ref.orbit_dim_from_h, model, h)
+            try:
+                values = rs.root_values(model, rs.h_values(model, h))
+            except ValueError:
+                continue  # h is not integral
+            dims = orb._graded_dims(model, values)
+            expected = model.dim - dims.get(0, 0) - dims.get(1, 0)
+            parities.add(expected % 2)
+            if expected % 2:
+                expected = (f"orbit dimension {expected} is odd: h is not the "
+                            "characteristic of a nilpotent")
+            assert _outcome_of(orb.orbit_dim_from_values, model, values) == expected, h
+    assert parities == {0, 1}
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _outcome(model, levi, h, lam, principal, module):
     try:
         return module.certify(module.CertificateInput(model, levi, h, lam, principal)
@@ -180,11 +214,7 @@ def test_cases_reach_every_verdict_and_error():
 def test_simple_system_of_matches_pair_scan(label, roots):
     """The subsystems the simple_system_of tests build, on the walk by
     height and on the pair scan: the same simple system or the same error."""
-    def outcome(fn, model, rts):
-        try:
-            return fn(model, rts)
-        except ValueError as exc:
-            return str(exc)
     model = rs.build(label)
     rts = list(roots(model))
-    assert outcome(rs.simple_system_of, model, rts) == outcome(ref.simple_system_of, model, rts)
+    assert (_outcome_of(rs.simple_system_of, model, rts)
+            == _outcome_of(ref.simple_system_of, model, rts))

@@ -1,5 +1,6 @@
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction as Fr
 
 import pytest
@@ -412,6 +413,24 @@ def test_weight_length_mismatch_raises():
     a2 = rs.build("A2")
     with pytest.raises(ValueError, match="different lengths: 9 and 3"):
         rs.pairing(a2, rs.weight([1] * 9), a2.simple_roots[0])
+    with pytest.raises(ValueError, match="different lengths: 2 and 3"):
+        rs.classify_simple_system([u, u, v])
+
+
+def test_weight_rejects_inexact_entries():
+    """Only exact rationals and strings enter a Weight, as entries or as a
+    scalar: a float would enter as its binary expansion (0.1 with the
+    denominator 2**55)."""
+    a2 = rs.build("A2")
+    u = rs.weight((1, 2, 3))
+    for bad in (0.1, 0.5, 1.0, Decimal("0.5"), 1j, None):
+        for op in (lambda: rs.weight((bad, 0, 0)), lambda: rs.canonicalize(a2, [bad, 0, 0]),
+                   lambda: rs.combine(a2, [bad, 1]), lambda: bad * u):
+            with pytest.raises(TypeError, match="exact rational or a string"):
+                op()
+    assert rs.weight((True, Fr(1, 2), "3/4")) == rs.weight((1, Fr(1, 2), Fr(3, 4)))
+    assert Fr(1, 2) * u == "1/2" * u == rs.weight((Fr(1, 2), 1, Fr(3, 2)))
+    assert rs.combine(a2, [Fr(1, 2), "1"]) == rs.combine(a2, [1, 2], 2)
 
 
 def test_weight_is_numerators_over_one_denominator():

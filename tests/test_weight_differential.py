@@ -92,6 +92,20 @@ def test_arithmetic_matches(label):
 
 
 @pytest.mark.parametrize("label", TYPES)
+def test_to_strings_is_str_of_each_fraction(label):
+    """``to_strings`` writes each entry from ``nums`` and ``den``, which
+    are in lowest terms as a vector but not entry by entry; its strings are
+    those of ``str(Fraction)``, on every root, the seeded vectors, their
+    negations and a few multiples."""
+    model = rs.build(label)
+    rng = random.Random(f"strings-{label}")
+    for w, r in _pairs(rng, model, 60):
+        for v in (w, -w, Fr(1, 2) * w, Fr(-2, 3) * w, 6 * w):
+            assert v.to_strings() == [str(Fr(x, v.den)) for x in v.nums]
+        assert w.to_strings() == [str(c) for c in r.coords]
+
+
+@pytest.mark.parametrize("label", TYPES)
 def test_canonicalize_and_combine_match(label):
     model = rs.build(label)
     rng = random.Random(f"canon-{label}")
