@@ -21,8 +21,8 @@ not a positive integer, for every positive root alpha of the subsystem.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 
 from . import rootsys
@@ -123,10 +123,11 @@ def _delta_prime(model: RootSystemModel, values) -> Weight:
 
 
 def in_levi_span(model: RootSystemModel, mu: Weight, pi0
-                 ) -> tuple[bool, tuple[Fraction, ...] | Weight]:
+                 ) -> tuple[bool, tuple[numbers.Rational, ...] | Weight]:
     """Exact solve of mu = sum c_i alpha_i over Pi_0.
 
-    Returns (True, coefficients) on success or (False, residual) on failure.
+    Returns (True, coefficients) on success or (False, residual) on failure;
+    each coefficient is an int when integral, else a Fraction.
     mu's coordinates on the simple roots are read once (those of its
     projection onto the root span); membership is the support check that
     the coefficients outside Pi_0 vanish, plus mu lying in the root span,
@@ -136,12 +137,12 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
 
 
 def _levi_span(model: RootSystemModel, mu: Weight, ordered, mask: int
-               ) -> tuple[bool, tuple[Fraction, ...] | Weight]:
+               ) -> tuple[bool, tuple[numbers.Rational, ...] | Weight]:
     """``in_levi_span`` for a validated Pi_0 given as (sorted indices, bit set)."""
     mu = rootsys.canonicalize(model, mu)
     nums, den = rootsys.root_coords(model, mu)
     if _in_span(model, mu, nums, mask):
-        return True, tuple(Fraction(nums[i], den) for i in ordered)
+        return True, tuple(rootsys.rational(nums[i], den) for i in ordered)
     return False, mu - combine(model, [x if mask >> i & 1 else 0
                                        for i, x in enumerate(nums)], den)
 
@@ -366,5 +367,6 @@ def congruence_sweep(model: RootSystemModel):
                         acc[i] += sign * coeff[i]
             for (k, l), s in sums.items():
                 if l > 0:
-                    diff = sums.get((k, -l))
-                    yield pi0, (k, l), all(s[i] == (diff[i] if diff else 0) for i in outside)
+                    # sl2 symmetry: g(k, l) and g(k, -l) have equal dimension
+                    diff = sums[(k, -l)]
+                    yield pi0, (k, l), all(s[i] == diff[i] for i in outside)

@@ -90,7 +90,7 @@ def kernel_basis(rows):
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
         for piv, row in reversed(echelon):
-            vec[piv] = -sum((row[c] * vec[c] for c in range(piv + 1, n) if row[c]),
-                            Fraction(0)) / row[piv]
+            vec[piv] = Fraction(-sum((row[c] * vec[c] for c in range(piv + 1, n) if row[c]),
+                                     Fraction(0)), row[piv])
         basis.append(vec)
     return basis

@@ -19,7 +19,9 @@ form is the dot product of canonical representatives.  A ``Weight`` is
 integer numerators ``nums`` over one positive denominator ``den`` in lowest
 terms, so its sums, scalings, dot products, equality and hash are integer
 operations, and it is printed from them too (``to_strings``); its Fraction
-coordinates ``coords`` are a view for library callers.
+coordinates ``coords`` are a view for library callers.  Every exact scalar
+this layer returns (``Weight.dot``, ``inner``, ``pairing``) is an ``int``
+when its value is an integer and a ``Fraction`` otherwise (``rational``).
 The E-type models live in the 9-coordinate quotient of R^9 by the diagonal
 (canonical representative: coordinate sum zero); E7 and E6 are the
 sub-root-systems of E8 generated by {a2..a7, a8} and {a3..a7, a8}.  All
@@ -123,10 +125,10 @@ class Weight:
         p = s.numerator
         return Weight.from_ints([p * x for x in self.nums], s.denominator * self.den)
 
-    def dot(self, other: "Weight") -> Fraction:
+    def dot(self, other: "Weight") -> numbers.Rational:
         if len(self.nums) != len(other.nums):
             raise _length_error(self, other)
-        return Fraction(sum(map(mul, self.nums, other.nums)), self.den * other.den)
+        return rational(sum(map(mul, self.nums, other.nums)), self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Weight):
@@ -176,6 +178,13 @@ def _exact(value):
         raise TypeError(f"a Weight entry must be an exact rational or a string, "
                         f"not {type(value).__name__}: {value!r}")
     return value
+
+
+def rational(num: int, den: int) -> numbers.Rational:
+    """num / den for integers num and den > 0: an int when den divides num,
+    else a Fraction.  Both have the same ``==``, ``hash`` and ``str``, and an
+    int is cheaper to hash, compare and add."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def _length_error(u: Weight, v: Weight) -> ValueError:
@@ -371,7 +380,7 @@ class RootSystemModel:
     def _complement_rows(self) -> list[list[int]]:
         return _common_rows(span_complement(self))[0]
 
-    def inner(self, u: Weight, v: Weight) -> Fraction:
+    def inner(self, u: Weight, v: Weight) -> numbers.Rational:
         """The invariant symmetric form: the dot product of canonical reps."""
         return u.dot(v)
 
@@ -385,7 +394,7 @@ class RootSystemModel:
         """The coroot 2a/(a,a) as a weight vector via the invariant form."""
         if not self.is_root(root):
             raise ValueError(f"{root} is not a root of {self.cartan_type}")
-        return (2 / root.dot(root)) * root
+        return Fraction(2, root.dot(root)) * root
 
 
 def canonicalize(model: RootSystemModel, raw_coords) -> Weight:
@@ -413,11 +422,11 @@ def _sum_zero(w: Weight) -> Weight:
     return Weight.from_ints([x * n - total for x in w.nums], w.den * n)
 
 
-def pairing(model: RootSystemModel, lam: Weight, root: Weight) -> Fraction:
+def pairing(model: RootSystemModel, lam: Weight, root: Weight) -> numbers.Rational:
     """The exact pairing <lam, root^vee> = 2(lam, root)/(root, root)."""
     if not model.is_root(root):
         raise ValueError(f"{root} is not a root of {model.cartan_type}")
-    return Fraction(*_coroot_pairing(lam, root))
+    return rational(*_coroot_pairing(lam, root))
 
 
 def _coroot_pairing(lam: Weight, a: Weight) -> tuple[int, int]:
@@ -568,8 +577,8 @@ def combine(model: RootSystemModel, coeffs, den: int = 1) -> Weight:
     if len(coeffs) != model.rank:
         raise ValueError(f"expected {model.rank} simple-root coefficients")
     if not all(isinstance(c, int) for c in coeffs):
-        rational = Weight(coeffs)
-        coeffs, den = rational.nums, den * rational.den
+        scaled = Weight(coeffs)
+        coeffs, den = scaled.nums, den * scaled.den
     _, columns, basis_den = model._basis
     return Weight.from_ints([sum(map(mul, col, coeffs)) for col in columns],
                             den * basis_den)

@@ -43,7 +43,7 @@ def enumerate_positive(simples, limit=None):
                 while cur in coeffs:
                     p += 1
                     cur = cur - alpha
-                if p - 2 * beta.dot(alpha) / alpha.dot(alpha) > 0:
+                if p - Fraction(2 * beta.dot(alpha), alpha.dot(alpha)) > 0:
                     coeffs[gamma] = tuple(
                         c + (1 if j == i else 0) for j, c in enumerate(coeffs[beta]))
                     new.append(gamma)
@@ -81,7 +81,7 @@ def fundamental_coweights(model):
 
 def fundamental_weights(model):
     """pi_i = (a_i, a_i)/2 w_i: <pi_i, a_j^vee> = delta_ij."""
-    return tuple(a.dot(a) / 2 * w
+    return tuple(Fraction(a.dot(a), 2) * w
                  for a, w in zip(model.simple_roots, fundamental_coweights(model)))
 
 
@@ -255,7 +255,7 @@ def pairing(roots, lam, root, label):
     """<lam, root^vee> on FractionWeights; ``roots`` is the model's root set."""
     if root not in roots:
         raise ValueError(f"{root} is not a root of {label}")
-    return 2 * lam.dot(root) / root.dot(root)
+    return Fraction(2 * lam.dot(root), root.dot(root))
 
 
 @lru_cache(maxsize=None)
@@ -297,16 +297,16 @@ def antidominant_rep(simple_system, mu):
     """(word, weight, minimal) by greedy reflection descent."""
     simples = list(simple_system)
     sub_pos = enumerate_positive(simples)[0] if simples else []
-    regular = all(2 * mu.dot(g) / g.dot(g) != 0 for g in sub_pos)
+    regular = all(Fraction(2 * mu.dot(g), g.dot(g)) != 0 for g in sub_pos)
     cur = mu
     word = []
     while True:
         idx = next((i for i, a in enumerate(simples)
-                    if 2 * cur.dot(a) / a.dot(a) > 0), None)
+                    if Fraction(2 * cur.dot(a), a.dot(a)) > 0), None)
         if idx is None:
             break
         a = simples[idx]
-        cur = cur - (2 * cur.dot(a) / a.dot(a)) * a
+        cur = cur - Fraction(2 * cur.dot(a), a.dot(a)) * a
         word.append(idx)
     return tuple(word), cur, regular
 
@@ -316,5 +316,5 @@ def apply_word(simple_system, word, mu):
     cur = mu
     for idx in word:
         a = simples[idx]
-        cur = cur - (2 * cur.dot(a) / a.dot(a)) * a
+        cur = cur - Fraction(2 * cur.dot(a), a.dot(a)) * a
     return cur

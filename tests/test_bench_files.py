@@ -3,9 +3,10 @@ matches the schema, names every workload and end-to-end metric of
 BENCHMARK.json, and keeps the previous file's output sha256 on every
 workload unless it gives the reason in ``outputs_changed``.  From
 BENCH_14.json on a file also records the Tier-1 wall time and pass count
-(``tier1``), and from BENCH_15.json on the wall times of acceptance
-criteria 3 and 9 and the margin of criterion 3 against its 30 s budget
-(``criteria``)."""
+(``tier1``), from BENCH_15.json on the wall times of acceptance criteria
+3 and 9 and the margin of criterion 3 against its 30 s budget
+(``criteria``), and from BENCH_16.json on the Tier-1 time in perfbench's
+reference time too (``tier1.reference_seconds``)."""
 import json
 import re
 import runpy
@@ -22,6 +23,7 @@ TOP = {"pr": int, "git_revision": str, "nproc": int, "python": str, "seed": int,
        "seconds": (int, float), "runs": int, "lines": dict, "workloads": dict}
 TIER1_FROM = 14  # the first file that records the Tier-1 run
 CRITERIA_FROM = 15  # the first file that records the criterion times
+TIER1_REF_FROM = 16  # the first file that records the Tier-1 reference time
 
 
 def load(path):
@@ -46,9 +48,12 @@ def test_bench_file_schema(path):
     assert set(record["lines"]) == {"src", "tests"}
     assert all(isinstance(n, int) and n > 0 for n in record["lines"].values())
     if "tier1" in record:
-        assert set(record["tier1"]) == {"seconds", "passed"}
-        assert isinstance(record["tier1"]["seconds"], (int, float))
-        assert record["tier1"]["seconds"] > 0
+        timed = {"seconds"} | ({"reference_seconds"} if record["pr"] >= TIER1_REF_FROM
+                               else set())
+        assert set(record["tier1"]) == timed | {"passed"}
+        for key in timed:
+            assert isinstance(record["tier1"][key], (int, float)), key
+            assert record["tier1"][key] > 0, key
         assert isinstance(record["tier1"]["passed"], int) and record["tier1"]["passed"] > 0
     if "criteria" in record:
         criteria = record["criteria"]

@@ -135,6 +135,28 @@ def test_sl2_weight_sum_identity(label, pi0):
         assert ok, (k, l)
 
 
+@pytest.mark.parametrize("label,stride", [("G2", 1), ("F4", 1), ("E6", 5)])
+def test_congruence_sweep_buckets(label, stride):
+    """The (k, l) keys with l > 0 that ``congruence_sweep`` yields for a Levi
+    subset are the pairs (<beta, theta>, <beta, h>) with <beta, h> > 0 over
+    all roots, read off epsilon dot products: every subset of G2 and F4, and
+    every ``stride``-th subset of E6 in sweep order.  Those dot products are
+    integers, so they are ints."""
+    model = rs.build(label)
+    swept = {}
+    for pi0, key, _ in ct.congruence_sweep(model):
+        keys = swept.setdefault(pi0, set())
+        if key is not None:
+            keys.add(key)
+    assert len(swept) == 2 ** model.rank
+    for pi0 in list(swept)[::stride]:
+        h = ct.h_regular(model, pi0)
+        theta = ct.theta_for_levi(model, pi0)
+        pairs = {(beta.dot(theta), beta.dot(h)) for beta in model.roots}
+        assert all(type(k) is int and type(l) is int for k, l in pairs)
+        assert swept[pi0] == {(k, l) for k, l in pairs if l > 0}, pi0
+
+
 # span membership ------------------------------------------------------------
 
 def test_in_levi_span_zero(e8):

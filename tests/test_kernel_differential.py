@@ -73,7 +73,7 @@ def test_build_matches_epsilon_enumeration(label):
     simples = model.simple_roots
     for i, a in enumerate(simples):
         for j, b in enumerate(simples):
-            assert model.cartan[i][j] == 2 * a.dot(b) / b.dot(b)
+            assert model.cartan[i][j] == Fr(2 * a.dot(b), b.dot(b))
             assert Fr(model.gram[i][j], model.gram_den) == a.dot(b)
     for beta, cv in zip(model.positive_roots, model.coroot_coefficients):
         coroot = sum((c * model.coroot(a) for c, a in zip(cv, simples)), ref._zero(model))

@@ -142,7 +142,7 @@ def test_canonicalize_idempotent_and_pairing_invariant(raw):
     once = rs.canonicalize(e8, raw)
     assert rs.canonicalize(e8, once.coords) == once
     alpha = e8.positive_roots[17]
-    assert rs.pairing(e8, once, alpha) == 2 * rs.Weight(tuple(raw)).dot(alpha) / 2
+    assert rs.pairing(e8, once, alpha) == Fr(2 * rs.Weight(tuple(raw)).dot(alpha), 2)
 
 
 # rho and fundamental weights -------------------------------------------------

@@ -1,7 +1,9 @@
 """Source rules for the engine, checked on its syntax trees: no ``assert``
 (``python -O`` strips it, so invariants are explicit raises), no floating
-point (no float literal and no ``float`` name) and no environment reads
-(every bound is a constant, not a knob).  The experiment scripts in
+point (no float literal, no ``float`` name and no true division ``/``,
+which turns two ints into a float; exact quotients are ``Fraction(p, q)``
+or ``//``) and no environment reads (every bound is a constant, not a
+knob).  The experiment scripts in
 ``scripts/`` check their conclusions, so they follow the ``assert`` rule too."""
 import ast
 from pathlib import Path
@@ -22,6 +24,8 @@ def violations(tree: ast.AST) -> list[str]:
             found.append(f"{line}: assert")
         elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append(f"{line}: float literal {node.value!r}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{line}: true division")
         elif isinstance(node, ast.Name) and (node.id == "float" or node.id in ENVIRONMENT):
             found.append(f"{line}: name {node.id}")
         elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
@@ -50,7 +54,8 @@ def test_scripts_check_without_assert(path):
 
 
 @pytest.mark.parametrize("source", [
-    "assert x", "y = 0.5", "y = 1j", "z = float(w)", "import os\nn = os.environ['N']",
+    "assert x", "y = 0.5", "y = 1j", "z = float(w)", "y = a / b", "y /= b",
+    "import os\nn = os.environ['N']",
     "import os\nn = os.getenv('N')", "from os import environ", "from os import getenv as g",
 ])
 def test_scanner_flags_each_rule(source):

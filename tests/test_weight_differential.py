@@ -3,8 +3,12 @@
 ``tests/epsilon_reference.py`` keeps the old ``Weight`` as ``FractionWeight``
 together with the epsilon code that ran on it.  Every comparison here is
 exact: equal coordinates as Fractions, equal booleans, words and
-coefficients, and equal error messages.  Inputs are every root of each
-type and seeded random vectors with denominators in {1, 2, 3, 6}.
+coefficients, and equal error messages.  The engine's scalars (dot
+products, ``inner``, pairings and Levi-span coefficients) must also have
+the type the contract gives them: an int when the value is an integer, else
+a Fraction; the reference's scalars must be exact, never a float.  Inputs
+are every root of each type and seeded random vectors with denominators in
+{1, 2, 3, 6}.
 """
 import itertools
 import math
@@ -46,6 +50,18 @@ def _assert_same(w, r):
     assert w.to_strings() == r.to_strings() and str(w) == str(r)
 
 
+def _exact_scalar(value):
+    """The engine's scalar rule: an int when the value is an integer, else a
+    Fraction (never a float, never an integral Fraction)."""
+    return type(value) is (int if value.denominator == 1 else Fr)
+
+
+def _reference(value):
+    """A reference scalar, checked to be exact: no float reaches a comparison."""
+    assert isinstance(value, (int, Fr)), f"reference value {value!r} is not exact"
+    return value
+
+
 def _pairs(rng, model, extra):
     """(engine, reference) pairs: every root of the model, then random vectors."""
     raw = [list(beta.coords) for beta in model.roots]
@@ -79,8 +95,8 @@ def test_arithmetic_matches(label):
         _assert_same(-w, -r)
         _assert_same(scalar * w, scalar * r)
         dot = w.dot(w2)
-        assert type(dot) is Fr and dot == r.dot(r2)
-        assert model.inner(w, w2) == r.dot(r2)
+        assert _exact_scalar(dot) and dot == _reference(r.dot(r2))
+        assert _exact_scalar(model.inner(w, w2)) and model.inner(w, w2) == dot
         assert (w == w2) == (r == r2)
         assert w.is_zero() == r.is_zero() and len(w) == len(r)
         # one vector reached by different arithmetic is one Weight
@@ -136,7 +152,10 @@ def test_pairing_matches_including_errors(label):
     for w, r in pairs:
         w2, r2 = rng.choice(pairs)
         outcome = _outcome(rs.pairing, model, w2, w)
-        assert outcome == _outcome(ref.pairing, ref_roots, r2, r, model.cartan_type)
+        expected = _outcome(ref.pairing, ref_roots, r2, r, model.cartan_type)
+        assert outcome == expected
+        if outcome[0] == "ok":
+            assert _exact_scalar(outcome[1]) and _reference(expected[1]) == outcome[1]
         kinds.add(outcome[0])
     assert kinds == {"ok", "error"}
 
@@ -153,7 +172,8 @@ def _compare_span(model, mu, pi0):
     expected = ref.in_levi_span_fractions(model, ref.fraction_weight(mu), pi0)
     assert got[0] == expected[0]
     if got[0]:
-        assert got[1] == expected[1]
+        assert all(_exact_scalar(c) for c in got[1])
+        assert got[1] == tuple(map(_reference, expected[1]))
     else:
         _assert_same(got[1], expected[1])
     return got[0]
