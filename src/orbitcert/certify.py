@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from . import rootsys
-from .integral import cor68_dim, cor68_from_system, integral_from_values
+from .integral import cor68_dim, cor68_from_values
 from .orbits import orbit_dim_from_h, orbit_dim_from_values
 from .rootsys import RootSystemModel, Weight, combine, h_values, levi_mask, root_values
 
@@ -114,12 +114,7 @@ def delta(model: RootSystemModel, pi0, h: Weight) -> Weight:
 
 def delta_prime(model: RootSystemModel, h: Weight) -> Weight:
     """Half-sum of the positive roots alpha with <alpha, h> in {0, 1}."""
-    return _delta_prime(model, root_values(model, h_values(model, h)))
-
-
-def _delta_prime(model: RootSystemModel, values) -> Weight:
-    """``delta_prime`` from <beta, h> on the positive roots (``rootsys.root_values``)."""
-    return combine(model, _two_delta_prime(model, values), 2)
+    return combine(model, _two_delta_prime(model, root_values(model, h_values(model, h))), 2)
 
 
 def in_levi_span(model: RootSystemModel, mu: Weight, pi0
@@ -310,25 +305,37 @@ def certify(inp: CertificateInput) -> CertificateReport:
     """Run all four checks and aggregate; deterministic and side-effect free.
 
     One pass per side: the values of lambda' on the positive coroots
-    (``rootsys.coroot_values``) feed (A) and the integral system behind
-    cor68, and the values of h on the positive roots (``rootsys.root_values``
-    of the simple values the input read) feed dim O and delta'.  cor68, dim O
-    and delta' are computed once and feed verdicts and report.
+    (``rootsys.coroot_values``) feed (A) and the count of integral roots
+    behind cor68, and the values of h on the positive roots
+    (``rootsys.root_values`` of the simple values the input read) feed dim O
+    and 2 delta' on the simple roots.  (C) reads lambda' on the simple roots
+    once and subtracts delta' there; only a failing (C) builds its residual
+    in epsilon coordinates.  cor68, dim O and delta' are computed once and
+    feed verdicts and report.
     """
     model = inp.model
     mask = levi_mask(inp.levi)
     values, den = rootsys.coroot_values(model, inp.lambda_prime)
     verdict_A = (_verdict_A(model, mask, values, den)
                  if inp.principal_in_levi else _A_UNDECIDED)
-    cor68 = cor68_from_system(model, integral_from_values(model, inp.lambda_prime,
-                                                          values, den))
+    cor68 = cor68_from_values(model, values, den)
     h_roots = root_values(model, inp.h_simple)
     dim_orbit = orbit_dim_from_values(model, h_roots)
-    dprime = _delta_prime(model, h_roots)
+    two_dp = _two_delta_prime(model, h_roots)
+    dprime = combine(model, two_dp, 2)
+    # lambda' - delta' on the simple roots: coordinates over 2 coord_den
+    coords, coord_den = rootsys.root_coords(model, inp.lambda_prime)
+    mu = [2 * x - coord_den * y for x, y in zip(coords, two_dp)]
+    # delta' lies in the root span, so lambda' - delta' does when lambda' does
+    if _in_span(model, inp.lambda_prime, mu, mask):
+        verdict_C = CheckResult(PASS, witness=tuple(rootsys.rational(mu[i], 2 * coord_den)
+                                                    for i in inp.levi))
+    else:
+        verdict_C = _verdict_C(model, inp.levi, mask, inp.lambda_prime - dprime)
     return CertificateReport(
         verdict_A=verdict_A,
         verdict_B=_verdict_B(cor68, dim_orbit),
-        verdict_C=_verdict_C(model, inp.levi, mask, inp.lambda_prime - dprime),
+        verdict_C=verdict_C,
         verdict_D=check_D(inp.principal_in_levi),
         dim_g=model.dim,
         dim_orbit=dim_orbit,

@@ -40,29 +40,35 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
     rho is integral (checked when the model is built), so integrality
     against lambda' = lambda + rho and against lambda agree.
     """
-    return integral_from_values(model, lambda_prime,
-                                *rootsys.coroot_values(model, lambda_prime))
-
-
-def integral_from_values(model: RootSystemModel, lambda_prime: Weight,
-                         values: list[int], den: int) -> IntegralSystem:
-    """``integral_system`` from <lambda', beta^vee> = values[k] / den on the
-    positive roots (``rootsys.coroot_values``)."""
-    by_height = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
-    codes = model.coroot_codes
-    simple = sorted(by_height[pos]
-                    for pos in rootsys.height_simples([codes[k] for k in by_height]))
-    chosen = sorted(by_height)
-    rows = [model.pos_coefficients[k] for k in simple]
-    form_rows = model.form_rows
-    cartan_type = rootsys.classify_gram([[sum(map(mul, form_rows[k], row)) for row in rows]
-                                         for k in simple])
+    values, den = rootsys.coroot_values(model, lambda_prime)
+    integral, simple = _integral_walk(model, values, den)
+    cartan_type = rootsys.classify_gram(_simple_gram(model, simple))
+    chosen = sorted(integral)
     npos = len(model.positive_roots)
     allroots = (tuple(model.positive_roots[k] for k in chosen)
                 + tuple(model.roots[npos + k] for k in chosen))
     return IntegralSystem(lambda_prime, allroots,
                           tuple(model.positive_roots[k] for k in simple), cartan_type,
                           tuple(values[k] // den for k in simple))
+
+
+def _integral_walk(model: RootSystemModel, values, den: int
+                   ) -> tuple[list[int], list[int]]:
+    """(integral, simple) from <lambda', beta^vee> = values[k] / den on the
+    positive roots (``rootsys.coroot_values``): the positive roots with
+    integral coroot pairing, by coroot height, and the sorted ones among
+    them whose coroots are simple in the integral coroot system."""
+    integral = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
+    codes = model.coroot_codes
+    return integral, sorted(integral[pos] for pos in
+                            rootsys.height_simples([codes[k] for k in integral]))
+
+
+def _simple_gram(model: RootSystemModel, simple) -> list[list[int]]:
+    """The integer Gram matrix of the positive roots ``simple``."""
+    rows = [model.pos_coefficients[k] for k in simple]
+    form_rows = model.form_rows
+    return [[sum(map(mul, form_rows[k], row)) for row in rows] for k in simple]
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,19 @@ def cor68_dim(model: RootSystemModel, lambda_prime: Weight) -> int | None:
 
     dim g(lambda) carries the full Cartan: #Delta(lambda) + rank g.
     """
-    return cor68_from_system(model, integral_system(model, lambda_prime))
+    return cor68_from_values(model, *rootsys.coroot_values(model, lambda_prime))
+
+
+def cor68_from_values(model: RootSystemModel, values, den: int) -> int | None:
+    """``cor68_dim`` from <lambda', beta^vee> = values[k] / den on the
+    positive roots (``rootsys.coroot_values``).  It counts the integral
+    roots and checks their simple system (``rootsys.finite_cartan``), but
+    builds no root vectors and names no type."""
+    integral, simple = _integral_walk(model, values, den)
+    rootsys.finite_cartan(_simple_gram(model, simple))
+    if not all(values[k] > 0 for k in simple):
+        return None
+    return model.dim - 2 * len(integral) - model.rank
 
 
 def cor68_from_system(model: RootSystemModel, isys: IntegralSystem) -> int | None:
@@ -131,7 +149,4 @@ def prop67_dim(dim_g: int, dim_g_lambda: int, dim_orbit_w: int) -> int:
     """dim VA(U/J(lambda)) = dim g - dim g(lambda) + dim O_w (caller supplies O_w)."""
     if dim_g < 0 or dim_g_lambda < 0 or dim_orbit_w < 0 or dim_g < dim_g_lambda:
         raise ValueError("need 0 <= dim g(lambda) <= dim g and dim O_w >= 0")
-    result = dim_g - dim_g_lambda + dim_orbit_w
-    if result < 0:
-        raise ValueError("negative associated-variety dimension")
-    return result
+    return dim_g - dim_g_lambda + dim_orbit_w

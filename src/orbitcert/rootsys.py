@@ -851,14 +851,7 @@ def classify_gram(gram) -> tuple[str, ...]:
     component is named from its rank, largest bond, number of short simple
     roots and the leaf count at its branch node.
     """
-    integer = all(type(x) is int for row in gram for x in row)
-    basis = linalg.integer_row_basis(gram) if integer else linalg.row_basis(gram)
-    if len(basis) != len(gram):
-        raise ValueError("simple system is not linearly independent")
-    cartan = _cartan_of(gram)
-    if any(x not in (0, -1, -2, -3) for i, row in enumerate(cartan)
-           for j, x in enumerate(row) if i != j):
-        raise ValueError("pairings are not those of a finite-type simple system")
+    cartan = finite_cartan(gram)
     adj = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(cartan)]
     # connected components of the Dynkin graph, each grown while it is read
     seen: set[int] = set()
@@ -874,6 +867,21 @@ def classify_gram(gram) -> tuple[str, ...]:
             labels.append(_component_type(comp, cartan, adj, gram))
     labels.sort(key=lambda label: (-label[1], label[0]))
     return tuple(f"{series}{rank}" for series, rank in labels)
+
+
+def finite_cartan(gram) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix of a simple system given by its Gram matrix (as
+    for ``classify_gram``); ValueError unless the vectors are linearly
+    independent with off-diagonal Cartan entries in {0, -1, -2, -3}."""
+    integer = all(type(x) is int for row in gram for x in row)
+    basis = linalg.integer_row_basis(gram) if integer else linalg.row_basis(gram)
+    if len(basis) != len(gram):
+        raise ValueError("simple system is not linearly independent")
+    cartan = _cartan_of(gram)
+    if any(x not in (0, -1, -2, -3) for i, row in enumerate(cartan)
+           for j, x in enumerate(row) if i != j):
+        raise ValueError("pairings are not those of a finite-type simple system")
+    return cartan
 
 
 def _component_type(comp: list[int], cartan, adj, gram) -> tuple[str, int]:

@@ -4,7 +4,8 @@
 Seeded cases over every default type reach each verdict of (A)-(D), both
 --principal states and the input errors (h off the Levi coroot span, h not
 integral, h not 2 on the Levi simple roots under --principal, an odd orbit
-dimension).  For each case the CLI prints the same bytes to stdout and
+dimension); on A4 and G2 further cases put lambda' off the root span, so
+(C) fails by that alone.  For each case the CLI prints the same bytes to stdout and
 stderr and exits with the same code, in JSON and in text, when it runs the
 reference ``CertificateInput`` and ``certify``; the library gives equal
 integral systems, Levi-span solves and root coordinates; and the walk by
@@ -33,6 +34,11 @@ CASES_PER_TYPE = 48
 # then h off the Levi span, h / 2 (not integral, or an odd orbit) and 2 h
 # (not 2 on the Levi simple roots)
 KINDS = ("on", "on", "off", "rho", "minus_rho", "random", "h_off_span", "h_half", "h_double")
+# after those, on the types whose roots do not span the ambient and whose
+# canonicalizer is the identity: lambda' = delta'(h) plus Levi terms plus a
+# nonzero multiple of the all-ones vector, off the root span
+OFF_ROOT_SPAN_TYPES = ("A4", "G2")
+OFF_ROOT_SPAN_CASES = 6
 ERRORS = {"off_span": "h is not in the Levi coroot span; residual ",
           "not_integral": "h is not integral on root ",
           "principal": "principal_in_levi requires <alpha, h> = 2 on every Levi simple root",
@@ -75,13 +81,28 @@ def cases(label):
         elif kind == "h_double":
             h = 2 * h
         principal = kind == "h_double" or rng.random() < 0.6
-        argv = ["certify", "--type", label, "--levi=" + ",".join(f"a{i + 1}" for i in levi),
-                "--h=" + ",".join(h.to_strings()),
-                "--lambda-prime=" + ",".join(lam.to_strings())]
-        if principal:
-            argv.append("--principal")
-        out.append((argv, levi, rs.canonicalize(model, h), lam))
+        out.append(_case(model, levi, h, lam, principal))
+    if label in OFF_ROOT_SPAN_TYPES:
+        ones = rs.weight([1] * model.ambient_dim)
+        for _ in range(OFF_ROOT_SPAN_CASES):
+            levi = tuple(sorted(rng.sample(range(model.rank), rng.randint(0, model.rank))))
+            h = ct.h_regular(model, levi)
+            lam = ct.delta_prime(model, h)
+            for i in levi:
+                lam = lam + _rational(rng) * model.simple_roots[i]
+            lam = lam + _rational(rng, nonzero=True) * ones
+            out.append(_case(model, levi, h, lam, rng.random() < 0.6))
     return out
+
+
+def _case(model, levi, h, lam, principal):
+    argv = ["certify", "--type", model.cartan_type,
+            "--levi=" + ",".join(f"a{i + 1}" for i in levi),
+            "--h=" + ",".join(h.to_strings()),
+            "--lambda-prime=" + ",".join(lam.to_strings())]
+    if principal:
+        argv.append("--principal")
+    return argv, levi, rs.canonicalize(model, h), lam
 
 
 def run(argv):
@@ -193,6 +214,25 @@ def test_cases_reach_every_verdict_and_error():
                 ("overall", "pass"), ("overall", "fail"), ("overall", "undecided")}
     expected |= {("error", name) for name in ERRORS}
     assert seen == expected
+
+
+@pytest.mark.parametrize("label", OFF_ROOT_SPAN_TYPES)
+def test_off_root_span_cases_fail_C_by_the_root_span_alone(label):
+    """lambda' - delta' has no coordinate outside Pi_0, yet lies off the root
+    span, so (C) fails with the all-ones part as its residual."""
+    model = rs.build(label)
+    extra = cases(label)[CASES_PER_TYPE:]
+    assert len(extra) == OFF_ROOT_SPAN_CASES
+    assert {"--principal" in argv for argv, _, _, _ in extra} == {True, False}
+    for argv, levi, h, lam in extra:
+        mu = lam - ct.delta_prime(model, h)
+        nums, _ = rs.root_coords(model, mu)
+        assert all(nums[i] == 0 for i in range(model.rank) if i not in levi), argv
+        assert not rs.in_root_span(model, lam), argv
+        report = ct.certify(ct.CertificateInput(model, levi, h, lam, "--principal" in argv))
+        assert report.verdict_C.status == ct.FAIL, argv
+        residual = report.verdict_C.witness
+        assert not residual.is_zero() and len(set(residual.coords)) == 1, argv
 
 
 @pytest.mark.parametrize("label,roots", [

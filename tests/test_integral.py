@@ -133,9 +133,22 @@ def test_cor68_not_applicable(e8):
     assert ig.cor68_dim(e8, -rs.rho(e8)) is None
 
 
+def test_cor68_runs_the_simple_system_check(monkeypatch, e8, flagship_lambda_prime):
+    """cor68 names no type, but it still checks the integral simple system
+    with the check ``classify_gram`` runs."""
+    def refuse(gram):
+        raise ValueError(f"checked a {len(gram)}x{len(gram)} Gram matrix")
+
+    monkeypatch.setattr(rs, "finite_cartan", refuse)
+    with pytest.raises(ValueError, match="checked a 8x8 Gram matrix"):
+        ig.cor68_dim(e8, flagship_lambda_prime)
+
+
 def test_prop67_values():
     assert ig.prop67_dim(248, 46, 0) == 202
     assert ig.prop67_dim(14, 14, 0) == 0
+    # the bound dim g(lambda) = 0 is allowed
+    assert ig.prop67_dim(14, 0, 0) == 14
     # w = identity: dim O_w = dim g(lambda) - rank gives the nilpotent cone
     assert ig.prop67_dim(248, 248, 248 - 8) == 240
 

@@ -118,6 +118,7 @@ def test_integral_system_matches(label):
                           if all(rs.pairing(model, lam, b) > 0 for b in got.simple_system)
                           else None)
         assert ig.cor68_from_system(model, got) == expected_cor68
+        assert ig.cor68_dim(model, lam) == expected_cor68
 
 
 @pytest.mark.parametrize("label", TYPES)

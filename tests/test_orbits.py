@@ -201,6 +201,14 @@ def test_bv_candidate_identity(e8, flagship_h):
     assert ob.bv_candidate(e8, h_dual) + rs.rho(e8) == h_dual
 
 
+def test_bv_candidate_even_raises_no_warning(e8):
+    # 2 rho is 2 on every simple root: even, so no warning
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ob.bv_candidate(e8, 2 * rs.rho(e8)) == rs.rho(e8)
+
+
 def test_bv_candidate_rejects_non_dominant(e8):
     with pytest.raises(ValueError):
         ob.bv_candidate(e8, -rs.rho(e8))

@@ -349,6 +349,23 @@ def test_identify_type_rejects_non_crystallographic(e8):
         rs.classify_simple_system([u, v])
 
 
+@pytest.mark.parametrize("gram,message", [
+    ([[2, -2], [-2, 2]], "simple system is not linearly independent"),
+    ([[2, 1], [1, 2]], "pairings are not those of a finite-type simple system"),
+], ids=["dependent", "positive_pairing"])
+def test_finite_cartan_rejects(gram, message):
+    """The simple-system check that ``classify_gram`` and cor68 share."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rs.finite_cartan(gram)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rs.classify_gram(gram)
+
+
+def test_finite_cartan_of_g2():
+    g2 = rs.build("G2")
+    assert rs.finite_cartan(g2.gram) == g2.cartan
+
+
 @settings(max_examples=25)
 @given(st.permutations(list(range(8))), st.integers(0, 255))
 def test_identify_type_permutation_invariant(perm, mask):
