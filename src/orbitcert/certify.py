@@ -128,25 +128,22 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
     the coefficients outside Pi_0 vanish, plus mu lying in the root span,
     so inputs outside the root span fail with the honest residual.
     """
-    return _levi_span(model, mu, *_levi(model, pi0))
-
-
-def _levi_span(model: RootSystemModel, mu: Weight, ordered, mask: int
-               ) -> tuple[bool, tuple[numbers.Rational, ...] | Weight]:
-    """``in_levi_span`` for a validated Pi_0 given as (sorted indices, bit set)."""
+    ordered, mask = _levi(model, pi0)
     mu = rootsys.canonicalize(model, mu)
-    nums, den = rootsys.root_coords(model, mu)
-    if _in_span(model, mu, nums, mask):
+    return _levi_solve(model, mu, *rootsys.root_coords(model, mu), ordered, mask)
+
+
+def _levi_solve(model: RootSystemModel, w: Weight, nums, den: int, ordered, mask: int,
+                base=None) -> tuple[bool, tuple[numbers.Rational, ...] | Weight]:
+    """``in_levi_span`` of mu = w - sum_i (base[i] / den) a_i (base 0 by
+    default), whose simple-root coordinates are nums / den, for Pi_0 given
+    as (sorted indices, bit set); mu is in the root span when w is."""
+    if (all(x == 0 for i, x in enumerate(nums) if not mask >> i & 1)
+            and rootsys.in_root_span(model, w)):
         return True, tuple(rootsys.rational(nums[i], den) for i in ordered)
-    return False, mu - combine(model, [x if mask >> i & 1 else 0
-                                       for i, x in enumerate(nums)], den)
-
-
-def _in_span(model: RootSystemModel, mu: Weight, nums, mask: int) -> bool:
-    """Whether mu, with coordinates ``nums`` on the simple roots
-    (``rootsys.root_coords``), lies in the span of the Levi of ``mask``."""
-    return (all(x == 0 for i, x in enumerate(nums) if not mask >> i & 1)
-            and rootsys.in_root_span(model, mu))
+    base = base or itertools.repeat(0)
+    return False, w - combine(model, [b + x if mask >> i & 1 else b
+                                      for i, (x, b) in enumerate(zip(nums, base))], den)
 
 
 @dataclass(frozen=True)
@@ -202,14 +199,20 @@ def _verdict_B(va_dim: int | None, orb_dim: int) -> CheckResult:
 
 def check_C(model: RootSystemModel, pi0, h: Weight, lambda_prime: Weight) -> CheckResult:
     """lambda' - delta' lies in the rational span of Pi_0."""
-    mu = lambda_prime - delta_prime(model, h)
-    return _verdict_C(model, *_levi(model, pi0), mu)
+    two_dp = _two_delta_prime(model, root_values(model, h_values(model, h)))
+    lambda_prime = rootsys.canonicalize(model, lambda_prime)
+    return _verdict_C(model, *_levi(model, pi0), lambda_prime, two_dp)
 
 
-def _verdict_C(model: RootSystemModel, ordered, mask: int, mu: Weight) -> CheckResult:
-    """``check_C`` for mu = lambda' - delta' and a validated Pi_0 given as
-    (sorted indices, bit set)."""
-    ok, info = _levi_span(model, mu, ordered, mask)
+def _verdict_C(model: RootSystemModel, ordered, mask: int, lambda_prime: Weight,
+               two_dp) -> CheckResult:
+    """``check_C`` for a canonical lambda', 2 delta' on the simple roots and
+    Pi_0 validated as (sorted indices, bit set)."""
+    nums, den = rootsys.root_coords(model, lambda_prime)
+    # lambda' - delta' on the simple roots, over 2 den
+    mu = [2 * x - den * y for x, y in zip(nums, two_dp)]
+    ok, info = _levi_solve(model, lambda_prime, mu, 2 * den, ordered, mask,
+                           [den * y for y in two_dp])
     if ok:
         return CheckResult(PASS, witness=info)
     return CheckResult(FAIL, witness=info, detail="nonzero residual off the Levi span")
@@ -235,15 +238,16 @@ class CertificateInput:
 
     def __post_init__(self):
         model = self.model
-        indices = sorted(rootsys._check_indices(model, self.levi))
+        indices, mask = _levi(model, self.levi)
         object.__setattr__(self, "levi", tuple(indices))
         h = rootsys.canonicalize(model, self.h)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "lambda_prime", rootsys.canonicalize(model, self.lambda_prime))
         values = h_values(model, h)
         object.__setattr__(self, "h_simple", tuple(values))
-        if not _in_span(model, h, rootsys.root_coords(model, h)[0], levi_mask(indices)):
-            _, residual = in_levi_span(model, h, indices)
+        # no Pi_0 indices: a pass builds no coefficients
+        ok, residual = _levi_solve(model, h, *rootsys.root_coords(model, h), (), mask)
+        if not ok:
             raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
         if self.principal_in_levi:
             for i in indices:
@@ -308,10 +312,8 @@ def certify(inp: CertificateInput) -> CertificateReport:
     (``rootsys.coroot_values``) feed (A) and the count of integral roots
     behind cor68, and the values of h on the positive roots
     (``rootsys.root_values`` of the simple values the input read) feed dim O
-    and 2 delta' on the simple roots.  (C) reads lambda' on the simple roots
-    once and subtracts delta' there; only a failing (C) builds its residual
-    in epsilon coordinates.  cor68, dim O and delta' are computed once and
-    feed verdicts and report.
+    and 2 delta', which (C) takes to the kernel that ``check_C`` runs.
+    cor68, dim O and delta' are computed once and feed verdicts and report.
     """
     model = inp.model
     mask = levi_mask(inp.levi)
@@ -322,25 +324,15 @@ def certify(inp: CertificateInput) -> CertificateReport:
     h_roots = root_values(model, inp.h_simple)
     dim_orbit = orbit_dim_from_values(model, h_roots)
     two_dp = _two_delta_prime(model, h_roots)
-    dprime = combine(model, two_dp, 2)
-    # lambda' - delta' on the simple roots: coordinates over 2 coord_den
-    coords, coord_den = rootsys.root_coords(model, inp.lambda_prime)
-    mu = [2 * x - coord_den * y for x, y in zip(coords, two_dp)]
-    # delta' lies in the root span, so lambda' - delta' does when lambda' does
-    if _in_span(model, inp.lambda_prime, mu, mask):
-        verdict_C = CheckResult(PASS, witness=tuple(rootsys.rational(mu[i], 2 * coord_den)
-                                                    for i in inp.levi))
-    else:
-        verdict_C = _verdict_C(model, inp.levi, mask, inp.lambda_prime - dprime)
     return CertificateReport(
         verdict_A=verdict_A,
         verdict_B=_verdict_B(cor68, dim_orbit),
-        verdict_C=verdict_C,
+        verdict_C=_verdict_C(model, inp.levi, mask, inp.lambda_prime, two_dp),
         verdict_D=check_D(inp.principal_in_levi),
         dim_g=model.dim,
         dim_orbit=dim_orbit,
         cor68=cor68,
-        delta_prime=dprime,
+        delta_prime=combine(model, two_dp, 2),
     )
 
 

@@ -225,9 +225,7 @@ def _cmd_certify(args) -> int:
     h = (h_regular(model, levi) if args.h is None
          else _parse_weight(model, args.h, args.root_coords))
     lambda_prime = _parse_weight(model, args.lambda_prime, args.root_coords)
-    inp = CertificateInput(model, levi, h, lambda_prime,
-                                principal_in_levi=args.principal)
-    report = certify(inp)
+    report = certify(CertificateInput(model, levi, h, lambda_prime, args.principal))
     _emit(report.to_json_dict(), args.output)
     if report.overall == PASS:
         return EXIT_PASS

@@ -25,7 +25,7 @@ class IntegralSystem:
     lambda_prime: Weight
     coroots: tuple[Weight, ...]       # roots with integral coroot pairing, +/- closed
     simple_system: tuple[Weight, ...]  # roots dual to the simple coroots, positive in Delta
-    cartan_type: tuple[str, ...]       # component labels of Delta(lambda), dual-adjusted
+    cartan_type: tuple[str, ...]       # labels of Delta(lambda) itself: B and C not swapped
     simple_pairings: tuple[int, ...]   # <lambda', beta^vee> on the simple system
 
     @property

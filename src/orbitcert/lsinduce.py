@@ -21,7 +21,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import linalg
-from .orbits import Partition, dim_z_partition, parity_valid
+from .orbits import Partition, _int_parts, dim_z_partition, parity_valid
 
 MAX_ORACLE_AMBIENT = 16  # jordan_oracle and centralizer_oracle
 _ENTRY_RANGE = 9  # random integer entries are drawn from [-9, 9]
@@ -162,7 +162,7 @@ def collapse(parts, kind: str) -> Partition:
     """
     if kind not in ("so", "sp"):
         raise ValueError("collapse applies to so/sp only")
-    parts = tuple(int(p) for p in parts)
+    parts = _int_parts(parts)
     if any(p < 0 for p in parts):
         raise ValueError("parts must be non-negative")
     if any(a < b for a, b in zip(parts, parts[1:])):

@@ -14,6 +14,7 @@ Spaltenstein duals (8 rows).
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass, asdict
@@ -40,13 +41,15 @@ def _graded_dims(model: RootSystemModel, values) -> dict[int, int]:
     return {k: v for k, v in sorted(dims.items()) if v}
 
 
-def _centralizer_dim(dims: dict[int, int]) -> int:
-    return dims.get(0, 0) + dims.get(1, 0)
+def _dim_z(model: RootSystemModel, values) -> int:
+    """dim g(0) + dim g(1) = rank + 2 #{0} + #{1} + #{-1} over <beta, h> on the
+    positive roots (a list): +-beta are in g(0) at 0, one of them in g(1) at +-1."""
+    return model.rank + 2 * values.count(0) + values.count(1) + values.count(-1)
 
 
 def centralizer_dim_from_h(model: RootSystemModel, h: Weight) -> int:
     """dim z_g(e) = dim g(0) + dim g(1) for a characteristic h of e."""
-    return _centralizer_dim(graded_dims(model, h))
+    return _dim_z(model, _h_root_values(model, h))
 
 
 def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
@@ -55,12 +58,8 @@ def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
 
 
 def orbit_dim_from_values(model: RootSystemModel, values) -> int:
-    """``orbit_dim_from_h`` from <beta, h> on the positive roots (a list):
-    dim z_g(e) = dim g(0) + dim g(1) = rank + 2 #{0} + #{1} + #{-1}, since
-    beta and -beta both lie in g(0) when <beta, h> = 0, and one of them lies
-    in g(1) when <beta, h> = +-1."""
-    dim_z = model.rank + 2 * values.count(0) + values.count(1) + values.count(-1)
-    dim_orb = model.dim - dim_z
+    """``orbit_dim_from_h`` from <beta, h> on the positive roots (a list)."""
+    dim_orb = model.dim - _dim_z(model, values)
     if dim_orb % 2:
         raise ValueError(f"orbit dimension {dim_orb} is odd: h is not the "
                          "characteristic of a nilpotent")
@@ -75,7 +74,7 @@ class Partition:
     kind: str = "gl"
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts if p))
+        object.__setattr__(self, "parts", tuple(p for p in _int_parts(self.parts) if p))
         if any(p < 0 for p in self.parts):
             raise ValueError("parts must be positive")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
@@ -86,6 +85,16 @@ class Partition:
     @property
     def total(self) -> int:
         return sum(self.parts)
+
+
+def _int_parts(parts) -> tuple[int, ...]:
+    """The parts as ints; TypeError for a non-integer, which int() truncates."""
+    parts = tuple(parts)
+    if set(map(type, parts)) - {int}:  # exact ints pass without a per-part test
+        if not all(isinstance(p, numbers.Integral) for p in parts):
+            raise TypeError(f"partition parts must be integers: {parts}")
+        parts = tuple(map(int, parts))
+    return parts
 
 
 def parity_valid(p: Partition) -> bool:

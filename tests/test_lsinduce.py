@@ -52,6 +52,14 @@ def test_collapse_rejects_bad_input():
         ls.collapse((2, 2), "gl")
 
 
+def test_collapse_rejects_parts_that_are_not_integers():
+    """int() would truncate (3.9, 2.5, 1) to (3, 2, 1) and collapse it to
+    the wrong answer (2, 2, 2)."""
+    with pytest.raises(TypeError, match="partition parts must be integers"):
+        ls.collapse((3.9, 2.5, 1), "sp")
+    assert ls.collapse((True, 1), "sp").parts == (1, 1)
+
+
 @pytest.mark.parametrize("kind", ["so", "sp"])
 def test_collapse_matches_brute_force(kind):
     for n in range(0, 13):

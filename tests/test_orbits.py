@@ -87,6 +87,13 @@ def test_partition_validation():
     assert ob.Partition((3, 2, 0, 0)).parts == (3, 2)
 
 
+@pytest.mark.parametrize("parts", [(3.7, 1.2), (3, 1.0), (Fraction(3), 1), (3, 0.0), ("3", 1)])
+def test_partition_rejects_parts_that_are_not_integers(parts):
+    """int() would truncate (3.7, 1.2) to the wrong partition (3, 1)."""
+    with pytest.raises(TypeError, match="partition parts must be integers"):
+        ob.Partition(parts, "gl")
+
+
 def test_parity_validity():
     assert ob.parity_valid(ob.Partition((2, 2), "sp"))
     assert not ob.parity_valid(ob.Partition((3, 1), "sp"))

@@ -493,12 +493,14 @@ def test_root_membership_matches_the_root_lists(label):
      "expected 9 coordinates, got 11"),
     (lambda e8: ig.integral_system(e8, rs.weight([1, 2])), "expected 9 coordinates, got 2"),
     (lambda e8: ct.check_A(e8, (0, 1), rs.weight([5, 5])), "expected 9 coordinates, got 2"),
+    (lambda e8: ct.check_C(e8, (0, 1), rs.weight([0] * 9), rs.weight([5, 5])),
+     "expected 9 coordinates, got 2"),
     (lambda e8: rs.simple_pairings(e8, rs.weight([1] * 10)), "expected 9 coordinates, got 10"),
     (lambda e8: rs.in_root_span(e8, rs.weight([1])), "expected 9 coordinates, got 1"),
     (lambda e8: rs.combine(e8, [1, 2]), "expected 8 simple-root coefficients"),
     (lambda e8: rs.combine(e8, [Fr(1, 2)] * 9), "expected 8 simple-root coefficients"),
-], ids=["graded_dims", "integral_system", "check_A", "simple_pairings", "in_root_span",
-        "combine", "combine_rational"])
+], ids=["graded_dims", "integral_system", "check_A", "check_C", "simple_pairings",
+        "in_root_span", "combine", "combine_rational"])
 def test_kernel_rejects_vectors_of_the_wrong_length(e8, call, message):
     with pytest.raises(ValueError, match=message):
         call(e8)
