@@ -33,10 +33,6 @@ from .rootsys import RootSystemModel, Weight, combine, h_values, levi_mask, root
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 
 
-def _zero(model: RootSystemModel) -> Weight:
-    return Weight.from_ints([0] * model.ambient_dim)
-
-
 def _levi(model: RootSystemModel, pi0) -> tuple[list[int], int]:
     """Validated Pi_0 as (sorted indices, bit set)."""
     indices = sorted(rootsys._check_indices(model, pi0))
@@ -106,9 +102,8 @@ def delta(model: RootSystemModel, pi0, h: Weight) -> Weight:
     _, mask = _levi(model, pi0)
     npos = len(model.positive_roots)
     theta_negative = [model.roots[npos + k] for k, s in enumerate(model.supports) if s & ~mask]
-    if not theta_negative:
-        return _zero(model)
-    values = root_values(model, h_values(model, h, theta_negative))
+    # no theta-negative roots (Pi_0 is every simple root): name a positive root
+    values = root_values(model, h_values(model, h, theta_negative or None))
     return combine(model, _two_delta(model, mask, values), 2)
 
 
@@ -309,8 +304,9 @@ def certify(inp: CertificateInput) -> CertificateReport:
     """Run all four checks and aggregate; deterministic and side-effect free.
 
     One pass per side: the values of lambda' on the positive coroots
-    (``rootsys.coroot_values``) feed (A) and the count of integral roots
-    behind cor68, and the values of h on the positive roots
+    (``rootsys.coroot_values``) feed (A) and cor68, which counts the
+    integral roots and checks the sign of their values (no simple system is
+    found or checked), and the values of h on the positive roots
     (``rootsys.root_values`` of the simple values the input read) feed dim O
     and 2 delta', which (C) takes to the kernel that ``check_C`` runs.
     cor68, dim O and delta' are computed once and feed verdicts and report.

@@ -25,7 +25,7 @@ from . import orbits as orb
 from . import rootsys as rs
 from .certify import (FAIL, PASS, CertificateInput, certify, delta_prime,
                       h_regular)
-from .integral import cor68_from_system, integral_system
+from .integral import cor68_dim, integral_system
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -238,7 +238,7 @@ def _cmd_integral(args) -> int:
     model = rs.build(args.type)
     lambda_prime = _parse_weight(model, args.lambda_prime, args.root_coords)
     isys = integral_system(model, lambda_prime)
-    value = cor68_from_system(model, isys)
+    value = cor68_dim(model, lambda_prime)
     _emit({
         "integral_type": rs.format_type(isys.cartan_type),
         "simple_roots": [b.to_strings() for b in isys.simple_system],

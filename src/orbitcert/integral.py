@@ -2,12 +2,18 @@
 
 The integral system of a weight consists of the roots whose coroots pair
 integrally with lambda + rho.  The coroot set is always closed inside the
-dual root system, so the simple system is extracted on the coroot side:
-the roots whose coroots are not sums of two integral positive coroots,
-found by walking the integral coroots by coroot height
+dual root system, so ``integral_system`` extracts the simple system on the
+coroot side: the roots whose coroots are not sums of two integral positive
+coroots, found by walking the integral coroots by coroot height
 (``rootsys.height_simples``).  The Cartan type is read from the Gram matrix
 of those simple roots, so it is that of the integral root system itself (B
 and C are not swapped).
+
+``cor68_dim`` needs no simple system: every positive integral coroot is a
+nonnegative integer combination of the simple ones (Humphreys, Introduction
+to Lie Algebras, 10.1), so lambda' is positive on the simple integral
+coroots exactly when it is positive on every positive integral coroot, and
+the formula is a count of integral roots and a sign test.
 """
 from __future__ import annotations
 
@@ -41,8 +47,16 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
     against lambda' = lambda + rho and against lambda agree.
     """
     values, den = rootsys.coroot_values(model, lambda_prime)
-    integral, simple = _integral_walk(model, values, den)
-    cartan_type = rootsys.classify_gram(_simple_gram(model, simple))
+    # the integral positive roots by coroot height, and the sorted ones among
+    # them whose coroots are simple in the integral coroot system
+    integral = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
+    codes = model.coroot_codes
+    simple = sorted(integral[pos] for pos in
+                    rootsys.height_simples([codes[k] for k in integral]))
+    rows = [model.pos_coefficients[k] for k in simple]
+    form_rows = model.form_rows
+    cartan_type = rootsys.classify_gram([[sum(map(mul, form_rows[k], row)) for row in rows]
+                                         for k in simple])
     chosen = sorted(integral)
     npos = len(model.positive_roots)
     allroots = (tuple(model.positive_roots[k] for k in chosen)
@@ -50,25 +64,6 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
     return IntegralSystem(lambda_prime, allroots,
                           tuple(model.positive_roots[k] for k in simple), cartan_type,
                           tuple(values[k] // den for k in simple))
-
-
-def _integral_walk(model: RootSystemModel, values, den: int
-                   ) -> tuple[list[int], list[int]]:
-    """(integral, simple) from <lambda', beta^vee> = values[k] / den on the
-    positive roots (``rootsys.coroot_values``): the positive roots with
-    integral coroot pairing, by coroot height, and the sorted ones among
-    them whose coroots are simple in the integral coroot system."""
-    integral = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
-    codes = model.coroot_codes
-    return integral, sorted(integral[pos] for pos in
-                            rootsys.height_simples([codes[k] for k in integral]))
-
-
-def _simple_gram(model: RootSystemModel, simple) -> list[list[int]]:
-    """The integer Gram matrix of the positive roots ``simple``."""
-    rows = [model.pos_coefficients[k] for k in simple]
-    form_rows = model.form_rows
-    return [[sum(map(mul, form_rows[k], row)) for row in rows] for k in simple]
 
 
 @dataclass(frozen=True)
@@ -120,29 +115,25 @@ def cor68_dim(model: RootSystemModel, lambda_prime: Weight) -> int | None:
     on every simple coroot of the integral system; None when the positivity
     hypothesis fails (the parametric formula then needs the cell orbit).
 
-    dim g(lambda) carries the full Cartan: #Delta(lambda) + rank g.
+    dim g(lambda) carries the full Cartan: #Delta(lambda) + rank g.  No
+    simple system is built (``cor68_from_values``).
     """
     return cor68_from_values(model, *rootsys.coroot_values(model, lambda_prime))
 
 
 def cor68_from_values(model: RootSystemModel, values, den: int) -> int | None:
     """``cor68_dim`` from <lambda', beta^vee> = values[k] / den on the
-    positive roots (``rootsys.coroot_values``).  It counts the integral
-    roots and checks their simple system (``rootsys.finite_cartan``), but
-    builds no root vectors and names no type."""
-    integral, simple = _integral_walk(model, values, den)
-    rootsys.finite_cartan(_simple_gram(model, simple))
-    if not all(values[k] > 0 for k in simple):
+    positive roots (``rootsys.coroot_values``): None unless every integral
+    value is positive, else dim g - 2 #(integral positive roots) - rank g.
+
+    lambda' is positive on the simple integral coroots exactly when it is
+    positive on every positive integral coroot, a nonnegative integer
+    combination of them (Humphreys, Introduction to Lie Algebras, 10.1).
+    """
+    integral = [v for v in values if v % den == 0]
+    if min(integral, default=1) <= 0:
         return None
     return model.dim - 2 * len(integral) - model.rank
-
-
-def cor68_from_system(model: RootSystemModel, isys: IntegralSystem) -> int | None:
-    """``cor68_dim`` for an integral system that is already built."""
-    if not all(v > 0 for v in isys.simple_pairings):
-        return None
-    dim_g_lambda = isys.size + model.rank
-    return model.dim - dim_g_lambda
 
 
 def prop67_dim(dim_g: int, dim_g_lambda: int, dim_orbit_w: int) -> int:

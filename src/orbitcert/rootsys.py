@@ -873,9 +873,7 @@ def finite_cartan(gram) -> tuple[tuple[int, ...], ...]:
     """The Cartan matrix of a simple system given by its Gram matrix (as
     for ``classify_gram``); ValueError unless the vectors are linearly
     independent with off-diagonal Cartan entries in {0, -1, -2, -3}."""
-    integer = all(type(x) is int for row in gram for x in row)
-    basis = linalg.integer_row_basis(gram) if integer else linalg.row_basis(gram)
-    if len(basis) != len(gram):
+    if len(linalg.row_basis(gram)) != len(gram):
         raise ValueError("simple system is not linearly independent")
     cartan = _cartan_of(gram)
     if any(x not in (0, -1, -2, -3) for i, row in enumerate(cartan)

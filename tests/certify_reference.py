@@ -8,9 +8,12 @@ and ``CertificateInput`` (which called ``check_A``, ``cor68_dim`` through
 ``in_levi_span`` with ``root_coords`` (two products per vector), and
 ``integral_system`` and ``simple_system_of`` with ``indecomposables`` (the
 O(N^2) pair scan that the walk by height, ``rootsys.height_simples``,
-replaced).  What did not change (``h_values``, ``dynkin_labels``,
-``simple_pairings``, ``combine``, ``classify_gram``, ``pack``, the verdict
-helpers and the report class) comes from the engine.  The one edit is in
+replaced), and ``cor68_from_system``, the rule that reads the sign of
+lambda' on the simple system of the integral system (the engine counts the
+integral roots and reads the sign of every integral value instead).  What
+did not change (``h_values``, ``dynkin_labels``, ``simple_pairings``,
+``combine``, ``classify_gram``, ``pack``, the verdict helpers and the report
+class) comes from the engine.  The one edit is in
 ``integral_system``: it calls this module's ``indecomposables``, which was
 ``rootsys.indecomposables``.  The differential tests in
 ``test_certify_differential.py`` compare the engine against these; nothing
@@ -25,7 +28,7 @@ from operator import mul
 from orbitcert import rootsys
 from orbitcert.certify import (CertificateReport, CheckResult, FAIL, PASS, UNDECIDED,
                                _coefficient_sum, _levi, _verdict_B, check_D)
-from orbitcert.integral import IntegralSystem, cor68_from_system
+from orbitcert.integral import IntegralSystem
 from orbitcert.rootsys import (RootSystemModel, Weight, _enumerate_positive, combine,
                                h_values, pack, simple_pairings)
 
@@ -127,6 +130,14 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
     return IntegralSystem(lambda_prime, allroots,
                           tuple(model.positive_roots[k] for k in simple), cartan_type,
                           tuple(values[k] // den for k in simple))
+
+
+def cor68_from_system(model: RootSystemModel, isys: IntegralSystem) -> int | None:
+    """``cor68_dim`` for an integral system that is already built."""
+    if not all(v > 0 for v in isys.simple_pairings):
+        return None
+    dim_g_lambda = isys.size + model.rank
+    return model.dim - dim_g_lambda
 
 
 def cor68_dim(model: RootSystemModel, lambda_prime: Weight) -> int | None:

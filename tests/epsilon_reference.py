@@ -141,6 +141,9 @@ def h_regular(model, pi0):
 
 
 def delta(model, pi0, h):
+    if set(pi0) == set(range(model.rank)):
+        # no theta-negative roots: h is still checked, on the positive roots
+        delta_prime(model, h)
     theta = theta_for_levi(model, pi0)
     acc = [Fraction(0)] * model.ambient_dim
     for beta in model.roots:

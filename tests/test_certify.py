@@ -72,6 +72,20 @@ def test_delta_full_levi_is_zero(e8):
     assert ct.delta(e8, range(8), h).is_zero()
 
 
+@pytest.mark.parametrize("label", ["A2", "E8"])
+def test_delta_full_levi_checks_h(label):
+    """With Pi_0 every simple root there is no theta-negative root, but h is
+    still checked: delta raises as delta' does, naming a positive root."""
+    model = rs.build(label)
+    h = Fr(1, 3) * ct.h_regular(model, (0,))
+    messages = []
+    for fn, args in ((ct.delta, (model, range(model.rank), h)), (ct.delta_prime, (model, h))):
+        with pytest.raises(ValueError, match="h is not integral on root") as err:
+            fn(*args)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_delta_zero_h(e8):
     zero = rs.canonicalize(e8, (0,) * 9)
     assert ct.delta(e8, LEVI, zero).is_zero()
@@ -127,7 +141,7 @@ def test_sl2_weight_sum_identity(label, pi0):
     for b in model.roots:
         key = (b.dot(theta), b.dot(h))
         sums[key] = sums[key] + b if key in sums else b
-    zero = ct._zero(model)
+    zero = rs.Weight.from_ints([0] * model.ambient_dim)
     for (k, l), s in sums.items():
         if l <= 0:
             continue
@@ -168,7 +182,7 @@ def test_in_levi_span_flagship(e8, flagship_lambda_prime, flagship_h):
     mu = flagship_lambda_prime - ct.delta_prime(e8, flagship_h)
     ok, coeffs = ct.in_levi_span(e8, mu, LEVI)
     assert ok
-    recon = ct._zero(e8)
+    recon = rs.Weight.from_ints([0] * e8.ambient_dim)
     for c, i in zip(coeffs, LEVI):
         recon = recon + c * e8.simple_roots[i]
     assert recon == rs.canonicalize(e8, mu.coords)

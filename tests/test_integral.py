@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitcert import certify as ct
 from orbitcert import integral as ig
+from orbitcert import linalg
 from orbitcert import rootsys as rs
+
+import conftest
 
 
 def test_e8_flagship_integral_system(e8, flagship_lambda_prime, flagship_integral_simples):
@@ -133,15 +137,22 @@ def test_cor68_not_applicable(e8):
     assert ig.cor68_dim(e8, -rs.rho(e8)) is None
 
 
-def test_cor68_runs_the_simple_system_check(monkeypatch, e8, flagship_lambda_prime):
-    """cor68 names no type, but it still checks the integral simple system
-    with the check ``classify_gram`` runs."""
-    def refuse(gram):
-        raise ValueError(f"checked a {len(gram)}x{len(gram)} Gram matrix")
+def test_cor68_finds_and_checks_no_simple_system(monkeypatch, e8, flagship_h,
+                                                 flagship_lambda_prime):
+    """cor68 is a count of integral roots and a sign test: neither
+    ``certify`` nor ``cor68_dim`` walks the integral base, builds its Gram
+    matrix or eliminates.  The model's tables are built before the patch."""
+    inp = ct.CertificateInput(e8, conftest.LEVI_A5A1, flagship_h, flagship_lambda_prime, True)
+    assert ct.certify(inp).cor68 == 202
 
-    monkeypatch.setattr(rs, "finite_cartan", refuse)
-    with pytest.raises(ValueError, match="checked a 8x8 Gram matrix"):
-        ig.cor68_dim(e8, flagship_lambda_prime)
+    def refuse(*args):
+        raise AssertionError("the cor68 path walked or checked the integral base")
+
+    for module, name in ((rs, "finite_cartan"), (rs, "height_simples"),
+                         (linalg, "integer_row_basis")):
+        monkeypatch.setattr(module, name, refuse)
+    assert ct.certify(inp).cor68 == 202
+    assert ig.cor68_dim(e8, flagship_lambda_prime) == 202
 
 
 def test_prop67_values():

@@ -109,16 +109,22 @@ def test_levi_quantities_match(label):
 def test_integral_system_matches(label):
     model = rs.build(label)
     rng = random.Random(f"integral-{label}")
-    weights = [ref.rho(model), -ref.rho(model)]
-    weights += _random_weights(rng, model, 15)
-    for lam in weights:
+    r0 = ref.rho(model)
+    # (lambda', cor68): rho/31 is integral on no coroot (coroot heights stay
+    # below 31), and rho - omega_i is 0 on alpha_i^vee
+    known = [(r0, 0), (-r0, None), (Fr(1, 31) * r0, 2 * len(model.positive_roots))]
+    known += [(r0 - w, None) for w in ref.fundamental_weights(model)]
+    outcomes = set()
+    for lam in [lam for lam, _ in known] + _random_weights(rng, model, 15):
         got = ig.integral_system(model, lam)
         assert got == ref.integral_system(model, lam)
         expected_cor68 = (model.dim - got.size - model.rank
                           if all(rs.pairing(model, lam, b) > 0 for b in got.simple_system)
                           else None)
-        assert ig.cor68_from_system(model, got) == expected_cor68
         assert ig.cor68_dim(model, lam) == expected_cor68
+        outcomes.add(type(expected_cor68))
+    assert [ig.cor68_dim(model, lam) for lam, _ in known] == [cor68 for _, cor68 in known]
+    assert outcomes == {int, type(None)}
 
 
 @pytest.mark.parametrize("label", TYPES)

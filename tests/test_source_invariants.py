@@ -3,7 +3,9 @@
 point (no float literal, no ``float`` name and no true division ``/``,
 which turns two ints into a float; exact quotients are ``Fraction(p, q)``
 or ``//``) and no environment reads (every bound is a constant, not a
-knob).  The experiment scripts in
+knob).  Only ``rootsys``, ``linalg`` and ``cli`` import ``fractions``, so the
+certificate, integral-system, orbit and induction layers keep to integers.
+The experiment scripts in
 ``scripts/`` check their conclusions, so they follow the ``assert`` rule too."""
 import ast
 from pathlib import Path
@@ -14,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "orbitcert").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+FRACTION_MODULES = {"cli.py", "linalg.py", "rootsys.py"}
 
 
 def violations(tree: ast.AST) -> list[str]:
@@ -35,9 +38,15 @@ def violations(tree: ast.AST) -> list[str]:
     return found
 
 
+def fraction_imports(tree: ast.AST) -> list[str]:
+    return [f"{node.lineno}: import fractions" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+            or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)]
+
+
 def test_sources_found():
-    assert {path.name for path in SOURCES} >= {"cli.py", "lsinduce.py", "orbits.py",
-                                               "rootsys.py"}
+    assert {path.name for path in SOURCES} >= {"certify.py", "cli.py", "integral.py",
+                                               "lsinduce.py", "orbits.py"} | FRACTION_MODULES
     assert {path.name for path in SCRIPTS} >= {"congruence_sweep.py", "oracle_audit.py",
                                                "reproduce_e8.py"}
 
@@ -60,3 +69,16 @@ def test_scripts_check_without_assert(path):
 ])
 def test_scanner_flags_each_rule(source):
     assert violations(ast.parse(source))
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name not in FRACTION_MODULES],
+                         ids=lambda path: path.name)
+def test_integer_layers_import_no_fractions(path):
+    assert fraction_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import fractions", "import math, fractions as fr", "from fractions import Fraction",
+])
+def test_scanner_flags_fraction_imports(source):
+    assert fraction_imports(ast.parse(source))
