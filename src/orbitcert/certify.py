@@ -156,10 +156,12 @@ _A_UNDECIDED = CheckResult(UNDECIDED, detail="criterion needs e regular in the L
 
 def check_A(model: RootSystemModel, pi0, lambda_prime: Weight,
             principal_in_levi: bool = True) -> CheckResult:
-    """Levi-antidominance of lambda (undecided unless e is regular in the Levi)."""
+    """Levi-antidominance of lambda (undecided unless e is regular in the Levi);
+    Pi_0 and the length of lambda' are checked either way."""
+    _, mask = _levi(model, pi0)
+    rootsys._check_length(model, lambda_prime)
     if not principal_in_levi:
         return _A_UNDECIDED
-    _, mask = _levi(model, pi0)
     return _verdict_A(model, mask, *rootsys.coroot_values(model, lambda_prime))
 
 
@@ -225,7 +227,8 @@ def check_D(principal_in_levi: bool) -> CheckResult:
 class CertificateInput:
     model: RootSystemModel
     levi: tuple[int, ...]          # indices into the simple system
-    h: Weight                      # characteristic of e inside the Levi
+    # characteristic of e inside the Levi; None is the regular one, h_regular(model, levi)
+    h: Weight | None
     lambda_prime: Weight           # lambda + rho
     principal_in_levi: bool = False
     # <alpha_i, h> on the simple roots, read once here and used by ``certify``
@@ -235,15 +238,19 @@ class CertificateInput:
         model = self.model
         indices, mask = _levi(model, self.levi)
         object.__setattr__(self, "levi", tuple(indices))
-        h = rootsys.canonicalize(model, self.h)
+        h = None if self.h is None else rootsys.canonicalize(model, self.h)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "lambda_prime", rootsys.canonicalize(model, self.lambda_prime))
-        values = h_values(model, h)
+        if h is None:
+            # 2 rho_0^vee is integral and a sum of Levi coroots, so in their span
+            values = _regular_values(model, mask)
+        else:
+            values = h_values(model, h)
+            # no Pi_0 indices: a pass builds no coefficients
+            ok, residual = _levi_solve(model, h, *rootsys.root_coords(model, h), (), mask)
+            if not ok:
+                raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
         object.__setattr__(self, "h_simple", tuple(values))
-        # no Pi_0 indices: a pass builds no coefficients
-        ok, residual = _levi_solve(model, h, *rootsys.root_coords(model, h), (), mask)
-        if not ok:
-            raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
         if self.principal_in_levi:
             for i in indices:
                 if values[i] != 2:

@@ -4,7 +4,12 @@ Subcommands wrap one engine operation each and serialize the result as JSON
 (default) or text.  Weights are entered in epsilon-coordinates as
 comma-separated exact rationals ("1,7/6,...", read as integers; any other
 form ``Fraction`` accepts, such as "0.5", also works) unless --root-coords
-is given, in which case the entries are coefficients on the simple roots.  Exit codes:
+is given, in which case the entries are coefficients on the simple roots.
+``certify`` without --h takes the regular characteristic of the Levi as
+its integer values on the simple roots (``CertificateInput`` given None),
+building no epsilon h.  An argv whose first word is a command goes straight
+to that command's parser (``parse_argv``), one argparse pass; any other
+argv takes the full top-level parse, with the same output.  Exit codes:
 0 success/pass, 1 fail verdict, 2 usage error, 3 undecided (a certify
 verdict, or an oracle that used up its draws), 4 internal error (a bug,
 never a verdict).
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import re
@@ -23,8 +29,7 @@ from functools import cache
 from . import lsinduce as ls
 from . import orbits as orb
 from . import rootsys as rs
-from .certify import (FAIL, PASS, CertificateInput, certify, delta_prime,
-                      h_regular)
+from .certify import FAIL, PASS, CertificateInput, certify, delta_prime
 from .integral import cor68_dim, integral_system
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
@@ -123,9 +128,14 @@ def _text_scalar(value) -> str:
     return "null" if value is None else str(value)
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by command word."""
     parser = argparse.ArgumentParser(
         prog="orbitcert",
         description="Exact certificates and orbit computations for classical "
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levi", required=True, help="descriptor JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=8)
-    return parser
+    return parser, sub.choices
 
 
 def _parse_partition(text: str, kind: str) -> orb.Partition:
@@ -222,8 +232,7 @@ def _cmd_delta_prime(args) -> int:
 def _cmd_certify(args) -> int:
     model = rs.build(args.type)
     levi = _parse_levi_indices(args.levi, model)
-    h = (h_regular(model, levi) if args.h is None
-         else _parse_weight(model, args.h, args.root_coords))
+    h = None if args.h is None else _parse_weight(model, args.h, args.root_coords)
     lambda_prime = _parse_weight(model, args.lambda_prime, args.root_coords)
     report = certify(CertificateInput(model, levi, h, lambda_prime, args.principal))
     _emit(report.to_json_dict(), args.output)
@@ -323,8 +332,28 @@ _COMMANDS = {
 }
 
 
+def parse_argv(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass when argv[0]
+    names a command: the rest goes straight to that command's parser, as
+    the top-level parser would hand it on after scanning it.  Any other argv
+    takes the full parse, and so does one with a token starting with "--="
+    before "--", which that scan reports as ambiguous between --help and
+    --output."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None or any(token.startswith("--=")
+                              for token in itertools.takewhile("--".__ne__, argv)):
+        return parser.parse_args(argv)
+    namespace = argparse.Namespace(output=parser.get_default("output"), command=argv[0])
+    args, extras = command.parse_known_args(argv[1:], namespace)
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_argv(argv)
     try:
         return _COMMANDS[args.command](args)
     except ls.TrialBudgetExhausted as exc:

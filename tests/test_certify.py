@@ -229,6 +229,16 @@ def test_check_A_undecided_without_principal(e8, flagship_lambda_prime):
     assert res.status == ct.UNDECIDED
 
 
+@pytest.mark.parametrize("principal", [True, False])
+def test_check_A_validates_input_in_both_principal_states(e8, principal):
+    """A bad Pi_0 or a lambda' of the wrong length raises, also where the
+    verdict would be undecided."""
+    with pytest.raises(ValueError, match=r"^Pi_0 must be a subset of 0\.\.7$"):
+        ct.check_A(e8, (99,), rs.rho(e8), principal)
+    with pytest.raises(ValueError, match="^expected 9 coordinates, got 2$"):
+        ct.check_A(e8, (0,), rs.weight((1, 2)), principal)
+
+
 def test_check_B_flagship(e8, flagship_lambda_prime, flagship_h):
     res = ct.check_B(e8, flagship_lambda_prime, flagship_h)
     assert res.status == ct.PASS
@@ -337,9 +347,11 @@ def test_certify_computes_each_quantity_once(monkeypatch, e8, flagship_lambda_pr
     """One certificate, its input included, with and without --principal,
     reads the Dynkin labels of lambda' and the simple values of h once, and
     makes one pass over the positive roots for each: the coroot values feed
-    (A) and the integral system, the root values feed dim O and delta'."""
+    (A) and the integral system, the root values feed dim O and delta'.
+    The default h (None) is not read at all: its simple values come from the
+    Levi, and only (C) reads simple-root coordinates, those of lambda'."""
     calls = collections.Counter()
-    for name in ("dynkin_labels", "h_values", "coroot_values", "root_values"):
+    for name in ("dynkin_labels", "h_values", "coroot_values", "root_values", "root_coords"):
         original = getattr(rs, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -348,13 +360,15 @@ def test_certify_computes_each_quantity_once(monkeypatch, e8, flagship_lambda_pr
         for mod in (rs, ct, ig, ob):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
-    for principal, overall in ((True, ct.PASS), (False, ct.UNDECIDED)):
-        calls.clear()
-        inp = ct.CertificateInput(e8, LEVI, flagship_h, flagship_lambda_prime,
-                                  principal_in_levi=principal)
-        assert ct.certify(inp).overall == overall
-        assert calls == {"dynkin_labels": 1, "h_values": 1, "coroot_values": 1,
-                         "root_values": 1}
+    once = {"dynkin_labels": 1, "coroot_values": 1, "root_values": 1}
+    for h, reads in ((flagship_h, {"h_values": 1, "root_coords": 2}),
+                     (None, {"root_coords": 1})):
+        for principal, overall in ((True, ct.PASS), (False, ct.UNDECIDED)):
+            calls.clear()
+            inp = ct.CertificateInput(e8, LEVI, h, flagship_lambda_prime,
+                                      principal_in_levi=principal)
+            assert ct.certify(inp).overall == overall
+            assert calls == {**once, **reads}
 
 
 @settings(max_examples=20, deadline=None)

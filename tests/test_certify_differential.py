@@ -9,10 +9,14 @@ dimension); on A4 and G2 further cases put lambda' off the root span, so
 stderr and exits with the same code, in JSON and in text, when it runs the
 reference ``CertificateInput`` and ``certify``; the library gives equal
 integral systems, Levi-span solves and root coordinates; and the walk by
-coroot height finds the same simple coroots as the pair scan.
+coroot height finds the same simple coroots as the pair scan.  The default
+h (no --h, ``CertificateInput`` given None) is checked against the input
+given ``h_regular`` on every Levi subset, and on the CLI against the
+reference run with --h set to that h.
 """
 import contextlib
 import io
+import itertools
 import random
 import re
 from fractions import Fraction as Fr
@@ -258,3 +262,37 @@ def test_simple_system_of_matches_pair_scan(label, roots):
     rts = list(roots(model))
     assert (_outcome_of(rs.simple_system_of, model, rts)
             == _outcome_of(ref.simple_system_of, model, rts))
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_default_h_matches_h_regular(label):
+    """For every Levi subset, in both --principal states, the input with the
+    default h (None) and the one given ``h_regular`` read the same Levi,
+    lambda' and simple values of h, and certify to the same report; lambda'
+    is delta' of the regular h (on the Levi span) or rho."""
+    model = rs.build(label)
+    for size in range(model.rank + 1):
+        for levi in itertools.combinations(range(model.rank), size):
+            h = ct.h_regular(model, levi)
+            for lam in (ct.delta_prime(model, h), rs.rho(model)):
+                for principal in (True, False):
+                    got = ct.CertificateInput(model, levi, None, lam, principal)
+                    want = ct.CertificateInput(model, levi, h, lam, principal)
+                    assert (got.levi, got.lambda_prime, got.h_simple) == \
+                        (want.levi, want.lambda_prime, want.h_simple), levi
+                    assert ct.certify(got) == ct.certify(want), levi
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_cli_default_h_matches_reference_with_h_regular(monkeypatch, label):
+    """Each case without --h prints the same bytes and exits with the same
+    code as the same argv with --h set to the Levi's regular h, run through
+    the reference."""
+    model = rs.build(label)
+    for argv, levi, _, _ in cases(label):
+        without_h = [token for token in argv if not token.startswith("--h=")]
+        with_h = without_h + ["--h=" + ",".join(ct.h_regular(model, levi).to_strings())]
+        for fmt in (["--output", "text"], []):
+            got = run(fmt + without_h)
+            assert got == run_reference(monkeypatch, fmt + with_h), without_h
+            assert got[0] in (0, 1, 2, 3), got

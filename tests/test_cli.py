@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_certify_differential as certify_differential
 from orbitcert import cli
 from orbitcert import lsinduce as ls
 from orbitcert import rootsys as rs
@@ -276,6 +278,86 @@ def test_rigid_rejects_ambient_mismatch(capsys):
 
 def test_parser_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+# argv dispatch: one argparse pass against the full parse -------------------------
+
+def parse_outcome(parse, argv):
+    """The Namespace that parsing argv gives, or its SystemExit code, with
+    what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_parses_as_full_parse(argv):
+    assert (parse_outcome(cli.parse_argv, argv)
+            == parse_outcome(cli.build_parser().parse_args, argv)), argv
+
+
+CERTIFY = ["certify", "--type", "E8", "--levi", "a1,a2,a3,a4,a5,a7",
+           "--lambda-prime", LAMBDA_PRIME]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--output", "text", *CERTIFY], ["--output=text", *CERTIFY], ["--out", "text", *CERTIFY],
+    [*CERTIFY, "--output", "text"], ["info", "--type", "E8", "--output=json"],
+    ["--output", "xml", *CERTIFY], ["--output"],
+    ["-h"], ["--help"], ["--he"], ["certify", "-h"], ["certify", "--help"], ["-h", "certify"],
+    ["info", "--type", "E8", "-h"], ["--output", "text", "-h"],
+    [], ["nope"], ["nope", "--type", "E8"], ["Certify", "--type", "E8"], ["cert"],
+    ["certify", "--type", "E8", "--lev=", "--lambda-prime", "0"],
+    ["certify", "--type", "E8", "--l", "a1"], ["certify", "--type=E8", "--lev", "a1,a2",
+                                               "--lam", LAMBDA_PRIME, "--pr"],
+    ["--=x"], ["certify", "--=x"], ["info", "--type", "E8", "--=x"], [*CERTIFY, "--=", "1"],
+    ["certify", "--", "--=x"], ["info", "--", "--=x"], [*CERTIFY, "--", "--=x"],
+    ["info", "--", "--type", "E8"], ["info", "--type", "E8", "--", "x", "y"],
+    ["--", "info", "--type", "E8"], ["info", "--type", "--", "E8"], [*CERTIFY, "--"],
+    ["--help=3"], ["info", "--help=3"], ["info", "--type", "E8", "--he=1"],
+    ["certify", "--type", "A2", "--levi", "a1", "--lambda-prime", "-1,2"],
+    ["certify", "--type", "A2", "--levi", "a1", "--lambda-prime=-1,2"],
+    ["certify", "--type", "A2", "--levi", "a1", "--lambda-prime", "-1"],
+    [*CERTIFY, "--principal", "--principal", "extra", "--nope"], ["info", "--type"],
+    ["oracle", "--type", "sp", "--levi", "{}", "--seed", "x"], ["tables", "--table", "other"],
+    ["tables", "--table", "rigid", "-"], ["info", "--type", "E8", "---"],
+])
+def test_parse_argv_matches_full_parse(argv):
+    """Top-level options before and after the command, help at both levels,
+    no command, unknown or abbreviated commands, abbreviated and ambiguous
+    options, tokens starting with "--=" before and after "--", and values
+    that look like options: the same Namespace, or the same exit code and
+    printed bytes."""
+    assert_parses_as_full_parse(argv)
+
+
+@pytest.mark.parametrize("label", certify_differential.TYPES)
+def test_parse_argv_matches_full_parse_on_certify_cases(label):
+    for argv, _, _, _ in certify_differential.cases(label):
+        for fmt in (["--output", "text"], []):
+            assert_parses_as_full_parse(fmt + argv)
+
+
+def test_command_argv_takes_one_argparse_pass(monkeypatch):
+    """argv starting with a command word is parsed by that command's parser
+    alone; a top-level option first takes the full parse, top level and
+    command."""
+    parsers = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counted(parser, *args, **kwargs):
+        parsers.append(parser.prog)
+        return original(parser, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    args = cli.parse_argv(CERTIFY)
+    assert parsers == ["orbitcert certify"]
+    assert (args.command, args.output, args.h) == ("certify", "json", None)
+    parsers.clear()
+    cli.parse_argv(["--output", "text", *CERTIFY])
+    assert parsers == ["orbitcert", "orbitcert certify"]
 
 
 def test_dimz(capsys):
@@ -596,6 +678,7 @@ def test_argv_fuzz_exit_codes_and_streams(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2, 3)
+    assert_parses_as_full_parse(argv)
     if code == 2:
         assert out.getvalue() == ""
         assert any("error: " in line for line in err.getvalue().splitlines())
