@@ -15,6 +15,9 @@ An overall pass certifies lambda as the highest weight of a primitive
 ideal carrying a one-dimensional representation of the associated
 W-algebra.
 
+Every entry point reads Pi_0 with ``rootsys.levi_mask`` and a given h with
+``rootsys.h_values``, so a bad input gets one error text wherever it enters.
+
 Antidominance convention (normative here): <lambda + rho, alpha^vee> is
 not a positive integer, for every positive root alpha of the subsystem.
 """
@@ -33,12 +36,6 @@ from .rootsys import RootSystemModel, Weight, combine, h_values, levi_mask, root
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 
 
-def _levi(model: RootSystemModel, pi0) -> tuple[list[int], int]:
-    """Validated Pi_0 as (sorted indices, bit set)."""
-    indices = sorted(rootsys._check_indices(model, pi0))
-    return indices, levi_mask(indices)
-
-
 def _coefficient_sum(vectors, rank: int) -> list[int]:
     return [sum(col) for col in zip(*vectors)] if vectors else [0] * rank
 
@@ -50,9 +47,9 @@ def theta_for_levi(model: RootSystemModel, pi0) -> Weight:
     pairs to zero with it exactly when it lies in the Levi span, and its
     pairing with a root is the root's coefficient sum outside Pi_0.
     """
-    indices = rootsys._check_indices(model, pi0)
+    mask = levi_mask(model, pi0)
     rows, den = model.coweight_rows
-    off = [row for i, row in enumerate(rows) if i not in indices]
+    off = [row for i, row in enumerate(rows) if not mask >> i & 1]
     return combine(model, _coefficient_sum(off, model.rank), den)
 
 
@@ -72,9 +69,9 @@ def _regular_values(model: RootSystemModel, mask: int) -> list[int]:
 def h_regular(model: RootSystemModel, pi0) -> Weight:
     """Characteristic of the regular nilpotent of the Levi: the sum of its
     positive coroots (= 2 rho_0^vee); pairs to 2 on each Levi simple root."""
-    _, mask = _levi(model, pi0)
+    coroot_sum = _regular_coroot_sum(model, levi_mask(model, pi0))
     scale, scale_den = model.coroot_scale
-    return combine(model, list(map(mul, _regular_coroot_sum(model, mask), scale)), scale_den)
+    return combine(model, list(map(mul, coroot_sum, scale)), scale_den)
 
 
 def _two_delta(model: RootSystemModel, mask: int, values) -> list[int]:
@@ -99,11 +96,8 @@ def _two_delta_prime(model: RootSystemModel, values) -> list[int]:
 def delta(model: RootSystemModel, pi0, h: Weight) -> Weight:
     """The shift weight: over theta-negative roots, half-sum of those with
     <alpha, h> = -1 plus the full sum of those with <alpha, h> <= -2."""
-    _, mask = _levi(model, pi0)
-    npos = len(model.positive_roots)
-    theta_negative = [model.roots[npos + k] for k, s in enumerate(model.supports) if s & ~mask]
-    # no theta-negative roots (Pi_0 is every simple root): name a positive root
-    values = root_values(model, h_values(model, h, theta_negative or None))
+    mask = levi_mask(model, pi0)
+    values = root_values(model, h_values(model, h))
     return combine(model, _two_delta(model, mask, values), 2)
 
 
@@ -123,19 +117,20 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
     the coefficients outside Pi_0 vanish, plus mu lying in the root span,
     so inputs outside the root span fail with the honest residual.
     """
-    ordered, mask = _levi(model, pi0)
+    mask = levi_mask(model, pi0)
     mu = rootsys.canonicalize(model, mu)
-    return _levi_solve(model, mu, *rootsys.root_coords(model, mu), ordered, mask)
+    return _levi_solve(model, mu, *rootsys.root_coords(model, mu), mask)
 
 
-def _levi_solve(model: RootSystemModel, w: Weight, nums, den: int, ordered, mask: int,
+def _levi_solve(model: RootSystemModel, w: Weight, nums, den: int, mask: int,
                 base=None) -> tuple[bool, tuple[numbers.Rational, ...] | Weight]:
     """``in_levi_span`` of mu = w - sum_i (base[i] / den) a_i (base 0 by
     default), whose simple-root coordinates are nums / den, for Pi_0 given
-    as (sorted indices, bit set); mu is in the root span when w is."""
+    as its bit set (coefficients in increasing index); mu is in the root
+    span when w is."""
     if (all(x == 0 for i, x in enumerate(nums) if not mask >> i & 1)
             and rootsys.in_root_span(model, w)):
-        return True, tuple(rootsys.rational(nums[i], den) for i in ordered)
+        return True, tuple(rootsys.rational(x, den) for i, x in enumerate(nums) if mask >> i & 1)
     base = base or itertools.repeat(0)
     return False, w - combine(model, [b + x if mask >> i & 1 else b
                                       for i, (x, b) in enumerate(zip(nums, base))], den)
@@ -158,7 +153,7 @@ def check_A(model: RootSystemModel, pi0, lambda_prime: Weight,
             principal_in_levi: bool = True) -> CheckResult:
     """Levi-antidominance of lambda (undecided unless e is regular in the Levi);
     Pi_0 and the length of lambda' are checked either way."""
-    _, mask = _levi(model, pi0)
+    mask = levi_mask(model, pi0)
     rootsys._check_length(model, lambda_prime)
     if not principal_in_levi:
         return _A_UNDECIDED
@@ -198,18 +193,17 @@ def check_C(model: RootSystemModel, pi0, h: Weight, lambda_prime: Weight) -> Che
     """lambda' - delta' lies in the rational span of Pi_0."""
     two_dp = _two_delta_prime(model, root_values(model, h_values(model, h)))
     lambda_prime = rootsys.canonicalize(model, lambda_prime)
-    return _verdict_C(model, *_levi(model, pi0), lambda_prime, two_dp)
+    return _verdict_C(model, levi_mask(model, pi0), lambda_prime, two_dp)
 
 
-def _verdict_C(model: RootSystemModel, ordered, mask: int, lambda_prime: Weight,
+def _verdict_C(model: RootSystemModel, mask: int, lambda_prime: Weight,
                two_dp) -> CheckResult:
     """``check_C`` for a canonical lambda', 2 delta' on the simple roots and
-    Pi_0 validated as (sorted indices, bit set)."""
+    Pi_0 as its bit set."""
     nums, den = rootsys.root_coords(model, lambda_prime)
     # lambda' - delta' on the simple roots, over 2 den
     mu = [2 * x - den * y for x, y in zip(nums, two_dp)]
-    ok, info = _levi_solve(model, lambda_prime, mu, 2 * den, ordered, mask,
-                           [den * y for y in two_dp])
+    ok, info = _levi_solve(model, lambda_prime, mu, 2 * den, mask, [den * y for y in two_dp])
     if ok:
         return CheckResult(PASS, witness=info)
     return CheckResult(FAIL, witness=info, detail="nonzero residual off the Levi span")
@@ -236,8 +230,9 @@ class CertificateInput:
 
     def __post_init__(self):
         model = self.model
-        indices, mask = _levi(model, self.levi)
-        object.__setattr__(self, "levi", tuple(indices))
+        mask = levi_mask(model, self.levi)
+        levi = tuple(i for i in range(model.rank) if mask >> i & 1)
+        object.__setattr__(self, "levi", levi)
         h = None if self.h is None else rootsys.canonicalize(model, self.h)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "lambda_prime", rootsys.canonicalize(model, self.lambda_prime))
@@ -246,16 +241,13 @@ class CertificateInput:
             values = _regular_values(model, mask)
         else:
             values = h_values(model, h)
-            # no Pi_0 indices: a pass builds no coefficients
-            ok, residual = _levi_solve(model, h, *rootsys.root_coords(model, h), (), mask)
+            ok, residual = _levi_solve(model, h, *rootsys.root_coords(model, h), mask)
             if not ok:
                 raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
         object.__setattr__(self, "h_simple", tuple(values))
-        if self.principal_in_levi:
-            for i in indices:
-                if values[i] != 2:
-                    raise ValueError("principal_in_levi requires <alpha, h> = 2 "
-                                     "on every Levi simple root")
+        if self.principal_in_levi and any(values[i] != 2 for i in levi):
+            raise ValueError("principal_in_levi requires <alpha, h> = 2 "
+                             "on every Levi simple root")
 
 
 @dataclass(frozen=True)
@@ -319,7 +311,7 @@ def certify(inp: CertificateInput) -> CertificateReport:
     cor68, dim O and delta' are computed once and feed verdicts and report.
     """
     model = inp.model
-    mask = levi_mask(inp.levi)
+    mask = levi_mask(model, inp.levi)
     values, den = rootsys.coroot_values(model, inp.lambda_prime)
     verdict_A = (_verdict_A(model, mask, values, den)
                  if inp.principal_in_levi else _A_UNDECIDED)
@@ -330,7 +322,7 @@ def certify(inp: CertificateInput) -> CertificateReport:
     return CertificateReport(
         verdict_A=verdict_A,
         verdict_B=_verdict_B(cor68, dim_orbit),
-        verdict_C=_verdict_C(model, inp.levi, mask, inp.lambda_prime, two_dp),
+        verdict_C=_verdict_C(model, mask, inp.lambda_prime, two_dp),
         verdict_D=check_D(inp.principal_in_levi),
         dim_g=model.dim,
         dim_orbit=dim_orbit,
@@ -354,7 +346,7 @@ def congruence_sweep(model: RootSystemModel):
     two_rho = _coefficient_sum(model.pos_coefficients, rank)
     for size in range(rank + 1):
         for pi0 in itertools.combinations(range(rank), size):
-            mask = levi_mask(pi0)
+            mask = levi_mask(model, pi0)
             outside = [i for i in range(rank) if not mask >> i & 1]
             values = root_values(model, _regular_values(model, mask))
             resid = [a - b - c for a, b, c in zip(_two_delta_prime(model, values),

@@ -23,26 +23,15 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import lsinduce as ls
 from . import orbits as orb
 from . import rootsys as rs
 from .certify import FAIL, PASS, CertificateInput, certify, delta_prime
-from .integral import cor68_dim, integral_system
+from .integral import integral_system
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
-
-
-def _parse_rational(token: str) -> Fraction:
-    token = token.strip()
-    if "e" in token or "E" in token:  # Fraction would compute 10**exponent first
-        raise ValueError(f"exponent notation is not accepted: {token!r}")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 # the documented token form [+-]p[/q], in ASCII digits, read straight to integers
@@ -53,7 +42,7 @@ def _parse_weight(model: rs.RootSystemModel, text: str, root_coords: bool) -> rs
     """The comma-separated tokens of ``text`` as one Weight over the lcm of
     their denominators.  A token of the form [+-]p[/q] is read as integers
     in the order ``Fraction`` reads it (p, then q, then the zero check);
-    any other token goes through ``_parse_rational``, so every value and
+    any other token goes through ``rootsys.parse_rational``, so every value and
     every error is the one ``Fraction`` gives."""
     fullmatch = re.compile(_INTEGER_TOKEN).fullmatch  # compiled on first use, then from re's cache
     nums, dens = [], []
@@ -61,7 +50,7 @@ def _parse_weight(model: rs.RootSystemModel, text: str, root_coords: bool) -> rs
         token = part.strip()
         m = fullmatch(token)
         if m is None:
-            value = _parse_rational(token)
+            value = rs.parse_rational(token)
             num, den = value.numerator, value.denominator
         else:
             p, q = m.groups()
@@ -247,12 +236,11 @@ def _cmd_integral(args) -> int:
     model = rs.build(args.type)
     lambda_prime = _parse_weight(model, args.lambda_prime, args.root_coords)
     isys = integral_system(model, lambda_prime)
-    value = cor68_dim(model, lambda_prime)
     _emit({
         "integral_type": rs.format_type(isys.cartan_type),
         "simple_roots": [b.to_strings() for b in isys.simple_system],
         "count": isys.size,
-        "cor68": None if value is None else str(value),
+        "cor68": None if isys.cor68 is None else str(isys.cor68),
     }, args.output)
     return EXIT_PASS
 

@@ -14,6 +14,7 @@ nonnegative integer combination of the simple ones (Humphreys, Introduction
 to Lie Algebras, 10.1), so lambda' is positive on the simple integral
 coroots exactly when it is positive on every positive integral coroot, and
 the formula is a count of integral roots and a sign test.
+``integral_system`` reads lambda' once for its simple system, type and cor68.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ class IntegralSystem:
     coroots: tuple[Weight, ...]       # roots with integral coroot pairing, +/- closed
     simple_system: tuple[Weight, ...]  # roots dual to the simple coroots, positive in Delta
     cartan_type: tuple[str, ...]       # labels of Delta(lambda) itself: B and C not swapped
-    simple_pairings: tuple[int, ...]   # <lambda', beta^vee> on the simple system
+    cor68: int | None                  # cor68_dim of lambda', from the same coroot values
 
     @property
     def size(self) -> int:
@@ -63,7 +64,7 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
                 + tuple(model.roots[npos + k] for k in chosen))
     return IntegralSystem(lambda_prime, allroots,
                           tuple(model.positive_roots[k] for k in simple), cartan_type,
-                          tuple(values[k] // den for k in simple))
+                          cor68_from_values(model, values, den))
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,10 @@ def antidominant_rep(model: RootSystemModel, simple_system, mu: Weight
     singular mu it is a valid but possibly non-minimal representative,
     flagged via ``minimal=False``.  W permutes the roots, so mu is regular
     exactly when the antidominant nu is strictly negative on every simple
-    root (Humphreys, Introduction to Lie Algebras, 10.3).
+    root (Humphreys, Introduction to Lie Algebras, 10.3).  mu must have
+    the model's number of coordinates (ValueError otherwise).
     """
+    rootsys._check_length(model, mu)
     simples = list(simple_system)
     cur = mu
     word: list[int] = []
@@ -102,10 +105,13 @@ def antidominant_rep(model: RootSystemModel, simple_system, mu: Weight
 
 
 def apply_word(simple_system, word, mu: Weight) -> Weight:
-    """Replay a reflection word (application order) on a weight."""
+    """Replay a reflection word (application order) on a weight; ValueError
+    for an index outside 0..len(simple_system)-1."""
     simples = list(simple_system)
     cur = mu
     for idx in word:
+        if type(idx) is not int or not 0 <= idx < len(simples):
+            raise ValueError(f"word index {idx!r} is outside 0..{len(simples) - 1}")
         cur = rootsys.reflect(cur, simples[idx])
     return cur
 

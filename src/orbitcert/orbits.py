@@ -22,13 +22,9 @@ from dataclasses import dataclass, asdict
 from .rootsys import RootSystemModel, Weight, h_values, rho, root_values, simple_pairings
 
 
-def _h_root_values(model: RootSystemModel, h: Weight) -> list[int]:
-    return root_values(model, h_values(model, h, show_value=True))
-
-
 def graded_dims(model: RootSystemModel, h: Weight) -> dict[int, int]:
     """dim g(i) for the grading by ad-h eigenvalues; h must be integral."""
-    return _graded_dims(model, _h_root_values(model, h))
+    return _graded_dims(model, root_values(model, h_values(model, h)))
 
 
 def _graded_dims(model: RootSystemModel, values) -> dict[int, int]:
@@ -49,12 +45,12 @@ def _dim_z(model: RootSystemModel, values) -> int:
 
 def centralizer_dim_from_h(model: RootSystemModel, h: Weight) -> int:
     """dim z_g(e) = dim g(0) + dim g(1) for a characteristic h of e."""
-    return _dim_z(model, _h_root_values(model, h))
+    return _dim_z(model, root_values(model, h_values(model, h)))
 
 
 def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
     """dim O = dim g - dim z_g(e); odd only when h is not a characteristic."""
-    return orbit_dim_from_values(model, _h_root_values(model, h))
+    return orbit_dim_from_values(model, root_values(model, h_values(model, h)))
 
 
 def orbit_dim_from_values(model: RootSystemModel, values) -> int:
@@ -88,10 +84,10 @@ class Partition:
 
 
 def _int_parts(parts) -> tuple[int, ...]:
-    """The parts as ints; TypeError for a non-integer, which int() truncates."""
+    """The parts as ints; TypeError for a bool or a non-integer, which int() truncates."""
     parts = tuple(parts)
     if set(map(type, parts)) - {int}:  # exact ints pass without a per-part test
-        if not all(isinstance(p, numbers.Integral) for p in parts):
+        if not all(isinstance(p, numbers.Integral) and not isinstance(p, bool) for p in parts):
             raise TypeError(f"partition parts must be integers: {parts}")
         parts = tuple(map(int, parts))
     return parts

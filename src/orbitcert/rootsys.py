@@ -30,6 +30,11 @@ canonicalizer.  A vector enters simple-root coordinates once
 (``simple_pairings``, ``dynkin_labels``, ``h_values``, ``root_coords``, all
 reading ``nums`` and ``den``) and leaves them once (``combine``).
 
+Each certificate input has one reader: ``levi_mask`` reads a Levi subset
+Pi_0 into its bit set, ``h_values`` a characteristic h into its simple
+values (or names the first positive root where h is not integral), and
+``coroot_values`` lambda'.  ``parse_rational`` reads a string entry.
+
 A positive root that is not simple is a simple root plus a positive root
 (Humphreys, Introduction to Lie Algebras, 10.2, Lemma A), and that positive
 root has height one less.  Two tables follow from it and turn simple-root
@@ -79,7 +84,7 @@ class Weight:
     __slots__ = ("nums", "den")
 
     def __init__(self, coords):
-        fracs = tuple(Fraction(_exact(c)) for c in coords)
+        fracs = tuple(map(_exact, coords))
         den = math.lcm(*(c.denominator for c in fracs))
         _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in fracs))
         _set(self, "den", den)
@@ -121,7 +126,7 @@ class Weight:
         return _weight(tuple(-x for x in self.nums), self.den)
 
     def __rmul__(self, scalar) -> "Weight":
-        s = Fraction(_exact(scalar))
+        s = _exact(scalar)
         p = s.numerator
         return Weight.from_ints([p * x for x in self.nums], s.denominator * self.den)
 
@@ -171,13 +176,28 @@ class Weight:
 _set = object.__setattr__
 
 
-def _exact(value):
-    """value, if it is an exact rational or a string; TypeError otherwise
-    (a float would enter as its binary expansion)."""
-    if not isinstance(value, (numbers.Rational, str)):
+def _exact(value) -> Fraction:
+    """An exact rational, or a string read by ``parse_rational``, as a
+    Fraction; TypeError otherwise (a float would enter as its binary expansion)."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if not isinstance(value, numbers.Rational):
         raise TypeError(f"a Weight entry must be an exact rational or a string, "
                         f"not {type(value).__name__}: {value!r}")
-    return value
+    return Fraction(value)
+
+
+def parse_rational(token: str) -> Fraction:
+    """The rational ``Fraction`` reads from a string, surrounding whitespace
+    stripped; ValueError for exponent notation, which ``Fraction`` would
+    expand to 10**exponent first, and for a zero denominator."""
+    token = token.strip()
+    if "e" in token or "E" in token:
+        raise ValueError(f"exponent notation is not accepted: {token!r}")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 def rational(num: int, den: int) -> numbers.Rational:
@@ -319,7 +339,7 @@ class RootSystemModel:
     @cached_property
     def supports(self) -> tuple[int, ...]:
         """Bit i of supports[k] is set when alpha_i occurs in positive root k."""
-        return tuple(levi_mask(i for i, c in enumerate(coeff) if c)
+        return tuple(sum(1 << i for i, c in enumerate(coeff) if c)
                      for coeff in self.pos_coefficients)
 
     @cached_property
@@ -498,25 +518,20 @@ def coroot_values(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
     return _step_values(model.coroot_steps, labels), den
 
 
-def h_values(model: RootSystemModel, h: Weight, roots=None,
-             show_value: bool = False) -> list[int]:
+def h_values(model: RootSystemModel, h: Weight) -> list[int]:
     """The integers <a_i, h> on the simple roots; <beta, h> for a root is
     the dot product with the root's coefficients.
 
     h is integral on every root exactly when it is on the simple roots.
-    Otherwise this raises ValueError naming the first of ``roots`` (by
-    default the positive roots, in model order) on which h is not integral,
-    with its value when ``show_value`` is set.
+    Otherwise this raises ValueError naming the first positive root, in
+    model order, on which h is not integral, and h's value there.
     """
     nums, den = simple_pairings(model, h)
     if all(x % den == 0 for x in nums):
         return [x // den for x in nums]
-    for beta in (model.positive_roots if roots is None else roots):
-        ev = beta.dot(h)
-        if ev.denominator != 1:
-            suffix = f": <a,h> = {ev}" if show_value else ""
-            raise ValueError(f"h is not integral on root {beta}{suffix}")
-    raise ValueError("h is not integral on the simple roots")
+    k, value = next((k, v) for k, v in enumerate(root_values(model, nums)) if v % den)
+    raise ValueError(f"h is not integral on root {model.positive_roots[k]}: "
+                     f"<a,h> = {rational(value, den)}")
 
 
 def root_values(model: RootSystemModel, values) -> list[int]:
@@ -750,22 +765,21 @@ def levi_subsystem(model: RootSystemModel, pi0) -> tuple[tuple[Weight, ...], tup
     Returns (positive roots of the Levi subsystem, the simple system Pi_0
     itself).  Span membership is a support check on simple-root coordinates.
     """
-    indices = _check_indices(model, pi0)
-    off = ~levi_mask(indices)
-    pos = tuple(beta for beta, s in zip(model.positive_roots, model.supports) if not s & off)
-    return pos, tuple(model.simple_roots[i] for i in sorted(indices))
+    mask = levi_mask(model, pi0)
+    pos = tuple(beta for beta, s in zip(model.positive_roots, model.supports) if not s & ~mask)
+    return pos, tuple(a for i, a in enumerate(model.simple_roots) if mask >> i & 1)
 
 
-def levi_mask(indices) -> int:
-    """The bit set of a subset of simple-root indices."""
-    return sum(1 << i for i in indices)
-
-
-def _check_indices(model: RootSystemModel, pi0) -> frozenset[int]:
-    indices = frozenset(pi0)
-    if not all(isinstance(i, int) and 0 <= i < model.rank for i in indices):
-        raise ValueError(f"Pi_0 must be a subset of 0..{model.rank - 1}")
-    return indices
+def levi_mask(model: RootSystemModel, pi0) -> int:
+    """Pi_0, a subset of the simple-root indices, as its bit set (bit i for
+    a_i).  Every entry point that takes Pi_0 reads it here: ValueError for
+    an index that is not an int (a bool is not) or is outside 0..rank-1."""
+    mask = 0
+    for i in pi0:
+        if type(i) is not int or not 0 <= i < model.rank:
+            raise ValueError(f"Pi_0 must be a subset of 0..{model.rank - 1}")
+        mask |= 1 << i
+    return mask
 
 
 def pack(vectors) -> list[int]:

@@ -13,9 +13,12 @@ lambda' on the simple system of the integral system (the engine counts the
 integral roots and reads the sign of every integral value instead).  What
 did not change (``h_values``, ``dynkin_labels``, ``simple_pairings``,
 ``combine``, ``classify_gram``, ``pack``, the verdict helpers and the report
-class) comes from the engine.  The one edit is in
+class) comes from the engine.  ``_levi`` is this module's own copy of the
+Pi_0 validator, as (sorted indices, bit set).  The edits are in
 ``integral_system``: it calls this module's ``indecomposables``, which was
-``rootsys.indecomposables``.  The differential tests in
+``rootsys.indecomposables``, and fills ``IntegralSystem.cor68`` by
+``cor68_from_system`` from lambda''s values on its simple coroots, so
+``cor68_dim`` reads that field.  The differential tests in
 ``test_certify_differential.py`` compare the engine against these; nothing
 in ``src/`` imports this module.
 """
@@ -27,13 +30,23 @@ from operator import mul
 
 from orbitcert import rootsys
 from orbitcert.certify import (CertificateReport, CheckResult, FAIL, PASS, UNDECIDED,
-                               _coefficient_sum, _levi, _verdict_B, check_D)
+                               _coefficient_sum, _verdict_B, check_D)
 from orbitcert.integral import IntegralSystem
 from orbitcert.rootsys import (RootSystemModel, Weight, _enumerate_positive, combine,
                                h_values, pack, simple_pairings)
 
 
 # rootsys ---------------------------------------------------------------------
+
+def _levi(model: RootSystemModel, pi0) -> tuple[list[int], int]:
+    """Validated Pi_0 as (sorted indices, bit set)."""
+    indices = frozenset(pi0)
+    if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < model.rank
+               for i in indices):
+        raise ValueError(f"Pi_0 must be a subset of 0..{model.rank - 1}")
+    ordered = sorted(indices)
+    return ordered, sum(1 << i for i in ordered)
+
 
 def root_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
     """(nums, den): w's orthogonal projection onto the span of the simple
@@ -82,7 +95,7 @@ def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
 
 def graded_dims(model: RootSystemModel, h: Weight) -> dict[int, int]:
     """dim g(i) for the grading by ad-h eigenvalues; h must be integral."""
-    values = h_values(model, h, show_value=True)
+    values = h_values(model, h)
     dims: dict[int, int] = {0: model.rank}
     for coeff in model.pos_coefficients:
         k = sum(map(mul, coeff, values))
@@ -129,14 +142,16 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
                 + tuple(model.roots[npos + k] for k in chosen))
     return IntegralSystem(lambda_prime, allroots,
                           tuple(model.positive_roots[k] for k in simple), cartan_type,
-                          tuple(values[k] // den for k in simple))
+                          cor68_from_system(model, [values[k] // den for k in simple],
+                                            len(allroots)))
 
 
-def cor68_from_system(model: RootSystemModel, isys: IntegralSystem) -> int | None:
-    """``cor68_dim`` for an integral system that is already built."""
-    if not all(v > 0 for v in isys.simple_pairings):
+def cor68_from_system(model: RootSystemModel, simple_pairings, size: int) -> int | None:
+    """``cor68_dim`` from lambda''s values on the simple coroots of its
+    integral system and the system's size #Delta(lambda)."""
+    if not all(v > 0 for v in simple_pairings):
         return None
-    dim_g_lambda = isys.size + model.rank
+    dim_g_lambda = size + model.rank
     return model.dim - dim_g_lambda
 
 
@@ -147,7 +162,7 @@ def cor68_dim(model: RootSystemModel, lambda_prime: Weight) -> int | None:
 
     dim g(lambda) carries the full Cartan: #Delta(lambda) + rank g.
     """
-    return cor68_from_system(model, integral_system(model, lambda_prime))
+    return integral_system(model, lambda_prime).cor68
 
 
 # certify ---------------------------------------------------------------------
@@ -223,7 +238,7 @@ class CertificateInput:
     principal_in_levi: bool = False
 
     def __post_init__(self):
-        indices = sorted(rootsys._check_indices(self.model, self.levi))
+        indices, _ = _levi(self.model, self.levi)
         object.__setattr__(self, "levi", tuple(indices))
         object.__setattr__(self, "h", rootsys.canonicalize(self.model, self.h))
         object.__setattr__(self, "lambda_prime",

@@ -116,8 +116,11 @@ def integral_system(model, lambda_prime):
                            for l in dynkin_reference.classify_simple_system(simple_covecs)),
                           key=dynkin_reference._label_sort_key))
     allroots = tuple(pos) + tuple(-beta for beta in pos)
-    pairings = tuple(int(rs.pairing(model, lambda_prime, beta)) for beta in simple_roots)
-    return IntegralSystem(lambda_prime, allroots, simple_roots, labels, pairings)
+    pairings = [rs.pairing(model, lambda_prime, beta) for beta in simple_roots]
+    # cor68 by the simple-coroot rule: lambda' positive on the simple coroots
+    cor68 = (model.dim - len(allroots) - model.rank if all(p > 0 for p in pairings)
+             else None)
+    return IntegralSystem(lambda_prime, allroots, simple_roots, labels, cor68)
 
 
 def graded_dims(model, h):
@@ -141,16 +144,13 @@ def h_regular(model, pi0):
 
 
 def delta(model, pi0, h):
-    if set(pi0) == set(range(model.rank)):
-        # no theta-negative roots: h is still checked, on the positive roots
-        delta_prime(model, h)
+    # h is checked on the positive roots first, as graded_dims checks it
+    delta_prime(model, h)
     theta = theta_for_levi(model, pi0)
     acc = [Fraction(0)] * model.ambient_dim
     for beta in model.roots:
         if beta.dot(theta) < 0:
             ev = beta.dot(h)
-            if ev.denominator != 1:
-                raise ValueError(f"h is not integral on root {beta}")
             if ev == -1:
                 for i, c in enumerate(beta.coords):
                     acc[i] += c / 2
@@ -165,7 +165,7 @@ def delta_prime(model, h):
     for beta in model.positive_roots:
         ev = beta.dot(h)
         if ev.denominator != 1:
-            raise ValueError(f"h is not integral on root {beta}")
+            raise ValueError(f"h is not integral on root {beta}: <a,h> = {ev}")
         if ev in (0, 1):
             for i, c in enumerate(beta.coords):
                 acc[i] += c / 2

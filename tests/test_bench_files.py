@@ -5,11 +5,14 @@ workload unless it gives the reason in ``outputs_changed``.  From
 BENCH_14.json on a file also records the Tier-1 wall time and pass count
 (``tier1``), from BENCH_15.json on the wall times of acceptance criteria
 3 and 9 and the margin of criterion 3 against its 30 s budget
-(``criteria``), and from BENCH_16.json on the Tier-1 time in perfbench's
-reference time too (``tier1.reference_seconds``)."""
+(``criteria``), and BENCH_16.json to BENCH_20.json the Tier-1 time in
+perfbench's reference time too (``tier1.reference_seconds``).  That field
+is dropped after BENCH_20.json: it swung between runs while the raw time
+rose steadily, so it said nothing about the suite."""
 import json
 import re
 import runpy
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,7 @@ TOP = {"pr": int, "git_revision": str, "nproc": int, "python": str, "seed": int,
        "seconds": (int, float), "runs": int, "lines": dict, "workloads": dict}
 TIER1_FROM = 14  # the first file that records the Tier-1 run
 CRITERIA_FROM = 15  # the first file that records the criterion times
-TIER1_REF_FROM = 16  # the first file that records the Tier-1 reference time
+TIER1_REF = range(16, 21)  # the files that record the Tier-1 reference time
 
 
 def load(path):
@@ -48,8 +51,7 @@ def test_bench_file_schema(path):
     assert set(record["lines"]) == {"src", "tests"}
     assert all(isinstance(n, int) and n > 0 for n in record["lines"].values())
     if "tier1" in record:
-        timed = {"seconds"} | ({"reference_seconds"} if record["pr"] >= TIER1_REF_FROM
-                               else set())
+        timed = {"seconds"} | ({"reference_seconds"} if record["pr"] in TIER1_REF else set())
         assert set(record["tier1"]) == timed | {"passed"}
         for key in timed:
             assert isinstance(record["tier1"][key], (int, float)), key
@@ -96,3 +98,16 @@ def test_summary_quartiles():
     summarize = runpy.run_path(str(ROOT / "scripts" / "bench.py"))["summarize"]
     assert summarize([5, 1, 4, 2, 3]) == {"median": 3, "q1": 2, "q3": 4,
                                           "values": [5, 1, 4, 2, 3]}
+
+
+@pytest.mark.parametrize("code,summary", [(1, "1 failed, 838 passed in 40.00s"),
+                                          (0, "no tests ran in 0.01s")])
+def test_tier1_refuses_a_run_that_does_not_pass(tmp_path, code, summary):
+    """A Tier-1 run with failing tests writes no BENCH file."""
+    tier1 = runpy.run_path(str(ROOT / "scripts" / "bench.py"))["tier1"]
+    run = subprocess.CompletedProcess([], code, stdout=f"..F\n{summary}\n", stderr="")
+    tier1.__globals__["run_tests"] = lambda checkout: run
+    with pytest.raises(SystemExit, match="Tier-1 failed"):
+        tier1(tmp_path)
+    run.returncode, run.stdout = 0, "...\n839 passed in 40.00s\n"
+    assert set(tier1(tmp_path)) == {"seconds", "passed"}

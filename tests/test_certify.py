@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import io
 import itertools
 from fractions import Fraction as Fr
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcert import certify as ct
+from orbitcert import cli
 from orbitcert import integral as ig
 from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
@@ -382,3 +385,80 @@ def test_check_C_pass_set_is_coset(mask):
     if pi0:
         shifted = dp + Fr(5, 3) * e6.simple_roots[pi0[0]]
         assert ct.check_C(e6, pi0, h, shifted).status == ct.PASS
+
+
+# one reader per input --------------------------------------------------------
+
+def _zero(model):
+    return rs.weight([0] * model.ambient_dim)
+
+
+# every entry point that takes Pi_0, on a model and a Pi_0
+PI0_ENTRY_POINTS = {
+    "levi_mask": lambda m, pi0: rs.levi_mask(m, pi0),
+    "levi_subsystem": lambda m, pi0: rs.levi_subsystem(m, pi0),
+    "theta_for_levi": lambda m, pi0: ct.theta_for_levi(m, pi0),
+    "h_regular": lambda m, pi0: ct.h_regular(m, pi0),
+    "delta": lambda m, pi0: ct.delta(m, pi0, _zero(m)),
+    "in_levi_span": lambda m, pi0: ct.in_levi_span(m, rs.rho(m), pi0),
+    "check_A": lambda m, pi0: ct.check_A(m, pi0, rs.rho(m)),
+    "check_C": lambda m, pi0: ct.check_C(m, pi0, _zero(m), rs.rho(m)),
+    "CertificateInput": lambda m, pi0: ct.CertificateInput(m, pi0, None, rs.rho(m)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PI0_ENTRY_POINTS))
+@pytest.mark.parametrize("pi0", [[True], [0, False], [-1], [2], [1.0], ["0"]],
+                         ids=["True", "False", "minus_one", "rank", "float", "str"])
+def test_every_pi0_entry_point_rejects_a_bad_index(name, pi0):
+    """A bool is not an index: ``theta_for_levi(A2, [True])`` once read it as 1."""
+    with pytest.raises(ValueError, match=r"^Pi_0 must be a subset of 0\.\.1$"):
+        PI0_ENTRY_POINTS[name](rs.build("A2"), pi0)
+
+
+def test_levi_mask_is_the_bit_set():
+    a2 = rs.build("A2")
+    assert [rs.levi_mask(a2, pi0) for pi0 in ((), (0,), [1], (1, 0, 1), range(2))] \
+        == [0, 1, 2, 3, 3]
+    assert ct.CertificateInput(a2, (1, 0, 1), None, rs.rho(a2)).levi == (0, 1)
+
+
+# every entry point that reads h, on a model and a non-integral h
+H_ENTRY_POINTS = {
+    "h_values": lambda m, h: rs.h_values(m, h),
+    "graded_dims": lambda m, h: ob.graded_dims(m, h),
+    "centralizer_dim_from_h": lambda m, h: ob.centralizer_dim_from_h(m, h),
+    "orbit_dim_from_h": lambda m, h: ob.orbit_dim_from_h(m, h),
+    "check_B": lambda m, h: ct.check_B(m, rs.rho(m), h),
+    "delta_prime": lambda m, h: ct.delta_prime(m, h),
+    "delta_full_levi": lambda m, h: ct.delta(m, range(m.rank), h),
+    "delta_proper_levi": lambda m, h: ct.delta(m, (0,), h),
+    "delta_empty_levi": lambda m, h: ct.delta(m, (), h),
+    "check_C": lambda m, h: ct.check_C(m, (0,), h, rs.rho(m)),
+    "CertificateInput": lambda m, h: ct.CertificateInput(m, (0,), h, rs.rho(m)),
+}
+
+
+@pytest.mark.parametrize("label", ["A2", "E8"])
+def test_every_h_entry_point_gives_one_message(label):
+    """A non-integral h raises one message wherever it enters, the library
+    and the CLI's ``certify --h`` and ``delta-prime`` (exit 2): the first
+    positive root, in model order, on which h is not integral, and h's
+    value there.  On the proper Levi (0,) that root, a1, is not
+    theta-negative."""
+    model = rs.build(label)
+    h = Fr(1, 3) * ct.h_regular(model, (0,))
+    beta = next(b for b in model.positive_roots if b.dot(h).denominator != 1)
+    expected = f"h is not integral on root {beta}: <a,h> = {beta.dot(h)}"
+    for name, call in H_ENTRY_POINTS.items():
+        with pytest.raises(ValueError) as err:
+            call(model, h)
+        assert str(err.value) == expected, name
+    h_arg = "--h=" + ",".join(h.to_strings())
+    for argv in (["certify", "--type", label, "--levi", "a1", h_arg,
+                  "--lambda-prime=" + ",".join(rs.rho(model).to_strings())],
+                 ["delta-prime", "--type", label, h_arg]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == cli.EXIT_USAGE
+        assert err.getvalue() == f"error: {expected}\n"

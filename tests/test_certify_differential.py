@@ -133,6 +133,19 @@ def test_cli_matches_reference(monkeypatch, label):
 
 
 @pytest.mark.parametrize("label", TYPES)
+def test_cli_integral_matches_reference(monkeypatch, label):
+    """``orbitcert integral`` reads lambda' once, cor68 included; run with the
+    reference integral system, whose cor68 is the simple-coroot rule, it
+    prints the same bytes."""
+    for _, _, _, lam in cases(label):
+        argv = ["integral", "--type", label, "--lambda-prime=" + ",".join(lam.to_strings())]
+        got = run(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "integral_system", ref.integral_system)
+            assert got == run(argv) and got[0] == 0, argv
+
+
+@pytest.mark.parametrize("label", TYPES)
 def test_library_matches_reference(label):
     model = rs.build(label)
     for _, levi, h, lam in cases(label):

@@ -18,6 +18,7 @@ def test_e8_flagship_integral_system(e8, flagship_lambda_prime, flagship_integra
     assert isys.cartan_type == ("A5", "A2", "A1")
     assert frozenset(isys.simple_system) == flagship_integral_simples
     assert isys.size == 38
+    assert isys.cor68 == ig.cor68_dim(e8, flagship_lambda_prime) == 202
     values = sorted(rs.pairing(e8, flagship_lambda_prime, b) for b in isys.simple_system)
     assert set(values) == {1, 2}
 
@@ -107,6 +108,14 @@ def test_antidominant_singular_flagged(e8):
     res = ig.antidominant_rep(e8, simp, mu)
     assert not res.minimal
     assert all(rs.pairing(e8, res.weight, b) <= 0 for b in simp)
+
+
+@pytest.mark.parametrize("word", [(7,), (-1,), (True,), (0, 2), (1.0,)])
+def test_apply_word_rejects_indices_outside_the_system(word):
+    """(-1,) and (True,) once reflected in a root silently, (7,) raised IndexError."""
+    a2 = rs.build("A2")
+    with pytest.raises(ValueError, match=r"^word index .* is outside 0\.\.1$"):
+        ig.apply_word(a2.simple_roots, word, rs.rho(a2))
 
 
 @settings(max_examples=30)

@@ -87,9 +87,11 @@ def test_partition_validation():
     assert ob.Partition((3, 2, 0, 0)).parts == (3, 2)
 
 
-@pytest.mark.parametrize("parts", [(3.7, 1.2), (3, 1.0), (Fraction(3), 1), (3, 0.0), ("3", 1)])
+@pytest.mark.parametrize("parts", [(3.7, 1.2), (3, 1.0), (Fraction(3), 1), (3, 0.0), ("3", 1),
+                                   (True,), (2, False)])
 def test_partition_rejects_parts_that_are_not_integers(parts):
-    """int() would truncate (3.7, 1.2) to the wrong partition (3, 1)."""
+    """int() would truncate (3.7, 1.2) to the wrong partition (3, 1); a bool
+    is not a part either, though it is a ``numbers.Integral``."""
     with pytest.raises(TypeError, match="partition parts must be integers"):
         ob.Partition(parts, "gl")
 

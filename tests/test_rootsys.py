@@ -450,6 +450,19 @@ def test_weight_rejects_inexact_entries():
     assert rs.combine(a2, [Fr(1, 2), "1"]) == rs.combine(a2, [1, 2], 2)
 
 
+def test_weight_reads_strings_as_the_cli_does():
+    """A string entry goes through ``parse_rational``: exponent notation,
+    which ``Fraction`` would expand digit by digit, and a zero denominator
+    raise ValueError, for an entry and for a scalar."""
+    for token, message in (("1e10000000", "exponent notation"), ("1/0", "zero denominator"),
+                           (" 2E3", "exponent notation")):
+        with pytest.raises(ValueError, match=message):
+            rs.Weight([token, "0"])
+        with pytest.raises(ValueError, match=message):
+            token * rs.weight((1, 2))
+    assert rs.Weight([" -3/6 ", "0.5", "+2"]) == rs.weight((Fr(-1, 2), Fr(1, 2), 2))
+
+
 def test_weight_is_numerators_over_one_denominator():
     u = rs.weight((Fr(-3, 4), 2, "1/6"))
     assert (u.nums, u.den) == ((-9, 24, 2), 12)
@@ -499,8 +512,10 @@ def test_root_membership_matches_the_root_lists(label):
     (lambda e8: rs.in_root_span(e8, rs.weight([1])), "expected 9 coordinates, got 1"),
     (lambda e8: rs.combine(e8, [1, 2]), "expected 8 simple-root coefficients"),
     (lambda e8: rs.combine(e8, [Fr(1, 2)] * 9), "expected 8 simple-root coefficients"),
+    (lambda e8: ig.antidominant_rep(e8, e8.simple_roots, rs.weight([-5, 0])),
+     "expected 9 coordinates, got 2"),
 ], ids=["graded_dims", "integral_system", "check_A", "check_C", "simple_pairings",
-        "in_root_span", "combine", "combine_rational"])
+        "in_root_span", "combine", "combine_rational", "antidominant_rep"])
 def test_kernel_rejects_vectors_of_the_wrong_length(e8, call, message):
     with pytest.raises(ValueError, match=message):
         call(e8)
