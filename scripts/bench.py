@@ -13,7 +13,11 @@ the Python version, the line counts of the checkout's ``src/`` and
 ``tests/`` files that git does not ignore, the wall time and pass count of
 one run of the Tier-1 suite (``TIER1``) in the checkout, and the wall time
 of each acceptance criterion in ``CRITERIA``, from one pytest run of just
-those tests, with its margin against the time budget its test enforces.
+those tests, with its margin against the time budget its test enforces;
+and whether the cold runs could read cached bytecode (``bytecode_cache``,
+false when ``PYTHONDONTWRITEBYTECODE`` is set and the checkout has no
+``src/orbitcert/__pycache__``, so every cold start compiles the sources:
+``cli_cold_s`` and ``setup_s`` compare across hosts only with it equal).
 Both pytest runs must pass, or no file is written.  The workload times are
 perfbench's reference times; the Tier-1 and criterion times are raw wall
 time.  The file goes to the root of the
@@ -110,6 +114,13 @@ def git_revision(checkout: Path) -> str:
                           timeout=30).stdout.strip()
 
 
+def bytecode_cache(checkout: Path) -> bool:
+    """Whether a fresh interpreter in the checkout can skip compiling the
+    package: it may write its bytecode, or finds it already written."""
+    return (not os.environ.get("PYTHONDONTWRITEBYTECODE")
+            or (checkout / "src" / "orbitcert" / "__pycache__").is_dir())
+
+
 def line_counts(checkout: Path) -> dict:
     counts = {}
     for top in ("src", "tests"):
@@ -130,6 +141,7 @@ def main() -> None:
     seconds = spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    cached = bytecode_cache(checkout)  # before any run can write bytecode
 
     samples = {name: {"sha": set(), "attempted": 0, "failed": 0,
                       "metrics": {metric: [] for metric in units}} for name in names}
@@ -164,6 +176,7 @@ def main() -> None:
         "seed": SEED,
         "seconds": seconds,
         "runs": RUNS,
+        "bytecode_cache": cached,
         "lines": line_counts(checkout),
         "tier1": tier1(checkout),
         "criteria": criteria(checkout),

@@ -5,35 +5,47 @@ induction for classical types.
 The submodules rootsys/orbits/lsinduce/integral/certify stay importable as
 such; the certificate aggregator itself lives at ``orbitcert.certify.certify``,
 and ``orbitcert.certify`` is the submodule.
+
+Importing the package loads no submodule.  A public name is imported from
+its home module on first access (PEP 562) and then kept in this module's
+globals, so later lookups are plain attribute reads.
 """
+import importlib
 
-from .certify import (CertificateInput, CertificateReport, CheckResult,
-                      check_A, check_B, check_C, check_D, delta, delta_prime,
-                      h_regular, in_levi_span, theta_for_levi)
-from .integral import (AntidominantResult, IntegralSystem, antidominant_rep,
-                       apply_word, cor68_dim, integral_system, prop67_dim)
-from .lsinduce import (GLBlock, LeviDescriptor, Tail, centralizer_oracle, collapse,
-                       induce, is_rigid, is_very_even, jordan_oracle, jordan_type)
-from .orbits import (DualityRecord, OrbitRecord, Partition, bv_candidate,
-                     centralizer_dim_from_h, dim_z_partition, duality_table,
-                     graded_dims, orbit_dim_from_h, parity_valid, rigid_table,
-                     transpose)
-from .rootsys import (RootSystemModel, Weight, build, canonicalize,
-                      classify_simple_system, fundamental_coweights,
-                      fundamental_weights, levi_subsystem, pairing, rho,
-                      simple_system_of, weight)
+# home submodule -> the public names it gives the package
+_EXPORTS = {
+    "certify": ("CertificateInput", "CertificateReport", "CheckResult", "check_A", "check_B",
+                "check_C", "check_D", "delta", "delta_prime", "h_regular", "in_levi_span",
+                "theta_for_levi"),
+    "integral": ("AntidominantResult", "IntegralSystem", "antidominant_rep", "apply_word",
+                 "cor68_dim", "integral_system", "prop67_dim"),
+    "lsinduce": ("GLBlock", "LeviDescriptor", "Tail", "centralizer_oracle", "collapse",
+                 "induce", "is_rigid", "is_very_even", "jordan_oracle", "jordan_type"),
+    "orbits": ("DualityRecord", "OrbitRecord", "Partition", "bv_candidate",
+               "centralizer_dim_from_h", "dim_z_partition", "duality_table", "graded_dims",
+               "orbit_dim_from_h", "parity_valid", "rigid_table", "transpose"),
+    "rootsys": ("RootSystemModel", "Weight", "build", "canonicalize", "classify_simple_system",
+                "fundamental_coweights", "fundamental_weights", "levi_subsystem", "pairing",
+                "rho", "simple_system_of", "weight"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# the engine submodules, read as attributes of the package ("certify" among them)
+_SUBMODULES = frozenset(_EXPORTS) | {"linalg"}
 
-__all__ = [
-    "AntidominantResult", "CertificateInput", "CertificateReport", "CheckResult",
-    "DualityRecord", "GLBlock", "IntegralSystem", "LeviDescriptor", "OrbitRecord",
-    "Partition", "RootSystemModel", "Tail", "Weight", "antidominant_rep",
-    "apply_word", "build", "bv_candidate", "canonicalize", "centralizer_dim_from_h",
-    "centralizer_oracle", "certify", "check_A", "check_B", "check_C", "check_D",
-    "classify_simple_system", "collapse", "cor68_dim", "delta", "delta_prime",
-    "dim_z_partition", "duality_table", "fundamental_coweights",
-    "fundamental_weights", "graded_dims", "h_regular", "in_levi_span", "induce",
-    "integral_system", "is_rigid", "is_very_even", "jordan_oracle", "jordan_type",
-    "levi_subsystem",
-    "orbit_dim_from_h", "pairing", "parity_valid", "prop67_dim", "rho",
-    "rigid_table", "simple_system_of", "theta_for_levi", "transpose", "weight",
-]
+__all__ = sorted([*_HOME, "certify"])  # "certify" is the submodule
+
+
+def __getattr__(name: str):
+    """A public name or engine submodule, imported on first access and
+    cached; called only while ``name`` is not yet a global."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # which binds the global
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

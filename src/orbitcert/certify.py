@@ -152,7 +152,8 @@ _A_UNDECIDED = CheckResult(UNDECIDED, detail="criterion needs e regular in the L
 def check_A(model: RootSystemModel, pi0, lambda_prime: Weight,
             principal_in_levi: bool = True) -> CheckResult:
     """Levi-antidominance of lambda (undecided unless e is regular in the Levi);
-    Pi_0 and the length of lambda' are checked either way."""
+    the flag, Pi_0 and the length of lambda' are checked either way."""
+    _check_principal(principal_in_levi)
     mask = levi_mask(model, pi0)
     rootsys._check_length(model, lambda_prime)
     if not principal_in_levi:
@@ -209,9 +210,17 @@ def _verdict_C(model: RootSystemModel, mask: int, lambda_prime: Weight,
     return CheckResult(FAIL, witness=info, detail="nonzero residual off the Levi span")
 
 
+def _check_principal(flag) -> None:
+    """TypeError unless the principal-in-Levi flag is a bool: a string such
+    as "no" is truthy, and would pass for e principal."""
+    if type(flag) is not bool:
+        raise TypeError(f"principal_in_levi must be a bool, got {flag!r}")
+
+
 def check_D(principal_in_levi: bool) -> CheckResult:
     """Codimension-1 ideal of the Levi W-algebra: vacuous for principal Levi
     type, undecided otherwise (module structure is out of reach here)."""
+    _check_principal(principal_in_levi)
     if principal_in_levi:
         return CheckResult(PASS, detail="vacuous: e is of principal Levi type")
     return CheckResult(UNDECIDED, detail="cannot decide W-algebra module structure")
@@ -229,6 +238,7 @@ class CertificateInput:
     h_simple: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_principal(self.principal_in_levi)
         model = self.model
         mask = levi_mask(model, self.levi)
         levi = tuple(i for i in range(model.rank) if mask >> i & 1)

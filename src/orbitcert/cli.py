@@ -13,23 +13,26 @@ argv takes the full top-level parse, with the same output.  Exit codes:
 0 success/pass, 1 fail verdict, 2 usage error, 3 undecided (a certify
 verdict, or an oracle that used up its draws), 4 internal error (a bug,
 never a verdict).
+
+Each command imports the engine modules it runs when it runs, so a cold
+start loads and compiles only those (``import orbitcert`` itself loads no
+submodule).  The imports are absolute: on every call a relative one also
+resolves the package name through ``__spec__.parent``, a Python property.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
 import re
 import sys
 from functools import cache
+from typing import TYPE_CHECKING
 
-from . import lsinduce as ls
-from . import orbits as orb
-from . import rootsys as rs
-from .certify import FAIL, PASS, CertificateInput, certify, delta_prime
-from .integral import integral_system
+if TYPE_CHECKING:
+    from .orbits import Partition
+    from .rootsys import RootSystemModel, Weight
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -38,12 +41,13 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
 _INTEGER_TOKEN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
 
 
-def _parse_weight(model: rs.RootSystemModel, text: str, root_coords: bool) -> rs.Weight:
+def _parse_weight(model: RootSystemModel, text: str, root_coords: bool) -> Weight:
     """The comma-separated tokens of ``text`` as one Weight over the lcm of
     their denominators.  A token of the form [+-]p[/q] is read as integers
     in the order ``Fraction`` reads it (p, then q, then the zero check);
     any other token goes through ``rootsys.parse_rational``, so every value and
     every error is the one ``Fraction`` gives."""
+    import orbitcert.rootsys as rs
     fullmatch = re.compile(_INTEGER_TOKEN).fullmatch  # compiled on first use, then from re's cache
     nums, dens = [], []
     for part in text.split(","):
@@ -66,7 +70,7 @@ def _parse_weight(model: rs.RootSystemModel, text: str, root_coords: bool) -> rs
     return rs.canonicalize(model, rs.Weight.from_ints(nums, den))
 
 
-def _parse_levi_indices(text: str, model: rs.RootSystemModel) -> tuple[int, ...]:
+def _parse_levi_indices(text: str, model: RootSystemModel) -> tuple[int, ...]:
     """Parse "a1,a2,a7" or "1,2,7" (1-based simple root names) to 0-based indices."""
     out = []
     for token in text.split(","):
@@ -190,12 +194,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def _parse_partition(text: str, kind: str) -> orb.Partition:
+def _parse_partition(text: str, kind: str) -> Partition:
+    import orbitcert.orbits as orb
     parts = tuple(int(x) for x in text.split(",") if x.strip())
     return orb.Partition(parts, kind)
 
 
 def _cmd_info(args) -> int:
+    import orbitcert.rootsys as rs
     model = rs.build(args.type)
     _emit({"dim": model.dim, "positive_roots": len(model.positive_roots),
            "rank": model.rank}, args.output)
@@ -203,6 +209,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
+    import orbitcert.rootsys as rs
     model = rs.build(args.type)
     lam = _parse_weight(model, args.lam, args.root_coords)
     root = _parse_weight(model, args.root, args.root_coords)
@@ -212,30 +219,33 @@ def _cmd_pairing(args) -> int:
 
 
 def _cmd_delta_prime(args) -> int:
+    import orbitcert.certify as ct, orbitcert.rootsys as rs
     model = rs.build(args.type)
     h = _parse_weight(model, args.h, args.root_coords)
-    _emit({"delta_prime": delta_prime(model, h).to_strings()}, args.output)
+    _emit({"delta_prime": ct.delta_prime(model, h).to_strings()}, args.output)
     return EXIT_PASS
 
 
 def _cmd_certify(args) -> int:
+    import orbitcert.certify as ct, orbitcert.rootsys as rs
     model = rs.build(args.type)
     levi = _parse_levi_indices(args.levi, model)
     h = None if args.h is None else _parse_weight(model, args.h, args.root_coords)
     lambda_prime = _parse_weight(model, args.lambda_prime, args.root_coords)
-    report = certify(CertificateInput(model, levi, h, lambda_prime, args.principal))
+    report = ct.certify(ct.CertificateInput(model, levi, h, lambda_prime, args.principal))
     _emit(report.to_json_dict(), args.output)
-    if report.overall == PASS:
+    if report.overall == ct.PASS:
         return EXIT_PASS
-    if report.overall == FAIL:
+    if report.overall == ct.FAIL:
         return EXIT_FAIL
     return EXIT_UNDECIDED
 
 
 def _cmd_integral(args) -> int:
+    import orbitcert.integral as ig, orbitcert.rootsys as rs
     model = rs.build(args.type)
     lambda_prime = _parse_weight(model, args.lambda_prime, args.root_coords)
-    isys = integral_system(model, lambda_prime)
+    isys = ig.integral_system(model, lambda_prime)
     _emit({
         "integral_type": rs.format_type(isys.cartan_type),
         "simple_roots": [b.to_strings() for b in isys.simple_system],
@@ -246,6 +256,7 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    import orbitcert.lsinduce as ls
     levi = ls.LeviDescriptor.from_json_dict(json.loads(args.levi), args.type, args.ambient)
     result = ls.induce(levi)
     if ls.is_very_even(result):
@@ -256,6 +267,7 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_rigid(args) -> int:
+    import orbitcert.lsinduce as ls
     p = _parse_partition(args.partition, args.type)
     if args.ambient is not None and args.ambient != p.total:
         raise ValueError(f"partition sums to {p.total}, not {args.ambient}")
@@ -267,23 +279,24 @@ def _cmd_rigid(args) -> int:
 
 
 def _cmd_dimz(args) -> int:
+    import orbitcert.orbits as orb
     p = _parse_partition(args.partition, args.type)
     _emit({"dim_z": orb.dim_z_partition(p)}, args.output)
     return EXIT_PASS
 
 
-# table -> (records, label field, one-row payload, listing row)
-_TABLES = {
-    "rigid": (orb.RIGID_TABLE, "bala_carter", lambda r: {"dim_z": r.dim_z, "q": r.q_type},
-              lambda r: {"algebra": r.algebra, "label": r.bala_carter,
-                         "q_type": r.q_type, "dim_z": r.dim_z}),
-    "duality": (orb.DUALITY_TABLE, "e_label", lambda r: {"dual": r.e_dual_label},
-                lambda r: {"algebra": r.algebra, "label": r.e_label, "dual": r.e_dual_label}),
-}
-
-
 def _cmd_tables(args) -> int:
-    records, label_field, one_row, listing_row = _TABLES[args.table]
+    import csv
+    import orbitcert.orbits as orb
+    # table -> (records, label field, one-row payload, listing row)
+    records, label_field, one_row, listing_row = {
+        "rigid": (orb.RIGID_TABLE, "bala_carter", lambda r: {"dim_z": r.dim_z, "q": r.q_type},
+                  lambda r: {"algebra": r.algebra, "label": r.bala_carter,
+                             "q_type": r.q_type, "dim_z": r.dim_z}),
+        "duality": (orb.DUALITY_TABLE, "e_label", lambda r: {"dual": r.e_dual_label},
+                    lambda r: {"algebra": r.algebra, "label": r.e_label,
+                               "dual": r.e_dual_label}),
+    }[args.table]
     matches = [rec for rec in records
                if (args.algebra is None or rec.algebra == args.algebra)
                and (args.label is None or getattr(rec, label_field) == args.label)]
@@ -300,8 +313,13 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    import orbitcert.lsinduce as ls
     levi = ls.LeviDescriptor.from_json_dict(json.loads(args.levi), args.type, args.ambient)
-    result = ls.jordan_oracle(levi, seed=args.seed, trials=args.trials)
+    try:
+        result = ls.jordan_oracle(levi, seed=args.seed, trials=args.trials)
+    except ls.TrialBudgetExhausted as exc:  # a ValueError, but a verdict, not a usage error
+        _emit({"undecided": str(exc)}, args.output)
+        return EXIT_UNDECIDED
     _emit(list(result.parts), args.output)
     return EXIT_PASS
 
@@ -344,9 +362,6 @@ def main(argv=None) -> int:
     args = parse_argv(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ls.TrialBudgetExhausted as exc:
-        _emit({"undecided": str(exc)}, args.output)
-        return EXIT_UNDECIDED
     except ValueError as exc:  # bad input, json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

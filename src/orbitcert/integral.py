@@ -86,10 +86,16 @@ def antidominant_rep(model: RootSystemModel, simple_system, mu: Weight
     flagged via ``minimal=False``.  W permutes the roots, so mu is regular
     exactly when the antidominant nu is strictly negative on every simple
     root (Humphreys, Introduction to Lie Algebras, 10.3).  mu must have
-    the model's number of coordinates (ValueError otherwise).
+    the model's number of coordinates, and ``simple_system`` must be roots
+    of the model forming a simple system: independent, with the Cartan
+    entries of a finite type (ValueError otherwise, checked once here).
     """
     rootsys._check_length(model, mu)
     simples = list(simple_system)
+    for a in simples:
+        if not model.is_root(a):
+            raise ValueError(f"{a} is not a root of {model.cartan_type}")
+    rootsys.finite_cartan(rootsys._gram(*rootsys._common_rows(simples))[0])
     cur = mu
     word: list[int] = []
     while True:

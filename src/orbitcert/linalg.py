@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import attrgetter
 
 _denominator = attrgetter("denominator")
@@ -80,6 +79,7 @@ def kernel_basis(rows):
     the reduced form.  Each non-pivot column gets the vector that is 1 there
     and 0 at the other non-pivot columns, solved from the last row up.
     """
+    from fractions import Fraction
     if not rows:
         return []
     n = len(rows[0])

@@ -18,13 +18,19 @@ import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass, asdict
+from typing import TYPE_CHECKING
 
-from .rootsys import RootSystemModel, Weight, h_values, rho, root_values, simple_pairings
+# The h-side functions import rootsys when called (absolutely: a relative
+# import resolves the package through __spec__.parent on every call), so the
+# partition side loads without it.
+if TYPE_CHECKING:
+    from .rootsys import RootSystemModel, Weight
 
 
 def graded_dims(model: RootSystemModel, h: Weight) -> dict[int, int]:
     """dim g(i) for the grading by ad-h eigenvalues; h must be integral."""
-    return _graded_dims(model, root_values(model, h_values(model, h)))
+    import orbitcert.rootsys as rs
+    return _graded_dims(model, rs.root_values(model, rs.h_values(model, h)))
 
 
 def _graded_dims(model: RootSystemModel, values) -> dict[int, int]:
@@ -45,12 +51,14 @@ def _dim_z(model: RootSystemModel, values) -> int:
 
 def centralizer_dim_from_h(model: RootSystemModel, h: Weight) -> int:
     """dim z_g(e) = dim g(0) + dim g(1) for a characteristic h of e."""
-    return _dim_z(model, root_values(model, h_values(model, h)))
+    import orbitcert.rootsys as rs
+    return _dim_z(model, rs.root_values(model, rs.h_values(model, h)))
 
 
 def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
     """dim O = dim g - dim z_g(e); odd only when h is not a characteristic."""
-    return orbit_dim_from_values(model, root_values(model, h_values(model, h)))
+    import orbitcert.rootsys as rs
+    return orbit_dim_from_values(model, rs.root_values(model, rs.h_values(model, h)))
 
 
 def orbit_dim_from_values(model: RootSystemModel, values) -> int:
@@ -234,7 +242,8 @@ def bv_candidate(model: RootSystemModel, h_dual: Weight) -> Weight:
     of the dual orbit.  Emits a warning when h_dual is not even, since dual
     characteristics of rigid elements are always even.
     """
-    nums, den = simple_pairings(model, h_dual)
+    import orbitcert.rootsys as rs
+    nums, den = rs.simple_pairings(model, h_dual)
     for alpha, value in zip(model.simple_roots, nums):
         if value < 0:
             raise ValueError(f"h_dual is not dominant: <{alpha}, h_dual> < 0")
@@ -242,4 +251,4 @@ def bv_candidate(model: RootSystemModel, h_dual: Weight) -> Weight:
     if any(value % (2 * den) for value in nums):
         warnings.warn("h_dual is not even; dual characteristics of rigid "
                       "elements are even", stacklevel=2)
-    return h_dual - rho(model)
+    return h_dual - rs.rho(model)

@@ -8,7 +8,10 @@ BENCH_14.json on a file also records the Tier-1 wall time and pass count
 (``criteria``), and BENCH_16.json to BENCH_20.json the Tier-1 time in
 perfbench's reference time too (``tier1.reference_seconds``).  That field
 is dropped after BENCH_20.json: it swung between runs while the raw time
-rose steadily, so it said nothing about the suite."""
+rose steadily, so it said nothing about the suite.  From BENCH_22.json on a
+file records whether the cold runs could read cached bytecode
+(``bytecode_cache``): without it, cold-start and set-up times of two hosts
+do not compare."""
 import json
 import re
 import runpy
@@ -27,6 +30,7 @@ TOP = {"pr": int, "git_revision": str, "nproc": int, "python": str, "seed": int,
 TIER1_FROM = 14  # the first file that records the Tier-1 run
 CRITERIA_FROM = 15  # the first file that records the criterion times
 TIER1_REF = range(16, 21)  # the files that record the Tier-1 reference time
+BYTECODE_FROM = 22  # the first file that records ``bytecode_cache``
 
 
 def load(path):
@@ -41,8 +45,11 @@ def test_bench_files_found():
 def test_bench_file_schema(path):
     record = load(path)
     required = (set(TOP) | ({"tier1"} if record["pr"] >= TIER1_FROM else set())
-                | ({"criteria"} if record["pr"] >= CRITERIA_FROM else set()))
+                | ({"criteria"} if record["pr"] >= CRITERIA_FROM else set())
+                | ({"bytecode_cache"} if record["pr"] >= BYTECODE_FROM else set()))
     assert required <= set(record) <= required | {"tier1", "criteria", "outputs_changed"}
+    if "bytecode_cache" in record:
+        assert isinstance(record["bytecode_cache"], bool)
     for key, kind in TOP.items():
         assert isinstance(record[key], kind), key
     assert f"BENCH_{record['pr']}.json" == path.name
@@ -111,3 +118,13 @@ def test_tier1_refuses_a_run_that_does_not_pass(tmp_path, code, summary):
         tier1(tmp_path)
     run.returncode, run.stdout = 0, "...\n839 passed in 40.00s\n"
     assert set(tier1(tmp_path)) == {"seconds", "passed"}
+
+
+def test_bytecode_cache_is_false_only_when_every_cold_start_compiles(tmp_path, monkeypatch):
+    bytecode_cache = runpy.run_path(str(ROOT / "scripts" / "bench.py"))["bytecode_cache"]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bytecode_cache(tmp_path) is False
+    (tmp_path / "src" / "orbitcert" / "__pycache__").mkdir(parents=True)
+    assert bytecode_cache(tmp_path) is True
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bytecode_cache(tmp_path / "elsewhere") is True

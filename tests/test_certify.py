@@ -282,6 +282,19 @@ def test_check_D():
     assert ct.check_D(False).status == ct.UNDECIDED
 
 
+@pytest.mark.parametrize("flag", ["no", "yes", 1, 0, None])
+def test_principal_flag_must_be_a_bool(flag):
+    """A truthy string such as "no" once passed (D) as principal Levi type."""
+    a2 = rs.build("A2")
+    message = rf"^principal_in_levi must be a bool, got {flag!r}$"
+    with pytest.raises(TypeError, match=message):
+        ct.check_D(flag)
+    with pytest.raises(TypeError, match=message):
+        ct.check_A(a2, (0,), rs.rho(a2), flag)
+    with pytest.raises(TypeError, match=message):
+        ct.CertificateInput(a2, (0,), None, rs.rho(a2), flag)
+
+
 # the full certificate ---------------------------------------------------------
 
 def test_certify_flagship(e8, flagship_lambda_prime, flagship_h):

@@ -118,8 +118,8 @@ def run(argv):
 
 def run_reference(monkeypatch, argv):
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "CertificateInput", ref.CertificateInput)
-        patch.setattr(cli, "certify", ref.certify)
+        patch.setattr(ct, "CertificateInput", ref.CertificateInput)
+        patch.setattr(ct, "certify", ref.certify)
         return run(argv)
 
 
@@ -141,7 +141,7 @@ def test_cli_integral_matches_reference(monkeypatch, label):
         argv = ["integral", "--type", label, "--lambda-prime=" + ",".join(lam.to_strings())]
         got = run(argv)
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "integral_system", ref.integral_system)
+            patch.setattr(ig, "integral_system", ref.integral_system)
             assert got == run(argv) and got[0] == 0, argv
 
 

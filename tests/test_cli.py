@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_certify_differential as certify_differential
+from orbitcert import certify as ct
 from orbitcert import cli
 from orbitcert import lsinduce as ls
 from orbitcert import rootsys as rs
@@ -53,7 +54,7 @@ def test_info_rank_bound(capsys):
 
 @pytest.mark.parametrize("target, name, error", [
     (rs, "build", KeyError("missing")),
-    (cli, "certify", RuntimeError("invariant broken")),
+    (ct, "certify", RuntimeError("invariant broken")),
 ])
 def test_engine_crash_exits_internal(capsys, target, name, error):
     """A bug in the engine is exit 4, never a usage error or a verdict."""

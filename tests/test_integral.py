@@ -110,6 +110,19 @@ def test_antidominant_singular_flagged(e8):
     assert all(rs.pairing(e8, res.weight, b) <= 0 for b in simp)
 
 
+@pytest.mark.parametrize("simples, message", [
+    (lambda a2: [a2.positive_roots[-1], a2.simple_roots[0]],  # theta and a1 pair to 1
+     "pairings are not those of a finite-type simple system"),
+    (lambda a2: [rs.weight([1, 0, 0])], r"^\[1, 0, 0\] is not a root of A2$"),
+    (lambda a2: [a2.simple_roots[0]] * 2, "simple system is not linearly independent"),
+], ids=["theta_a1", "not_a_root", "repeated"])
+def test_antidominant_rep_rejects_a_non_simple_system(simples, message):
+    """The first two once returned minimal=True."""
+    a2 = rs.build("A2")
+    with pytest.raises(ValueError, match=message):
+        ig.antidominant_rep(a2, simples(a2), rs.weight([1, 2, -3]))
+
+
 @pytest.mark.parametrize("word", [(7,), (-1,), (True,), (0, 2), (1.0,)])
 def test_apply_word_rejects_indices_outside_the_system(word):
     """(-1,) and (True,) once reflected in a root silently, (7,) raised IndexError."""
