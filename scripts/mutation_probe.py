@@ -1,0 +1,196 @@
+#!/usr/bin/env python3
+"""Mutation probe: do the Tier-1 tests notice a one-token change in a module?
+
+Usage: python scripts/mutation_probe.py MODULE [MODULE ...]
+
+MODULE names a file ``src/orbitcert/<MODULE>.py``.  Each mutant makes one
+edit to that file: it swaps one comparison operator (< <= > >= == !=) or one
+arithmetic operator (+ - * // %), or adds 1 to one integer constant.  Per
+module the probe lists every such edit in source order and draws ``SAMPLE``
+of them with a ``random.Random`` seeded by ``SEED`` and the module name, so
+the same source gives the same mutants on every run.
+
+The checkout holding this script is copied once to a temporary directory;
+the working tree is never written.  The unmutated suite must pass there
+first.  Then each mutant is written into the copy and the Tier-1 suite runs
+on it with ``-x`` (``TIER1``), with ``PYTHONPATH`` at the copy's ``src``, and
+the module is restored.  A mutant is killed when the run fails (the first
+failing test is reported), or exceeds ``TIMEOUT_FACTOR`` times the
+unmutated run's time or ``MEMORY_LIMIT``; it survives when the suite
+passes.  One line per mutant gives the file, line, edit and outcome; a
+summary line per module gives the counts.  The exit code is 0 whether or
+not mutants survive.
+"""
+from __future__ import annotations
+
+import ast
+import os
+import random
+import resource
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+CHECKOUT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src") / "orbitcert"
+SEED = 23
+SAMPLE = 20  # mutants per module
+TIMEOUT_FACTOR = 4  # a mutant may take this many times the unmutated run
+MEMORY_LIMIT = 2 << 30  # address space of one suite run, in bytes
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0"]
+# the one edit each operator gets
+SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
+         "+": "-", "-": "+", "*": "//", "//": "*", "%": "//"}
+OPERATOR_TOKENS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
+                   ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*",
+                   ast.FloorDiv: "//", ast.Mod: "%"}
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                                 "results")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    line: int
+    col: int  # 0-based offset of the replaced text in its line
+    old: str
+    new: str
+
+    def apply(self, source: str) -> str:
+        lines = source.splitlines(keepends=True)
+        text = lines[self.line - 1]
+        if text[self.col:self.col + len(self.old)] != self.old:
+            raise ValueError(f"line {self.line} has no {self.old!r} at column {self.col}")
+        lines[self.line - 1] = text[:self.col] + self.new + text[self.col + len(self.old):]
+        return "".join(lines)
+
+    def describe(self, source: str) -> str:
+        text = source.splitlines()[self.line - 1].strip()
+        return f"{self.old} -> {self.new} in `{text}`"
+
+
+def mutants(source: str) -> list[Mutant]:
+    """Every one-token mutant of a module, in source order."""
+    lines = source.splitlines(keepends=True)
+    offsets = [0]
+    for text in lines:
+        offsets.append(offsets[-1] + len(text))
+    out: list[Mutant] = []
+
+    def start(node):  # ast columns count UTF-8 bytes
+        return node.lineno, len(lines[node.lineno - 1].encode()[:node.col_offset].decode())
+
+    def end(node):
+        return (node.end_lineno,
+                len(lines[node.end_lineno - 1].encode()[:node.end_col_offset].decode()))
+
+    def operator(op, left, right, suffix=""):
+        """The mutant swapping ``op``, the one token between two operands
+        apart from parentheses, blanks, line breaks and comments; the
+        augmented assignments carry the suffix "="."""
+        sym = OPERATOR_TOKENS[type(op)]
+        tok = sym + suffix
+        (line, col), (right_line, right_col) = end(left), start(right)
+        between = source[offsets[line - 1] + col:offsets[right_line - 1] + right_col]
+        between = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), between)
+        if re.sub(r"[\s()\\]", "", between) != tok:
+            raise ValueError(f"line {line}: {between!r} is not the operator {tok!r}")
+        at = offsets[line - 1] + col + between.index(tok)
+        line = next(k for k in range(line, right_line + 1) if offsets[k] > at)
+        out.append(Mutant(line, at - offsets[line - 1], tok, SWAPS[sym] + suffix))
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and type(node.op) in OPERATOR_TOKENS:
+            operator(node.op, node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and type(node.op) in OPERATOR_TOKENS:
+            operator(node.op, node.target, node.value, "=")
+        elif isinstance(node, ast.Compare):
+            for op, left, right in zip(node.ops, [node.left] + node.comparators,
+                                       node.comparators):
+                if type(op) in OPERATOR_TOKENS:
+                    operator(op, left, right)
+        elif (isinstance(node, ast.Constant) and type(node.value) is int
+              and node.lineno == node.end_lineno):
+            line, col = start(node)
+            old = lines[line - 1][col:end(node)[1]]
+            out.append(Mutant(line, col, old, str(node.value + 1)))
+    return sorted(out, key=lambda m: (m.line, m.col))
+
+
+def sample(module: str, source: str) -> list[Mutant]:
+    """The probe's fixed draw of ``SAMPLE`` mutants for one module, in source order."""
+    every = mutants(source)
+    rng = random.Random(f"{SEED}-{module}")
+    return sorted(rng.sample(every, min(SAMPLE, len(every))), key=lambda m: (m.line, m.col))
+
+
+def _limit_memory() -> None:
+    """Cap the suite's address space, so a mutant that allocates without
+    end fails with MemoryError instead of exhausting the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def run_suite(copy: Path, timeout: float | None = None) -> tuple[str, str, float]:
+    """(outcome, first failing test, seconds) of one ``-x`` Tier-1 run in the copy."""
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)  # no examples carried over
+    path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(TIER1, cwd=copy, capture_output=True, text=True,
+                              timeout=timeout, env={**os.environ, "PYTHONPATH": path},
+                              preexec_fn=_limit_memory)
+    except subprocess.TimeoutExpired:
+        return "killed", "(timeout)", time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    if proc.returncode == 0:
+        return "survived", "", seconds
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    return "killed", failed.group(1) if failed else f"(exit {proc.returncode})", seconds
+
+
+def probe(names: list[str], run=run_suite) -> int:
+    """Run ``run`` (``run_suite``) on a copy of the checkout, unmutated and
+    then once per sampled mutant of each module, and print the report;
+    1 if the unmutated suite fails, else 0."""
+    with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(CHECKOUT, copy, ignore=IGNORED)
+        outcome, failed, base_s = run(copy)
+        if outcome != "survived":
+            print(f"the unmutated suite fails at {failed}", file=sys.stderr)
+            return 1
+        print(f"unmutated suite: {base_s:.1f} s; seed {SEED}, {SAMPLE} mutants per module",
+              flush=True)
+        for name in names:
+            rel = PACKAGE / f"{name}.py"
+            source = (copy / rel).read_text()
+            chosen = sample(name, source)
+            killed = 0
+            for m in chosen:
+                (copy / rel).write_text(m.apply(source))
+                try:
+                    outcome, failed, seconds = run(copy, TIMEOUT_FACTOR * base_s)
+                finally:
+                    (copy / rel).write_text(source)
+                killed += outcome == "killed"
+                print(f"{rel}:{m.line}:{m.col + 1}  {m.describe(source)}  {outcome} "
+                      f"({seconds:.1f} s)" + (f"  {failed}" if failed else ""), flush=True)
+            print(f"{name}: {killed} killed, {len(chosen) - killed} survived "
+                  f"of {len(chosen)}", flush=True)
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    if not argv or any(not (CHECKOUT / PACKAGE / f"{name}.py").is_file() for name in argv):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    return probe(argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

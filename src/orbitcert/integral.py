@@ -149,7 +149,11 @@ def cor68_from_values(model: RootSystemModel, values, den: int) -> int | None:
 
 
 def prop67_dim(dim_g: int, dim_g_lambda: int, dim_orbit_w: int) -> int:
-    """dim VA(U/J(lambda)) = dim g - dim g(lambda) + dim O_w (caller supplies O_w)."""
+    """dim VA(U/J(lambda)) = dim g - dim g(lambda) + dim O_w (caller supplies O_w);
+    TypeError unless each argument is an int (a bool is not)."""
+    for value in (dim_g, dim_g_lambda, dim_orbit_w):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"prop67_dim takes integer dimensions, not {value!r}")
     if dim_g < 0 or dim_g_lambda < 0 or dim_orbit_w < 0 or dim_g < dim_g_lambda:
         raise ValueError("need 0 <= dim g(lambda) <= dim g and dim O_w >= 0")
     return dim_g - dim_g_lambda + dim_orbit_w

@@ -56,7 +56,11 @@ class LeviDescriptor:
     def __post_init__(self):
         if self.kind not in ("gl", "so", "sp"):
             raise ValueError(f"unknown ambient type {self.kind!r}")
+        _int_value(self.ambient, "ambient")
+        if self.tail is not None:
+            _int_value(self.tail.m, "m")
         for blk in self.gl_blocks:
+            _int_value(blk.k, "k")
             if blk.d.total != blk.k:
                 raise ValueError(f"gl block partition {blk.d.parts} is not of {blk.k}")
         if self.kind == "gl":
@@ -103,15 +107,15 @@ class LeviDescriptor:
         blocks = data.get("gl_blocks", [])
         if not isinstance(blocks, list):
             raise ValueError("gl_blocks must be a list")
-        gl_blocks = tuple(GLBlock(_json_int(_json_field(b, "k", "gl block"), "k"),
+        gl_blocks = tuple(GLBlock(_int_value(_json_field(b, "k", "gl block"), "k"),
                                   Partition(_json_parts(_json_field(b, "d", "gl block")), "gl"))
                           for b in blocks)
         tail = None
         if data.get("tail") is not None:
             t = data["tail"]
-            tail = Tail(_json_int(_json_field(t, "m", "tail"), "m"),
+            tail = Tail(_int_value(_json_field(t, "m", "tail"), "m"),
                         Partition(_json_parts(_json_field(t, "c", "tail")), kind))
-        return cls(kind, _json_int(ambient, "ambient"), gl_blocks, tail)
+        return cls(kind, _int_value(ambient, "ambient"), gl_blocks, tail)
 
 
 def _json_field(obj, key: str, what: str):
@@ -120,7 +124,8 @@ def _json_field(obj, key: str, what: str):
     return obj[key]
 
 
-def _json_int(value, what: str) -> int:
+def _int_value(value, what: str) -> int:
+    """``value`` if it is an int, which a bool is not; ValueError otherwise."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, not {value!r}")
     return value
@@ -129,7 +134,7 @@ def _json_int(value, what: str) -> int:
 def _json_parts(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ValueError(f"partition must be a list of integers, not {value!r}")
-    return tuple(_json_int(x, "partition part") for x in value)
+    return tuple(_int_value(x, "partition part") for x in value)
 
 
 def _componentwise_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -240,9 +240,11 @@ def bv_candidate(model: RootSystemModel, h_dual: Weight) -> Weight:
     h_dual is the dominant characteristic of a dual-side sl2-triple; the
     associated variety of the primitive ideal at h_dual - rho is the closure
     of the dual orbit.  Emits a warning when h_dual is not even, since dual
-    characteristics of rigid elements are always even.
+    characteristics of rigid elements are always even.  h_dual is
+    canonicalized first, so every representative gives the same candidate.
     """
     import orbitcert.rootsys as rs
+    h_dual = rs.canonicalize(model, h_dual)
     nums, den = rs.simple_pairings(model, h_dual)
     for alpha, value in zip(model.simple_roots, nums):
         if value < 0:

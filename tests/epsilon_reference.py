@@ -14,6 +14,14 @@ no arithmetic with the engine.  The functions above it run on the engine's
 ``Weight`` and gate the simple-root kernel.  Linear solves, kernels and
 Cartan-type names come from ``matrix_reference`` and ``dynkin_reference``,
 so no elimination or type namer is shared with the engine either.
+
+``CertificateInput`` and ``certify`` are the end-to-end reference
+certificate: the rules of (A)-(D) and the input checks written out on the
+quantities of this module.  Only the report format (``CheckResult``,
+``CertificateReport`` and the status names) comes from the engine.
+``integral_system`` and ``delta_prime`` return immutable values and are
+memoized per (model, weight): the differential tests ask for them again
+and again on the same few weights.
 """
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +30,7 @@ from functools import lru_cache
 import dynkin_reference
 import matrix_reference
 from orbitcert import rootsys as rs
+from orbitcert.certify import FAIL, PASS, UNDECIDED, CertificateReport, CheckResult
 from orbitcert.integral import IntegralSystem
 from orbitcert.rootsys import Weight
 
@@ -104,6 +113,7 @@ def _indecomposables(pos_vectors):
             if not any((beta - gamma) in vset for gamma in pos_vectors if gamma != beta)]
 
 
+@lru_cache(maxsize=None)
 def integral_system(model, lambda_prime):
     pos = [beta for beta in model.positive_roots
            if rs.pairing(model, lambda_prime, beta).denominator == 1]
@@ -160,16 +170,16 @@ def delta(model, pi0, h):
     return Weight(tuple(acc))
 
 
+@lru_cache(maxsize=None)
 def delta_prime(model, h):
-    acc = [Fraction(0)] * model.ambient_dim
+    total = _zero(model)
     for beta in model.positive_roots:
         ev = beta.dot(h)
         if ev.denominator != 1:
             raise ValueError(f"h is not integral on root {beta}: <a,h> = {ev}")
         if ev in (0, 1):
-            for i, c in enumerate(beta.coords):
-                acc[i] += c / 2
-    return Weight(tuple(acc))
+            total = total + beta
+    return Fraction(1, 2) * total
 
 
 def in_levi_span(model, mu, pi0):
@@ -187,6 +197,111 @@ def in_levi_span(model, mu, pi0):
     for c, i in zip(coeffs, ordered):
         recon = recon + c * model.simple_roots[i]
     return False, mu - recon
+
+
+def centralizer_dim_from_h(model, h):
+    """dim g(0) + dim g(1) of the grading by h."""
+    dims = graded_dims(model, h)
+    return dims.get(0, 0) + dims.get(1, 0)
+
+
+def orbit_dim_from_h(model, h):
+    dim_orbit = model.dim - centralizer_dim_from_h(model, h)
+    if dim_orbit % 2:
+        raise ValueError(f"orbit dimension {dim_orbit} is odd: h is not the "
+                         "characteristic of a nilpotent")
+    return dim_orbit
+
+
+def verdict_A(model, pi0, lambda_prime, principal_in_levi):
+    """(A): the first Levi positive root, in model order, on whose coroot
+    lambda' is a positive integer fails; undecided unless e is principal."""
+    if not principal_in_levi:
+        return CheckResult(UNDECIDED, detail="criterion needs e regular in the Levi")
+    for beta in levi_positive(model, pi0):
+        value = rs.pairing(model, lambda_prime, beta)
+        if value > 0 and value.denominator == 1:
+            return CheckResult(FAIL, witness=beta,
+                               detail=f"<lambda', alpha^vee> = {value} in Z_>0")
+    return CheckResult(PASS)
+
+
+def verdict_B(cor68, dim_orbit):
+    """(B): cor68 (None when lambda' is not positive on the simple integral
+    coroots) against dim O."""
+    if cor68 is None:
+        return CheckResult(UNDECIDED, detail="positivity hypothesis fails; supply the cell "
+                                             "orbit to prop67_dim for the parametric formula")
+    if cor68 == dim_orbit:
+        return CheckResult(PASS, detail=f"dim VA = {cor68} = dim O")
+    return CheckResult(FAIL, witness=(cor68, dim_orbit),
+                       detail=f"dim VA = {cor68} != dim O = {dim_orbit}")
+
+
+def verdict_C(model, pi0, mu):
+    """(C): mu = lambda' - delta' in the rational span of Pi_0."""
+    ok, info = in_levi_span(model, mu, pi0)
+    if ok:
+        return CheckResult(PASS, witness=info)
+    return CheckResult(FAIL, witness=info, detail="nonzero residual off the Levi span")
+
+
+def verdict_D(principal_in_levi):
+    if principal_in_levi:
+        return CheckResult(PASS, detail="vacuous: e is of principal Levi type")
+    return CheckResult(UNDECIDED, detail="cannot decide W-algebra module structure")
+
+
+@dataclass(frozen=True)
+class CertificateInput:
+    """The certificate's inputs, checked in the engine's order with its
+    error texts: Pi_0, h integral, h in the Levi coroot span, then h equal
+    to 2 on the Levi simple roots under the principal flag.  An omitted h
+    is ``h_regular`` of the Levi."""
+
+    model: object
+    levi: tuple
+    h: object
+    lambda_prime: Weight
+    principal_in_levi: bool = False
+
+    def __post_init__(self):
+        model = self.model
+        if not all(type(i) is int and 0 <= i < model.rank for i in self.levi):
+            raise ValueError(f"Pi_0 must be a subset of 0..{model.rank - 1}")
+        levi = tuple(sorted(set(self.levi)))
+        h = h_regular(model, levi) if self.h is None else Weight(
+            canonicalize(model, self.h.coords).coords)
+        object.__setattr__(self, "levi", levi)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "lambda_prime",
+                           Weight(canonicalize(model, self.lambda_prime.coords).coords))
+        graded_dims(model, h)  # names the first root on which h is not integral
+        ok, residual = in_levi_span(model, h, levi)
+        if not ok:
+            raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
+        if self.principal_in_levi and any(model.simple_roots[i].dot(h) != 2 for i in levi):
+            raise ValueError("principal_in_levi requires <alpha, h> = 2 "
+                             "on every Levi simple root")
+
+
+def certify(inp):
+    """(A)-(D) and the report: dim O from ``graded_dims``, cor68 from
+    ``integral_system``, and (C) on lambda' - ``delta_prime``."""
+    model, levi, h, lam = inp.model, inp.levi, inp.h, inp.lambda_prime
+    dim_orbit = orbit_dim_from_h(model, h)
+    cor68 = integral_system(model, lam).cor68
+    dprime = delta_prime(model, h)
+    return CertificateReport(
+        verdict_A=verdict_A(model, levi, lam, inp.principal_in_levi),
+        verdict_B=verdict_B(cor68, dim_orbit),
+        verdict_C=verdict_C(model, levi, lam - dprime),
+        verdict_D=verdict_D(inp.principal_in_levi),
+        dim_g=model.dim,
+        dim_orbit=dim_orbit,
+        cor68=cor68,
+        delta_prime=dprime,
+    )
 
 
 @dataclass(frozen=True)

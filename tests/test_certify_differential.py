@@ -1,5 +1,6 @@
-"""Differential test: the one-pass certificate against the one it replaced
-(tests/certify_reference.py).
+"""Differential test: the one-pass certificate against the reference
+certificate of tests/epsilon_reference.py, which writes out the rules of
+(A)-(D) on its own epsilon-coordinate quantities.
 
 Seeded cases over every default type reach each verdict of (A)-(D), both
 --principal states and the input errors (h off the Levi coroot span, h not
@@ -8,8 +9,9 @@ dimension); on A4 and G2 further cases put lambda' off the root span, so
 (C) fails by that alone.  For each case the CLI prints the same bytes to stdout and
 stderr and exits with the same code, in JSON and in text, when it runs the
 reference ``CertificateInput`` and ``certify``; the library gives equal
-integral systems, Levi-span solves and root coordinates; and the walk by
-coroot height finds the same simple coroots as the pair scan.  The default
+integral systems, Levi-span solves and root coordinates (the reference
+solve over every simple root); and the walk by coroot height finds the same
+simple coroots as the pair scan.  The default
 h (no --h, ``CertificateInput`` given None) is checked against the input
 given ``h_regular`` on every Levi subset, and on the CLI against the
 reference run with --h set to that h.
@@ -24,7 +26,7 @@ from functools import cache
 
 import pytest
 
-import certify_reference as ref
+import epsilon_reference as ref
 from orbitcert import certify as ct
 from orbitcert import cli
 from orbitcert import integral as ig
@@ -153,16 +155,25 @@ def test_library_matches_reference(label):
         assert got == ref.integral_system(model, lam)
         values, den = rs.coroot_values(model, lam)
         by_height = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
-        chosen = sorted(by_height)
         walk = sorted(by_height[pos] for pos in
                       rs.height_simples([model.coroot_codes[k] for k in by_height]))
-        scan = [k for k, simple in zip(chosen, ref.indecomposables(
-            [model.coroot_codes[k] for k in chosen])) if simple]
+        coroots = {model.coroot(model.positive_roots[k]): k for k in sorted(by_height)}
+        scan = [coroots[cv] for cv in ref._indecomposables(list(coroots))]
         assert walk == scan
         assert got.simple_system == tuple(model.positive_roots[k] for k in walk)
         for mu in (h, lam, lam - rs.rho(model)):
-            assert rs.root_coords(model, mu) == ref.root_coords(model, mu)
+            nums, den = rs.root_coords(model, mu)
+            assert [Fr(x, den) for x in nums] == list(_reference_root_coords(model, mu))
             assert ct.in_levi_span(model, mu, levi) == ref.in_levi_span(model, mu, levi)
+
+
+def _reference_root_coords(model, mu):
+    """mu's projection onto the root span on the simple roots: the reference
+    solve over every simple root, of mu less its residual when mu is off the
+    root span."""
+    every = range(model.rank)
+    ok, info = ref.in_levi_span(model, mu, every)
+    return info if ok else ref.in_levi_span(model, mu - info, every)[1]
 
 
 def test_orbit_dim_from_values_matches_graded_dims():
@@ -274,7 +285,26 @@ def test_simple_system_of_matches_pair_scan(label, roots):
     model = rs.build(label)
     rts = list(roots(model))
     assert (_outcome_of(rs.simple_system_of, model, rts)
-            == _outcome_of(ref.simple_system_of, model, rts))
+            == _outcome_of(_simple_system_by_pair_scan, model, rts))
+
+
+def _simple_system_by_pair_scan(model, roots):
+    """The positive roots of a closed root set that are no sum of two of
+    them, in model order; the set is closed when they pair non-positively
+    and generate exactly its positive roots."""
+    for v in roots:
+        if not model.is_root(v):
+            raise ValueError(f"{v} is not a root of {model.cartan_type}")
+    positive = {v if model.is_positive_root(v) else -v for v in roots}
+    simples = ref._indecomposables([b for b in model.positive_roots if b in positive])
+    try:
+        closed = (all(a.dot(b) <= 0 for a, b in itertools.combinations(simples, 2))
+                  and set(ref.enumerate_positive(simples, len(positive))[0]) == positive)
+    except ValueError:  # the simple roots generate more roots than the set holds
+        closed = False
+    if not closed:
+        raise ValueError("root set is not closed under the subsystem structure")
+    return tuple(simples)
 
 
 @pytest.mark.parametrize("label", TYPES)

@@ -180,8 +180,9 @@ def test_cor68_finds_and_checks_no_simple_system(monkeypatch, e8, flagship_h,
 def test_prop67_values():
     assert ig.prop67_dim(248, 46, 0) == 202
     assert ig.prop67_dim(14, 14, 0) == 0
-    # the bound dim g(lambda) = 0 is allowed
+    # the bounds dim g(lambda) = 0 and dim g = 0 are allowed
     assert ig.prop67_dim(14, 0, 0) == 14
+    assert ig.prop67_dim(0, 0, 0) == 0
     # w = identity: dim O_w = dim g(lambda) - rank gives the nilpotent cone
     assert ig.prop67_dim(248, 248, 248 - 8) == 240
 
@@ -193,6 +194,10 @@ def test_prop67_rejects_bad_inputs():
         ig.prop67_dim(-1, 0, 0)
     with pytest.raises(ValueError):
         ig.prop67_dim(10, 4, -2)
+    # a float or a bool is no dimension: no floating point, and True is not 1
+    for args in ((10.5, 2, 0), (True, 0, 0), (248, 46.0, 0), (14, 0, False)):
+        with pytest.raises(TypeError, match="integer dimensions"):
+            ig.prop67_dim(*args)
 
 
 # random-weight properties -----------------------------------------------------

@@ -141,6 +141,21 @@ def test_descriptor_json_round_trip():
      "tail partition \\(1, 1\\) is not of 3"),
     (lambda: ls.LeviDescriptor.from_json_dict({"type": 5, "ambient": 2}),
      "ambient type must be a string"),
+    # a bool or a float is no size, built directly or read from JSON
+    (lambda: ls.LeviDescriptor("gl", True, (ls.GLBlock(1, P((1,))),)),
+     "ambient must be an integer, not True"),
+    (lambda: ls.LeviDescriptor("gl", 2.0, (ls.GLBlock(2, P((2,))),)),
+     "ambient must be an integer, not 2.0"),
+    (lambda: ls.LeviDescriptor("gl", 1, (ls.GLBlock(True, P((1,))),)),
+     "k must be an integer, not True"),
+    (lambda: ls.LeviDescriptor("so", 1, (), ls.Tail(True, P((1,), "so"))),
+     "m must be an integer, not True"),
+    (lambda: ls.LeviDescriptor.from_json_dict(
+        {"type": "gl", "ambient": True, "gl_blocks": [{"k": 1, "d": [1]}]}),
+     "ambient must be an integer, not True"),
+    (lambda: ls.LeviDescriptor.from_json_dict(
+        {"type": "gl", "ambient": 1, "gl_blocks": [{"k": True, "d": [1]}]}),
+     "k must be an integer, not True"),
 ])
 def test_descriptor_rejects_each_bad_shape(build, message):
     with pytest.raises(ValueError, match=message):
@@ -290,6 +305,14 @@ def test_oracle_agrees_with_induce_seeded():
         for trial in range(12):
             levi = ls.random_descriptor(rng, kind, 9)
             assert ls.jordan_oracle(levi, seed=trial, trials=3) == ls.induce(levi)
+
+
+def test_random_descriptor_covers_its_ambient_ranges():
+    """Seeded draws reach every ambient the docstring gives: 2..max-2 for
+    gl, 4..max for so, and the even ones of 4..max for sp."""
+    rng = random.Random(0)
+    for kind, ambients in (("gl", range(2, 8)), ("so", range(4, 10)), ("sp", range(4, 10, 2))):
+        assert {ls.random_descriptor(rng, kind, 9).ambient for _ in range(300)} == set(ambients)
 
 
 # centralizer oracle ----------------------------------------------------------

@@ -218,6 +218,16 @@ def test_bv_candidate_even_raises_no_warning(e8):
         assert ob.bv_candidate(e8, 2 * rs.rho(e8)) == rs.rho(e8)
 
 
+def test_bv_candidate_canonicalizes_h_dual(e8):
+    """In the E8 model a weight and that weight plus a multiple of the
+    all-ones vector are one element, so they give one candidate: the
+    all-ones vector is h_dual = 0, whose candidate is -rho."""
+    ones = rs.weight([1] * 9)
+    assert ob.bv_candidate(e8, ones) == -rs.rho(e8)
+    h_dual = 2 * rs.rho(e8)
+    assert ob.bv_candidate(e8, h_dual + Fraction(5, 3) * ones) == rs.rho(e8)
+
+
 def test_bv_candidate_rejects_non_dominant(e8):
     with pytest.raises(ValueError):
         ob.bv_candidate(e8, -rs.rho(e8))

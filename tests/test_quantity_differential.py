@@ -1,8 +1,9 @@
 """Differential test: ``check_C`` and ``centralizer_dim_from_h`` against the
-paths they replaced (tests/certify_reference.py).
+reference certificate's quantities (tests/epsilon_reference.py).
 
 ``check_C`` runs the integer (C) kernel that ``certify`` runs; the reference
-builds lambda' - delta' in epsilon coordinates and solves it over the Levi.
+builds lambda' - delta' in epsilon coordinates and solves it over the Levi
+with the dual basis of the simple roots.
 Seeded cases on every default type put lambda' on the Levi span, off it, on
 a random point of the root span and at a random epsilon vector, with h the
 regular characteristic of the Levi, a random integral h or h / 2.  On the
@@ -15,10 +16,11 @@ characteristics (an odd orbit dimension) and h that are not integral.
 """
 import random
 from fractions import Fraction as Fr
+from functools import cache
 
 import pytest
 
-import certify_reference as ref
+import epsilon_reference as ref
 from orbitcert import certify as ct
 from orbitcert import orbits as orb
 from orbitcert import rootsys as rs
@@ -45,6 +47,7 @@ def _integral_h(model, rng):
     return h
 
 
+@cache
 def cases(label):
     """(levi, h, lambda', lambda kind, h kind) for one type, seeded by its label."""
     model = rs.build(label)
@@ -98,7 +101,7 @@ def _check_outcome(fn, *args):
 
 
 def _reference_check_C(model, levi, h, lam):
-    return ref._verdict_C(model, levi, lam - ref.delta_prime(model, h))
+    return ref.verdict_C(model, levi, lam - ref.delta_prime(model, h))
 
 
 @pytest.mark.parametrize("label", TYPES)

@@ -1,4 +1,6 @@
-"""Smoke tests: each experiment script runs and prints its conclusion."""
+"""Smoke tests: each experiment script runs and prints its conclusion; the
+mutation probe is checked without running the suite."""
+import ast
 import runpy
 import sys
 from pathlib import Path
@@ -23,3 +25,43 @@ def test_oracle_audit(capsys, monkeypatch):
 def test_congruence_sweep_g2(capsys):
     runpy.run_path(str(SCRIPTS / "congruence_sweep.py"))["sweep"]("G2")
     assert capsys.readouterr().out.startswith("G2: 4 subsets, ")
+
+
+def _nodes(tree):
+    """Each node of a tree as its type and its non-node fields, positions aside."""
+    skip = {"lineno", "col_offset", "end_lineno", "end_col_offset"}
+    return [(type(node).__name__,
+             [(name, value) for name, value in ast.iter_fields(node)
+              if name not in skip and not isinstance(value, (ast.AST, list))])
+            for node in ast.walk(tree)]
+
+
+def test_mutation_probe_mutants_and_copy(capsys):
+    """The probe's draw for a module is the same on every call; each mutant
+    parses and differs from the source in exactly one node; and a probe run,
+    with a stand-in for the suite, writes each mutant only into its copy of
+    the checkout, leaving the working tree's file byte-identical."""
+    probe = runpy.run_path(str(SCRIPTS / "mutation_probe.py"))
+    path = SCRIPTS.parent / "src" / "orbitcert" / "integral.py"
+    before = path.read_bytes()
+    source = before.decode()
+    chosen = probe["sample"]("integral", source)
+    assert chosen == probe["sample"]("integral", source)
+    assert len(chosen) == probe["SAMPLE"] and set(chosen) <= set(probe["mutants"](source))
+    original = _nodes(ast.parse(source))
+    for m in chosen:
+        mutated = _nodes(ast.parse(m.apply(source)))
+        assert len(mutated) == len(original)
+        assert sum(a != b for a, b in zip(original, mutated)) == 1, m
+    seen = []
+
+    def run(copy, timeout=None):
+        assert copy != SCRIPTS.parent
+        seen.append((copy / "src" / "orbitcert" / "integral.py").read_text())
+        return "survived", "", 0.0
+
+    assert probe["probe"](["integral"], run) == 0
+    assert seen == [source] + [m.apply(source) for m in chosen]
+    assert path.read_bytes() == before
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"integral: 0 killed, {len(chosen)} survived of {len(chosen)}"
