@@ -56,8 +56,8 @@ def theta_for_levi(model: RootSystemModel, pi0) -> Weight:
 def _regular_coroot_sum(model: RootSystemModel, mask: int) -> list[int]:
     """2 rho_0^vee on the simple coroots: the sum of the Levi's positive coroots."""
     off = ~mask
-    return _coefficient_sum([cv for cv, s in zip(model.coroot_coefficients, model.supports)
-                             if not s & off], model.rank)
+    return _coefficient_sum([cv for s, cv in model.support_coroot_sums if not s & off],
+                            model.rank)
 
 
 def _regular_values(model: RootSystemModel, mask: int) -> list[int]:
@@ -112,25 +112,32 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
 
     Returns (True, coefficients) on success or (False, residual) on failure;
     each coefficient is an int when integral, else a Fraction.
-    mu's coordinates on the simple roots are read once (those of its
-    projection onto the root span); membership is the support check that
-    the coefficients outside Pi_0 vanish, plus mu lying in the root span,
-    so inputs outside the root span fail with the honest residual.
+    mu's coordinates on the simple roots (those of its projection onto the
+    root span) and whether mu lies in the root span come from one product
+    (``rootsys.span_coords``); membership is the support check that the
+    coordinates outside Pi_0 vanish, plus mu lying in the root span, so
+    inputs outside the root span fail with the honest residual.
     """
     mask = levi_mask(model, pi0)
     mu = rootsys.canonicalize(model, mu)
-    return _levi_solve(model, mu, *rootsys.root_coords(model, mu), mask)
+    return _levi_solve(model, mu, *rootsys.span_coords(model, mu), mask)
 
 
-def _levi_solve(model: RootSystemModel, w: Weight, nums, den: int, mask: int,
+def _levi_solve(model: RootSystemModel, w: Weight, nums, den: int, inside: bool, mask: int,
                 base=None) -> tuple[bool, tuple[numbers.Rational, ...] | Weight]:
     """``in_levi_span`` of mu = w - sum_i (base[i] / den) a_i (base 0 by
     default), whose simple-root coordinates are nums / den, for Pi_0 given
-    as its bit set (coefficients in increasing index); mu is in the root
-    span when w is."""
-    if (all(x == 0 for i, x in enumerate(nums) if not mask >> i & 1)
-            and rootsys.in_root_span(model, w)):
-        return True, tuple(rootsys.rational(x, den) for i, x in enumerate(nums) if mask >> i & 1)
+    as its bit set (coefficients in increasing index); ``inside`` says
+    whether w, and so mu, lies in the root span."""
+    if inside:
+        coeffs = []
+        for i, x in enumerate(nums):
+            if mask >> i & 1:
+                coeffs.append(rootsys.rational(x, den))
+            elif x:
+                break
+        else:
+            return True, tuple(coeffs)
     base = base or itertools.repeat(0)
     return False, w - combine(model, [b + x if mask >> i & 1 else b
                                       for i, (x, b) in enumerate(zip(nums, base))], den)
@@ -201,10 +208,11 @@ def _verdict_C(model: RootSystemModel, mask: int, lambda_prime: Weight,
                two_dp) -> CheckResult:
     """``check_C`` for a canonical lambda', 2 delta' on the simple roots and
     Pi_0 as its bit set."""
-    nums, den = rootsys.root_coords(model, lambda_prime)
+    nums, den, inside = rootsys.span_coords(model, lambda_prime)
     # lambda' - delta' on the simple roots, over 2 den
     mu = [2 * x - den * y for x, y in zip(nums, two_dp)]
-    ok, info = _levi_solve(model, lambda_prime, mu, 2 * den, mask, [den * y for y in two_dp])
+    ok, info = _levi_solve(model, lambda_prime, mu, 2 * den, inside, mask,
+                           [den * y for y in two_dp])
     if ok:
         return CheckResult(PASS, witness=info)
     return CheckResult(FAIL, witness=info, detail="nonzero residual off the Levi span")
@@ -251,7 +259,7 @@ class CertificateInput:
             values = _regular_values(model, mask)
         else:
             values = h_values(model, h)
-            ok, residual = _levi_solve(model, h, *rootsys.root_coords(model, h), mask)
+            ok, residual = _levi_solve(model, h, *rootsys.span_coords(model, h), mask)
             if not ok:
                 raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
         object.__setattr__(self, "h_simple", tuple(values))

@@ -27,7 +27,7 @@ The E-type models live in the 9-coordinate quotient of R^9 by the diagonal
 sub-root-systems of E8 generated by {a2..a7, a8} and {a3..a7, a8}.  All
 other types use the standard orthonormal epsilon-models and the identity
 canonicalizer.  A vector enters simple-root coordinates once
-(``simple_pairings``, ``dynkin_labels``, ``h_values``, ``root_coords``, all
+(``simple_pairings``, ``dynkin_labels``, ``h_values``, ``span_coords``, all
 reading ``nums`` and ``den``) and leaves them once (``combine``).
 
 Each certificate input has one reader: ``levi_mask`` reads a Levi subset
@@ -43,10 +43,11 @@ addition per root: ``root_steps`` writes each positive root as a simple root
 or as an earlier positive root plus a simple root, and ``coroot_steps`` does
 the same for the coroots on the simple coroots, in order of coroot height.
 ``root_values`` runs the first on h's simple values; ``coroot_values`` runs
-the second on a weight's Dynkin labels.  ``root_coords`` reads one cached
-rank x ambient integer matrix, the coweight rows times the simple-root rows
-over one denominator, so a vector's coordinates on the simple roots are one
-product.
+the second on a weight's Dynkin labels.  ``span_coords`` reads one cached
+integer matrix, the coweight rows times the simple-root rows over one
+denominator stacked on a basis of the complement of the root span, so a
+vector's coordinates on the simple roots and whether it lies in the root
+span are one product (``root_coords`` and ``in_root_span`` read it).
 
 The simple system of a root subsystem is found by height too
 (``height_simples``): walk its positive roots in order of height and keep a
@@ -95,7 +96,7 @@ class Weight:
         g = math.gcd(den, *nums)
         if g == 1:
             return _weight(tuple(nums), den)
-        return _weight(tuple(x // g for x in nums), den // g)
+        return _weight(tuple([x // g for x in nums]), den // g)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -105,22 +106,34 @@ class Weight:
         raise AttributeError(f"Weight is immutable: cannot assign {name!r}")
 
     def __add__(self, other: "Weight") -> "Weight":
-        if len(self.nums) != len(other.nums):
+        a, b = self.nums, other.nums
+        if len(a) != len(b):
             raise _length_error(self, other)
         d1, d2 = self.den, other.den
         if d1 == d2:
-            return Weight.from_ints(list(map(add, self.nums, other.nums)), d1)
-        return Weight.from_ints([a * d2 + b * d1 for a, b in zip(self.nums, other.nums)],
-                                d1 * d2)
+            return Weight.from_ints(list(map(add, a, b)), d1)
+        if d1 % d2 == 0:
+            k = d1 // d2
+            return Weight.from_ints([x + k * y for x, y in zip(a, b)], d1)
+        if d2 % d1 == 0:
+            k = d2 // d1
+            return Weight.from_ints([k * x + y for x, y in zip(a, b)], d2)
+        return Weight.from_ints([x * d2 + y * d1 for x, y in zip(a, b)], d1 * d2)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        if len(self.nums) != len(other.nums):
+        a, b = self.nums, other.nums
+        if len(a) != len(b):
             raise _length_error(self, other)
         d1, d2 = self.den, other.den
         if d1 == d2:
-            return Weight.from_ints(list(map(sub, self.nums, other.nums)), d1)
-        return Weight.from_ints([a * d2 - b * d1 for a, b in zip(self.nums, other.nums)],
-                                d1 * d2)
+            return Weight.from_ints(list(map(sub, a, b)), d1)
+        if d1 % d2 == 0:
+            k = d1 // d2
+            return Weight.from_ints([x - k * y for x, y in zip(a, b)], d1)
+        if d2 % d1 == 0:
+            k = d2 // d1
+            return Weight.from_ints([k * x - y for x, y in zip(a, b)], d2)
+        return Weight.from_ints([x * d2 - y * d1 for x, y in zip(a, b)], d1 * d2)
 
     def __neg__(self) -> "Weight":
         return _weight(tuple(-x for x in self.nums), self.den)
@@ -131,9 +144,12 @@ class Weight:
         return Weight.from_ints([p * x for x in self.nums], s.denominator * self.den)
 
     def dot(self, other: "Weight") -> numbers.Rational:
-        if len(self.nums) != len(other.nums):
+        """The dot product, as ``rational`` gives it: an int when integral."""
+        a, b = self.nums, other.nums
+        if len(a) != len(b):
             raise _length_error(self, other)
-        return rational(sum(map(mul, self.nums, other.nums)), self.den * other.den)
+        num, den = sum(map(mul, a, b)), self.den * other.den
+        return num // den if num % den == 0 else Fraction(num, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Weight):
@@ -387,18 +403,31 @@ class RootSystemModel:
         return [[x * self.gram_den for x in row] for row in rows], den
 
     @cached_property
-    def root_coord_rows(self) -> tuple[list[list[int]], int]:
-        """(rows, den): w's orthogonal projection onto the span of the simple
-        roots is sum_i (rows[i] . w.nums) / (den w.den) a_i; the coweight rows
-        times the simple-root rows."""
+    def span_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, den) for the one product ``span_coords`` makes with w.nums.
+        The first rank rows are the coweight rows times the simple-root rows:
+        w's orthogonal projection onto the span of the simple roots is
+        sum_i (rows[i] . w.nums) / (den w.den) a_i.  The rows after them
+        span the orthogonal complement of that span (``span_complement``),
+        so w lies in the span exactly when they all pair to zero with it."""
         coweights, coweight_den = self.coweight_rows
         basis, _, basis_den = self._basis
-        return ([[sum(map(mul, row, col)) for col in zip(*basis)] for row in coweights],
-                coweight_den * basis_den)
+        coords = [[sum(map(mul, row, col)) for col in zip(*basis)] for row in coweights]
+        return coords + _common_rows(span_complement(self))[0], coweight_den * basis_den
 
     @cached_property
-    def _complement_rows(self) -> list[list[int]]:
-        return _common_rows(span_complement(self))[0]
+    def support_coroot_sums(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(support, coroot sum) for each distinct bit set of ``supports``:
+        the coroot coefficients of the positive roots with that support,
+        summed.  A sum of coroots over the roots whose support lies in a set
+        of simple roots runs over these, fewer than the roots (44 against
+        120 for E8)."""
+        sums: dict[int, list[int]] = {}
+        for s, cv in zip(self.supports, self.coroot_coefficients):
+            acc = sums.setdefault(s, [0] * self.rank)
+            for i, c in enumerate(cv):
+                acc[i] += c
+        return tuple((s, tuple(acc)) for s, acc in sums.items())
 
     def inner(self, u: Weight, v: Weight) -> numbers.Rational:
         """The invariant symmetric form: the dot product of canonical reps."""
@@ -527,7 +556,7 @@ def h_values(model: RootSystemModel, h: Weight) -> list[int]:
     model order, on which h is not integral, and h's value there.
     """
     nums, den = simple_pairings(model, h)
-    if all(x % den == 0 for x in nums):
+    if not any([x % den for x in nums]):
         return [x // den for x in nums]
     k, value = next((k, v) for k, v in enumerate(root_values(model, nums)) if v % den)
     raise ValueError(f"h is not integral on root {model.positive_roots[k]}: "
@@ -570,20 +599,28 @@ def _steps(coeffs, order) -> tuple[tuple[int, int, int], ...]:
     return tuple(steps)
 
 
-def root_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
-    """(nums, den): w's orthogonal projection onto the span of the simple
-    roots is sum_i (nums[i] / den) a_i."""
+def span_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int, bool]:
+    """(nums, den, inside): w's orthogonal projection onto the span of the
+    simple roots is sum_i (nums[i] / den) a_i, and inside says whether w
+    lies in that span; one integer product with ``span_rows``."""
     _check_length(model, w)
     nums = w.nums
-    rows, den = model.root_coord_rows
-    return [sum(map(mul, row, nums)) for row in rows], w.den * den
+    rows, den = model.span_rows
+    values = [sum(map(mul, row, nums)) for row in rows]
+    rank = model.rank
+    return values[:rank], w.den * den, not any(values[rank:])
+
+
+def root_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
+    """(nums, den): w's orthogonal projection onto the span of the simple
+    roots is sum_i (nums[i] / den) a_i (``span_coords``)."""
+    nums, den, _ = span_coords(model, w)
+    return nums, den
 
 
 def in_root_span(model: RootSystemModel, w: Weight) -> bool:
-    """Whether w lies in the rational span of the simple roots."""
-    _check_length(model, w)
-    nums = w.nums
-    return all(sum(map(mul, v, nums)) == 0 for v in model._complement_rows)
+    """Whether w lies in the rational span of the simple roots (``span_coords``)."""
+    return span_coords(model, w)[2]
 
 
 def combine(model: RootSystemModel, coeffs, den: int = 1) -> Weight:
@@ -591,7 +628,7 @@ def combine(model: RootSystemModel, coeffs, den: int = 1) -> Weight:
     exact rationals."""
     if len(coeffs) != model.rank:
         raise ValueError(f"expected {model.rank} simple-root coefficients")
-    if not all(isinstance(c, int) for c in coeffs):
+    if not all([isinstance(c, int) for c in coeffs]):
         scaled = Weight(coeffs)
         coeffs, den = scaled.nums, den * scaled.den
     _, columns, basis_den = model._basis
@@ -774,10 +811,11 @@ def levi_mask(model: RootSystemModel, pi0) -> int:
     """Pi_0, a subset of the simple-root indices, as its bit set (bit i for
     a_i).  Every entry point that takes Pi_0 reads it here: ValueError for
     an index that is not an int (a bool is not) or is outside 0..rank-1."""
+    rank = model.rank
     mask = 0
     for i in pi0:
-        if type(i) is not int or not 0 <= i < model.rank:
-            raise ValueError(f"Pi_0 must be a subset of 0..{model.rank - 1}")
+        if type(i) is not int or not 0 <= i < rank:
+            raise ValueError(f"Pi_0 must be a subset of 0..{rank - 1}")
         mask |= 1 << i
     return mask
 

@@ -5,6 +5,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -65,3 +67,29 @@ def test_mutation_probe_mutants_and_copy(capsys):
     assert path.read_bytes() == before
     assert capsys.readouterr().out.splitlines()[-1] == \
         f"integral: 0 killed, {len(chosen)} survived of {len(chosen)}"
+
+
+def test_paired_bench_verdict():
+    """The paired rule, without running the benchmark: at least nine wins in
+    ten, ties counting for neither side, and a median gap in the better
+    direction larger than the parent's interquartile range."""
+    verdict = runpy.run_path(str(SCRIPTS / "paired_bench.py"))["verdict"]
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+    faster = [p + 10 for p in parent]
+    shown = verdict(parent, faster, True)
+    assert shown["shown"] and shown["wins"] == 10 and shown["gap"] == 10
+    assert shown["parent_iqr"] == 101.0 - 99.25
+    # the same numbers read as times: every pair lost
+    assert verdict(parent, faster, False) == {**shown, "wins": 0, "gap": -10, "shown": False}
+    # nine wins of ten still count, a tie counts for neither side
+    nine = faster[:9] + [parent[9]]
+    assert verdict(parent, nine, True)["wins"] == 9 and verdict(parent, nine, True)["shown"]
+    eight = faster[:8] + parent[8:]
+    assert verdict(parent, eight, True)["wins"] == 8 and not verdict(parent, eight, True)["shown"]
+    # ten wins by a gap inside the parent's spread
+    small = [p + 1 for p in parent]
+    assert verdict(parent, small, True)["wins"] == 10
+    assert not verdict(parent, small, True)["shown"]
+    for bad in ((parent, parent[:9]), ([1.0], [2.0])):
+        with pytest.raises(ValueError):
+            verdict(*bad, True)

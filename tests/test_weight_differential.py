@@ -224,3 +224,113 @@ def test_antidominant_rep_and_apply_word_match(label):
             _assert_same(ig.apply_word(simples, random_word, mu),
                          ref.apply_word(ref_simples, random_word, ref_mu))
     assert minimal == {True, False}
+
+
+# Denominator pairs for + and -: equal (1 included), d2 | d1, d1 | d2, coprime,
+# and neither dividing the other nor coprime.
+DENOMINATOR_PAIRS = {
+    "equal": [(1, 1), (3, 3), (6, 6)],
+    "second_divides_first": [(3, 1), (6, 2), (6, 3), (9, 3)],
+    "first_divides_second": [(1, 3), (2, 6), (3, 6), (3, 9)],
+    "coprime": [(2, 3), (3, 2), (4, 9), (9, 4)],
+    "other": [(4, 6), (6, 4), (6, 9)],
+}
+
+
+def _over(rng, dim, den):
+    """A random vector whose lowest-terms denominator is exactly den."""
+    nums = [rng.randint(-12, 12) for _ in range(dim)]
+    nums[rng.randrange(dim)] = 1
+    return [Fr(x, den) for x in nums]
+
+
+@pytest.mark.parametrize("kind", DENOMINATOR_PAIRS)
+def test_sum_and_difference_by_denominator_pair(kind):
+    """Each branch of ``+`` and ``-`` against the Fraction reference, in
+    lowest terms, results that reduce included; ``dot`` is an int exactly
+    when its value is an integer."""
+    rng = random.Random(f"den-{kind}")
+    integral_dots = set()
+    for d1, d2 in DENOMINATOR_PAIRS[kind]:
+        for _ in range(40):
+            dim = rng.choice((3, 9))
+            u, v = _over(rng, dim, d1), _over(rng, dim, d2)
+            w1, w2 = rs.Weight(u), rs.Weight(v)
+            r1, r2 = ref.FractionWeight(u), ref.FractionWeight(v)
+            assert (w1.den, w2.den) == (d1, d2)
+            _assert_same(w1 + w2, r1 + r2)
+            _assert_same(w1 - w2, r1 - r2)
+            _assert_same(w2 - w1, r2 - r1)
+            # results that reduce below the larger denominator
+            _assert_same(w1 + (w2 - w1), r2)
+            _assert_same(w1 - w1, ref.FractionWeight([0] * dim))
+            dot = w1.dot(w2)
+            assert _exact_scalar(dot) and dot == _reference(r1.dot(r2))
+            integral_dots.add(type(dot))
+    assert integral_dots == {int, Fr}
+
+
+@pytest.mark.parametrize("label, complement", [("E6", 3), ("E7", 2), ("E8", 1)])
+def test_in_levi_span_one_product_matches(label, complement):
+    """The E-type models keep the complement of their root span in the rows
+    of the one product (3, 2 and 1 rows); ``in_levi_span`` agrees with the
+    reference on inputs in the Levi span, off it, and off the root span
+    with no coordinate outside Pi_0, where only those rows can tell."""
+    model = rs.build(label)
+    rows, _ = model.span_rows
+    assert len(rows) - model.rank == complement == len(rs.span_complement(model))
+    rng = random.Random(f"one-product-{label}")
+    # the complement less its all-ones direction, which canonicalize removes
+    off_root_span = [c for c in (rs.canonicalize(model, v) for v in rs.span_complement(model))
+                     if not c.is_zero()]
+    assert bool(off_root_span) == (complement > 1)
+    outcomes = set()
+    for pi0 in _levi_subsets(model, rng):
+        inside = [_rational(rng) if i in pi0 else 0 for i in range(model.rank)]
+        mu = rs.combine(model, inside)
+        cases = [mu, mu + Fr(1, 3) * model.simple_roots[rng.randrange(model.rank)]]
+        cases += [mu + Fr(2, 3) * v for v in off_root_span]
+        for w in cases:
+            outcomes.add(_compare_span(model, w, pi0))
+            assert rs.in_root_span(model, w) == (w in cases[:2])
+            assert rs.root_coords(model, w) == rs.span_coords(model, w)[:2]
+    assert outcomes == {True, False}
+
+
+def test_h_regular_matches_reference_on_every_levi():
+    """The regular characteristic of every Levi of the small types, and of
+    a sample of E-type Levis, read through the per-support coroot sums."""
+    rng = random.Random("h-regular")
+    for label in TYPES:
+        model = rs.build(label)
+        for pi0 in _levi_subsets(model, rng):
+            _assert_same(ct.h_regular(model, pi0), ref.h_regular(model, pi0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda e8: rs.weight([1] * 9) + rs.weight([1] * 8), ValueError,
+     "vectors of different lengths: 9 and 8"),
+    (lambda e8: rs.weight([Fr(1, 3)] * 9) - rs.weight([1] * 8), ValueError,
+     "vectors of different lengths: 9 and 8"),
+    (lambda e8: rs.weight([1] * 2).dot(rs.weight([Fr(1, 2)] * 3)), ValueError,
+     "vectors of different lengths: 2 and 3"),
+    (lambda e8: ct.in_levi_span(e8, rs.weight([1] * 8), (0,)), ValueError,
+     "expected 9 coordinates, got 8"),
+    (lambda e8: rs.span_coords(e8, rs.weight([1] * 10)), ValueError,
+     "expected 9 coordinates, got 10"),
+    (lambda e8: ct.in_levi_span(e8, e8.simple_roots[0], (True,)), ValueError,
+     "Pi_0 must be a subset of 0..7"),
+    (lambda e8: ct.in_levi_span(e8, e8.simple_roots[0], (0, 8)), ValueError,
+     "Pi_0 must be a subset of 0..7"),
+    (lambda e8: ct.in_levi_span(e8, e8.simple_roots[0], (-1,)), ValueError,
+     "Pi_0 must be a subset of 0..7"),
+    (lambda e8: ct.h_regular(rs.build("E6"), (6,)), ValueError,
+     "Pi_0 must be a subset of 0..5"),
+    (lambda e8: rs.combine(e8, [1, Fr(1, 2)]), ValueError,
+     "expected 8 simple-root coefficients"),
+], ids=["add", "sub", "dot", "span_length", "span_coords_length", "levi_bool",
+        "levi_high", "levi_negative", "levi_rank", "combine"])
+def test_fast_paths_keep_their_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call(rs.build("E8"))
+    assert type(info.value) is error and str(info.value) == message
