@@ -48,14 +48,17 @@ CRITERIA = {3: ("test_criterion_3_delta_congruence_sweep", 30.0),
             9: ("test_criterion_9_integral_properties_random", None)}
 
 
-def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, str]:
-    """One perfbench run: its result line and its output sha256."""
+def run_once(checkout: Path, workload: str, seconds: float, seed: int = SEED
+             ) -> tuple[dict, str]:
+    """One perfbench run in a checkout, tracing off: its result line and its
+    output sha256."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
-        raise SystemExit(f"{workload}: perfbench exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise SystemExit(f"{workload} in {checkout}: perfbench exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
     lines = proc.stdout.strip().splitlines()
     sha = next(line.split()[1] for line in lines if line.startswith("output_sha256 "))
     return json.loads(lines[-1]), sha
@@ -102,8 +105,16 @@ def criteria(checkout: Path) -> dict:
     return out
 
 
-def summarize(values: list[float]) -> dict:
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3) of at least two values, by the inclusive method."""
+    if len(values) < 2:
+        raise ValueError("quartiles need at least two values")
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(values: list[float]) -> dict:
+    q1, median, q3 = quartiles(values)
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 

@@ -21,22 +21,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import runpy
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
+# one perfbench run and the quartile summary are scripts/bench.py's, read
+# from its file so that this script also loads under runpy
+_BENCH = runpy.run_path(str(Path(__file__).with_name("bench.py")))
+run_once, quartiles = _BENCH["run_once"], _BENCH["quartiles"]
+
 CLAIMED = "ops_per_s"
-RUN_TIMEOUT_S = 600
 SIDES = ("parent", "change")
-
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """(q1, median, q3), by the method scripts/bench.py uses."""
-    if len(values) < 2:
-        raise ValueError("quartiles need at least two values")
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
 
 
 def verdict(parent: list[float], change: list[float], higher_is_better: bool) -> dict:
@@ -53,20 +49,6 @@ def verdict(parent: list[float], change: list[float], higher_is_better: bool) ->
     gap = sign * (statistics.median(change) - parent_median)
     return {"pairs": len(parent), "wins": wins, "gap": gap, "parent_iqr": q3 - q1,
             "shown": 10 * wins >= 9 * len(parent) and gap > q3 - q1}
-
-
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
-    """One perfbench run in a checkout: its result line and output sha256."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    if proc.returncode != 0:
-        raise SystemExit(f"{checkout}: perfbench exited {proc.returncode}:\n"
-                         f"{proc.stderr[-2000:]}")
-    lines = proc.stdout.strip().splitlines()
-    sha = next(line.split()[1] for line in lines if line.startswith("output_sha256 "))
-    return json.loads(lines[-1]), sha
 
 
 def main(argv: list[str]) -> int:
@@ -89,7 +71,7 @@ def main(argv: list[str]) -> int:
     shas = set()
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            result, sha = run_once(checkouts[side], args.workload, args.seed, seconds)
+            result, sha = run_once(checkouts[side], args.workload, seconds, args.seed)
             shas.add(sha)
             counts[side]["attempted"] += result["attempted"]
             counts[side]["failed"] += result["failed"]

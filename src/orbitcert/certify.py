@@ -26,12 +26,12 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, field
-from operator import mul
 
 from . import rootsys
 from .integral import cor68_dim, cor68_from_values
 from .orbits import orbit_dim_from_h, orbit_dim_from_values
-from .rootsys import RootSystemModel, Weight, combine, h_values, levi_mask, root_values
+from .rootsys import (RootSystemModel, Weight, combine, coweight, h_values, levi_mask,
+                      root_values)
 
 PASS, FAIL, UNDECIDED = "pass", "fail", "undecided"
 
@@ -48,30 +48,20 @@ def theta_for_levi(model: RootSystemModel, pi0) -> Weight:
     pairing with a root is the root's coefficient sum outside Pi_0.
     """
     mask = levi_mask(model, pi0)
-    rows, den = model.coweight_rows
-    off = [row for i, row in enumerate(rows) if not mask >> i & 1]
-    return combine(model, _coefficient_sum(off, model.rank), den)
-
-
-def _regular_coroot_sum(model: RootSystemModel, mask: int) -> list[int]:
-    """2 rho_0^vee on the simple coroots: the sum of the Levi's positive coroots."""
-    off = ~mask
-    return _coefficient_sum([cv for s, cv in model.support_coroot_sums if not s & off],
-                            model.rank)
+    return coweight(model, [0 if mask >> i & 1 else 1 for i in range(model.rank)])
 
 
 def _regular_values(model: RootSystemModel, mask: int) -> list[int]:
-    """<alpha_j, h> for the regular characteristic h of the Levi."""
-    coroot_sum = _regular_coroot_sum(model, mask)
-    return [sum(map(mul, row, coroot_sum)) for row in model.cartan]
+    """<alpha_j, h> for the regular characteristic h = 2 rho_0^vee of the
+    Levi: the values of its positive coroots, summed by root support."""
+    off = ~mask
+    return _coefficient_sum([v for s, v in model.support_values if not s & off], model.rank)
 
 
 def h_regular(model: RootSystemModel, pi0) -> Weight:
     """Characteristic of the regular nilpotent of the Levi: the sum of its
     positive coroots (= 2 rho_0^vee); pairs to 2 on each Levi simple root."""
-    coroot_sum = _regular_coroot_sum(model, levi_mask(model, pi0))
-    scale, scale_den = model.coroot_scale
-    return combine(model, list(map(mul, coroot_sum, scale)), scale_den)
+    return coweight(model, _regular_values(model, levi_mask(model, pi0)))
 
 
 def _two_delta(model: RootSystemModel, mask: int, values) -> list[int]:

@@ -4,7 +4,8 @@ Subcommands wrap one engine operation each and serialize the result as JSON
 (default) or text.  Weights are entered in epsilon-coordinates as
 comma-separated exact rationals ("1,7/6,...", read as integers; any other
 form ``Fraction`` accepts, such as "0.5", also works) unless --root-coords
-is given, in which case the entries are coefficients on the simple roots.
+is given, in which case the entries are coefficients on the simple roots
+(``rootsys.read_weight``).
 ``certify`` without --h takes the regular characteristic of the Levi as
 its integer values on the simple roots (``CertificateInput`` given None),
 building no epsilon h.  An argv whose first word is a command goes straight
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import re
 import sys
 from functools import cache
@@ -32,42 +32,9 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .orbits import Partition
-    from .rootsys import RootSystemModel, Weight
+    from .rootsys import RootSystemModel
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
-
-
-# the documented token form [+-]p[/q], in ASCII digits, read straight to integers
-_INTEGER_TOKEN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
-
-
-def _parse_weight(model: RootSystemModel, text: str, root_coords: bool) -> Weight:
-    """The comma-separated tokens of ``text`` as one Weight over the lcm of
-    their denominators.  A token of the form [+-]p[/q] is read as integers
-    in the order ``Fraction`` reads it (p, then q, then the zero check);
-    any other token goes through ``rootsys.parse_rational``, so every value and
-    every error is the one ``Fraction`` gives."""
-    import orbitcert.rootsys as rs
-    fullmatch = re.compile(_INTEGER_TOKEN).fullmatch  # compiled on first use, then from re's cache
-    nums, dens = [], []
-    for part in text.split(","):
-        token = part.strip()
-        m = fullmatch(token)
-        if m is None:
-            value = rs.parse_rational(token)
-            num, den = value.numerator, value.denominator
-        else:
-            p, q = m.groups()
-            num, den = int(p), 1 if q is None else int(q)
-            if den == 0:
-                raise ValueError(f"zero denominator in {token!r}")
-        nums.append(num)
-        dens.append(den)
-    den = math.lcm(*dens)
-    nums = [x * (den // d) for x, d in zip(nums, dens)]
-    if root_coords:
-        return rs.combine(model, nums, den)
-    return rs.canonicalize(model, rs.Weight.from_ints(nums, den))
 
 
 def _parse_levi_indices(text: str, model: RootSystemModel) -> tuple[int, ...]:
@@ -211,8 +178,8 @@ def _cmd_info(args) -> int:
 def _cmd_pairing(args) -> int:
     import orbitcert.rootsys as rs
     model = rs.build(args.type)
-    lam = _parse_weight(model, args.lam, args.root_coords)
-    root = _parse_weight(model, args.root, args.root_coords)
+    lam = rs.read_weight(model, args.lam, args.root_coords)
+    root = rs.read_weight(model, args.root, args.root_coords)
     value = rs.pairing(model, lam, root)
     _emit({"pairing": str(value)}, args.output)
     return EXIT_PASS
@@ -221,7 +188,7 @@ def _cmd_pairing(args) -> int:
 def _cmd_delta_prime(args) -> int:
     import orbitcert.certify as ct, orbitcert.rootsys as rs
     model = rs.build(args.type)
-    h = _parse_weight(model, args.h, args.root_coords)
+    h = rs.read_weight(model, args.h, args.root_coords)
     _emit({"delta_prime": ct.delta_prime(model, h).to_strings()}, args.output)
     return EXIT_PASS
 
@@ -230,8 +197,8 @@ def _cmd_certify(args) -> int:
     import orbitcert.certify as ct, orbitcert.rootsys as rs
     model = rs.build(args.type)
     levi = _parse_levi_indices(args.levi, model)
-    h = None if args.h is None else _parse_weight(model, args.h, args.root_coords)
-    lambda_prime = _parse_weight(model, args.lambda_prime, args.root_coords)
+    h = None if args.h is None else rs.read_weight(model, args.h, args.root_coords)
+    lambda_prime = rs.read_weight(model, args.lambda_prime, args.root_coords)
     report = ct.certify(ct.CertificateInput(model, levi, h, lambda_prime, args.principal))
     _emit(report.to_json_dict(), args.output)
     if report.overall == ct.PASS:
@@ -244,7 +211,7 @@ def _cmd_certify(args) -> int:
 def _cmd_integral(args) -> int:
     import orbitcert.integral as ig, orbitcert.rootsys as rs
     model = rs.build(args.type)
-    lambda_prime = _parse_weight(model, args.lambda_prime, args.root_coords)
+    lambda_prime = rs.read_weight(model, args.lambda_prime, args.root_coords)
     isys = ig.integral_system(model, lambda_prime)
     _emit({
         "integral_type": rs.format_type(isys.cartan_type),

@@ -429,8 +429,13 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     Ind(O_l), the only orbit of that dimension there (Lusztig-Spaltenstein),
     so that draw is in the induced orbit and the answer is exact.  Draws
     with a smaller orbit are discarded; when all ``trials`` draws are, it
-    raises TrialBudgetExhausted (deterministic for a fixed seed).
+    raises TrialBudgetExhausted (deterministic for a fixed seed).  ``seed``
+    and ``trials`` must be ints, not bools: ``random.Random`` would hash a
+    float or a string seed, and True would be one trial.
     """
+    for name, value in (("seed", seed), ("trials", trials)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, not {value!r}")
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{_MAX_TRIALS}")
     n = levi.ambient

@@ -28,12 +28,14 @@ sub-root-systems of E8 generated by {a2..a7, a8} and {a3..a7, a8}.  All
 other types use the standard orthonormal epsilon-models and the identity
 canonicalizer.  A vector enters simple-root coordinates once
 (``simple_pairings``, ``dynkin_labels``, ``h_values``, ``span_coords``, all
-reading ``nums`` and ``den``) and leaves them once (``combine``).
+reading ``nums`` and ``den``) and leaves them once (``combine``); an element
+h of the Cartan leaves its simple values through ``coweight``.
 
 Each certificate input has one reader: ``levi_mask`` reads a Levi subset
 Pi_0 into its bit set, ``h_values`` a characteristic h into its simple
 values (or names the first positive root where h is not integral), and
-``coroot_values`` lambda'.  ``parse_rational`` reads a string entry.
+``coroot_values`` lambda'.  ``parse_rational`` reads a string entry and
+``read_weight`` a comma-separated vector of them.
 
 A positive root that is not simple is a simple root plus a positive root
 (Humphreys, Introduction to Lie Algebras, 10.2, Lemma A), and that positive
@@ -47,7 +49,7 @@ the second on a weight's Dynkin labels.  ``span_coords`` reads one cached
 integer matrix, the coweight rows times the simple-root rows over one
 denominator stacked on a basis of the complement of the root span, so a
 vector's coordinates on the simple roots and whether it lies in the root
-span are one product (``root_coords`` and ``in_root_span`` read it).
+span are one product.
 
 The simple system of a root subsystem is found by height too
 (``height_simples``): walk its positive roots in order of height and keep a
@@ -181,10 +183,6 @@ class Weight:
             out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
         return out
 
-    @classmethod
-    def from_strings(cls, items) -> "Weight":
-        return cls(items)
-
     def __reduce__(self):
         return _weight, (self.nums, self.den)
 
@@ -214,6 +212,40 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {token!r}") from None
+
+
+# the documented token form [+-]p[/q], in ASCII digits, read straight to integers
+_INTEGER_TOKEN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+
+
+def read_weight(model: RootSystemModel, text: str, root_coords: bool) -> Weight:
+    """The comma-separated tokens of ``text`` as one Weight over the lcm of
+    their denominators: epsilon coordinates, canonicalized, or with
+    ``root_coords`` coefficients on the simple roots.  A token of the form
+    [+-]p[/q] is read as integers in the order ``Fraction`` reads it (p,
+    then q, then the zero check); any other token goes through
+    ``parse_rational``, so every value and every error is the one
+    ``Fraction`` gives."""
+    fullmatch = re.compile(_INTEGER_TOKEN).fullmatch  # compiled on first use, then from re's cache
+    nums, dens = [], []
+    for part in text.split(","):
+        token = part.strip()
+        m = fullmatch(token)
+        if m is None:
+            value = parse_rational(token)
+            num, den = value.numerator, value.denominator
+        else:
+            p, q = m.groups()
+            num, den = int(p), 1 if q is None else int(q)
+            if den == 0:
+                raise ValueError(f"zero denominator in {token!r}")
+        nums.append(num)
+        dens.append(den)
+    den = math.lcm(*dens)
+    nums = [x * (den // d) for x, d in zip(nums, dens)]
+    if root_coords:
+        return combine(model, nums, den)
+    return canonicalize(model, Weight.from_ints(nums, den))
 
 
 def rational(num: int, den: int) -> numbers.Rational:
@@ -416,18 +448,20 @@ class RootSystemModel:
         return coords + _common_rows(span_complement(self))[0], coweight_den * basis_den
 
     @cached_property
-    def support_coroot_sums(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(support, coroot sum) for each distinct bit set of ``supports``:
-        the coroot coefficients of the positive roots with that support,
-        summed.  A sum of coroots over the roots whose support lies in a set
-        of simple roots runs over these, fewer than the roots (44 against
-        120 for E8)."""
+    def support_values(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(support, values) for each distinct bit set of ``supports``: the
+        values <a_j, beta^vee> on the simple roots, summed over the positive
+        roots beta with that support.  A sum of coroots over the roots whose
+        support lies in a set of simple roots runs over these, fewer than the
+        roots (44 against 120 for E8)."""
         sums: dict[int, list[int]] = {}
         for s, cv in zip(self.supports, self.coroot_coefficients):
             acc = sums.setdefault(s, [0] * self.rank)
             for i, c in enumerate(cv):
                 acc[i] += c
-        return tuple((s, tuple(acc)) for s, acc in sums.items())
+        # <a_j, sum_i c_i a_i^vee> = sum_i cartan[j][i] c_i
+        return tuple((s, tuple(sum(map(mul, row, acc)) for row in self.cartan))
+                     for s, acc in sums.items())
 
     def inner(self, u: Weight, v: Weight) -> numbers.Rational:
         """The invariant symmetric form: the dot product of canonical reps."""
@@ -611,18 +645,6 @@ def span_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int, bool
     return values[:rank], w.den * den, not any(values[rank:])
 
 
-def root_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int]:
-    """(nums, den): w's orthogonal projection onto the span of the simple
-    roots is sum_i (nums[i] / den) a_i (``span_coords``)."""
-    nums, den, _ = span_coords(model, w)
-    return nums, den
-
-
-def in_root_span(model: RootSystemModel, w: Weight) -> bool:
-    """Whether w lies in the rational span of the simple roots (``span_coords``)."""
-    return span_coords(model, w)[2]
-
-
 def combine(model: RootSystemModel, coeffs, den: int = 1) -> Weight:
     """The epsilon vector sum_i (coeffs[i] / den) a_i; coeffs are ints or
     exact rationals."""
@@ -776,6 +798,16 @@ def fundamental_weights(model: RootSystemModel) -> tuple[Weight, ...]:
     scale, scale_den = model.coroot_scale
     return tuple(combine(model, [x * scale_den for x in row], den * s)
                  for row, s in zip(rows, scale))
+
+
+def coweight(model: RootSystemModel, values) -> Weight:
+    """The element h of span(Pi) with <a_i, h> = values[i] on the simple
+    roots, sum_i values[i] omega_i^vee; values are ints or exact rationals."""
+    if len(values) != model.rank:
+        raise ValueError(f"expected {model.rank} simple values")
+    rows, den = model.coweight_rows
+    # rows is the inverse of the symmetric Gram matrix, so its rows are its columns
+    return combine(model, [sum(map(mul, row, values)) for row in rows], den)
 
 
 @lru_cache(maxsize=None)

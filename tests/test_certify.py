@@ -368,8 +368,7 @@ def test_certify_computes_each_quantity_once(monkeypatch, e8, flagship_lambda_pr
     Levi, and only (C) reads simple-root coordinates, those of lambda'.
     A given h is checked in the Levi coroot span by the same one product."""
     calls = collections.Counter()
-    for name in ("dynkin_labels", "h_values", "coroot_values", "root_values", "span_coords",
-                 "root_coords", "in_root_span"):
+    for name in ("dynkin_labels", "h_values", "coroot_values", "root_values", "span_coords"):
         original = getattr(rs, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):

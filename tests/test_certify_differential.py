@@ -162,7 +162,7 @@ def test_library_matches_reference(label):
         assert walk == scan
         assert got.simple_system == tuple(model.positive_roots[k] for k in walk)
         for mu in (h, lam, lam - rs.rho(model)):
-            nums, den = rs.root_coords(model, mu)
+            nums, den, _ = rs.span_coords(model, mu)
             assert [Fr(x, den) for x in nums] == list(_reference_root_coords(model, mu))
             assert ct.in_levi_span(model, mu, levi) == ref.in_levi_span(model, mu, levi)
 
@@ -254,9 +254,9 @@ def test_off_root_span_cases_fail_C_by_the_root_span_alone(label):
     assert {"--principal" in argv for argv, _, _, _ in extra} == {True, False}
     for argv, levi, h, lam in extra:
         mu = lam - ct.delta_prime(model, h)
-        nums, _ = rs.root_coords(model, mu)
+        nums, _, _ = rs.span_coords(model, mu)
         assert all(nums[i] == 0 for i in range(model.rank) if i not in levi), argv
-        assert not rs.in_root_span(model, lam), argv
+        assert not rs.span_coords(model, lam)[2], argv
         report = ct.certify(ct.CertificateInput(model, levi, h, lam, "--principal" in argv))
         assert report.verdict_C.status == ct.FAIL, argv
         residual = report.verdict_C.witness

@@ -241,6 +241,12 @@ def test_oracle_trials_bounded():
     for trials in (0, 1001):
         with pytest.raises(ValueError, match="trials must be in 1..1000"):
             ls.jordan_oracle(levi, trials=trials)
+    # a bool is no count, and random.Random would hash a float or a string seed
+    for kwargs in ({"trials": True}, {"trials": 2.0}, {"seed": 1.5}, {"seed": "abc"},
+                   {"seed": False}):
+        (name, value), = kwargs.items()
+        with pytest.raises(TypeError, match=f"{name} must be an int, not {value!r}"):
+            ls.jordan_oracle(levi, **kwargs)
 
 
 def test_oracle_respects_ambient_bound():

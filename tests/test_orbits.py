@@ -193,7 +193,7 @@ def test_bv_candidate_a1():
     a1 = rs.build("A1")
     alpha = a1.simple_roots[0]
     out = ob.bv_candidate(a1, alpha)  # 2 rho^vee as a weight is alpha itself
-    assert out == rs.Weight.from_strings(("1/2", "-1/2"))
+    assert out == rs.Weight(("1/2", "-1/2"))
 
 
 def test_bv_candidate_zero(e8):

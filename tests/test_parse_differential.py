@@ -1,6 +1,6 @@
-"""Differential test: the argv weight parser, which reads tokens of the
-form [+-]p[/q] straight to integers, against the Fraction parser it
-replaced (tests/cli_reference.py).
+"""Differential test: the argv weight parser ``rootsys.read_weight``,
+which reads tokens of the form [+-]p[/q] straight to integers, against the
+Fraction parser it replaced (tests/cli_reference.py).
 
 On a corpus of tokens (signed integers and fractions, padded tokens,
 unreduced and zero denominators, a signed denominator, inner spaces,
@@ -18,7 +18,6 @@ import re
 import pytest
 
 import cli_reference as ref
-from orbitcert import cli
 from orbitcert import rootsys as rs
 
 TOKENS = (
@@ -57,7 +56,7 @@ def test_every_token_in_every_position(label):
             entries = ["1/3"] * size
             entries[pos] = token
             text = ",".join(entries)
-            got = _outcome(cli._parse_weight, model, text, root_coords)
+            got = _outcome(rs.read_weight, model, text, root_coords)
             assert got == _outcome(ref._parse_weight, model, text, root_coords), (text, got)
 
 
@@ -71,7 +70,7 @@ def test_seeded_token_mixes(label):
         root_coords = rng.random() < 0.5
         size = (model.rank if root_coords else model.ambient_dim) + rng.choice((0, 0, 0, 1, -1))
         text = ",".join(rng.choice(TOKENS[:48]) for _ in range(size))
-        got = _outcome(cli._parse_weight, model, text, root_coords)
+        got = _outcome(rs.read_weight, model, text, root_coords)
         assert got == _outcome(ref._parse_weight, model, text, root_coords), (text, got)
 
 
@@ -83,7 +82,7 @@ def test_corpus_reaches_both_paths_and_every_error():
     for token in TOKENS:
         got = _outcome(ref._parse_weight, model, ",".join([token, "0", "0"]), False)
         if got[0] == "ok":
-            seen.add("integer" if re.fullmatch(cli._INTEGER_TOKEN, token.strip())
+            seen.add("integer" if re.fullmatch(rs._INTEGER_TOKEN, token.strip())
                      else "fraction")
         else:
             seen.add(got[2].split(":")[0].split(" in ")[0])

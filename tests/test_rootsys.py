@@ -191,6 +191,19 @@ def test_fundamental_coweights_defining(label):
             assert alpha.dot(w) == (1 if i == j else 0)
 
 
+@pytest.mark.parametrize("label", [label for label, _ in TYPE_COUNTS])
+def test_coweight_has_the_given_simple_values(label):
+    """h_values inverts coweight on random integer values, and the unit
+    vectors give the fundamental coweights."""
+    model = rs.build(label)
+    rng = random.Random(f"coweight-{label}")
+    for _ in range(20):
+        values = [rng.randint(-9, 9) for _ in range(model.rank)]
+        assert rs.h_values(model, rs.coweight(model, values)) == values
+    for i, w in enumerate(rs.fundamental_coweights(model)):
+        assert rs.coweight(model, [int(i == j) for j in range(model.rank)]) == w
+
+
 def test_pi8_is_minus_3eps9(e8):
     # the printed value 3*eps_9 pairs to -1 against a8; the defining system
     # forces the opposite sign
@@ -404,7 +417,7 @@ def test_positive_count_helper():
 def test_weight_string_round_trip(flagship_lambda_prime):
     strings = flagship_lambda_prime.to_strings()
     assert all("/" in s or s.lstrip("-").isdigit() for s in strings)
-    assert rs.Weight.from_strings(strings) == flagship_lambda_prime
+    assert rs.Weight(strings) == flagship_lambda_prime
 
 
 def test_weight_arithmetic_and_hash():
@@ -469,7 +482,7 @@ def test_weight_is_numerators_over_one_denominator():
     assert u.coords == tuple(Fr(x, u.den) for x in u.nums) == (Fr(-3, 4), 2, Fr(1, 6))
     assert hash(u) == hash((u.nums, u.den))
     assert rs.weight is rs.Weight
-    assert rs.Weight.from_strings([" 1/2", "3"]) == rs.weight((Fr(1, 2), 3))
+    assert rs.Weight([" 1/2", "3"]) == rs.weight((Fr(1, 2), 3))
     assert rs.Weight.__slots__ == ("nums", "den")
 
 
@@ -509,13 +522,14 @@ def test_root_membership_matches_the_root_lists(label):
     (lambda e8: ct.check_C(e8, (0, 1), rs.weight([0] * 9), rs.weight([5, 5])),
      "expected 9 coordinates, got 2"),
     (lambda e8: rs.simple_pairings(e8, rs.weight([1] * 10)), "expected 9 coordinates, got 10"),
-    (lambda e8: rs.in_root_span(e8, rs.weight([1])), "expected 9 coordinates, got 1"),
+    (lambda e8: rs.span_coords(e8, rs.weight([1])), "expected 9 coordinates, got 1"),
     (lambda e8: rs.combine(e8, [1, 2]), "expected 8 simple-root coefficients"),
+    (lambda e8: rs.coweight(e8, [2] * 9), "expected 8 simple values"),
     (lambda e8: rs.combine(e8, [Fr(1, 2)] * 9), "expected 8 simple-root coefficients"),
     (lambda e8: ig.antidominant_rep(e8, e8.simple_roots, rs.weight([-5, 0])),
      "expected 9 coordinates, got 2"),
 ], ids=["graded_dims", "integral_system", "check_A", "check_C", "simple_pairings",
-        "in_root_span", "combine", "combine_rational", "antidominant_rep"])
+        "span_coords", "combine", "coweight", "combine_rational", "antidominant_rep"])
 def test_kernel_rejects_vectors_of_the_wrong_length(e8, call, message):
     with pytest.raises(ValueError, match=message):
         call(e8)

@@ -102,7 +102,7 @@ def test_arithmetic_matches(label):
         # one vector reached by different arithmetic is one Weight
         for same in ((w + w2) - w2, w2 + (w - w2), rs.Weight(w.coords), -(-w),
                      rs.Weight.from_ints([x * 6 for x in w.nums], w.den * 6),
-                     rs.Weight.from_strings(w.to_strings())):
+                     rs.Weight(w.to_strings())):
             assert same == w and hash(same) == hash(w)
         assert (w - w).is_zero() and w - w == 0 * w2
 
@@ -292,19 +292,31 @@ def test_in_levi_span_one_product_matches(label, complement):
         cases += [mu + Fr(2, 3) * v for v in off_root_span]
         for w in cases:
             outcomes.add(_compare_span(model, w, pi0))
-            assert rs.in_root_span(model, w) == (w in cases[:2])
-            assert rs.root_coords(model, w) == rs.span_coords(model, w)[:2]
+            assert rs.span_coords(model, w)[2] == (w in cases[:2])
     assert outcomes == {True, False}
 
 
 def test_h_regular_matches_reference_on_every_levi():
     """The regular characteristic of every Levi of the small types, and of
-    a sample of E-type Levis, read through the per-support coroot sums."""
+    a sample of E-type Levis, built from the per-support value sums."""
     rng = random.Random("h-regular")
     for label in TYPES:
         model = rs.build(label)
         for pi0 in _levi_subsets(model, rng):
             _assert_same(ct.h_regular(model, pi0), ref.h_regular(model, pi0))
+
+
+def test_regular_values_are_those_of_h_regular():
+    """The simple values of the regular characteristic, summed over the
+    supports inside Pi_0, are those of h_regular and of the reference's h,
+    on every Levi of the small types and a sample of E-type Levis."""
+    rng = random.Random("regular-values")
+    for label in TYPES:
+        model = rs.build(label)
+        for pi0 in _levi_subsets(model, rng):
+            values = ct._regular_values(model, rs.levi_mask(model, pi0))
+            assert values == rs.h_values(model, ct.h_regular(model, pi0)), (label, pi0)
+            assert values == rs.h_values(model, ref.h_regular(model, pi0)), (label, pi0)
 
 
 @pytest.mark.parametrize("call, error, message", [
