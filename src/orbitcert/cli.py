@@ -88,14 +88,10 @@ def _text_scalar(value) -> str:
     return "null" if value is None else str(value)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    return _parsers()[0]
-
-
 @cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by command word."""
+    """The top-level parser and its subcommand parsers by command word,
+    built once per process."""
     parser = argparse.ArgumentParser(
         prog="orbitcert",
         description="Exact certificates and orbit computations for classical "
@@ -306,7 +302,7 @@ _COMMANDS = {
 
 
 def parse_argv(argv=None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one argparse pass when argv[0]
+    """The top-level parser's ``parse_args(argv)`` in one argparse pass when argv[0]
     names a command: the rest goes straight to that command's parser, as
     the top-level parser would hand it on after scanning it.  Any other argv
     takes the full parse, and so does one with a token starting with "--="

@@ -13,6 +13,7 @@ gl_k x X_m sits block-diagonally with a mirrored gl block.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from collections.abc import Mapping
@@ -243,11 +244,16 @@ def jordan_type(mat) -> tuple[int, ...]:
     formed.  The chain ends when the basis is empty; a rank that stops
     falling before that means N is not nilpotent.  N has
     r_(k-1) - 2 r_k + r_(k+1) blocks of size k, where r_k = rank N^k.
+    TypeError for an entry that is not an int (a bool is not).
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError(f"matrix is not square: {n} rows of lengths "
                          f"{sorted({len(row) for row in mat})}")
+    if set(map(type, itertools.chain.from_iterable(mat))) - {int}:  # one pass when all ints
+        i, j, x = next((i, j, x) for i, row in enumerate(mat)
+                       for j, x in enumerate(row) if type(x) is not int)
+        raise TypeError(f"matrix entry ({i}, {j}) must be an int, not {type(x).__name__}: {x!r}")
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
     ranks = [n]
     basis = linalg.integer_row_basis(mat)

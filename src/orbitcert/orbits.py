@@ -211,8 +211,19 @@ DUALITY_TABLE: tuple[DualityRecord, ...] = tuple(DualityRecord(*row) for row in 
 ])
 
 
+# the algebras the tables cover, in table order; the duality table's are among them
+_TABLE_ALGEBRAS = tuple(dict.fromkeys(rec.algebra for rec in RIGID_TABLE))
+
+
+def _check_table_algebra(algebra: str) -> None:
+    if algebra not in _TABLE_ALGEBRAS:
+        raise ValueError(f"the tables cover {', '.join(_TABLE_ALGEBRAS)}, not {algebra!r}")
+
+
 def rigid_table(algebra: str, bala_carter: str) -> OrbitRecord | None:
-    """Exact embedded row lookup; None signals absence, not failure."""
+    """Exact embedded row lookup: None for a row absent from the table,
+    ValueError for an algebra outside G2, F4, E6, E7 and E8."""
+    _check_table_algebra(algebra)
     for rec in RIGID_TABLE:
         if rec.algebra == algebra and rec.bala_carter == bala_carter:
             return rec
@@ -220,6 +231,8 @@ def rigid_table(algebra: str, bala_carter: str) -> OrbitRecord | None:
 
 
 def duality_table(algebra: str, e_label: str) -> DualityRecord | None:
+    """As ``rigid_table``, in the duality table."""
+    _check_table_algebra(algebra)
     for rec in DUALITY_TABLE:
         if rec.algebra == algebra and rec.e_label == e_label:
             return rec

@@ -20,7 +20,7 @@ integer numerators ``nums`` over one positive denominator ``den`` in lowest
 terms, so its sums, scalings, dot products, equality and hash are integer
 operations, and it is printed from them too (``to_strings``); its Fraction
 coordinates ``coords`` are a view for library callers.  Every exact scalar
-this layer returns (``Weight.dot``, ``inner``, ``pairing``) is an ``int``
+this layer returns (``Weight.dot``, ``pairing``) is an ``int``
 when its value is an integer and a ``Fraction`` otherwise (``rational``).
 The E-type models live in the 9-coordinate quotient of R^9 by the diagonal
 (canonical representative: coordinate sum zero); E7 and E6 are the
@@ -46,10 +46,10 @@ or as an earlier positive root plus a simple root, and ``coroot_steps`` does
 the same for the coroots on the simple coroots, in order of coroot height.
 ``root_values`` runs the first on h's simple values; ``coroot_values`` runs
 the second on a weight's Dynkin labels.  ``span_coords`` reads one cached
-integer matrix, the coweight rows times the simple-root rows over one
+integer matrix, the fundamental coweights as ambient rows over one
 denominator stacked on a basis of the complement of the root span, so a
 vector's coordinates on the simple roots and whether it lies in the root
-span are one product.
+span are one product; ``coweight`` reads the same coweight rows.
 
 The simple system of a root subsystem is found by height too
 (``height_simples``): walk its positive roots in order of height and keep a
@@ -160,9 +160,6 @@ class Weight:
 
     def __hash__(self) -> int:
         return hash((self.nums, self.den))
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -303,12 +300,6 @@ def parse_label(label: str) -> tuple[str, int]:
     return series, rank
 
 
-def positive_count(label: str) -> int:
-    """Number of positive roots of an irreducible type given by its label."""
-    series, rank = parse_label(label)
-    return _POS_COUNTS[series](rank)
-
-
 @dataclass(frozen=True, eq=False)
 class RootSystemModel:
     """Immutable enumeration of a simple root system with its invariant form.
@@ -425,26 +416,23 @@ class RootSystemModel:
         return _steps(coeffs, sorted(range(len(coeffs)), key=heights.__getitem__))
 
     @cached_property
-    def coweight_rows(self) -> tuple[list[list[int]], int]:
-        """(rows, den): rows[i][j] / den is the coefficient of the fundamental
-        coweight omega_i^vee on a_j, i.e. the inverse of the Gram matrix."""
-        inv = linalg.inverse(self.gram)
-        if inv is None:
-            raise RuntimeError(f"{self.cartan_type}: the Gram matrix is singular")
-        rows, den = _common_rows(Weight(row) for row in inv)
-        return [[x * self.gram_den for x in row] for row in rows], den
-
-    @cached_property
     def span_rows(self) -> tuple[list[list[int]], int]:
         """(rows, den) for the one product ``span_coords`` makes with w.nums.
-        The first rank rows are the coweight rows times the simple-root rows:
+        The first rank rows are the fundamental coweights: omega_i^vee =
+        rows[i] / den in ambient coordinates, the inverse of the Gram matrix
+        times the simple-root rows.  Since (a_j, omega_i^vee) = delta_ij,
         w's orthogonal projection onto the span of the simple roots is
         sum_i (rows[i] . w.nums) / (den w.den) a_i.  The rows after them
         span the orthogonal complement of that span (``span_complement``),
         so w lies in the span exactly when they all pair to zero with it."""
-        coweights, coweight_den = self.coweight_rows
+        inv = linalg.inverse(self.gram)
+        if inv is None:
+            raise RuntimeError(f"{self.cartan_type}: the Gram matrix is singular")
+        # omega_i^vee = sum_j gram_den inv[i][j] a_j, as (a_i, a_j) = gram[i][j] / gram_den
+        coweights, coweight_den = _common_rows(Weight(row) for row in inv)
         basis, _, basis_den = self._basis
-        coords = [[sum(map(mul, row, col)) for col in zip(*basis)] for row in coweights]
+        coords = [[self.gram_den * sum(map(mul, row, col)) for col in zip(*basis)]
+                  for row in coweights]
         return coords + _common_rows(span_complement(self))[0], coweight_den * basis_den
 
     @cached_property
@@ -463,21 +451,8 @@ class RootSystemModel:
         return tuple((s, tuple(sum(map(mul, row, acc)) for row in self.cartan))
                      for s, acc in sums.items())
 
-    def inner(self, u: Weight, v: Weight) -> numbers.Rational:
-        """The invariant symmetric form: the dot product of canonical reps."""
-        return u.dot(v)
-
     def is_root(self, v: Weight) -> bool:
         return v in self._root_index
-
-    def is_positive_root(self, v: Weight) -> bool:
-        return self._root_index.get(v, len(self.roots)) < len(self.positive_roots)
-
-    def coroot(self, root: Weight) -> Weight:
-        """The coroot 2a/(a,a) as a weight vector via the invariant form."""
-        if not self.is_root(root):
-            raise ValueError(f"{root} is not a root of {self.cartan_type}")
-        return Fraction(2, root.dot(root)) * root
 
 
 def canonicalize(model: RootSystemModel, raw_coords) -> Weight:
@@ -793,28 +768,30 @@ def rho(model: RootSystemModel) -> Weight:
 @lru_cache(maxsize=None)
 def fundamental_weights(model: RootSystemModel) -> tuple[Weight, ...]:
     """Weights pi_i in span(Pi) with <pi_i, a_j^vee> = delta_ij:
-    pi_i = (a_i, a_i) / 2 omega_i^vee."""
-    rows, den = model.coweight_rows
+    pi_i = (a_i, a_i) / 2 omega_i^vee, from the coweight rows of ``span_rows``."""
+    rows, den = model.span_rows
     scale, scale_den = model.coroot_scale
-    return tuple(combine(model, [x * scale_den for x in row], den * s)
+    return tuple(Weight.from_ints([x * scale_den for x in row], den * s)
                  for row, s in zip(rows, scale))
 
 
-def coweight(model: RootSystemModel, values) -> Weight:
+def coweight(model: RootSystemModel, values: list[int]) -> Weight:
     """The element h of span(Pi) with <a_i, h> = values[i] on the simple
-    roots, sum_i values[i] omega_i^vee; values are ints or exact rationals."""
-    if len(values) != model.rank:
-        raise ValueError(f"expected {model.rank} simple values")
-    rows, den = model.coweight_rows
-    # rows is the inverse of the symmetric Gram matrix, so its rows are its columns
-    return combine(model, [sum(map(mul, row, values)) for row in rows], den)
+    roots, sum_i values[i] omega_i^vee, for integer values: one product
+    with the coweight rows of ``span_rows``."""
+    rank = model.rank
+    if len(values) != rank:
+        raise ValueError(f"expected {rank} simple values")
+    rows, den = model.span_rows
+    return Weight.from_ints([sum(map(mul, col, values)) for col in zip(*rows[:rank])], den)
 
 
 @lru_cache(maxsize=None)
 def fundamental_coweights(model: RootSystemModel) -> tuple[Weight, ...]:
-    """Coweights w_i in span(Pi), as weights via the form: (a_j, w_i) = delta_ij."""
-    rows, den = model.coweight_rows
-    return tuple(combine(model, row, den) for row in rows)
+    """Coweights w_i in span(Pi), as weights via the form: (a_j, w_i) = delta_ij;
+    the first rank rows of ``span_rows``."""
+    rows, den = model.span_rows
+    return tuple(Weight.from_ints(row, den) for row in rows[:model.rank])
 
 
 @lru_cache(maxsize=None)
@@ -842,7 +819,8 @@ def levi_subsystem(model: RootSystemModel, pi0) -> tuple[tuple[Weight, ...], tup
 def levi_mask(model: RootSystemModel, pi0) -> int:
     """Pi_0, a subset of the simple-root indices, as its bit set (bit i for
     a_i).  Every entry point that takes Pi_0 reads it here: ValueError for
-    an index that is not an int (a bool is not) or is outside 0..rank-1."""
+    an index that is not an int (a bool is not) or is outside 0..rank-1.
+    Pi_0 is a set, so a repeated index is read once: [0, 0] is [0]."""
     rank = model.rank
     mask = 0
     for i in pi0:
@@ -988,18 +966,6 @@ def _component_type(comp: list[int], cartan, adj, gram) -> tuple[str, int]:
 def _label_sort_key(label: str):
     series, rank = parse_label(label)
     return (-rank, series)
-
-
-def dual_label(label: str) -> str:
-    """Label of the dual root system component (B <-> C; others self-dual)."""
-    series, rank = parse_label(label)
-    if rank == 2 and series in ("B", "C"):
-        return "B2"
-    if series == "B":
-        return f"C{rank}"
-    if series == "C":
-        return f"B{rank}"
-    return f"{series}{rank}"
 
 
 def format_type(labels) -> str:

@@ -107,6 +107,19 @@ def theta_for_levi(model, pi0):
     return theta
 
 
+def coroot(beta):
+    """The coroot 2 beta / (beta, beta) as a vector, through the form."""
+    return Fraction(2, beta.dot(beta)) * beta
+
+
+def dual_label(label):
+    """The label of the dual component: B and C swap, B2 = C2 stays B2."""
+    series, rank = label[0], int(label[1:])
+    if series in "BC" and rank > 2:
+        return ("C" if series == "B" else "B") + str(rank)
+    return "B2" if series in "BC" else label
+
+
 def _indecomposables(pos_vectors):
     vset = set(pos_vectors)
     return [beta for beta in pos_vectors
@@ -117,12 +130,12 @@ def _indecomposables(pos_vectors):
 def integral_system(model, lambda_prime):
     pos = [beta for beta in model.positive_roots
            if rs.pairing(model, lambda_prime, beta).denominator == 1]
-    covecs = [model.coroot(beta) for beta in pos]
+    covecs = [coroot(beta) for beta in pos]
     co_simple = set(map(tuple, (cv.coords for cv in _indecomposables(covecs))))
     simple_roots = tuple(beta for beta, cv in zip(pos, covecs)
                          if tuple(cv.coords) in co_simple)
-    simple_covecs = [model.coroot(beta) for beta in simple_roots]
-    labels = tuple(sorted((rs.dual_label(l)
+    simple_covecs = [coroot(beta) for beta in simple_roots]
+    labels = tuple(sorted((dual_label(l)
                            for l in dynkin_reference.classify_simple_system(simple_covecs)),
                           key=dynkin_reference._label_sort_key))
     allroots = tuple(pos) + tuple(-beta for beta in pos)
@@ -148,7 +161,7 @@ def graded_dims(model, h):
 def h_regular(model, pi0):
     acc = [Fraction(0)] * model.ambient_dim
     for beta in levi_positive(model, pi0):
-        for i, c in enumerate(model.coroot(beta).coords):
+        for i, c in enumerate(coroot(beta).coords):
             acc[i] += c
     return Weight(tuple(acc))
 

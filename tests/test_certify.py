@@ -22,7 +22,7 @@ LEVI = conftest.LEVI_A5A1
 # theta -------------------------------------------------------------------
 
 def test_theta_full_levi_is_zero(e8):
-    assert ct.theta_for_levi(e8, range(8)).is_zero()
+    assert not any(ct.theta_for_levi(e8, range(8)).nums)
 
 
 def test_theta_empty_levi(e8):
@@ -54,9 +54,10 @@ def test_h_regular_flagship(e8, flagship_h):
 
 
 def test_h_regular_trivial_cases(e8):
-    assert ct.h_regular(e8, ()).is_zero()
+    assert not any(ct.h_regular(e8, ()).nums)
     a1 = rs.build("A1")
-    assert ct.h_regular(a1, (0,)) == a1.coroot(a1.simple_roots[0])
+    a = a1.simple_roots[0]
+    assert ct.h_regular(a1, (0,)) == Fr(2, a.dot(a)) * a
 
 
 @pytest.mark.parametrize("pi0", [(0,), (0, 1), LEVI])
@@ -72,7 +73,7 @@ def test_h_regular_pairs_two_on_levi_simples(e8, pi0):
 
 def test_delta_full_levi_is_zero(e8):
     h = ct.h_regular(e8, range(8))
-    assert ct.delta(e8, range(8), h).is_zero()
+    assert not any(ct.delta(e8, range(8), h).nums)
 
 
 @pytest.mark.parametrize("label", ["A2", "E8"])
@@ -91,7 +92,7 @@ def test_delta_full_levi_checks_h(label):
 
 def test_delta_zero_h(e8):
     zero = rs.canonicalize(e8, (0,) * 9)
-    assert ct.delta(e8, LEVI, zero).is_zero()
+    assert not any(ct.delta(e8, LEVI, zero).nums)
 
 
 def test_delta_prime_flagship(e8, flagship_h, flagship_delta_prime):
@@ -107,7 +108,7 @@ def test_delta_prime_regular_h_gives_zero():
     b3 = rs.build("B3")
     h = ct.h_regular(b3, range(3))
     assert all(b.dot(h) >= 2 for b in b3.positive_roots)
-    assert ct.delta_prime(b3, h).is_zero()
+    assert not any(ct.delta_prime(b3, h).nums)
 
 
 def test_delta_congruence_flagship(e8, flagship_h, flagship_delta_prime):
@@ -194,7 +195,7 @@ def test_in_levi_span_flagship(e8, flagship_lambda_prime, flagship_h):
 def test_in_levi_span_rejects_off_span(e8):
     pi6 = rs.fundamental_weights(e8)[5]
     ok, resid = ct.in_levi_span(e8, pi6, LEVI)
-    assert not ok and not resid.is_zero()
+    assert not ok and any(resid.nums)
 
 
 def test_in_levi_span_coset_invariance(e8, flagship_lambda_prime, flagship_h):
@@ -435,6 +436,9 @@ def test_levi_mask_is_the_bit_set():
     assert [rs.levi_mask(a2, pi0) for pi0 in ((), (0,), [1], (1, 0, 1), range(2))] \
         == [0, 1, 2, 3, 3]
     assert ct.CertificateInput(a2, (1, 0, 1), None, rs.rho(a2)).levi == (0, 1)
+    # Pi_0 is a set: a repeated index is read once
+    assert rs.levi_mask(a2, [0, 0]) == rs.levi_mask(a2, [0])
+    assert rs.levi_subsystem(a2, [0, 0]) == rs.levi_subsystem(a2, [0])
 
 
 # every entry point that reads h, on a model and a non-integral h

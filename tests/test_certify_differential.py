@@ -157,7 +157,7 @@ def test_library_matches_reference(label):
         by_height = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
         walk = sorted(by_height[pos] for pos in
                       rs.height_simples([model.coroot_codes[k] for k in by_height]))
-        coroots = {model.coroot(model.positive_roots[k]): k for k in sorted(by_height)}
+        coroots = {ref.coroot(model.positive_roots[k]): k for k in sorted(by_height)}
         scan = [coroots[cv] for cv in ref._indecomposables(list(coroots))]
         assert walk == scan
         assert got.simple_system == tuple(model.positive_roots[k] for k in walk)
@@ -260,7 +260,7 @@ def test_off_root_span_cases_fail_C_by_the_root_span_alone(label):
         report = ct.certify(ct.CertificateInput(model, levi, h, lam, "--principal" in argv))
         assert report.verdict_C.status == ct.FAIL, argv
         residual = report.verdict_C.witness
-        assert not residual.is_zero() and len(set(residual.coords)) == 1, argv
+        assert any(residual.nums) and len(set(residual.coords)) == 1, argv
 
 
 @pytest.mark.parametrize("label,roots", [
@@ -295,7 +295,8 @@ def _simple_system_by_pair_scan(model, roots):
     for v in roots:
         if not model.is_root(v):
             raise ValueError(f"{v} is not a root of {model.cartan_type}")
-    positive = {v if model.is_positive_root(v) else -v for v in roots}
+    positives = set(model.positive_roots)
+    positive = {v if v in positives else -v for v in roots}
     simples = ref._indecomposables([b for b in model.positive_roots if b in positive])
     try:
         closed = (all(a.dot(b) <= 0 for a, b in itertools.combinations(simples, 2))

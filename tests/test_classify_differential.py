@@ -56,7 +56,7 @@ def _check(vectors):
         (len(comp), len(rs._positive_coefficients(
             rs._cartan_of([[gram[i][j] for j in comp] for i in comp]))))
         for comp in _components(gram))
-    assert sorted((rs.parse_label(label)[1], rs.positive_count(label))
+    assert sorted((rs.parse_label(label)[1], len(rs.build(label).positive_roots))
                   for label in labels) == counted
     return labels
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -278,7 +279,7 @@ def test_rigid_rejects_ambient_mismatch(capsys):
 
 
 def test_parser_built_once():
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers() is cli._parsers()
 
 
 # argv dispatch: one argparse pass against the full parse -------------------------
@@ -297,7 +298,7 @@ def parse_outcome(parse, argv):
 
 def assert_parses_as_full_parse(argv):
     assert (parse_outcome(cli.parse_argv, argv)
-            == parse_outcome(cli.build_parser().parse_args, argv)), argv
+            == parse_outcome(cli._parsers()[0].parse_args, argv)), argv
 
 
 CERTIFY = ["certify", "--type", "E8", "--levi", "a1,a2,a3,a4,a5,a7",
@@ -509,8 +510,10 @@ HASH_SEED_ARGVS = [
 ]
 
 
-def test_outputs_do_not_depend_on_the_hash_seed():
-    """Fresh interpreters under two PYTHONHASHSEED values print the same bytes."""
+def test_outputs_do_not_depend_on_the_hash_seed(capsys):
+    """Fresh interpreters under two PYTHONHASHSEED values print the same bytes,
+    and the exit code and stdout of ``main`` called in process: the
+    subprocess reads its argv from ``sys.argv``, the in-process call is given it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     for argv in HASH_SEED_ARGVS:
         runs = []
@@ -521,6 +524,8 @@ def test_outputs_do_not_depend_on_the_hash_seed():
             runs.append((proc.returncode, proc.stdout, proc.stderr))
         assert runs[0] == runs[1], argv
         assert runs[0][1 if runs[0][0] == 0 else 2]
+        code, out, _ = run(capsys, *argv)
+        assert (runs[0][0], runs[0][1].decode()) == (code, out), argv
 
 
 @pytest.mark.parametrize("levi", ['{"gl_blocks":5}', '[1]', '{"gl_blocks":[3]}',
@@ -530,6 +535,14 @@ def test_outputs_do_not_depend_on_the_hash_seed():
 def test_malformed_descriptor_is_usage_error(capsys, levi):
     code, out, err = run(capsys, "induce", "--type", "gl", "--ambient", "5", "--levi", levi)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_oracle_defaults_are_jordan_oracles():
+    """The command's --seed and --trials defaults are the library's."""
+    parameters = inspect.signature(ls.jordan_oracle).parameters
+    oracle = cli._parsers()[1]["oracle"]
+    assert (oracle.get_default("seed"), oracle.get_default("trials")) \
+        == (parameters["seed"].default, parameters["trials"].default)
 
 
 def test_oracle_trials_bounded(capsys):

@@ -64,12 +64,12 @@ def test_integral_system_b_c_dualization():
     lp = rs.weight((Fr(1, 2), Fr(1, 2), 0))
     isys = ig.integral_system(c3, lp)
     # long coroots (e_i+-e_j)/1... pair integrally iff i,j <= 2; short e_i stay
-    assert sum(rs.positive_count(lbl) for lbl in isys.cartan_type) * 2 == isys.size
+    assert sum(len(rs.build(lbl).positive_roots) for lbl in isys.cartan_type) * 2 == isys.size
 
 
 def test_integral_simples_are_positive_roots(e8, flagship_lambda_prime):
     isys = ig.integral_system(e8, flagship_lambda_prime)
-    assert all(e8.is_positive_root(b) for b in isys.simple_system)
+    assert all(b in e8.positive_roots for b in isys.simple_system)
 
 
 # antidominant representatives -------------------------------------------------
@@ -213,4 +213,5 @@ def test_integral_component_counts_on_random_weights(label):
         for i, a in enumerate(isys.simple_system):
             for b in isys.simple_system[i + 1:]:
                 assert a.dot(b) <= 0
-        assert 2 * sum(rs.positive_count(lbl) for lbl in isys.cartan_type) == isys.size
+        assert 2 * sum(len(rs.build(lbl).positive_roots)
+                       for lbl in isys.cartan_type) == isys.size

@@ -76,8 +76,8 @@ def test_build_matches_epsilon_enumeration(label):
             assert model.cartan[i][j] == Fr(2 * a.dot(b), b.dot(b))
             assert Fr(model.gram[i][j], model.gram_den) == a.dot(b)
     for beta, cv in zip(model.positive_roots, model.coroot_coefficients):
-        coroot = sum((c * model.coroot(a) for c, a in zip(cv, simples)), ref._zero(model))
-        assert coroot == model.coroot(beta)
+        coroot = sum((c * ref.coroot(a) for c, a in zip(cv, simples)), ref._zero(model))
+        assert coroot == ref.coroot(beta)
     assert rs.rho(model) == ref.rho(model)
     assert rs.fundamental_coweights(model) == ref.fundamental_coweights(model)
     assert rs.fundamental_weights(model) == ref.fundamental_weights(model)

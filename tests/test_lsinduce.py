@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -189,6 +190,16 @@ def test_jordan_type_rank_identity():
 def test_jordan_type_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         ls.jordan_type([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, Fraction(1), Fraction(1, 2)],
+                         ids=["True", "False", "float", "Fraction", "half"])
+def test_jordan_type_rejects_a_non_int_entry(entry):
+    """[[False, True], [False, False]] once read as the 2 x 2 Jordan block."""
+    mat = [[0, 0], [entry, 0]]
+    with pytest.raises(TypeError, match=rf"^matrix entry \(1, 0\) must be an int, "
+                                        rf"not {type(entry).__name__}: "):
+        ls.jordan_type(mat)
 
 
 @pytest.mark.parametrize("mat", [[[0], [0]], [[0, 0, 0]], [[0, 1], [0]], [[]]])

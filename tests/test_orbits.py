@@ -24,7 +24,8 @@ def test_graded_dims_zero(e8):
 
 def test_graded_dims_sl2():
     a1 = rs.build("A1")
-    h = a1.coroot(a1.simple_roots[0])
+    a = a1.simple_roots[0]
+    h = Fraction(2, a.dot(a)) * a
     assert ob.graded_dims(a1, h) == {-2: 1, 0: 1, 2: 1}
 
 
@@ -159,13 +160,18 @@ def test_rigid_table_lookups():
     row = ob.rigid_table("G2", "~A1")
     assert row.dim_z == 6
     assert ob.rigid_table("E8", "nonsense") is None
-    assert ob.rigid_table("A5", "A1") is None
+    for algebra in ("A5", "E9", "e8"):
+        with pytest.raises(ValueError, match="the tables cover"):
+            ob.rigid_table(algebra, "A1")
 
 
 def test_duality_table_lookups():
     assert ob.duality_table("E7", "2A1").e_dual_label == "E7(a2)"
     assert ob.duality_table("E8", "D4(a1)+A1").e_dual_label == "E8(a6)"
     assert ob.duality_table("E8", "A1") is None
+    assert ob.duality_table("E6", "A1") is None  # a covered algebra without that row
+    with pytest.raises(ValueError, match="the tables cover"):
+        ob.duality_table("E9", "A1")
 
 
 def test_rigid_table_orbit_dims_even():

@@ -6,15 +6,23 @@ or ``//``) and no environment reads (every bound is a constant, not a
 knob).  Only ``rootsys``, ``linalg`` and ``cli`` import ``fractions``, so the
 certificate, integral-system, orbit and induction layers keep to integers.
 The experiment scripts in
-``scripts/`` check their conclusions, so they follow the ``assert`` rule too."""
+``scripts/`` check their conclusions, so they follow the ``assert`` rule too.
+
+Every function, class and method in ``src/`` is reached from outside the
+tests (``unreached``): a name nothing but the tests reads is code kept for
+the tests alone, and the tests' references hold their own copies."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import orbitcert
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "orbitcert").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 FRACTION_MODULES = {"cli.py", "linalg.py", "rootsys.py"}
 
@@ -82,3 +90,89 @@ def test_integer_layers_import_no_fractions(path):
 ])
 def test_scanner_flags_fraction_imports(source):
     assert fraction_imports(ast.parse(source))
+
+
+# Kept although only the tests call them: acceptance criterion 8
+# (test_criterion_8_data_fidelity) checks that the embedded tables export
+# byte-identically as JSON, and these are that export.
+UNREACHED_ALLOWED = {"orbits.rigid_table_json", "orbits.duality_table_json"}
+
+
+def referenced_names(tree: ast.AST) -> Counter:
+    """How often each identifier is named in a tree: as a ``Name``, an
+    ``Attribute``, the last part of an import, or a string constant that is
+    an identifier (perfbench lists the functions it traces as strings)."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names[node.value] += 1
+    return names
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) for each top-level function and class and each
+    method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, FUNCTIONS):
+                        yield f"{node.name}.{member.name}", member
+
+
+def unreached(sources: dict[str, ast.Module], outside: list[ast.AST], exports) -> list[str]:
+    """The definitions in ``sources`` (module name -> tree) that nothing names
+    outside their own body: not the sources, not the ``outside`` trees (the
+    scripts and perfbench) and not ``exports``.  Dunders are left out, since
+    Python calls them.  The match is by name alone, so a dead function that
+    shares its name with a live one passes: this can miss dead code, but
+    never flags live code."""
+    named = Counter(exports)
+    for tree in [*sources.values(), *outside]:
+        named += referenced_names(tree)
+    return [f"{module}.{name}" for module, tree in sources.items()
+            for name, node in definitions(tree)
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and named[node.name] <= referenced_names(node)[node.name]]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    exports = [name for names in orbitcert._EXPORTS.values() for name in names]
+    found = unreached({path.stem: _parse(path) for path in SOURCES},
+                      [_parse(path) for path in SCRIPTS + PERFBENCH], exports)
+    assert sorted(set(found) - UNREACHED_ALLOWED) == []
+    assert UNREACHED_ALLOWED <= set(found)  # an exception no longer needed is dropped
+
+
+def test_reachability_scanner_flags_unreferenced_code():
+    source = ast.parse(
+        "def used(): return helper()\n"
+        "def helper(): return 1\n"
+        "def orphan(): return orphan()\n"  # naming itself does not count
+        "def exported(): pass\n"
+        "def traced(): pass\n"
+        "class Model:\n"
+        "    def live(self): return self.dead_too\n"
+        "    def dead(self): return 0\n"
+        "    def dead_too(self): return 0\n"
+        "    def __eq__(self, other): return True\n")
+    script = ast.parse("import m\nm.used()\nm.Model().live()\nTRACED = ('traced',)\n")
+    assert unreached({"m": source}, [script], ["exported"]) == ["m.orphan", "m.Model.dead"]
+    assert unreached({"m": source}, [], []) == [
+        "m.used", "m.orphan", "m.exported", "m.traced", "m.Model", "m.Model.live",
+        "m.Model.dead"]
