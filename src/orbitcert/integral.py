@@ -54,10 +54,7 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
     codes = model.coroot_codes
     simple = sorted(integral[pos] for pos in
                     rootsys.height_simples([codes[k] for k in integral]))
-    rows = [model.pos_coefficients[k] for k in simple]
-    form_rows = model.form_rows
-    cartan_type = rootsys.classify_gram([[sum(map(mul, form_rows[k], row)) for row in rows]
-                                         for k in simple])
+    cartan_type = rootsys.classify_gram(rootsys.root_gram(model, simple))
     chosen = sorted(integral)
     npos = len(model.positive_roots)
     allroots = (tuple(model.positive_roots[k] for k in chosen)

@@ -1,20 +1,7 @@
-"""Exact linear algebra over the rationals (no floating point)."""
+"""Exact linear algebra on integer matrices (no Fractions, no floating point)."""
 from __future__ import annotations
 
 import math
-from operator import attrgetter
-
-_denominator = attrgetter("denominator")
-
-
-def row_basis(rows) -> list[list[int]]:
-    """An integer basis of the row space of a matrix (rows of ints/Fractions):
-    each row cleared of its denominators, then ``integer_row_basis``."""
-    cleared = []
-    for row in rows:
-        den = math.lcm(*map(_denominator, row))
-        cleared.append(list(map(int, row)) if den == 1 else [int(x * den) for x in row])
-    return integer_row_basis(cleared)
 
 
 def integer_row_basis(rows) -> list[list[int]]:
@@ -53,44 +40,50 @@ def integer_row_basis(rows) -> list[list[int]]:
     return basis
 
 
-def rank(rows) -> int:
-    """Rank of a matrix given as a list of rows of ints/Fractions."""
-    return len(row_basis(rows))
+def inverse(matrix) -> tuple[list[list[int]], int] | None:
+    """(rows, den) with M^-1 = rows / den in lowest terms for a square
+    integer matrix M, or None if M is singular.
 
-
-def inverse(matrix):
-    """Exact inverse of a square matrix (list of rows), or None if singular.
-
-    The kernel of [M | -I] is {(x, Mx)}; M is nonsingular exactly when its
-    basis ends in the unit vectors e_j, and then each x is a column of M^-1.
+    The kernel of [M | -I] is {(x, Mx)}.  For nonsingular M its basis
+    vectors are (x_j, c_j e_j) with c_j > 0, primitive, so x_j / c_j is
+    column j of M^-1 over its least denominator c_j.
     """
     n = len(matrix)
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    kernel = kernel_basis([list(row) + [-x for x in e] for row, e in zip(matrix, unit)])
-    if [vec[n:] for vec in kernel] != unit:
+    if len(integer_row_basis(matrix)) != n:
         return None
-    return [list(col) for col in zip(*(vec[:n] for vec in kernel))]
+    kernel = kernel_basis([list(row) + [-int(i == j) for j in range(n)]
+                           for i, row in enumerate(matrix)])
+    den = math.lcm(*(vec[n + j] for j, vec in enumerate(kernel)))
+    columns = [[x * (den // vec[n + j]) for x in vec[:n]] for j, vec in enumerate(kernel)]
+    return [list(row) for row in zip(*columns)], den
 
 
-def kernel_basis(rows):
-    """Basis of the right kernel of a matrix (rows of ints/Fractions).
+def kernel_basis(rows) -> list[list[int]]:
+    """Basis of the right kernel of a matrix of integer rows: one primitive
+    integer vector per non-pivot column of the reduced row echelon form,
+    positive there and 0 at the other non-pivot columns, in column order.
 
-    ``row_basis`` sorted by pivot is a row echelon form with the pivots of
-    the reduced form.  Each non-pivot column gets the vector that is 1 there
-    and 0 at the other non-pivot columns, solved from the last row up.
+    ``integer_row_basis`` sorted by pivot is a row echelon form with the
+    pivots of the reduced form; each vector is solved from the last row up,
+    scaled at each row by the least factor that keeps it integral, so it
+    ends as the least integer multiple of the reduced-form vector.
     """
-    from fractions import Fraction
     if not rows:
         return []
     n = len(rows[0])
-    echelon = sorted((next(c for c, x in enumerate(row) if x), row) for row in row_basis(rows))
+    echelon = sorted((next(c for c, x in enumerate(row) if x), row)
+                     for row in integer_row_basis(rows))
     pivots = {piv for piv, _ in echelon}
     basis = []
     for free in (c for c in range(n) if c not in pivots):
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
+        vec = [0] * n
+        vec[free] = 1
         for piv, row in reversed(echelon):
-            vec[piv] = Fraction(-sum((row[c] * vec[c] for c in range(piv + 1, n) if row[c]),
-                                     Fraction(0)), row[piv])
+            s = sum(row[c] * vec[c] for c in range(piv + 1, n) if row[c])
+            p = row[piv]  # > 0
+            g = math.gcd(s, p)
+            if g != p:
+                vec = [x * (p // g) for x in vec]
+            vec[piv] = -s // g
         basis.append(vec)
     return basis

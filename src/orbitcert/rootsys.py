@@ -1,17 +1,18 @@
 """Exact root-system models on integer simple-root coordinates.
 
-A model is built from its simple roots.  Its positive roots are enumerated
-on the integer Cartan matrix and kept as integer coefficient vectors on the
-simple roots (``pos_coefficients``); the invariant form is the integer
-symmetrized Cartan matrix ``gram`` over ``gram_den``, so that
-(alpha_i, alpha_j) = gram[i][j] / gram_den.  Inside the engine an element h
-of the Cartan is its integer values <alpha_i, h> on the simple roots
-(``h_values``) and a weight is its Dynkin labels <lambda, alpha_i^vee> over
-one common denominator (``dynkin_labels``).  Every pairing with a root is
-then an integer dot product with the root's coefficients or with its
-coroot's coefficients on the simple coroots (``coroot_coefficients``).  This
-is LiE's representation (van Leeuwen, Cohen & Lisser, 1992), with the Cartan
-data of Bourbaki, Lie Groups and Lie Algebras ch. VI.
+A model is its simple roots; every table is derived from them once.  The
+invariant form is the integer symmetrized Cartan matrix ``gram`` over
+``gram_den``, so that (alpha_i, alpha_j) = gram[i][j] / gram_den, and the
+positive roots are enumerated on the integer Cartan matrix as integer
+coefficient vectors on the simple roots (``pos_coefficients``).  Inside
+the engine an element h of the Cartan is its integer values <alpha_i, h>
+on the simple roots (``h_values``) and a weight is its Dynkin labels
+<lambda, alpha_i^vee> over one common denominator (``dynkin_labels``).
+Every pairing with a root is then an integer dot product with the root's
+coefficients or with its coroot's coefficients on the simple coroots
+(``coroot_coefficients``).  This is LiE's representation (van Leeuwen,
+Cohen & Lisser, 1992), with the Cartan data of Bourbaki, Lie Groups and Lie
+Algebras ch. VI.
 
 Epsilon coordinates are the I/O format.  Weights are parsed, serialized and
 returned as ``Weight`` vectors in an orthonormal ambient basis, where the
@@ -58,14 +59,15 @@ the same lemma inside the subsystem, whose simple roots have smaller height
 than the roots above them, the walk is exact; it costs one set lookup per
 pair of a root and a simple root found before it.  The integral system
 walks coroots by coroot height (the order of ``coroot_steps``),
-``simple_system_of`` walks roots by height (the model order).
+``simple_system_of`` walks roots by height (the model order) and enumerates
+the subsystem again on the integer ``root_gram`` of the roots it found.
 """
 from __future__ import annotations
 
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
@@ -302,21 +304,20 @@ def parse_label(label: str) -> tuple[str, int]:
 
 @dataclass(frozen=True, eq=False)
 class RootSystemModel:
-    """Immutable enumeration of a simple root system with its invariant form.
+    """Immutable simple root system, held as its simple roots.
 
     Models are interned by :func:`build` (one instance per Cartan label), so
-    identity comparison and hashing are the intended semantics.  The integer
-    tables (``pos_coefficients``, ``cartan``, ``gram``,
-    ``coroot_coefficients``) carry the arithmetic; ``positive_roots`` are the
-    same roots in epsilon coordinates, in the same order.
+    identity comparison and hashing are the intended semantics.  Every table
+    is derived from the simple roots once, on first use; the integer ones
+    (``gram``, ``cartan``, ``pos_coefficients``, ``coroot_coefficients``)
+    carry the arithmetic, and ``positive_roots`` are the same roots in
+    epsilon coordinates, in the order of ``pos_coefficients``.
     """
 
     cartan_type: str
     ambient_dim: int
     simple_roots: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
     sum_zero: bool  # canonicalizer: project onto the sum-zero hyperplane?
-    pos_coefficients: tuple[tuple[int, ...], ...] = field(repr=False, default=())
 
     @property
     def rank(self) -> int:
@@ -326,6 +327,15 @@ class RootSystemModel:
     def dim(self) -> int:
         """dim g = #roots + rank."""
         return 2 * len(self.positive_roots) + self.rank
+
+    @cached_property
+    def pos_coefficients(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots on the simple roots (``_positive_coefficients``)."""
+        return tuple(_positive_coefficients(self.cartan))
+
+    @cached_property
+    def positive_roots(self) -> tuple[Weight, ...]:
+        return tuple(combine(self, c) for c in self.pos_coefficients)
 
     @cached_property
     def roots(self) -> tuple[Weight, ...]:
@@ -425,15 +435,14 @@ class RootSystemModel:
         sum_i (rows[i] . w.nums) / (den w.den) a_i.  The rows after them
         span the orthogonal complement of that span (``span_complement``),
         so w lies in the span exactly when they all pair to zero with it."""
-        inv = linalg.inverse(self.gram)
-        if inv is None:
+        inverse = linalg.inverse(self.gram)
+        if inverse is None:
             raise RuntimeError(f"{self.cartan_type}: the Gram matrix is singular")
-        # omega_i^vee = sum_j gram_den inv[i][j] a_j, as (a_i, a_j) = gram[i][j] / gram_den
-        coweights, coweight_den = _common_rows(Weight(row) for row in inv)
-        basis, _, basis_den = self._basis
-        coords = [[self.gram_den * sum(map(mul, row, col)) for col in zip(*basis)]
-                  for row in coweights]
-        return coords + _common_rows(span_complement(self))[0], coweight_den * basis_den
+        inv, inv_den = inverse
+        basis, columns, basis_den = self._basis
+        # omega_i^vee = sum_j gram_den inv[i][j] a_j / inv_den: (a_i, a_j) = gram[i][j] / gram_den
+        coords = [[self.gram_den * sum(map(mul, row, col)) for col in columns] for row in inv]
+        return coords + linalg.kernel_basis(basis), inv_den * basis_den
 
     @cached_property
     def support_values(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -663,19 +672,6 @@ def _positive_coefficients(cartan, limit: int | None = None) -> list[tuple[int, 
     return sorted(found, key=lambda c: (sum(c), c))
 
 
-def _enumerate_positive(simples: list[Weight], limit: int | None = None
-                        ) -> tuple[list[Weight], list[tuple[int, ...]]]:
-    """All positive roots generated by a simple system (linearly independent
-    roots with an integral Cartan matrix), enumerated on integer
-    coefficients; returns the roots and their coefficient vectors."""
-    rows, den = _common_rows(simples)
-    coeffs = _positive_coefficients(_cartan_of(_gram(rows, den)[0]), limit)
-    columns = list(zip(*rows))
-    roots = [Weight.from_ints([sum(map(mul, col, c)) for col in columns], den)
-             for c in coeffs]
-    return roots, coeffs
-
-
 def _eps(i: int, dim: int) -> Weight:
     return Weight(tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim)))
 
@@ -739,19 +735,12 @@ def _build(series: str, rank: int) -> RootSystemModel:
         dim, sum_zero = 9, True
     else:
         dim, simples, sum_zero = _simple_root_data(series, rank)
-    positive, coeffs = _enumerate_positive(simples)
-    model = RootSystemModel(
-        cartan_type=f"{series}{rank}",
-        ambient_dim=dim,
-        simple_roots=tuple(simples),
-        positive_roots=tuple(positive),
-        sum_zero=sum_zero,
-        pos_coefficients=tuple(coeffs),
-    )
+    model = RootSystemModel(f"{series}{rank}", dim, tuple(simples), sum_zero)
+    coeffs = model.pos_coefficients
     expected = _POS_COUNTS[series](rank)
-    if len(positive) != expected:
+    if len(coeffs) != expected:
         raise RuntimeError(
-            f"{model.cartan_type}: enumerated {len(positive)} positive roots, expected {expected}")
+            f"{model.cartan_type}: enumerated {len(coeffs)} positive roots, expected {expected}")
     # rho is integral: <rho, a_i^vee> = 1 on every simple root
     two_rho = [sum(col) for col in zip(*coeffs)]
     if any(sum(map(mul, two_rho, col)) != 2 for col in zip(*model.cartan)):
@@ -796,13 +785,14 @@ def fundamental_coweights(model: RootSystemModel) -> tuple[Weight, ...]:
 
 @lru_cache(maxsize=None)
 def span_complement(model: RootSystemModel) -> tuple[Weight, ...]:
-    """Basis of the orthogonal complement of span(Pi) in the ambient space.
+    """Basis of the orthogonal complement of span(Pi) in the ambient space
+    (the rows of ``span_rows`` after the coweights).
 
     A vector lies in the rational span of the simple roots iff it pairs to
     zero with every member (empty for models whose roots span the ambient).
     """
-    rows = [list(a.nums) for a in model.simple_roots]
-    return tuple(Weight(v) for v in linalg.kernel_basis(rows))
+    rows, _ = model.span_rows
+    return tuple(Weight.from_ints(row) for row in rows[model.rank:])
 
 
 def levi_subsystem(model: RootSystemModel, pi0) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
@@ -875,17 +865,28 @@ def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
         if v not in index:
             raise ValueError(f"{v} is not a root of {model.cartan_type}")
     chosen = sorted({index[v] % npos for v in roots})
-    codes = pack(model.pos_coefficients[k] for k in chosen)
-    simples = [model.positive_roots[chosen[pos]] for pos in height_simples(codes)]
-    if any(a.dot(b) > 0 for i, a in enumerate(simples) for b in simples[i + 1:]):
+    coeffs = model.pos_coefficients
+    simple = [chosen[pos] for pos in height_simples(pack(coeffs[k] for k in chosen))]
+    gram = root_gram(model, simple)
+    if any(x > 0 for i, row in enumerate(gram) for x in row[i + 1:]):
         raise ValueError("root set is not closed under the subsystem structure")
     try:
-        generated, _ = _enumerate_positive(simples, limit=len(chosen))
+        generated = _positive_coefficients(_cartan_of(gram), limit=len(chosen))
     except ValueError:
         raise ValueError("root set is not closed under the subsystem structure")
-    if set(generated) != {model.positive_roots[k] for k in chosen}:
+    # a generated root sum_j c_j b_j on the model's simple roots
+    columns = list(zip(*(coeffs[k] for k in simple)))
+    if ({tuple(sum(map(mul, col, c)) for col in columns) for c in generated}
+            != {coeffs[k] for k in chosen}):
         raise ValueError("root set is not closed under the subsystem structure")
-    return tuple(simples)
+    return tuple(model.positive_roots[k] for k in simple)
+
+
+def root_gram(model: RootSystemModel, ks) -> list[list[int]]:
+    """(beta_k, beta_j) * gram_den for the positive roots k, j in ``ks``:
+    ``form_rows`` times the coefficient vectors."""
+    form_rows, coeffs = model.form_rows, model.pos_coefficients
+    return [[sum(map(mul, form_rows[k], coeffs[j])) for j in ks] for k in ks]
 
 
 def classify_simple_system(vectors) -> tuple[str, ...]:
@@ -935,7 +936,8 @@ def finite_cartan(gram) -> tuple[tuple[int, ...], ...]:
     """The Cartan matrix of a simple system given by its Gram matrix (as
     for ``classify_gram``); ValueError unless the vectors are linearly
     independent with off-diagonal Cartan entries in {0, -1, -2, -3}."""
-    if len(linalg.row_basis(gram)) != len(gram):
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    if len(linalg.integer_row_basis([[int(x * den) for x in row] for row in gram])) != len(gram):
         raise ValueError("simple system is not linearly independent")
     cartan = _cartan_of(gram)
     if any(x not in (0, -1, -2, -3) for i, row in enumerate(cartan)

@@ -329,4 +329,4 @@ def centralizer_oracle(p: Partition) -> int:
                 bracket[i][c] += e[i][r] * x
                 bracket[r][i] -= x * e[c][i]
         columns.append([bracket[i][j] for i, j in positions])
-    return len(basis) - linalg.rank(columns)
+    return len(basis) - len(linalg.integer_row_basis(columns))

@@ -11,6 +11,7 @@ from orbitcert import linalg
 from orbitcert import rootsys as rs
 
 import conftest
+import epsilon_reference as ref
 
 
 def test_e8_flagship_integral_system(e8, flagship_lambda_prime, flagship_integral_simples):
@@ -94,7 +95,7 @@ def test_antidominant_single_reflection():
 def test_antidominant_flagship_word_length(e8, flagship_lambda_prime):
     isys = ig.integral_system(e8, flagship_lambda_prime)
     res = ig.antidominant_rep(e8, isys.simple_system, flagship_lambda_prime)
-    sub_pos = rs._enumerate_positive(list(isys.simple_system))[0]
+    sub_pos = ref.enumerate_positive(list(isys.simple_system))[0]
     inversions = sum(1 for g in sub_pos if flagship_lambda_prime.dot(g) > 0)
     assert res.minimal
     assert len(res.word) == inversions

@@ -182,13 +182,13 @@ def test_subregular_d_row_from_sl2_labels(label, parts, d_nodes, a_nodes):
     assert d_labels(parts)[rank - 3] == 0  # the branch node of D_r
     nodes = d_nodes + a_nodes
     # <a_i, h> = sum_j cartan[i][j] c_j for h = sum_j c_j a_j^vee over the Levi nodes
-    inverse = linalg.inverse([[e8.cartan[i][j] for j in nodes] for i in nodes])
+    inverse, den = linalg.inverse([[e8.cartan[i][j] for j in nodes] for i in nodes])
     coroot = [sum(x * y for x, y in zip(row, labels)) for row in inverse]
     scale, scale_den = e8.coroot_scale
     coeffs = [0] * e8.rank
     for node, c in zip(nodes, coroot):
         coeffs[node] = c * scale[node]
-    h = rs.combine(e8, coeffs, scale_den)
+    h = rs.combine(e8, coeffs, scale_den * den)
     values = rs.h_values(e8, h)
     assert [values[node] for node in nodes] == labels
     graded = ob.graded_dims(e8, h)
