@@ -109,16 +109,14 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
     inputs outside the root span fail with the honest residual.
     """
     mask = levi_mask(model, pi0)
-    mu = rootsys.canonicalize(model, mu)
-    return _levi_solve(model, mu, *rootsys.span_coords(model, mu), mask)
+    return _levi_solve(model, rootsys.canonicalize(model, mu), mask)
 
 
-def _levi_solve(model: RootSystemModel, w: Weight, nums, den: int, inside: bool, mask: int,
-                base=None) -> tuple[bool, tuple[numbers.Rational, ...] | Weight]:
-    """``in_levi_span`` of mu = w - sum_i (base[i] / den) a_i (base 0 by
-    default), whose simple-root coordinates are nums / den, for Pi_0 given
-    as its bit set (coefficients in increasing index); ``inside`` says
-    whether w, and so mu, lies in the root span."""
+def _levi_solve(model: RootSystemModel, w: Weight, mask: int
+                ) -> tuple[bool, tuple[numbers.Rational, ...] | Weight]:
+    """``in_levi_span`` of a canonical w, for Pi_0 given as its bit set
+    (coefficients in increasing index)."""
+    nums, den, inside = rootsys.span_coords(model, w)
     if inside:
         coeffs = []
         for i, x in enumerate(nums):
@@ -128,9 +126,7 @@ def _levi_solve(model: RootSystemModel, w: Weight, nums, den: int, inside: bool,
                 break
         else:
             return True, tuple(coeffs)
-    base = base or itertools.repeat(0)
-    return False, w - combine(model, [b + x if mask >> i & 1 else b
-                                      for i, (x, b) in enumerate(zip(nums, base))], den)
+    return False, w - combine(model, [x if mask >> i & 1 else 0 for i, x in enumerate(nums)], den)
 
 
 @dataclass(frozen=True)
@@ -189,20 +185,15 @@ def _verdict_B(va_dim: int | None, orb_dim: int) -> CheckResult:
 
 def check_C(model: RootSystemModel, pi0, h: Weight, lambda_prime: Weight) -> CheckResult:
     """lambda' - delta' lies in the rational span of Pi_0."""
-    two_dp = _two_delta_prime(model, root_values(model, h_values(model, h)))
-    lambda_prime = rootsys.canonicalize(model, lambda_prime)
-    return _verdict_C(model, levi_mask(model, pi0), lambda_prime, two_dp)
+    dp = delta_prime(model, h)  # h is read and checked before lambda'
+    mu = rootsys.canonicalize(model, lambda_prime) - dp
+    return _verdict_C(model, levi_mask(model, pi0), mu)
 
 
-def _verdict_C(model: RootSystemModel, mask: int, lambda_prime: Weight,
-               two_dp) -> CheckResult:
-    """``check_C`` for a canonical lambda', 2 delta' on the simple roots and
-    Pi_0 as its bit set."""
-    nums, den, inside = rootsys.span_coords(model, lambda_prime)
-    # lambda' - delta' on the simple roots, over 2 den
-    mu = [2 * x - den * y for x, y in zip(nums, two_dp)]
-    ok, info = _levi_solve(model, lambda_prime, mu, 2 * den, inside, mask,
-                           [den * y for y in two_dp])
+def _verdict_C(model: RootSystemModel, mask: int, mu: Weight) -> CheckResult:
+    """``check_C`` for mu = lambda' - delta' (canonical) and Pi_0 as its bit
+    set: the Levi-span solve of mu."""
+    ok, info = _levi_solve(model, mu, mask)
     if ok:
         return CheckResult(PASS, witness=info)
     return CheckResult(FAIL, witness=info, detail="nonzero residual off the Levi span")
@@ -249,7 +240,7 @@ class CertificateInput:
             values = _regular_values(model, mask)
         else:
             values = h_values(model, h)
-            ok, residual = _levi_solve(model, h, *rootsys.span_coords(model, h), mask)
+            ok, residual = _levi_solve(model, h, mask)
             if not ok:
                 raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
         object.__setattr__(self, "h_simple", tuple(values))
@@ -315,8 +306,8 @@ def certify(inp: CertificateInput) -> CertificateReport:
     integral roots and checks the sign of their values (no simple system is
     found or checked), and the values of h on the positive roots
     (``rootsys.root_values`` of the simple values the input read) feed dim O
-    and 2 delta', which (C) takes to the kernel that ``check_C`` runs.
-    cor68, dim O and delta' are computed once and feed verdicts and report.
+    and delta'.  (C) is the Levi-span solve of lambda' - delta'.  cor68,
+    dim O and delta' are computed once and feed verdicts and report.
     """
     model = inp.model
     mask = levi_mask(model, inp.levi)
@@ -326,16 +317,16 @@ def certify(inp: CertificateInput) -> CertificateReport:
     cor68 = cor68_from_values(model, values, den)
     h_roots = root_values(model, inp.h_simple)
     dim_orbit = orbit_dim_from_values(model, h_roots)
-    two_dp = _two_delta_prime(model, h_roots)
+    dp = combine(model, _two_delta_prime(model, h_roots), 2)
     return CertificateReport(
         verdict_A=verdict_A,
         verdict_B=_verdict_B(cor68, dim_orbit),
-        verdict_C=_verdict_C(model, mask, inp.lambda_prime, two_dp),
+        verdict_C=_verdict_C(model, mask, inp.lambda_prime - dp),
         verdict_D=check_D(inp.principal_in_levi),
         dim_g=model.dim,
         dim_orbit=dim_orbit,
         cor68=cor68,
-        delta_prime=combine(model, two_dp, 2),
+        delta_prime=dp,
     )
 
 

@@ -251,21 +251,25 @@ def _cmd_dimz(args) -> int:
 def _cmd_tables(args) -> int:
     import csv
     import orbitcert.orbits as orb
-    # table -> (records, label field, one-row payload, listing row)
-    records, label_field, one_row, listing_row = {
-        "rigid": (orb.RIGID_TABLE, "bala_carter", lambda r: {"dim_z": r.dim_z, "q": r.q_type},
+    # table -> (records, label field, one-row lookup, one-row payload, listing row)
+    records, label_field, lookup, one_row, listing_row = {
+        "rigid": (orb.RIGID_TABLE, "bala_carter", orb.rigid_table,
+                  lambda r: {"dim_z": r.dim_z, "q": r.q_type},
                   lambda r: {"algebra": r.algebra, "label": r.bala_carter,
                              "q_type": r.q_type, "dim_z": r.dim_z}),
-        "duality": (orb.DUALITY_TABLE, "e_label", lambda r: {"dual": r.e_dual_label},
+        "duality": (orb.DUALITY_TABLE, "e_label", orb.duality_table,
+                    lambda r: {"dual": r.e_dual_label},
                     lambda r: {"algebra": r.algebra, "label": r.e_label,
                                "dual": r.e_dual_label}),
     }[args.table]
+    if args.algebra is not None and args.label is not None:
+        rec = lookup(args.algebra, args.label)
+        _emit(None if rec is None else one_row(rec), args.output)
+        return EXIT_PASS
     matches = [rec for rec in records
                if (args.algebra is None or rec.algebra == args.algebra)
                and (args.label is None or getattr(rec, label_field) == args.label)]
-    if args.algebra is not None and args.label is not None:
-        _emit(one_row(matches[0]) if matches else None, args.output)
-    elif args.output == "text":
+    if args.output == "text":
         writer = csv.DictWriter(sys.stdout, fieldnames=list(listing_row(records[0])),
                                 lineterminator="\n")
         writer.writeheader()

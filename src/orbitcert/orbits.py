@@ -28,16 +28,13 @@ if TYPE_CHECKING:
 
 
 def graded_dims(model: RootSystemModel, h: Weight) -> dict[int, int]:
-    """dim g(i) for the grading by ad-h eigenvalues; h must be integral."""
+    """dim g(i) for the grading by ad-h eigenvalues; h must be integral.
+
+    From <beta, h> = k on the positive roots (``rootsys.root_values``): beta
+    and -beta add one each to g(k) and g(-k), the Cartan to g(0)."""
     import orbitcert.rootsys as rs
-    return _graded_dims(model, rs.root_values(model, rs.h_values(model, h)))
-
-
-def _graded_dims(model: RootSystemModel, values) -> dict[int, int]:
-    """``graded_dims`` from <beta, h> on the positive roots (``rootsys.root_values``):
-    beta and -beta add one each to g(k) and g(-k), the Cartan to g(0)."""
     dims: dict[int, int] = {0: model.rank}
-    for k, count in Counter(values).items():
+    for k, count in Counter(rs.root_values(model, rs.h_values(model, h))).items():
         dims[k] = dims.get(k, 0) + count
         dims[-k] = dims.get(-k, 0) + count
     return {k: v for k, v in sorted(dims.items()) if v}

@@ -905,9 +905,9 @@ def classify_simple_system(vectors) -> tuple[str, ...]:
 
 
 def classify_gram(gram) -> tuple[str, ...]:
-    """``classify_simple_system`` for a simple system given by its Gram
-    matrix under a positive definite form (any positive scale), of ints or
-    of exact rationals.
+    """``classify_simple_system`` for a simple system given by its integer
+    Gram matrix under a positive definite form (any positive scale); as
+    ``finite_cartan``, TypeError for an entry that is not an int.
 
     Independent vectors with Cartan entries in {0, -1, -2, -3} form one of
     the diagrams A-G (Humphreys, Introduction to Lie Algebras, 11.4), so a
@@ -933,11 +933,15 @@ def classify_gram(gram) -> tuple[str, ...]:
 
 
 def finite_cartan(gram) -> tuple[tuple[int, ...], ...]:
-    """The Cartan matrix of a simple system given by its Gram matrix (as
-    for ``classify_gram``); ValueError unless the vectors are linearly
-    independent with off-diagonal Cartan entries in {0, -1, -2, -3}."""
-    den = math.lcm(*(x.denominator for row in gram for x in row))
-    if len(linalg.integer_row_basis([[int(x * den) for x in row] for row in gram])) != len(gram):
+    """The Cartan matrix of a simple system given by its integer Gram matrix
+    (as for ``classify_gram``); TypeError for an entry that is not an int (a
+    bool is not), ValueError unless the vectors are linearly independent
+    with off-diagonal Cartan entries in {0, -1, -2, -3}."""
+    bad = [x for row in gram for x in row if type(x) is not int]
+    if bad:
+        raise TypeError(f"a Gram matrix entry must be an int, not {type(bad[0]).__name__}: "
+                        f"{bad[0]!r}")
+    if len(linalg.integer_row_basis(gram)) != len(gram):
         raise ValueError("simple system is not linearly independent")
     cartan = _cartan_of(gram)
     if any(x not in (0, -1, -2, -3) for i, row in enumerate(cartan)

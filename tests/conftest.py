@@ -5,6 +5,9 @@ import pytest
 
 from orbitcert import rootsys as rs
 
+# the default types of the seeded and differential sweeps
+TYPES = ("A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8")
+
 # the A5+A1 Levi: simple roots a1..a5, a7 (0-based indices)
 LEVI_A5A1 = (0, 1, 2, 3, 4, 6)
 
@@ -25,6 +28,15 @@ INTEGRAL_SIMPLES = (
     (0, 1, 0, 0, 1, 0, 1, 0, 0),
     (1, 0, 1, 0, 1, 0, 0, 0, 0),
 )
+
+
+def rational(rng, nonzero=False):
+    """A seeded rational a / b, |a| <= 6 and 1 <= b <= 6, redrawn until
+    nonzero when asked."""
+    while True:
+        q = Fr(rng.randint(-6, 6), rng.randint(1, 6))
+        if q or not nonzero:
+            return q
 
 
 @pytest.fixture(scope="session")

@@ -275,12 +275,13 @@ def test_check_C_delta_prime_itself(e8, flagship_h):
 def test_check_C_off_span_shift(e8, flagship_h):
     lam = ct.delta_prime(e8, flagship_h) + rs.fundamental_weights(e8)[5]
     res = ct.check_C(e8, LEVI, flagship_h, lam)
-    assert res.status == ct.FAIL and isinstance(res.witness, rs.Weight)
+    assert res.status == ct.FAIL and not res and isinstance(res.witness, rs.Weight)
 
 
 def test_check_D():
-    assert ct.check_D(True).status == ct.PASS
-    assert ct.check_D(False).status == ct.UNDECIDED
+    """A CheckResult is true exactly when it passes."""
+    assert ct.check_D(True).status == ct.PASS and ct.check_D(True)
+    assert ct.check_D(False).status == ct.UNDECIDED and not ct.check_D(False)
 
 
 @pytest.mark.parametrize("flag", ["no", "yes", 1, 0, None])

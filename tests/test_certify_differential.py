@@ -27,13 +27,13 @@ from functools import cache
 import pytest
 
 import epsilon_reference as ref
+from conftest import TYPES, rational
 from orbitcert import certify as ct
 from orbitcert import cli
 from orbitcert import integral as ig
 from orbitcert import orbits as orb
 from orbitcert import rootsys as rs
 
-TYPES = ("A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8")
 CASES_PER_TYPE = 48
 # lambda' = delta'(h) plus Levi terms: on the Levi span, then off it; then
 # rho (A and B fail), -rho (B undecided) and a random vector in the root span;
@@ -51,13 +51,6 @@ ERRORS = {"off_span": "h is not in the Levi coroot span; residual ",
           "odd": r"orbit dimension \d+ is odd: h is not the characteristic of a nilpotent"}
 
 
-def _rational(rng, nonzero=False):
-    while True:
-        q = Fr(rng.randint(-6, 6), rng.randint(1, 6))
-        if q or not nonzero:
-            return q
-
-
 @cache
 def cases(label):
     """(argv, levi, h, lambda') for one type, seeded by its label."""
@@ -70,16 +63,16 @@ def cases(label):
         h = ct.h_regular(model, levi)
         lam = ct.delta_prime(model, h)
         for i in levi:
-            lam = lam + _rational(rng) * model.simple_roots[i]
+            lam = lam + rational(rng) * model.simple_roots[i]
         outside = [i for i in range(model.rank) if i not in levi]
         if kind == "off" and outside:
-            lam = lam + _rational(rng, nonzero=True) * model.simple_roots[rng.choice(outside)]
+            lam = lam + rational(rng, nonzero=True) * model.simple_roots[rng.choice(outside)]
         elif kind == "rho":
             lam = rs.rho(model)
         elif kind == "minus_rho":
             lam = -rs.rho(model)
         elif kind == "random":
-            lam = rs.combine(model, [_rational(rng) for _ in range(model.rank)])
+            lam = rs.combine(model, [rational(rng) for _ in range(model.rank)])
         elif kind == "h_off_span" and outside:
             h = ct.h_regular(model, levi + (rng.choice(outside),))
         elif kind == "h_half":
@@ -95,8 +88,8 @@ def cases(label):
             h = ct.h_regular(model, levi)
             lam = ct.delta_prime(model, h)
             for i in levi:
-                lam = lam + _rational(rng) * model.simple_roots[i]
-            lam = lam + _rational(rng, nonzero=True) * ones
+                lam = lam + rational(rng) * model.simple_roots[i]
+            lam = lam + rational(rng, nonzero=True) * ones
             out.append(_case(model, levi, h, lam, rng.random() < 0.6))
     return out
 
@@ -178,7 +171,7 @@ def _reference_root_coords(model, mu):
 
 def test_orbit_dim_from_values_matches_graded_dims():
     """dim O read off three counts of the root values equals dim g minus
-    dim g(0) + dim g(1) of the whole grading (``orbits._graded_dims``), or
+    dim g(0) + dim g(1) of the whole grading (``orbits.graded_dims``), or
     raises the same odd-orbit error, for every integral h of the cases;
     ``orbit_dim_from_h`` agrees with the reference on every h.  The cases
     reach both parities."""
@@ -192,7 +185,7 @@ def test_orbit_dim_from_values_matches_graded_dims():
                 values = rs.root_values(model, rs.h_values(model, h))
             except ValueError:
                 continue  # h is not integral
-            dims = orb._graded_dims(model, values)
+            dims = orb.graded_dims(model, h)
             expected = model.dim - dims.get(0, 0) - dims.get(1, 0)
             parities.add(expected % 2)
             if expected % 2:

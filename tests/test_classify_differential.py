@@ -7,6 +7,7 @@ on a Fraction Cartan matrix.  Every comparison is exact, on Levi subsets
 of every type up to rank 8 in shuffled order and on seeded integral
 systems, which are often not Levi subsystems (A2 in G2, D4 in B4, ...).
 """
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -25,7 +26,11 @@ DENOMINATORS = (1, 1, 2, 2, 3, 4, 6)
 
 
 def _gram(vectors):
-    return [[u.dot(v) for v in vectors] for u in vectors]
+    """The Gram matrix of the vectors times the lcm of its denominators: the
+    namers take integer Gram matrices, at any positive scale."""
+    gram = [[u.dot(v) for v in vectors] for u in vectors]
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    return [[int(x * den) for x in row] for row in gram]
 
 
 def _components(gram):

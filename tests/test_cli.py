@@ -390,6 +390,15 @@ def test_tables_not_found_is_null(capsys):
     assert code == 0 and json.loads(out) is None
 
 
+@pytest.mark.parametrize("table", ["rigid", "duality"])
+def test_tables_uncovered_algebra_is_usage_error(capsys, table):
+    """A one-row lookup goes through the library lookup, which refuses an
+    algebra the tables do not cover rather than answering null."""
+    code, out, err = run(capsys, "tables", "--table", table, "--algebra", "Q", "--label", "A1")
+    assert code == 2 and out == ""
+    assert err == "error: the tables cover G2, F4, E6, E7, E8, not 'Q'\n"
+
+
 def test_tables_full_dump(capsys):
     code, out, _ = run(capsys, "tables", "--table", "rigid")
     rows = json.loads(out)

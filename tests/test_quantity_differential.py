@@ -21,21 +21,14 @@ from functools import cache
 import pytest
 
 import epsilon_reference as ref
+from conftest import TYPES, rational
 from orbitcert import certify as ct
 from orbitcert import orbits as orb
 from orbitcert import rootsys as rs
 
-TYPES = ("A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8")
 CASES_PER_TYPE = 300
 LAMBDA_KINDS = ("on", "off", "root_span", "epsilon", "ones")
 H_KINDS = ("regular", "regular", "integral", "half")
-
-
-def _rational(rng, nonzero=False):
-    while True:
-        q = Fr(rng.randint(-6, 6), rng.randint(1, 6))
-        if q or not nonzero:
-            return q
 
 
 def _integral_h(model, rng):
@@ -63,16 +56,16 @@ def cases(label):
             h = _integral_h(model, rng)
         lam = ref.delta_prime(model, h)
         for i in levi:
-            lam = lam + _rational(rng) * model.simple_roots[i]
+            lam = lam + rational(rng) * model.simple_roots[i]
         outside = [i for i in range(model.rank) if i not in levi]
         if kind == "off" and outside:
-            lam = lam + _rational(rng, nonzero=True) * model.simple_roots[rng.choice(outside)]
+            lam = lam + rational(rng, nonzero=True) * model.simple_roots[rng.choice(outside)]
         elif kind == "root_span":
-            lam = rs.combine(model, [_rational(rng) for _ in range(model.rank)])
+            lam = rs.combine(model, [rational(rng) for _ in range(model.rank)])
         elif kind == "epsilon":
-            lam = rs.weight([_rational(rng) for _ in range(model.ambient_dim)])
+            lam = rs.weight([rational(rng) for _ in range(model.ambient_dim)])
         elif kind == "ones":
-            lam = lam + _rational(rng, nonzero=True) * ones
+            lam = lam + rational(rng, nonzero=True) * ones
         if h_kind == "half":
             h = Fr(1, 2) * h
         out.append((levi, h, lam, kind, h_kind))

@@ -18,7 +18,6 @@ import epsilon_reference as ref
 TYPE_COUNTS = [("A1", 1), ("A4", 10), ("B2", 4), ("B3", 9), ("C3", 9),
                ("D4", 12), ("G2", 6), ("F4", 24), ("E6", 36), ("E7", 63),
                ("E8", 120)]
-DEFAULT_TYPES = ["A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
 
 
 @pytest.mark.parametrize("label,count", TYPE_COUNTS)
@@ -157,7 +156,7 @@ def test_rho_a1():
     assert rs.rho(a1) == Fr(1, 2) * a1.simple_roots[0]
 
 
-@pytest.mark.parametrize("label", DEFAULT_TYPES)
+@pytest.mark.parametrize("label", conftest.TYPES)
 def test_rho_defining_property(label):
     model = rs.build(label)
     r = rs.rho(model)
@@ -176,7 +175,7 @@ def test_rho_pairing_at_least_one_on_positives(label):
         assert (val == 1) == (beta in simple)
 
 
-@pytest.mark.parametrize("label", DEFAULT_TYPES)
+@pytest.mark.parametrize("label", conftest.TYPES)
 def test_fundamental_weights_defining(label):
     model = rs.build(label)
     for i, pi in enumerate(rs.fundamental_weights(model)):
@@ -184,7 +183,7 @@ def test_fundamental_weights_defining(label):
             assert rs.pairing(model, pi, alpha) == (1 if i == j else 0)
 
 
-@pytest.mark.parametrize("label", DEFAULT_TYPES)
+@pytest.mark.parametrize("label", conftest.TYPES)
 def test_fundamental_coweights_defining(label):
     model = rs.build(label)
     for i, w in enumerate(rs.fundamental_coweights(model)):
@@ -264,7 +263,7 @@ def test_levi_round_trip(e8):
         assert set(rs.simple_system_of(e8, pos)) == set(simp)
 
 
-@pytest.mark.parametrize("label", DEFAULT_TYPES)
+@pytest.mark.parametrize("label", conftest.TYPES)
 def test_root_and_coroot_steps(label):
     """Each positive root (coroot) is a simple one or an earlier one plus a
     simple one, in weakly increasing height (coroot height): the order that
@@ -363,16 +362,21 @@ def test_identify_type_rejects_non_crystallographic(e8):
         rs.classify_simple_system([u, v])
 
 
-@pytest.mark.parametrize("gram,message", [
-    ([[2, -2], [-2, 2]], "simple system is not linearly independent"),
-    ([[2, 1], [1, 2]], "pairings are not those of a finite-type simple system"),
-], ids=["dependent", "positive_pairing"])
-def test_finite_cartan_rejects(gram, message):
-    """The simple-system check that ``classify_gram`` and cor68 share."""
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        rs.finite_cartan(gram)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        rs.classify_gram(gram)
+@pytest.mark.parametrize("gram,error,message", [
+    ([[2, -2], [-2, 2]], ValueError, "simple system is not linearly independent"),
+    ([[2, 1], [1, 2]], ValueError, "pairings are not those of a finite-type simple system"),
+    ([[2.0]], TypeError, "a Gram matrix entry must be an int, not float: 2.0"),
+    ([[True]], TypeError, "a Gram matrix entry must be an int, not bool: True"),
+    ([[Fr(2)]], TypeError, "a Gram matrix entry must be an int, not Fraction: Fraction(2, 1)"),
+], ids=["dependent", "positive_pairing", "float", "bool", "Fraction"])
+def test_finite_cartan_rejects(gram, error, message):
+    """The simple-system check that ``classify_gram`` and cor68 share; types
+    are named from integer Gram matrices only, so a float, a bool or a
+    Fraction entry is a TypeError, not a silent reading."""
+    for fn in (rs.finite_cartan, rs.classify_gram):
+        with pytest.raises(error) as exc:
+            fn(gram)
+        assert str(exc.value) == message
 
 
 def test_finite_cartan_of_g2():
@@ -497,7 +501,7 @@ def test_weight_pickles_and_stays_immutable():
             setattr(v, name, 1)
 
 
-@pytest.mark.parametrize("label", DEFAULT_TYPES)
+@pytest.mark.parametrize("label", conftest.TYPES)
 def test_root_membership_matches_the_root_lists(label):
     model = rs.build(label)
     rng = random.Random(f"membership-{label}")

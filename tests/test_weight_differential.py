@@ -22,8 +22,8 @@ from orbitcert import integral as ig
 from orbitcert import rootsys as rs
 
 import epsilon_reference as ref
+from conftest import TYPES
 
-TYPES = ("A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8")
 DENOMINATORS = (1, 2, 3, 6)
 
 
