@@ -2,13 +2,17 @@
 """Mutation probe: do the Tier-1 tests notice a one-token change in a module?
 
 Usage: python scripts/mutation_probe.py MODULE [MODULE ...]
+       python scripts/mutation_probe.py --changed REV
 
 MODULE names a file ``src/orbitcert/<MODULE>.py``.  Each mutant makes one
 edit to that file: it swaps one comparison operator (< <= > >= == !=) or one
 arithmetic operator (+ - * // %), or adds 1 to one integer constant.  Per
 module the probe lists every such edit in source order and draws ``SAMPLE``
 of them with a ``random.Random`` seeded by ``SEED`` and the module name, so
-the same source gives the same mutants on every run.
+the same source gives the same mutants on every run.  With ``--changed REV``
+it takes instead every mutant on the lines of ``src/orbitcert`` that
+``git diff -U0 REV`` marks as added or changed in the working tree, module
+by module; a module only deleted from has none.
 
 The checkout holding this script is copied once to a temporary directory;
 the working tree is never written.  The unmutated suite must pass there
@@ -129,6 +133,36 @@ def sample(module: str, source: str) -> list[Mutant]:
     return sorted(rng.sample(every, min(SAMPLE, len(every))), key=lambda m: (m.line, m.col))
 
 
+def changed_lines(diff: str) -> dict[str, set[int]]:
+    """Per module of ``src/orbitcert``, the new-side line numbers of the
+    hunks of a ``git diff -U0`` text."""
+    lines: dict[str, set[int]] = {}
+    name = None
+    for text in diff.splitlines():
+        if text.startswith("+++ "):
+            path = Path(text[len("+++ b/"):])
+            name = (path.stem if text.startswith("+++ b/") and path.parent == PACKAGE
+                    and path.suffix == ".py" else None)
+        elif text.startswith("@@ ") and name is not None:
+            hunk = re.match(r"@@ -\S+ \+(\d+)(?:,(\d+))? @@", text)
+            start, count = int(hunk.group(1)), int(hunk.group(2) or 1)
+            if count:  # a hunk that only deletes adds no line
+                lines.setdefault(name, set()).update(range(start, start + count))
+    return lines
+
+
+def on_lines(source: str, lines: set[int]) -> list[Mutant]:
+    """Every mutant of a module on the given lines, in source order."""
+    return [m for m in mutants(source) if m.line in lines]
+
+
+def git_diff(rev: str) -> str:
+    """``git diff -U0 REV`` of ``src/orbitcert`` in the checkout."""
+    return subprocess.run(["git", "diff", "-U0", "--no-color", "--no-ext-diff", rev, "--",
+                           str(PACKAGE)], cwd=CHECKOUT, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def _limit_memory() -> None:
     """Cap the suite's address space, so a mutant that allocates without
     end fails with MemoryError instead of exhausting the host."""
@@ -153,10 +187,12 @@ def run_suite(copy: Path, timeout: float | None = None) -> tuple[str, str, float
     return "killed", failed.group(1) if failed else f"(exit {proc.returncode})", seconds
 
 
-def probe(names: list[str], run=run_suite) -> int:
+def probe(names: list[str], run=run_suite, select=sample,
+          header: str = f"seed {SEED}, {SAMPLE} mutants per module") -> int:
     """Run ``run`` (``run_suite``) on a copy of the checkout, unmutated and
-    then once per sampled mutant of each module, and print the report;
-    1 if the unmutated suite fails, else 0."""
+    then once per mutant that ``select(module, source)`` (``sample``) picks
+    in each module, and print the report under ``header``; 1 if the
+    unmutated suite fails, else 0."""
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(CHECKOUT, copy, ignore=IGNORED)
@@ -164,12 +200,11 @@ def probe(names: list[str], run=run_suite) -> int:
         if outcome != "survived":
             print(f"the unmutated suite fails at {failed}", file=sys.stderr)
             return 1
-        print(f"unmutated suite: {base_s:.1f} s; seed {SEED}, {SAMPLE} mutants per module",
-              flush=True)
+        print(f"unmutated suite: {base_s:.1f} s; {header}", flush=True)
         for name in names:
             rel = PACKAGE / f"{name}.py"
             source = (copy / rel).read_text()
-            chosen = sample(name, source)
+            chosen = select(name, source)
             killed = 0
             for m in chosen:
                 (copy / rel).write_text(m.apply(source))
@@ -186,6 +221,14 @@ def probe(names: list[str], run=run_suite) -> int:
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--changed":
+        try:
+            lines = changed_lines(git_diff(argv[1]))
+        except subprocess.CalledProcessError as err:
+            print(err.stderr.strip(), file=sys.stderr)
+            return 2
+        return probe(sorted(lines), select=lambda name, source: on_lines(source, lines[name]),
+                     header=f"every mutant on the lines changed since {argv[1]}")
     if not argv or any(not (CHECKOUT / PACKAGE / f"{name}.py").is_file() for name in argv):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2

@@ -27,9 +27,9 @@ def integer_row_basis(rows) -> list[list[int]]:
                     vec = [q * x for x in vec]
                 for c, y in nonzeros:
                     vec[c] -= a * y
-        nonzeros = [(c, x) for c, x in enumerate(vec) if x]
-        if not nonzeros:
+        if not any(vec):
             continue
+        nonzeros = [(c, x) for c, x in enumerate(vec) if x]
         piv, lead = nonzeros[0]
         g = math.gcd(*vec) if lead > 0 else -math.gcd(*vec)
         if g != 1:
@@ -38,6 +38,25 @@ def integer_row_basis(rows) -> list[list[int]]:
         kept.append((piv, lead // g, nonzeros))
         basis.append(vec)
     return basis
+
+
+def positive_definite(matrix) -> bool:
+    """Whether a symmetric integer matrix is positive definite, by
+    Sylvester's criterion: each leading principal minor is positive.  The
+    minors are the pivots of Bareiss's fraction-free elimination without
+    row exchanges, whose divisions are exact."""
+    work = [list(row) for row in matrix]
+    n, prev = len(work), 1
+    for k in range(n):
+        pivot = work[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            row, a = work[i], work[i][k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - a * work[k][j]) // prev
+        prev = pivot
+    return True
 
 
 def inverse(matrix) -> tuple[list[list[int]], int] | None:

@@ -239,12 +239,18 @@ def _zero(n: int) -> list[list[int]]:
 def jordan_type(mat) -> tuple[int, ...]:
     """Jordan partition of a square nilpotent matrix N from the ranks of its powers.
 
-    N has integer entries.  The ranks come from an image chain: an integer
-    row basis of N^k times N spans the row space of N^(k+1), so no power is
-    formed.  The chain ends when the basis is empty; a rank that stops
-    falling before that means N is not nilpotent.  N has
-    r_(k-1) - 2 r_k + r_(k+1) blocks of size k, where r_k = rank N^k.
-    TypeError for an entry that is not an int (a bool is not).
+    N has integer entries.  The ranks r_k = rank N^k come from an image
+    chain: an integer row basis of N^k times N spans the row space of
+    N^(k+1), so no power is formed.  N has r_(k-1) - 2 r_k + r_(k+1) blocks
+    of size k.  The chain ends when the basis is empty; a rank that stops
+    falling before that means N is not nilpotent.  It also stops at the last
+    Jordan block: d_k = r_(k-1) - r_k blocks have size >= k, so when d_k = 1
+    the remaining ranks are r_k - 1, ..., 1, 0.  That stop is exact only for
+    a nilpotent N, so it is taken only when N is strictly upper triangular
+    (each nonzero row i starts after column i), which certifies it; any
+    other N runs the whole chain.
+    TypeError for an entry that is not an int (a bool is not).  The shape
+    and entries are checked once here, then ``_jordan_chain`` runs.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
@@ -254,13 +260,24 @@ def jordan_type(mat) -> tuple[int, ...]:
         i, j, x = next((i, j, x) for i, row in enumerate(mat)
                        for j, x in enumerate(row) if type(x) is not int)
         raise TypeError(f"matrix entry ({i}, {j}) must be an int, not {type(x).__name__}: {x!r}")
+    return _jordan_chain(mat)
+
+
+def _jordan_chain(mat) -> tuple[int, ...]:
+    """``jordan_type`` of a square matrix of ints, without the entry checks;
+    the oracles call it on the matrices they build."""
+    n = len(mat)
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
+    triangular = all(not row or row[0][0] > i for i, row in enumerate(sparse))
     ranks = [n]
     basis = linalg.integer_row_basis(mat)
     while basis:
         if len(basis) >= ranks[-1]:
             raise ValueError("matrix is not nilpotent")
         ranks.append(len(basis))
+        if triangular and ranks[-2] - ranks[-1] == 1:
+            ranks += range(ranks[-1] - 1, 0, -1)
+            break
         images = []
         for row in basis:
             image = [0] * n
@@ -315,10 +332,17 @@ def _positions(kind: str, n: int) -> Mapping[tuple[int, int], tuple[tuple[int, i
 
 def _random_element(basis, n: int, rng: random.Random, start=None) -> list[list[int]]:
     """start (default zero) plus a randint(-9, 9) multiple of each basis
-    element, drawn in basis order."""
+    element, drawn in basis order.  Each coefficient is drawn as CPython's
+    ``randint`` draws it, with one ``getrandbits`` call per try: 5 bits,
+    again while 19 or more, less 9; so the stream is randint's."""
     mat = [row[:] for row in start] if start else _zero(n)
+    getrandbits, width = rng.getrandbits, 2 * _ENTRY_RANGE + 1
+    bits = width.bit_length()
     for element in basis:
-        coeff = rng.randint(-_ENTRY_RANGE, _ENTRY_RANGE)
+        coeff = getrandbits(bits)
+        while coeff >= width:
+            coeff = getrandbits(bits)
+        coeff -= _ENTRY_RANGE
         for r, c, x in element:
             mat[r][c] += coeff * x
     return mat
@@ -459,7 +483,7 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     target = induced_dim_z(levi)
     rng = random.Random(seed)
     for _ in range(trials):
-        drawn = Partition(jordan_type(_random_element(nilradical, n, rng, base)), levi.kind)
+        drawn = Partition(_jordan_chain(_random_element(nilradical, n, rng, base)), levi.kind)
         if dim_z_partition(drawn) == target:
             return drawn
     raise TrialBudgetExhausted(f"trial budget exhausted: none of {trials} draws in "
@@ -490,7 +514,7 @@ def centralizer_oracle(p: Partition) -> int:
     e_cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*e)]
     if any(weights[i] - weights[j] != 2 for i, row in enumerate(e_rows) for j, _ in row):
         raise RuntimeError(f"e of type {p.parts} is not homogeneous of degree 2")
-    if (got := jordan_type(e)) != p.parts:
+    if (got := _jordan_chain(e)) != p.parts:
         raise RuntimeError(f"e of type {p.parts} has Jordan type {got}")
     degree = [weights[element[0][0]] - weights[element[0][1]] for element in basis]
     slot = [[None] * n for _ in range(n)]  # canonical position -> (degree, index in it)

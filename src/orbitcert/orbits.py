@@ -113,7 +113,11 @@ def parity_valid(p: Partition) -> bool:
 
 def transpose(p: Partition) -> Partition:
     """Young-diagram transpose (an involution on the parts): part index i
-    appears p_i - p_(i+1) times, for i from the number of parts down to 1."""
+    appears p_i - p_(i+1) times, for i from the number of parts down to 1.
+    ValueError for an so or sp partition that is not parity-valid, as in
+    ``dim_z_partition``; the transpose keeps p's kind."""
+    if not parity_valid(p):
+        raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
     parts = p.parts + (0,)
     cols: list[int] = []
     for i in range(len(p.parts), 0, -1):

@@ -907,7 +907,9 @@ def classify_simple_system(vectors) -> tuple[str, ...]:
 def classify_gram(gram) -> tuple[str, ...]:
     """``classify_simple_system`` for a simple system given by its integer
     Gram matrix under a positive definite form (any positive scale); as
-    ``finite_cartan``, TypeError for an entry that is not an int.
+    ``finite_cartan``, TypeError for an entry that is not an int and
+    ValueError for a matrix that is not square, symmetric and positive
+    definite.
 
     Independent vectors with Cartan entries in {0, -1, -2, -3} form one of
     the diagrams A-G (Humphreys, Introduction to Lie Algebras, 11.4), so a
@@ -935,14 +937,25 @@ def classify_gram(gram) -> tuple[str, ...]:
 def finite_cartan(gram) -> tuple[tuple[int, ...], ...]:
     """The Cartan matrix of a simple system given by its integer Gram matrix
     (as for ``classify_gram``); TypeError for an entry that is not an int (a
-    bool is not), ValueError unless the vectors are linearly independent
-    with off-diagonal Cartan entries in {0, -1, -2, -3}."""
+    bool is not).  ValueError unless the matrix is square and symmetric, the
+    vectors are linearly independent, the form is positive definite (which
+    a diagonal entry that is not positive, or an indefinite hyperbolic
+    diagram, is not) and the off-diagonal Cartan entries are in
+    {0, -1, -2, -3}."""
     bad = [x for row in gram for x in row if type(x) is not int]
     if bad:
         raise TypeError(f"a Gram matrix entry must be an int, not {type(bad[0]).__name__}: "
                         f"{bad[0]!r}")
-    if len(linalg.integer_row_basis(gram)) != len(gram):
-        raise ValueError("simple system is not linearly independent")
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise ValueError(f"Gram matrix is not square: {n} rows of lengths "
+                         f"{sorted({len(row) for row in gram})}")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("Gram matrix is not symmetric")
+    if not linalg.positive_definite(gram):  # else the vectors are independent
+        if len(linalg.integer_row_basis(gram)) != n:
+            raise ValueError("simple system is not linearly independent")
+        raise ValueError("Gram matrix is not positive definite")
     cartan = _cartan_of(gram)
     if any(x not in (0, -1, -2, -3) for i, row in enumerate(cartan)
            for j, x in enumerate(row) if i != j):

@@ -1,5 +1,9 @@
 """inverse and kernel_basis, and the reference Gauss-Jordan solve that the
-epsilon reference uses, against the Bareiss rank of tests/matrix_reference.py."""
+epsilon reference uses, against the Bareiss rank of tests/matrix_reference.py;
+positive_definite against leading minors by the Leibniz formula."""
+import itertools
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,3 +65,46 @@ def test_inverse_exactly_when_full_rank(matrix):
             [den * int(i == j) for i in range(n)] for j in range(n)]
     else:
         assert inv is None
+
+
+def leibniz_det(matrix) -> int:
+    """The determinant as the signed sum over permutations."""
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def symmetric(draw):
+    """B^T B + c I for a small integer B and shift c: positive definite,
+    semidefinite, singular and indefinite forms all occur."""
+    n = draw(st.integers(1, 5))
+    b = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=1, max_size=6))
+    c = draw(st.integers(-3, 3))
+    return [[sum(row[i] * row[j] for row in b) + c * (i == j) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=300)
+@given(symmetric())
+def test_positive_definite_is_sylvester(matrix):
+    """True exactly when every leading principal minor is positive."""
+    minors = [leibniz_det([row[:k] for row in matrix[:k]]) for k in range(1, len(matrix) + 1)]
+    assert linalg.positive_definite(matrix) == all(d > 0 for d in minors)
+
+
+def test_positive_definite_examples():
+    """A negative trailing minor is seen, and a zero leading one; the input
+    is not modified."""
+    assert linalg.positive_definite([])
+    assert linalg.positive_definite([[2, 1], [1, 1]])
+    assert not linalg.positive_definite([[2, 0], [0, -1]])
+    assert not linalg.positive_definite([[0, 1], [1, 5]])
+    assert not linalg.positive_definite([[-1]])
+    mat = [[2, 1, 0], [1, 1, 1], [0, 1, 1]]  # minors 2, 1, -1
+    assert not linalg.positive_definite(mat)
+    assert mat == [[2, 1, 0], [1, 1, 1], [0, 1, 1]]
+    assert linalg.positive_definite([[3, 1, 0], [1, 1, 1], [0, 1, 2]])  # minors 3, 2, 1

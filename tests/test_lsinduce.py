@@ -232,13 +232,13 @@ def test_oracle_discards_draws_below_the_induced_orbit():
     budget of two draws it raises instead of answering (3, 3)."""
     levi = ls.LeviDescriptor("sp", 6, (ls.GLBlock(3, P((2, 1))),))
     seen = []
-    jordan_type = ls.jordan_type
+    chain = ls._jordan_chain
 
     def recorded(mat):
-        seen.append(jordan_type(mat))
+        seen.append(chain(mat))
         return seen[-1]
 
-    with mock.patch.object(ls, "jordan_type", recorded):
+    with mock.patch.object(ls, "_jordan_chain", recorded):
         assert ls.jordan_oracle(levi, seed=850592468) == ls.induce(levi) == P((4, 2), "sp")
     assert seen == [(3, 3), (3, 3), (4, 2)]
     with pytest.raises(ValueError, match="trial budget exhausted"):
@@ -248,6 +248,7 @@ def test_oracle_discards_draws_below_the_induced_orbit():
 def test_oracle_trials_bounded():
     levi = ls.LeviDescriptor("gl", 2, (ls.GLBlock(1, P((1,))), ls.GLBlock(1, P((1,)))))
     assert ls.jordan_oracle(levi, trials=1000).parts == (2,)
+    assert ls.jordan_oracle(levi, trials=1).parts == (2,)  # both ends of 1..1000
     for trials in (0, 1001):
         with pytest.raises(ValueError, match="trials must be in 1..1000"):
             ls.jordan_oracle(levi, trials=trials)
@@ -325,10 +326,15 @@ def test_oracle_agrees_with_induce_seeded():
 
 def test_random_descriptor_covers_its_ambient_ranges():
     """Seeded draws reach every ambient the docstring gives: 2..max-2 for
-    gl, 4..max for so, and the even ones of 4..max for sp."""
+    gl, 4..max for so, and the even ones of 4..max for sp; and in each, every
+    first block size: 1..n-1 for gl, 1..n/2 for so/sp (n/2: no tail)."""
     rng = random.Random(0)
     for kind, ambients in (("gl", range(2, 8)), ("so", range(4, 10)), ("sp", range(4, 10, 2))):
-        assert {ls.random_descriptor(rng, kind, 9).ambient for _ in range(300)} == set(ambients)
+        drawn = [ls.random_descriptor(rng, kind, 9) for _ in range(300)]
+        assert {levi.ambient for levi in drawn} == set(ambients)
+        top = (lambda n: n - 1) if kind == "gl" else (lambda n: n // 2)
+        assert {(levi.ambient, levi.gl_blocks[0].k) for levi in drawn} == {
+            (n, k) for n in ambients for k in range(1, top(n) + 1)}
 
 
 # centralizer oracle ----------------------------------------------------------
@@ -350,7 +356,9 @@ def test_normal_form_is_exact_without_random_draws():
     """Every valid gl/so/sp partition up to the oracle bound: the laid normal
     form is in the algebra, homogeneous of degree 2 for the sl2 weights and
     of the target Jordan type, and the centralizer oracle matches the
-    formula, with no random number drawn."""
+    formula, with no random number drawn.  The form is strictly upper
+    triangular, so its rank chain may stop at the last Jordan block; its
+    basis reversal P e P^-1 is lower triangular and runs the whole chain."""
     def no_draws(*args, **kwargs):
         raise AssertionError("random draw")
 
@@ -363,9 +371,11 @@ def test_normal_form_is_exact_without_random_draws():
                     e = ls._lay(ls._normal_form(kind, p.parts), kind, n)
                     weights = ls._sl2_weights(p.parts)
                     assert ls._in_algebra(e, kind), p
+                    assert {x for row in e for x in row} <= {-1, 0, 1}, p  # a 0/±1 normal form
                     assert all(weights[i] - weights[j] == 2 for i in range(n)
                                for j in range(n) if e[i][j]), p
-                    assert ls.jordan_type(e) == p.parts, p
+                    reversal = [row[::-1] for row in e[::-1]]
+                    assert ls.jordan_type(e) == ls.jordan_type(reversal) == p.parts, p
                     assert ls.centralizer_oracle(p) == dim_z_partition(p), p
                     checked += 1
     assert checked == 1487

@@ -64,27 +64,101 @@ def test_jordan_type_rejects_non_nilpotent(mat):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["gl", "so", "sp"]), st.integers(0, 2**32 - 1))
 def test_oracle_matrices_match_powers(kind, seed):
-    """Every matrix jordan_oracle hands to jordan_type, for seeded random
+    """Every matrix jordan_oracle hands to its rank chain, for seeded random
     descriptors and two oracle seeds, gets the reference type; the oracle
     returns the type of its last draw."""
     rng = random.Random(seed)
     levi = ls.random_descriptor(rng, kind, 12)
     seen = []
-    jordan_type = ls.jordan_type
+    chain = ls._jordan_chain
 
     def checked(mat):
-        got = jordan_type(mat)
+        got = chain(mat)
         assert got == ref.jordan_type(mat)
         assert len(linalg.integer_row_basis(mat)) == ref.rank(mat)
         seen.append(got)
         return got
 
-    with mock.patch.object(ls, "jordan_type", checked):
+    with mock.patch.object(ls, "_jordan_chain", checked):
         for oracle_seed in (rng.randrange(2**31), rng.randrange(2**31)):
             result = ls.jordan_oracle(levi, seed=oracle_seed)
             assert result.parts == seen[-1]
             assert result == ls.induce(levi)
     assert len(seen) >= 2
+
+
+def reversed_basis(mat):
+    """P N P^-1 for the permutation P reversing the basis: lower triangular
+    when N is upper triangular, so the rank chain runs to its end."""
+    return [row[::-1] for row in mat[::-1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["gl", "so", "sp"]), st.integers(0, 2**32 - 1))
+def test_stop_rule_matches_the_whole_chain_on_oracle_draws(kind, seed):
+    """Seeded Levi representatives plus nilradical draws, as jordan_oracle
+    builds them: each is strictly upper triangular, and its type is that of
+    its basis reversal and of the matrix powers."""
+    rng = random.Random(seed)
+    levi = ls.random_descriptor(rng, kind, ls.MAX_ORACLE_AMBIENT)
+    seen = []
+    chain = ls._jordan_chain
+
+    def checked(mat):
+        assert all(not any(row[:i + 1]) for i, row in enumerate(mat))
+        got = chain(mat)
+        assert got == chain(reversed_basis(mat)) == ref.jordan_type(mat)
+        seen.append(got)
+        return got
+
+    with mock.patch.object(ls, "_jordan_chain", checked):
+        ls.jordan_oracle(levi, seed=rng.randrange(2**31), trials=3)
+    assert seen
+
+
+def test_stop_rule_skips_the_chain_only_when_triangular():
+    """The regular nilpotent J_n has d_1 = 1: one row basis when it is
+    strictly upper triangular, n when its basis is reversed."""
+    n = 9
+    regular = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    for mat, calls in ((regular, 1), (reversed_basis(regular), n)):
+        with mock.patch.object(linalg, "integer_row_basis",
+                               wraps=linalg.integer_row_basis) as spy:
+            assert ls.jordan_type(mat) == (n,)
+        assert spy.call_count == calls
+
+
+@pytest.mark.parametrize("mat", [
+    [[0, 1, 0], [0, 0, 0], [0, 0, 1]],  # d_1 = 1, with an eigenvalue 1
+    [[1, 0, 0], [0, 0, 1], [0, 0, 0]],
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, -2]],
+    [[2]],
+])
+def test_upper_triangular_non_nilpotent_takes_the_whole_chain(mat):
+    """Upper triangular with a nonzero diagonal entry, so not certified
+    nilpotent: a rank drop of 1 does not end the chain, and the rank that
+    stops falling is still found, as it is after the basis reversal."""
+    for m in (mat, reversed_basis(mat)):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            ls.jordan_type(m)
+
+
+def test_random_element_is_the_randint_stream():
+    """One getrandbits call per try draws what randint(-9, 9) draws, and
+    leaves the generator in the same state, with and without a start."""
+    for kind, n in (("gl", 7), ("so", 10), ("sp", 12)):
+        basis = ls._algebra_basis(kind, n)
+        start = ls._lay(ls._normal_form(kind, (n,) if kind != "so" else (n - 1, 1)), kind, n)
+        for seed in range(6):
+            rng, expected_rng = random.Random(seed), random.Random(seed)
+            for base in (None, start):
+                expected = [row[:] for row in base] if base else [[0] * n for _ in range(n)]
+                for element in basis:
+                    coeff = expected_rng.randint(-9, 9)
+                    for r, c, x in element:
+                        expected[r][c] += coeff * x
+                assert ls._random_element(basis, n, rng, base) == expected
+                assert rng.getstate() == expected_rng.getstate()
 
 
 VALUE = st.sampled_from([0, 0, 0, 1, -1, 2, 7, -12, 3, -4, 5, 6])

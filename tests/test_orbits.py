@@ -112,6 +112,16 @@ def test_transpose_examples():
     assert ob.transpose(ob.Partition(())).parts == ()
 
 
+@pytest.mark.parametrize("parts,kind", [((2,), "so"), ((4, 2, 1), "so"), ((3, 1), "sp"),
+                                        ((1,), "sp")])
+def test_transpose_rejects_an_invalid_partition(parts, kind):
+    """(2) in so once gave (1, 1); the input is checked as dim_z_partition checks it."""
+    p = ob.Partition(parts, kind)
+    for fn in (ob.transpose, ob.dim_z_partition):
+        with pytest.raises(ValueError, match=rf"^\({parts[0]},.* is not a valid {kind} partition$"):
+            fn(p)
+
+
 @given(st.lists(st.integers(1, 9), min_size=0, max_size=8))
 def test_transpose_involution(parts):
     p = ob.Partition(tuple(sorted(parts, reverse=True)))

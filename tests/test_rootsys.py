@@ -362,17 +362,36 @@ def test_identify_type_rejects_non_crystallographic(e8):
         rs.classify_simple_system([u, v])
 
 
+def _tree_gram(n, edges):
+    """The simply laced Gram matrix (Cartan matrix) of a tree on n nodes."""
+    gram = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -1
+    return gram
+
+
+# T(2, 3, 7): E8's chain 0 - ... - 8 with node 9 on node 2; det -1, not finite type
+_T237 = _tree_gram(10, [(i, i + 1) for i in range(8)] + [(2, 9)])
+
+
 @pytest.mark.parametrize("gram,error,message", [
     ([[2, -2], [-2, 2]], ValueError, "simple system is not linearly independent"),
     ([[2, 1], [1, 2]], ValueError, "pairings are not those of a finite-type simple system"),
     ([[2.0]], TypeError, "a Gram matrix entry must be an int, not float: 2.0"),
     ([[True]], TypeError, "a Gram matrix entry must be an int, not bool: True"),
     ([[Fr(2)]], TypeError, "a Gram matrix entry must be an int, not Fraction: Fraction(2, 1)"),
-], ids=["dependent", "positive_pairing", "float", "bool", "Fraction"])
+    ([[2, -1]], ValueError, "Gram matrix is not square: 1 rows of lengths [2]"),
+    ([[2, -1], [0, 2]], ValueError, "Gram matrix is not symmetric"),
+    ([[-2]], ValueError, "Gram matrix is not positive definite"),
+    (_T237, ValueError, "Gram matrix is not positive definite"),
+], ids=["dependent", "positive_pairing", "float", "bool", "Fraction", "not_square",
+        "not_symmetric", "negative_diagonal", "hyperbolic_T237"])
 def test_finite_cartan_rejects(gram, error, message):
     """The simple-system check that ``classify_gram`` and cor68 share; types
     are named from integer Gram matrices only, so a float, a bool or a
-    Fraction entry is a TypeError, not a silent reading."""
+    Fraction entry is a TypeError, not a silent reading.  A non-square
+    matrix once raised IndexError, and [[-2]] was named A1 and the
+    indefinite T(2, 3, 7) E10."""
     for fn in (rs.finite_cartan, rs.classify_gram):
         with pytest.raises(error) as exc:
             fn(gram)

@@ -69,6 +69,48 @@ def test_mutation_probe_mutants_and_copy(capsys):
         f"integral: 0 killed, {len(chosen)} survived of {len(chosen)}"
 
 
+def test_mutation_probe_changed_lines(capsys):
+    """``--changed REV`` reads the new-side lines of each hunk of
+    ``src/orbitcert`` from ``git diff -U0`` and probes every mutant on them;
+    checked on a written diff and a stand-in suite, so no git and no suite run."""
+    probe = runpy.run_path(str(SCRIPTS / "mutation_probe.py"))
+    diff = "\n".join([
+        "diff --git a/src/orbitcert/integral.py b/src/orbitcert/integral.py",
+        "--- a/src/orbitcert/integral.py", "+++ b/src/orbitcert/integral.py",
+        "@@ -40,2 +40,3 @@ def prop67_dim(dim_g, rank, n_int):",
+        "+    a", "+    b", "+    c", "-    d", "-    e",
+        "@@ -90 +91 @@", "+    f", "-    g",
+        "@@ -120,4 +120,0 @@", "-    h",  # a hunk that only deletes
+        "diff --git a/src/orbitcert/orbits.py b/src/orbitcert/orbits.py",
+        "--- a/src/orbitcert/orbits.py", "+++ b/src/orbitcert/orbits.py",
+        "@@ -7,2 +6,0 @@", "-    i",
+        "--- a/src/orbitcert/gone.py", "+++ /dev/null", "@@ -1,5 +0,0 @@",
+        "--- a/scripts/bench.py", "+++ b/scripts/bench.py", "@@ -1 +1 @@",
+        "--- a/src/orbitcert/sub/x.py", "+++ b/src/orbitcert/sub/x.py", "@@ -1 +1 @@",
+    ])
+    assert probe["changed_lines"](diff) == {"integral": {40, 41, 42, 91}}
+    path = SCRIPTS.parent / "src" / "orbitcert" / "integral.py"
+    source = path.read_text()
+    every = probe["mutants"](source)
+    lines = {m.line for m in every[::3]}
+    chosen = probe["on_lines"](source, lines)
+    assert chosen == [m for m in every if m.line in lines] and chosen
+    assert probe["on_lines"](source, set()) == []
+    seen = []
+
+    def run(copy, timeout=None):
+        seen.append((copy / "src" / "orbitcert" / "integral.py").read_text())
+        return ("survived", "", 0.0) if len(seen) == 1 else ("killed", "test_x", 0.0)
+
+    assert probe["probe"](["integral"], run, lambda name, src: probe["on_lines"](src, lines),
+                          "every mutant on the lines changed since REV") == 0
+    assert seen == [source] + [m.apply(source) for m in chosen]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("; every mutant on the lines changed since REV")
+    assert out[-1] == f"integral: {len(chosen)} killed, 0 survived of {len(chosen)}"
+    assert probe["main"](["--changed"]) == 2  # REV is required
+
+
 def test_paired_bench_verdict():
     """The paired rule, without running the benchmark: at least nine wins in
     ten, ties counting for neither side, and a median gap in the better
