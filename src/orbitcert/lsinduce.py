@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,7 +75,7 @@ class LeviDescriptor:
             if self.kind == "sp" and (self.ambient % 2 or m % 2):
                 raise ValueError("sp ambient and tail must be even")
             if self.tail is not None:
-                c = Partition(self.tail.c.parts, self.kind)
+                c = _in_kind(self.tail.c, self.kind)
                 if c.total != self.tail.m:
                     raise ValueError(f"tail partition {c.parts} is not of {self.tail.m}")
                 if not parity_valid(c):
@@ -117,6 +116,12 @@ class LeviDescriptor:
             tail = Tail(_int_value(_json_field(t, "m", "tail"), "m"),
                         Partition(_json_parts(_json_field(t, "c", "tail")), kind))
         return cls(kind, _int_value(ambient, "ambient"), gl_blocks, tail)
+
+
+def _in_kind(p: Partition, kind: str) -> Partition:
+    """p itself when it is already of ``kind`` (its constructor checked it),
+    else its parts checked again as a ``kind`` partition."""
+    return p if p.kind == kind else Partition(p.parts, kind)
 
 
 def _json_field(obj, key: str, what: str):
@@ -270,7 +275,7 @@ def _jordan_chain(mat) -> tuple[int, ...]:
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
     triangular = all(not row or row[0][0] > i for i, row in enumerate(sparse))
     ranks = [n]
-    basis = linalg.integer_row_basis(mat)
+    basis = linalg.integer_row_basis([row for row, nonzeros in zip(mat, sparse) if nonzeros])
     while basis:
         if len(basis) >= ranks[-1]:
             raise ValueError("matrix is not nilpotent")
@@ -446,6 +451,21 @@ def _levi_base_matrix(levi: LeviDescriptor) -> list[list[int]]:
     return _lay(edges, levi.kind, levi.ambient)
 
 
+def _nilradical(kind: str, sizes) -> list[tuple[tuple[int, int, int], ...]]:
+    """The members of ``_algebra_basis(kind, sum(sizes))`` whose canonical
+    position (i, j) has its column past the end of row i's diagonal block,
+    for the blocks of ``sizes`` in order: the nilradical of that parabolic,
+    in the basis order.  Row by row, only the columns from the block end
+    on are looked up."""
+    n, ends, end = sum(sizes), [], 0  # ends[i]: the first column after row i's block
+    for size in sizes:
+        end += size
+        ends += [end] * size
+    at = _positions(kind, n)
+    return [element for i, end in enumerate(ends) for j in range(end, n)
+            if (element := at.get((i, j)))]
+
+
 def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Partition:
     """Ground-truth induced orbit via exact matrices and ranks of powers.
 
@@ -477,9 +497,7 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     sizes = [b.k for b in levi.gl_blocks]
     if levi.kind != "gl":
         sizes += [levi.tail.m if levi.tail else 0] + sizes[::-1]
-    block = [b for b, size in enumerate(sizes) for _ in range(size)]
-    nilradical = [element for element in _algebra_basis(levi.kind, n)
-                  if block[element[0][0]] < block[element[0][1]]]
+    nilradical = _nilradical(levi.kind, sizes)
     target = induced_dim_z(levi)
     rng = random.Random(seed)
     for _ in range(trials):
@@ -518,23 +536,28 @@ def centralizer_oracle(p: Partition) -> int:
         raise RuntimeError(f"e of type {p.parts} has Jordan type {got}")
     degree = [weights[element[0][0]] - weights[element[0][1]] for element in basis]
     slot = [[None] * n for _ in range(n)]  # canonical position -> (degree, index in it)
-    sizes = Counter()
+    sizes: dict[int, int] = {}
     for element, k in zip(basis, degree):
         i, j = element[0][:2]
-        slot[i][j] = (k, sizes[k])
-        sizes[k] += 1
+        index = sizes.get(k, 0)
+        slot[i][j] = (k, index)
+        sizes[k] = index + 1
     blocks: dict[int, list[list[int]]] = {}  # degree k -> the rows of g_k -> g_(k+2)
     for element, k in zip(basis, degree):
-        image = [0] * sizes[k + 2]
-        terms = [(i, c, y * x) for r, c, x in element for i, y in e_cols[r]]  # eX
-        terms += [(r, j, -x * y) for r, c, x in element for j, y in e_rows[c]]  # -Xe
-        for i, j, x in terms:
-            if slot[i][j] is not None:
-                target, index = slot[i][j]
-                if target != k + 2:
-                    raise RuntimeError(f"[e, X] for X of degree {k} has a term of "
-                                       f"degree {target}")
-                image[index] += x
+        image = [0] * sizes.get(k + 2, 0)
+        for r, c, x in element:
+            for i, y in e_cols[r]:  # eX
+                if (at := slot[i][c]) is not None:
+                    if at[0] != k + 2:
+                        raise RuntimeError(f"[e, X] for X of degree {k} has a term of "
+                                           f"degree {at[0]}")
+                    image[at[1]] += y * x
+            for j, y in e_rows[c]:  # -Xe
+                if (at := slot[r][j]) is not None:
+                    if at[0] != k + 2:
+                        raise RuntimeError(f"[e, X] for X of degree {k} has a term of "
+                                           f"degree {at[0]}")
+                    image[at[1]] -= x * y
         blocks.setdefault(k, []).append(image)
     return len(basis) - sum(len(linalg.integer_row_basis(rows)) for rows in blocks.values())
 
@@ -632,5 +655,5 @@ def induced_dim_z(levi: LeviDescriptor) -> int:
     """dim z of the Levi orbit itself (the dimension-preservation invariant)."""
     total = sum(dim_z_partition(b.d) for b in levi.gl_blocks)
     if levi.tail:
-        total += dim_z_partition(Partition(levi.tail.c.parts, levi.kind))
+        total += dim_z_partition(_in_kind(levi.tail.c, levi.kind))
     return total

@@ -18,6 +18,8 @@ import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass, asdict
+from itertools import count
+from operator import mul
 from typing import TYPE_CHECKING
 
 # The h-side functions import rootsys when called (absolutely: a relative
@@ -75,11 +77,14 @@ class Partition:
     kind: str = "gl"
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(p for p in _int_parts(self.parts) if p))
-        if any(p < 0 for p in self.parts):
+        parts = _int_parts(self.parts)
+        if parts and min(parts) < 0:
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+        if 0 in parts:
+            parts = tuple(p for p in parts if p)
+        object.__setattr__(self, "parts", parts)
+        if list(parts) != sorted(parts, reverse=True):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
         if self.kind not in ("gl", "so", "sp"):
             raise ValueError(f"unknown type context {self.kind!r}")
 
@@ -115,14 +120,15 @@ def transpose(p: Partition) -> Partition:
     """Young-diagram transpose (an involution on the parts): part index i
     appears p_i - p_(i+1) times, for i from the number of parts down to 1.
     ValueError for an so or sp partition that is not parity-valid, as in
-    ``dim_z_partition``; the transpose keeps p's kind."""
+    ``dim_z_partition``.  The transpose is a gl partition: the so/sp parity
+    rules do not carry over to it ((2, 2, 1) in so gives (3, 2))."""
     if not parity_valid(p):
         raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
     parts = p.parts + (0,)
     cols: list[int] = []
     for i in range(len(p.parts), 0, -1):
         cols += [i] * (parts[i - 1] - parts[i])
-    return Partition(tuple(cols), p.kind)
+    return Partition(tuple(cols))
 
 
 def dim_z_partition(p: Partition) -> int:
@@ -135,8 +141,8 @@ def dim_z_partition(p: Partition) -> int:
     """
     if not parity_valid(p):
         raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
-    sq = sum((2 * i - 1) * q for i, q in enumerate(p.parts, 1))
-    odd = sum(1 for q in p.parts if q % 2 == 1)
+    sq = sum(map(mul, count(1, 2), p.parts))
+    odd = sum(map((1).__and__, p.parts))
     if p.kind == "gl":
         return sq
     if p.kind == "so":

@@ -1,8 +1,10 @@
 """Reference induction-layer routines: the two-loop and the pruned rigidity
 searches, the gl Jordan-block builder, the per-part parity check, the
 column-count transpose, the rescanning collapse, the dense centralizer
-oracle, the degree-2 sampler of classical nilpotents, and the per-call
-algebra basis and position dict.
+oracle, the degree-2 sampler of classical nilpotents, the per-call
+algebra basis and position dict, the checks of the ``Partition``
+constructor, the enumerate-built ``dim_z_partition`` sums and the
+block-index filter of the nilradical.
 
 These are ``lsinduce.is_rigid`` (with the ``partitions_of`` and
 ``valid_partitions`` it walked), ``lsinduce._jordan_block_matrix``,
@@ -23,6 +25,11 @@ position map built once per (kind, n) (``lsinduce._algebra_basis``,
 ``lsinduce._positions``) replaced.  ``_in_algebra`` is the membership check
 that walked all n^2 entries through a generator, so each mirrored pair twice,
 which the one-check-per-pair loop replaced; this module's sampler calls it.
+``partition_parts`` is the body of ``Partition.__post_init__`` as it was
+before the one-pass checks, returning the parts it kept; ``dim_z_partition``
+is the formula before its ``map`` sums; ``nilradical`` is the filter of
+``lsinduce._algebra_basis`` by block index that ``jordan_oracle`` ran before
+``lsinduce._nilradical`` listed the nilradical by position.
 The one edit is in ``parity_valid``:
 ``p.parts.count(q)`` stands for the ``Partition.multiplicity(q)`` it called,
 which was that expression and has no other caller; the moved functions
@@ -34,10 +41,11 @@ import random
 from itertools import zip_longest
 
 from orbitcert import linalg
+from orbitcert import lsinduce as ls
 from orbitcert.lsinduce import (MAX_ORACLE_AMBIENT, GLBlock, LeviDescriptor, Tail,
                                 TrialBudgetExhausted, _componentwise_sum, _random_element,
                                 _sl2_weights, dominates, induce, jordan_type)
-from orbitcert.orbits import Partition
+from orbitcert.orbits import Partition, _int_parts
 
 DEFAULT_RIGID_AMBIENT = 14
 _MAX_TRIES = 200  # degree-2 samples per target Jordan type
@@ -58,6 +66,39 @@ def transpose(p: Partition) -> Partition:
         return p
     cols = [sum(1 for q in p.parts if q >= i) for i in range(1, p.parts[0] + 1)]
     return Partition(tuple(cols), p.kind)
+
+
+def partition_parts(parts, kind: str = "gl") -> tuple[int, ...]:
+    """The parts ``Partition(parts, kind)`` keeps, or the exception it raises."""
+    parts = tuple(p for p in _int_parts(parts) if p)
+    if any(p < 0 for p in parts):
+        raise ValueError("parts must be positive")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"parts must be weakly decreasing: {parts}")
+    if kind not in ("gl", "so", "sp"):
+        raise ValueError(f"unknown type context {kind!r}")
+    return parts
+
+
+def dim_z_partition(p: Partition) -> int:
+    """dim of the centralizer of a nilpotent with Jordan type p, for a
+    parity-valid p: sum (2i - 1) p_i, less (so) or plus (sp) the number of
+    odd parts, halved."""
+    sq = sum((2 * i - 1) * q for i, q in enumerate(p.parts, 1))
+    odd = sum(1 for q in p.parts if q % 2 == 1)
+    if p.kind == "gl":
+        return sq
+    if p.kind == "so":
+        return (sq - odd) // 2
+    return (sq + odd) // 2
+
+
+def nilradical(kind: str, sizes) -> list:
+    """The elements of ``lsinduce._algebra_basis(kind, sum(sizes))`` whose row
+    block comes before their column block, for the diagonal blocks of sizes."""
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    return [element for element in ls._algebra_basis(kind, sum(sizes))
+            if block[element[0][0]] < block[element[0][1]]]
 
 
 def _zero(n: int) -> list[list[int]]:

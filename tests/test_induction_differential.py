@@ -1,13 +1,17 @@
 """Differential test: the closed-form rigidity criterion, the laid Levi
 Jordan blocks, the pairwise parity check, the run-built transpose, the
 one-pass collapse, the degree-graded centralizer oracle on the normal form,
-the algebra basis and position map built once per (kind, n) and the
-one-check-per-pair membership test against the code they replaced
-(tests/induction_reference.py)."""
+the algebra basis and position map built once per (kind, n), the
+one-check-per-pair membership test, the one-pass ``Partition`` checks, the
+``map``-built ``dim_z_partition`` sums and the nilradical listed by position
+against the code they replaced (tests/induction_reference.py)."""
 import inspect
+from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import induction_reference as ref
 from orbitcert import lsinduce as ls
@@ -105,16 +109,95 @@ def test_parity_valid_on_many_parts():
 
 
 def test_transpose_matches_column_counts():
-    """Every partition of 18 in each kind: the column counts when it is
-    parity-valid, ValueError when it is not."""
+    """Every partition of 18 in each kind: the column counts, as a gl
+    partition, when it is parity-valid; ValueError when it is not."""
     for parts in all_partitions(18):
         for kind in KINDS:
             p = Partition(parts, kind)
             if ob.parity_valid(p):
-                assert ob.transpose(p) == ref.transpose(p), p
+                assert ob.transpose(p) == Partition(ref.transpose(p).parts), p
             else:
                 with pytest.raises(ValueError, match=f"is not a valid {kind} partition"):
                     ob.transpose(p)
+
+
+@st.composite
+def partition_inputs(draw):
+    """Parts for the ``Partition`` constructor, as a tuple or a list: small
+    integers, negatives among them, sorted or not, with zeros put anywhere
+    and at times one bool, float, Fraction, string or None."""
+    parts = draw(st.lists(st.integers(-2, 9), max_size=8))
+    if draw(st.booleans()):
+        parts.sort(reverse=True)
+    for _ in range(draw(st.integers(0, 3))):
+        parts.insert(draw(st.integers(0, len(parts))), 0)
+    if parts and draw(st.integers(0, 3)) == 0:
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(
+            [True, False, 3.0, 0.0, 2.5, Fraction(3), Fraction(1, 2), "3", None]))
+    return draw(st.sampled_from([tuple, list]))(parts)
+
+
+@settings(max_examples=600)
+@given(partition_inputs(), st.sampled_from(["gl", "so", "sp", "GL", "", "s0", None]))
+def test_partition_constructor_matches_the_reference(parts, kind):
+    """The same parts, or an exception of the same type and message."""
+    try:
+        expected = ref.partition_parts(parts, kind)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            Partition(parts, kind)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+    else:
+        assert Partition(parts, kind).parts == expected
+
+
+def test_dim_z_partition_matches_the_enumerate_sums():
+    """Every valid gl/so/sp partition up to 16."""
+    checked = 0
+    for kind in KINDS:
+        for parts in all_partitions(16):
+            p = Partition(parts, kind)
+            if ob.parity_valid(p):
+                assert ob.dim_z_partition(p) == ref.dim_z_partition(p), p
+                checked += 1
+    assert checked == 1487
+
+
+def compositions(n):
+    """Every sequence of positive integers with sum n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def flag_shapes():
+    """(kind, diagonal block sizes) as ``jordan_oracle`` builds them: every gl
+    composition of n <= 12 and every so/sp flag k_1 .. k_r, m, k_r .. k_1
+    with r >= 1 and n <= 14 (4709 shapes), then the shapes of the
+    benchmark's random descriptors at n = 16: gl in two or three blocks,
+    so/sp with one or two gl blocks and the tail."""
+    shapes = [("gl", c) for n in range(1, 13) for c in compositions(n)]
+    for kind in ("so", "sp"):
+        for n in range(1, 15):
+            if kind == "sp" and n % 2:
+                continue
+            for k in range(1, n // 2 + 1):
+                shapes += [(kind, c + (n - 2 * k,) + c[::-1]) for c in compositions(k)]
+    assert len(shapes) == 4709
+    shapes += [("gl", c) for c in compositions(16) if 2 <= len(c) <= 3]
+    shapes += [(kind, c + (16 - 2 * k,) + c[::-1]) for kind in ("so", "sp")
+               for k in range(1, 9) for c in compositions(k) if len(c) <= 2]
+    return shapes
+
+
+def test_nilradical_by_position_matches_the_block_filter():
+    """The same basis elements in the same order, so every draw of
+    ``jordan_oracle`` is unchanged."""
+    for kind, sizes in flag_shapes():
+        assert ls._nilradical(kind, sizes) == ref.nilradical(kind, sizes), (kind, sizes)
 
 
 def test_transpose_of_a_huge_part():

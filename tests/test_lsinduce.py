@@ -140,6 +140,9 @@ def test_descriptor_json_round_trip():
      "sum 2k_i \\+ m must equal the ambient size"),
     (lambda: ls.LeviDescriptor("so", 7, (ls.GLBlock(2, P((2,))),), ls.Tail(3, P((1, 1), "so"))),
      "tail partition \\(1, 1\\) is not of 3"),
+    # a tail partition built in another kind is checked in the ambient's
+    (lambda: ls.LeviDescriptor("so", 4, (ls.GLBlock(1, P((1,))),), ls.Tail(2, P((2,)))),
+     "tail partition \\(2,\\) is not so-valid"),
     (lambda: ls.LeviDescriptor.from_json_dict({"type": 5, "ambient": 2}),
      "ambient type must be a string"),
     # a bool or a float is no size, built directly or read from JSON
@@ -350,6 +353,21 @@ def test_centralizer_oracle_classical():
     assert ls.centralizer_oracle(P((3, 2, 2, 1), "so")) == 12
     assert ls.centralizer_oracle(P((1, 1, 1, 1), "sp")) == 10
     assert ls.centralizer_oracle(P((5,), "so")) == 2
+
+
+@pytest.mark.parametrize("weights, k, term", [([1, 1, 2, -1, -1], 1, -1),
+                                              ([-1, -1, 2, 1, 1], -3, 3)])
+def test_centralizer_oracle_rejects_a_bracket_off_its_degree(weights, k, term):
+    """so (2, 2, 1) with these weights in place of its sl2 weights: the middle
+    vector 2 is in no edge of e, so e keeps degree 2, but the basis element
+    X at (2, 0) (first row) or (0, 2) (second row) gets another degree at
+    its mirrored entry.  [e, X] then has a term of degree other than k + 2,
+    from e X (first row: at (1, 2)) or from X e (second row: at (2, 1)),
+    and the oracle raises rather than count a rank."""
+    with mock.patch.object(ls, "_sl2_weights", lambda parts: list(weights)):
+        with pytest.raises(RuntimeError, match=rf"^\[e, X\] for X of degree {k} "
+                                               rf"has a term of degree {term}$"):
+            ls.centralizer_oracle(P((2, 2, 1), "so"))
 
 
 def test_normal_form_is_exact_without_random_draws():

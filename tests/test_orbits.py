@@ -128,6 +128,22 @@ def test_transpose_involution(parts):
     assert ob.transpose(ob.transpose(p)) == p
 
 
+@pytest.mark.parametrize("kind", ["so", "sp"])
+def test_transpose_involution_on_so_sp(kind):
+    """Every valid so/sp partition up to 12: its transpose is a gl partition,
+    whose transpose has the parts back.  (2, 2, 1) in so transposes to
+    (3, 2), which is not so-valid."""
+    checked = 0
+    for n in range(13):
+        for p in valid_partitions(n, kind):
+            t = ob.transpose(p)
+            assert t.kind == "gl", p
+            assert ob.transpose(t) == ob.Partition(p.parts), p
+            checked += 1
+    assert checked == {"so": 112, "sp": 93}[kind]
+    assert ob.transpose(ob.Partition((2, 2, 1), "so")) == ob.Partition((3, 2))
+
+
 def test_dim_z_partition_examples():
     assert ob.dim_z_partition(ob.Partition((6,))) == 6
     assert ob.dim_z_partition(ob.Partition((2, 2), "sp")) == 4
