@@ -14,19 +14,16 @@ import importlib
 
 # home submodule -> the public names it gives the package
 _EXPORTS = {
-    "certify": ("CertificateInput", "CertificateReport", "CheckResult", "check_A", "check_B",
-                "check_C", "check_D", "delta", "delta_prime", "h_regular", "in_levi_span",
-                "theta_for_levi"),
-    "integral": ("AntidominantResult", "IntegralSystem", "antidominant_rep", "apply_word",
-                 "cor68_dim", "integral_system", "prop67_dim"),
+    "certify": ("CertificateInput", "CertificateReport", "CheckResult", "delta", "delta_prime",
+                "h_regular", "in_levi_span", "theta_for_levi"),
+    "integral": ("IntegralSystem", "cor68_dim", "integral_system", "prop67_dim"),
     "lsinduce": ("GLBlock", "LeviDescriptor", "Tail", "centralizer_oracle", "collapse",
-                 "induce", "is_rigid", "is_very_even", "jordan_oracle", "jordan_type"),
-    "orbits": ("DualityRecord", "OrbitRecord", "Partition", "bv_candidate",
-               "centralizer_dim_from_h", "dim_z_partition", "duality_table", "graded_dims",
-               "orbit_dim_from_h", "parity_valid", "rigid_table", "transpose"),
-    "rootsys": ("RootSystemModel", "Weight", "build", "canonicalize", "classify_simple_system",
-                "fundamental_coweights", "fundamental_weights", "levi_subsystem", "pairing",
-                "rho", "simple_system_of", "weight"),
+                 "induce", "is_rigid", "is_very_even", "jordan_oracle"),
+    "orbits": ("DualityRecord", "OrbitRecord", "Partition", "bv_candidate", "dim_z_partition",
+               "duality_table", "graded_dims", "orbit_dim_from_h", "parity_valid",
+               "rigid_table"),
+    "rootsys": ("RootSystemModel", "Weight", "build", "canonicalize", "fundamental_coweights",
+                "pairing", "rho", "weight"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 # the engine submodules, read as attributes of the package ("certify" among them)

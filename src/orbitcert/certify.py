@@ -28,8 +28,8 @@ import numbers
 from dataclasses import dataclass, field
 
 from . import rootsys
-from .integral import cor68_dim, cor68_from_values
-from .orbits import orbit_dim_from_h, orbit_dim_from_values
+from .integral import cor68_from_values
+from .orbits import orbit_dim_from_values
 from .rootsys import (RootSystemModel, Weight, combine, coweight, h_values, levi_mask,
                       root_values)
 
@@ -142,20 +142,8 @@ class CheckResult:
 _A_UNDECIDED = CheckResult(UNDECIDED, detail="criterion needs e regular in the Levi")
 
 
-def check_A(model: RootSystemModel, pi0, lambda_prime: Weight,
-            principal_in_levi: bool = True) -> CheckResult:
-    """Levi-antidominance of lambda (undecided unless e is regular in the Levi);
-    the flag, Pi_0 and the length of lambda' are checked either way."""
-    _check_principal(principal_in_levi)
-    mask = levi_mask(model, pi0)
-    rootsys._check_length(model, lambda_prime)
-    if not principal_in_levi:
-        return _A_UNDECIDED
-    return _verdict_A(model, mask, *rootsys.coroot_values(model, lambda_prime))
-
-
 def _verdict_A(model: RootSystemModel, mask: int, values, den: int) -> CheckResult:
-    """``check_A`` for e regular in the Levi of ``mask``, from
+    """(A) for e regular in the Levi of ``mask``, from
     <lambda', beta^vee> = values[k] / den (``rootsys.coroot_values``)."""
     off = ~mask
     for beta, s, val in zip(model.positive_roots, model.supports, values):
@@ -163,12 +151,6 @@ def _verdict_A(model: RootSystemModel, mask: int, values, den: int) -> CheckResu
             return CheckResult(FAIL, witness=beta,
                                detail=f"<lambda', alpha^vee> = {val // den} in Z_>0")
     return CheckResult(PASS)
-
-
-def check_B(model: RootSystemModel, lambda_prime: Weight, h: Weight) -> CheckResult:
-    """Associated-variety dimension equals the orbit dimension, via the
-    integral-system formula; undecided when its positivity hypothesis fails."""
-    return _verdict_B(cor68_dim(model, lambda_prime), orbit_dim_from_h(model, h))
 
 
 def _verdict_B(va_dim: int | None, orb_dim: int) -> CheckResult:
@@ -183,33 +165,18 @@ def _verdict_B(va_dim: int | None, orb_dim: int) -> CheckResult:
                        detail=f"dim VA = {va_dim} != dim O = {orb_dim}")
 
 
-def check_C(model: RootSystemModel, pi0, h: Weight, lambda_prime: Weight) -> CheckResult:
-    """lambda' - delta' lies in the rational span of Pi_0."""
-    dp = delta_prime(model, h)  # h is read and checked before lambda'
-    mu = rootsys.canonicalize(model, lambda_prime) - dp
-    return _verdict_C(model, levi_mask(model, pi0), mu)
-
-
 def _verdict_C(model: RootSystemModel, mask: int, mu: Weight) -> CheckResult:
-    """``check_C`` for mu = lambda' - delta' (canonical) and Pi_0 as its bit
-    set: the Levi-span solve of mu."""
+    """(C) for mu = lambda' - delta' (canonical) and Pi_0 as its bit set:
+    the Levi-span solve of mu."""
     ok, info = _levi_solve(model, mu, mask)
     if ok:
         return CheckResult(PASS, witness=info)
     return CheckResult(FAIL, witness=info, detail="nonzero residual off the Levi span")
 
 
-def _check_principal(flag) -> None:
-    """TypeError unless the principal-in-Levi flag is a bool: a string such
-    as "no" is truthy, and would pass for e principal."""
-    if type(flag) is not bool:
-        raise TypeError(f"principal_in_levi must be a bool, got {flag!r}")
-
-
-def check_D(principal_in_levi: bool) -> CheckResult:
+def _verdict_D(principal_in_levi: bool) -> CheckResult:
     """Codimension-1 ideal of the Levi W-algebra: vacuous for principal Levi
     type, undecided otherwise (module structure is out of reach here)."""
-    _check_principal(principal_in_levi)
     if principal_in_levi:
         return CheckResult(PASS, detail="vacuous: e is of principal Levi type")
     return CheckResult(UNDECIDED, detail="cannot decide W-algebra module structure")
@@ -227,7 +194,9 @@ class CertificateInput:
     h_simple: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_principal(self.principal_in_levi)
+        # a bool only: a string such as "no" is truthy, and would pass for e principal
+        if type(self.principal_in_levi) is not bool:
+            raise TypeError(f"principal_in_levi must be a bool, got {self.principal_in_levi!r}")
         model = self.model
         mask = levi_mask(model, self.levi)
         levi = tuple(i for i in range(model.rank) if mask >> i & 1)
@@ -322,7 +291,7 @@ def certify(inp: CertificateInput) -> CertificateReport:
         verdict_A=verdict_A,
         verdict_B=_verdict_B(cor68, dim_orbit),
         verdict_C=_verdict_C(model, mask, inp.lambda_prime - dp),
-        verdict_D=check_D(inp.principal_in_levi),
+        verdict_D=_verdict_D(inp.principal_in_levi),
         dim_g=model.dim,
         dim_orbit=dim_orbit,
         cor68=cor68,

@@ -19,7 +19,6 @@ the formula is a count of integral roots and a sign test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from . import rootsys
 from .rootsys import RootSystemModel, Weight
@@ -62,61 +61,6 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
     return IntegralSystem(lambda_prime, allroots,
                           tuple(model.positive_roots[k] for k in simple), cartan_type,
                           cor68_from_values(model, values, den))
-
-
-@dataclass(frozen=True)
-class AntidominantResult:
-    word: tuple[int, ...]   # indices into the simple system, in application order
-    weight: Weight
-    minimal: bool           # certified minimal (mu regular on the subsystem)
-
-
-def antidominant_rep(model: RootSystemModel, simple_system, mu: Weight
-                     ) -> AntidominantResult:
-    """Greedy reflection descent to the antidominant representative.
-
-    Repeatedly reflects at any simple root of the subsystem pairing
-    positively with the current weight; terminates with nu = w(mu) and
-    <nu, alpha^vee> <= 0 on the whole simple system.  The word is minimal
-    when mu is regular on the subsystem (length = inversion count); for
-    singular mu it is a valid but possibly non-minimal representative,
-    flagged via ``minimal=False``.  W permutes the roots, so mu is regular
-    exactly when the antidominant nu is strictly negative on every simple
-    root (Humphreys, Introduction to Lie Algebras, 10.3).  mu must have
-    the model's number of coordinates, and ``simple_system`` must be roots
-    of the model forming a simple system: independent, with the Cartan
-    entries of a finite type (ValueError otherwise, checked once here).
-    """
-    rootsys._check_length(model, mu)
-    simples = list(simple_system)
-    for a in simples:
-        if not model.is_root(a):
-            raise ValueError(f"{a} is not a root of {model.cartan_type}")
-    rootsys.finite_cartan(rootsys._gram(*rootsys._common_rows(simples))[0])
-    cur = mu
-    word: list[int] = []
-    while True:
-        # <cur, a^vee> has the sign of the integer (cur, a) * den(cur) * den(a)
-        idx = next((i for i, a in enumerate(simples)
-                    if sum(map(mul, cur.nums, a.nums)) > 0), None)
-        if idx is None:
-            break
-        cur = rootsys.reflect(cur, simples[idx])
-        word.append(idx)
-    regular = all(sum(map(mul, cur.nums, a.nums)) < 0 for a in simples)
-    return AntidominantResult(tuple(word), cur, regular)
-
-
-def apply_word(simple_system, word, mu: Weight) -> Weight:
-    """Replay a reflection word (application order) on a weight; ValueError
-    for an index outside 0..len(simple_system)-1."""
-    simples = list(simple_system)
-    cur = mu
-    for idx in word:
-        if type(idx) is not int or not 0 <= idx < len(simples):
-            raise ValueError(f"word index {idx!r} is outside 0..{len(simples) - 1}")
-        cur = rootsys.reflect(cur, simples[idx])
-    return cur
 
 
 def cor68_dim(model: RootSystemModel, lambda_prime: Weight) -> int | None:

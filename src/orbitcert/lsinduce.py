@@ -13,7 +13,6 @@ gl_k x X_m sits block-diagonally with a mirrored gl block.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -75,7 +74,10 @@ class LeviDescriptor:
             if self.kind == "sp" and (self.ambient % 2 or m % 2):
                 raise ValueError("sp ambient and tail must be even")
             if self.tail is not None:
-                c = _in_kind(self.tail.c, self.kind)
+                c = self.tail.c
+                if c.kind != self.kind:  # checked and kept in the ambient kind, as JSON reads it
+                    c = Partition(c.parts, self.kind)
+                    object.__setattr__(self, "tail", Tail(self.tail.m, c))
                 if c.total != self.tail.m:
                     raise ValueError(f"tail partition {c.parts} is not of {self.tail.m}")
                 if not parity_valid(c):
@@ -116,12 +118,6 @@ class LeviDescriptor:
             tail = Tail(_int_value(_json_field(t, "m", "tail"), "m"),
                         Partition(_json_parts(_json_field(t, "c", "tail")), kind))
         return cls(kind, _int_value(ambient, "ambient"), gl_blocks, tail)
-
-
-def _in_kind(p: Partition, kind: str) -> Partition:
-    """p itself when it is already of ``kind`` (its constructor checked it),
-    else its parts checked again as a ``kind`` partition."""
-    return p if p.kind == kind else Partition(p.parts, kind)
 
 
 def _json_field(obj, key: str, what: str):
@@ -241,36 +237,21 @@ def _zero(n: int) -> list[list[int]]:
     return [[0] * n for _ in range(n)]
 
 
-def jordan_type(mat) -> tuple[int, ...]:
+def _jordan_chain(mat) -> tuple[int, ...]:
     """Jordan partition of a square nilpotent matrix N from the ranks of its powers.
 
-    N has integer entries.  The ranks r_k = rank N^k come from an image
-    chain: an integer row basis of N^k times N spans the row space of
-    N^(k+1), so no power is formed.  N has r_(k-1) - 2 r_k + r_(k+1) blocks
-    of size k.  The chain ends when the basis is empty; a rank that stops
-    falling before that means N is not nilpotent.  It also stops at the last
-    Jordan block: d_k = r_(k-1) - r_k blocks have size >= k, so when d_k = 1
-    the remaining ranks are r_k - 1, ..., 1, 0.  That stop is exact only for
-    a nilpotent N, so it is taken only when N is strictly upper triangular
-    (each nonzero row i starts after column i), which certifies it; any
-    other N runs the whole chain.
-    TypeError for an entry that is not an int (a bool is not).  The shape
-    and entries are checked once here, then ``_jordan_chain`` runs.
+    The ranks r_k = rank N^k come from an image chain: an integer row basis
+    of N^k times N spans the row space of N^(k+1), so no power is formed.
+    N has r_(k-1) - 2 r_k + r_(k+1) blocks of size k.  The chain ends when
+    the basis is empty; a rank that stops falling before that means N is
+    not nilpotent.  It also stops at the last Jordan block: d_k =
+    r_(k-1) - r_k blocks have size >= k, so when d_k = 1 the remaining
+    ranks are r_k - 1, ..., 1, 0.  That stop is exact only for a nilpotent
+    N, so it is taken only when N is strictly upper triangular (each
+    nonzero row i starts after column i), which certifies it; any other N
+    runs the whole chain.  The oracles call it on the square integer
+    matrices they build, so neither shape nor entries are checked.
     """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError(f"matrix is not square: {n} rows of lengths "
-                         f"{sorted({len(row) for row in mat})}")
-    if set(map(type, itertools.chain.from_iterable(mat))) - {int}:  # one pass when all ints
-        i, j, x = next((i, j, x) for i, row in enumerate(mat)
-                       for j, x in enumerate(row) if type(x) is not int)
-        raise TypeError(f"matrix entry ({i}, {j}) must be an int, not {type(x).__name__}: {x!r}")
-    return _jordan_chain(mat)
-
-
-def _jordan_chain(mat) -> tuple[int, ...]:
-    """``jordan_type`` of a square matrix of ints, without the entry checks;
-    the oracles call it on the matrices they build."""
     n = len(mat)
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
     triangular = all(not row or row[0][0] > i for i, row in enumerate(sparse))
@@ -655,5 +636,5 @@ def induced_dim_z(levi: LeviDescriptor) -> int:
     """dim z of the Levi orbit itself (the dimension-preservation invariant)."""
     total = sum(dim_z_partition(b.d) for b in levi.gl_blocks)
     if levi.tail:
-        total += dim_z_partition(_in_kind(levi.tail.c, levi.kind))
+        total += dim_z_partition(levi.tail.c)
     return total

@@ -48,12 +48,6 @@ def _dim_z(model: RootSystemModel, values) -> int:
     return model.rank + 2 * values.count(0) + values.count(1) + values.count(-1)
 
 
-def centralizer_dim_from_h(model: RootSystemModel, h: Weight) -> int:
-    """dim z_g(e) = dim g(0) + dim g(1) for a characteristic h of e."""
-    import orbitcert.rootsys as rs
-    return _dim_z(model, rs.root_values(model, rs.h_values(model, h)))
-
-
 def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
     """dim O = dim g - dim z_g(e); odd only when h is not a characteristic."""
     import orbitcert.rootsys as rs
@@ -114,21 +108,6 @@ def parity_valid(p: Partition) -> bool:
     bad_parity = 1 if p.kind == "sp" else 0
     bad = [q for q in p.parts if q % 2 == bad_parity]
     return bad[::2] == bad[1::2]
-
-
-def transpose(p: Partition) -> Partition:
-    """Young-diagram transpose (an involution on the parts): part index i
-    appears p_i - p_(i+1) times, for i from the number of parts down to 1.
-    ValueError for an so or sp partition that is not parity-valid, as in
-    ``dim_z_partition``.  The transpose is a gl partition: the so/sp parity
-    rules do not carry over to it ((2, 2, 1) in so gives (3, 2))."""
-    if not parity_valid(p):
-        raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
-    parts = p.parts + (0,)
-    cols: list[int] = []
-    for i in range(len(p.parts), 0, -1):
-        cols += [i] * (parts[i - 1] - parts[i])
-    return Partition(tuple(cols))
 
 
 def dim_z_partition(p: Partition) -> int:

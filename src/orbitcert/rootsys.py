@@ -58,9 +58,8 @@ root unless it minus a simple root already kept is in the subsystem.  By
 the same lemma inside the subsystem, whose simple roots have smaller height
 than the roots above them, the walk is exact; it costs one set lookup per
 pair of a root and a simple root found before it.  The integral system
-walks coroots by coroot height (the order of ``coroot_steps``),
-``simple_system_of`` walks roots by height (the model order) and enumerates
-the subsystem again on the integer ``root_gram`` of the roots it found.
+walks coroots by coroot height (the order of ``coroot_steps``), and
+``classify_gram`` names it from the integer ``root_gram`` of the roots found.
 """
 from __future__ import annotations
 
@@ -504,13 +503,6 @@ def _coroot_pairing(lam: Weight, a: Weight) -> tuple[int, int]:
             lam.den * sum(x * x for x in a.nums))
 
 
-def reflect(lam: Weight, a: Weight) -> Weight:
-    """The reflection s_a(lam) = lam - <lam, a^vee> a."""
-    num, den = _coroot_pairing(lam, a)
-    return Weight.from_ints([x * den * a.den - num * y * lam.den
-                             for x, y in zip(lam.nums, a.nums)], lam.den * den * a.den)
-
-
 def _common_rows(weights) -> tuple[list[list[int]], int]:
     """Weights as integer rows over their least common denominator."""
     weights = list(weights)
@@ -642,7 +634,7 @@ def combine(model: RootSystemModel, coeffs, den: int = 1) -> Weight:
                             den * basis_den)
 
 
-def _positive_coefficients(cartan, limit: int | None = None) -> list[tuple[int, ...]]:
+def _positive_coefficients(cartan) -> list[tuple[int, ...]]:
     """Coefficient vectors of all positive roots of a Cartan matrix, via root strings.
 
     Walks up by height: beta + alpha_i is a root iff the alpha_i-string
@@ -666,8 +658,6 @@ def _positive_coefficients(cartan, limit: int | None = None) -> list[tuple[int, 
                 if p - sum(c * cartan[j][i] for j, c in enumerate(beta)) > 0:
                     found.add(gamma)
                     new.append(gamma)
-                    if limit is not None and len(found) > limit:
-                        raise ValueError("simple system generates too many roots")
         frontier = new
     return sorted(found, key=lambda c: (sum(c), c))
 
@@ -754,16 +744,6 @@ def rho(model: RootSystemModel) -> Weight:
     return combine(model, [sum(col) for col in zip(*model.pos_coefficients)], 2)
 
 
-@lru_cache(maxsize=None)
-def fundamental_weights(model: RootSystemModel) -> tuple[Weight, ...]:
-    """Weights pi_i in span(Pi) with <pi_i, a_j^vee> = delta_ij:
-    pi_i = (a_i, a_i) / 2 omega_i^vee, from the coweight rows of ``span_rows``."""
-    rows, den = model.span_rows
-    scale, scale_den = model.coroot_scale
-    return tuple(Weight.from_ints([x * scale_den for x in row], den * s)
-                 for row, s in zip(rows, scale))
-
-
 def coweight(model: RootSystemModel, values: list[int]) -> Weight:
     """The element h of span(Pi) with <a_i, h> = values[i] on the simple
     roots, sum_i values[i] omega_i^vee, for integer values: one product
@@ -793,17 +773,6 @@ def span_complement(model: RootSystemModel) -> tuple[Weight, ...]:
     """
     rows, _ = model.span_rows
     return tuple(Weight.from_ints(row) for row in rows[model.rank:])
-
-
-def levi_subsystem(model: RootSystemModel, pi0) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-    """Positive roots lying in the span of the simple subset Pi_0.
-
-    Returns (positive roots of the Levi subsystem, the simple system Pi_0
-    itself).  Span membership is a support check on simple-root coordinates.
-    """
-    mask = levi_mask(model, pi0)
-    pos = tuple(beta for beta, s in zip(model.positive_roots, model.supports) if not s & ~mask)
-    return pos, tuple(a for i, a in enumerate(model.simple_roots) if mask >> i & 1)
 
 
 def levi_mask(model: RootSystemModel, pi0) -> int:
@@ -849,39 +818,6 @@ def height_simples(codes: list[int]) -> list[int]:
     return simple
 
 
-def simple_system_of(model: RootSystemModel, roots) -> tuple[Weight, ...]:
-    """Simple system of a closed sub-root-system given by its roots.
-
-    Input roots (any mix of signs) must all be roots of the model and form
-    a set closed under internal sums; the result is the set of positive
-    elements not expressible as sums of two positive elements, found by
-    ``height_simples`` over the model order (which is by height) and ordered
-    like the model's positive roots.  A set that is not closed is detected
-    when the output fails to regenerate it.
-    """
-    roots = list(roots)
-    index, npos = model._root_index, len(model.positive_roots)
-    for v in roots:
-        if v not in index:
-            raise ValueError(f"{v} is not a root of {model.cartan_type}")
-    chosen = sorted({index[v] % npos for v in roots})
-    coeffs = model.pos_coefficients
-    simple = [chosen[pos] for pos in height_simples(pack(coeffs[k] for k in chosen))]
-    gram = root_gram(model, simple)
-    if any(x > 0 for i, row in enumerate(gram) for x in row[i + 1:]):
-        raise ValueError("root set is not closed under the subsystem structure")
-    try:
-        generated = _positive_coefficients(_cartan_of(gram), limit=len(chosen))
-    except ValueError:
-        raise ValueError("root set is not closed under the subsystem structure")
-    # a generated root sum_j c_j b_j on the model's simple roots
-    columns = list(zip(*(coeffs[k] for k in simple)))
-    if ({tuple(sum(map(mul, col, c)) for col in columns) for c in generated}
-            != {coeffs[k] for k in chosen}):
-        raise ValueError("root set is not closed under the subsystem structure")
-    return tuple(model.positive_roots[k] for k in simple)
-
-
 def root_gram(model: RootSystemModel, ks) -> list[list[int]]:
     """(beta_k, beta_j) * gram_den for the positive roots k, j in ``ks``:
     ``form_rows`` times the coefficient vectors."""
@@ -889,27 +825,14 @@ def root_gram(model: RootSystemModel, ks) -> list[list[int]]:
     return [[sum(map(mul, form_rows[k], coeffs[j])) for j in ks] for k in ks]
 
 
-def classify_simple_system(vectors) -> tuple[str, ...]:
-    """Cartan labels of the components of an abstract simple system.
-
-    The vectors need not be roots of any particular model; they must be
-    linearly independent with pairwise non-positive pairings.  B/C, F and G
-    components are told apart by relative root lengths.  Rank-2 double-bond
-    components are reported as "B2".
-    """
-    vecs = list(vectors)
-    for v in vecs[1:]:
-        if len(v.nums) != len(vecs[0].nums):
-            raise _length_error(vecs[0], v)
-    return classify_gram(_gram(*_common_rows(vecs))[0])
-
-
 def classify_gram(gram) -> tuple[str, ...]:
-    """``classify_simple_system`` for a simple system given by its integer
-    Gram matrix under a positive definite form (any positive scale); as
+    """Cartan labels of the components of a simple system given by its
+    integer Gram matrix under a positive definite form (any positive scale),
+    such as ``root_gram`` of a subsystem's simple roots; as
     ``finite_cartan``, TypeError for an entry that is not an int and
     ValueError for a matrix that is not square, symmetric and positive
-    definite.
+    definite.  B/C, F and G components are told apart by relative root
+    lengths, and a rank-2 double-bond component is "B2".
 
     Independent vectors with Cartan entries in {0, -1, -2, -3} form one of
     the diagrams A-G (Humphreys, Introduction to Lie Algebras, 11.4), so a

@@ -8,8 +8,8 @@ them; nothing in ``src/`` imports this module.
 ``FractionWeight`` is the ``Weight`` the engine had before it moved to
 integer numerators over one denominator: a tuple of Fractions with
 Fraction arithmetic.  The functions below it (``canonicalize``,
-``combine``, ``pairing``, ``in_levi_span_fractions``, ``antidominant_rep``,
-``apply_word``) are the replaced epsilon code on that class, so they share
+``combine``, ``pairing``, ``in_levi_span_fractions``) are the replaced
+epsilon code on that class, so they share
 no arithmetic with the engine.  The functions above it run on the engine's
 ``Weight`` and gate the simple-root kernel.  Linear solves, kernels and
 Cartan-type names come from ``matrix_reference`` and ``dynkin_reference``,
@@ -35,7 +35,7 @@ from orbitcert.integral import IntegralSystem
 from orbitcert.rootsys import Weight
 
 
-def enumerate_positive(simples, limit=None):
+def enumerate_positive(simples):
     """All positive roots generated by a simple system, via root strings."""
     n = len(simples)
     coeffs = {s: tuple(1 if j == i else 0 for j in range(n)) for i, s in enumerate(simples)}
@@ -56,8 +56,6 @@ def enumerate_positive(simples, limit=None):
                     coeffs[gamma] = tuple(
                         c + (1 if j == i else 0) for j, c in enumerate(coeffs[beta]))
                     new.append(gamma)
-                    if limit is not None and len(coeffs) > limit:
-                        raise ValueError("simple system generates too many roots")
         frontier = new
     roots = sorted(coeffs, key=lambda r: (sum(coeffs[r]), coeffs[r]))
     return roots, [coeffs[r] for r in roots]
@@ -422,30 +420,3 @@ def in_levi_span_fractions(model, mu, pi0):
     for c, i in zip(coeffs, indices):
         recon = recon + c * simples[i]
     return False, mu - recon
-
-
-def antidominant_rep(simple_system, mu):
-    """(word, weight, minimal) by greedy reflection descent."""
-    simples = list(simple_system)
-    sub_pos = enumerate_positive(simples)[0] if simples else []
-    regular = all(Fraction(2 * mu.dot(g), g.dot(g)) != 0 for g in sub_pos)
-    cur = mu
-    word = []
-    while True:
-        idx = next((i for i, a in enumerate(simples)
-                    if Fraction(2 * cur.dot(a), a.dot(a)) > 0), None)
-        if idx is None:
-            break
-        a = simples[idx]
-        cur = cur - Fraction(2 * cur.dot(a), a.dot(a)) * a
-        word.append(idx)
-    return tuple(word), cur, regular
-
-
-def apply_word(simple_system, word, mu):
-    simples = list(simple_system)
-    cur = mu
-    for idx in word:
-        a = simples[idx]
-        cur = cur - Fraction(2 * cur.dot(a), a.dot(a)) * a
-    return cur

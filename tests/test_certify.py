@@ -15,6 +15,7 @@ from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
 
 import conftest
+import epsilon_reference
 
 LEVI = conftest.LEVI_A5A1
 
@@ -41,7 +42,7 @@ def test_theta_flagship(e8):
 @pytest.mark.parametrize("pi0", [(), (0,), (1, 3), (0, 2, 4, 6), tuple(range(8))])
 def test_theta_zero_set_is_levi(e8, pi0):
     theta = ct.theta_for_levi(e8, pi0)
-    levi_pos, _ = rs.levi_subsystem(e8, pi0)
+    levi_pos = epsilon_reference.levi_positive(e8, pi0)
     zero_set = {b for b in e8.positive_roots if b.dot(theta) == 0}
     assert zero_set == set(levi_pos)
     assert all(b.dot(theta) > 0 for b in e8.positive_roots if b not in zero_set)
@@ -193,7 +194,7 @@ def test_in_levi_span_flagship(e8, flagship_lambda_prime, flagship_h):
 
 
 def test_in_levi_span_rejects_off_span(e8):
-    pi6 = rs.fundamental_weights(e8)[5]
+    pi6 = epsilon_reference.fundamental_weights(e8)[5]
     ok, resid = ct.in_levi_span(e8, pi6, LEVI)
     assert not ok and any(resid.nums)
 
@@ -204,84 +205,94 @@ def test_in_levi_span_coset_invariance(e8, flagship_lambda_prime, flagship_h):
     ok1, _ = ct.in_levi_span(e8, mu, LEVI)
     ok2, _ = ct.in_levi_span(e8, mu + shift, LEVI)
     assert ok1 and ok2
-    off = mu + rs.fundamental_weights(e8)[7]
+    off = mu + epsilon_reference.fundamental_weights(e8)[7]
     ok3, _ = ct.in_levi_span(e8, off, LEVI)
     assert not ok3
 
 
 # the four checks -------------------------------------------------------------
 
+def _report(model, levi, h, lambda_prime, principal=False):
+    """The certificate, whose verdicts are the one (A)-(D) path."""
+    return ct.certify(ct.CertificateInput(model, levi, h, lambda_prime, principal))
+
+
 def test_check_A_flagship(e8, flagship_lambda_prime):
-    res = ct.check_A(e8, LEVI, flagship_lambda_prime)
+    res = _report(e8, LEVI, None, flagship_lambda_prime, True).verdict_A
     assert res.status == ct.PASS
     assert rs.pairing(e8, flagship_lambda_prime, e8.simple_roots[0]) == Fr(-1, 6)
     assert rs.pairing(e8, flagship_lambda_prime, e8.simple_roots[6]) == Fr(1, 3)
 
 
 def test_check_A_fails_at_rho(e8):
-    res = ct.check_A(e8, LEVI, rs.rho(e8))
+    res = _report(e8, LEVI, None, rs.rho(e8), True).verdict_A
     assert res.status == ct.FAIL
     assert res.witness in set(e8.positive_roots)
 
 
 def test_check_A_vacuous_on_empty_levi(e8):
-    assert ct.check_A(e8, (), rs.rho(e8)).status == ct.PASS
+    assert _report(e8, (), None, rs.rho(e8), True).verdict_A.status == ct.PASS
 
 
 def test_check_A_undecided_without_principal(e8, flagship_lambda_prime):
-    res = ct.check_A(e8, LEVI, flagship_lambda_prime, principal_in_levi=False)
+    res = _report(e8, LEVI, None, flagship_lambda_prime).verdict_A
     assert res.status == ct.UNDECIDED
 
 
 @pytest.mark.parametrize("principal", [True, False])
 def test_check_A_validates_input_in_both_principal_states(e8, principal):
     """A bad Pi_0 or a lambda' of the wrong length raises, also where the
-    verdict would be undecided."""
+    verdict of (A) would be undecided."""
     with pytest.raises(ValueError, match=r"^Pi_0 must be a subset of 0\.\.7$"):
-        ct.check_A(e8, (99,), rs.rho(e8), principal)
+        ct.CertificateInput(e8, (99,), None, rs.rho(e8), principal)
     with pytest.raises(ValueError, match="^expected 9 coordinates, got 2$"):
-        ct.check_A(e8, (0,), rs.weight((1, 2)), principal)
+        ct.CertificateInput(e8, (0,), None, rs.weight((1, 2)), principal)
 
 
 def test_check_B_flagship(e8, flagship_lambda_prime, flagship_h):
-    res = ct.check_B(e8, flagship_lambda_prime, flagship_h)
+    res = _report(e8, LEVI, flagship_h, flagship_lambda_prime).verdict_B
     assert res.status == ct.PASS
 
 
 def test_check_B_zero_orbit(e8):
     zero = rs.canonicalize(e8, (0,) * 9)
-    assert ct.check_B(e8, rs.rho(e8), zero).status == ct.PASS
+    assert _report(e8, (), zero, rs.rho(e8)).verdict_B.status == ct.PASS
 
 
 def test_check_B_dimension_mismatch(e8, flagship_h):
-    res = ct.check_B(e8, rs.rho(e8), flagship_h)
+    res = _report(e8, LEVI, flagship_h, rs.rho(e8)).verdict_B
     assert res.status == ct.FAIL
     assert res.witness == (0, 202)
 
 
 def test_check_B_undecided(e8, flagship_h):
-    res = ct.check_B(e8, -rs.rho(e8), flagship_h)
+    res = _report(e8, LEVI, flagship_h, -rs.rho(e8)).verdict_B
     assert res.status == ct.UNDECIDED
+    assert "prop67_dim" in res.detail
 
 
 def test_check_C_flagship(e8, flagship_lambda_prime, flagship_h):
-    assert ct.check_C(e8, LEVI, flagship_h, flagship_lambda_prime).status == ct.PASS
+    assert _report(e8, LEVI, flagship_h, flagship_lambda_prime).verdict_C.status == ct.PASS
 
 
 def test_check_C_delta_prime_itself(e8, flagship_h):
-    assert ct.check_C(e8, LEVI, flagship_h, ct.delta_prime(e8, flagship_h)).status == ct.PASS
+    lam = ct.delta_prime(e8, flagship_h)
+    assert _report(e8, LEVI, flagship_h, lam).verdict_C.status == ct.PASS
 
 
 def test_check_C_off_span_shift(e8, flagship_h):
-    lam = ct.delta_prime(e8, flagship_h) + rs.fundamental_weights(e8)[5]
-    res = ct.check_C(e8, LEVI, flagship_h, lam)
+    lam = ct.delta_prime(e8, flagship_h) + epsilon_reference.fundamental_weights(e8)[5]
+    res = _report(e8, LEVI, flagship_h, lam).verdict_C
     assert res.status == ct.FAIL and not res and isinstance(res.witness, rs.Weight)
 
 
-def test_check_D():
-    """A CheckResult is true exactly when it passes."""
-    assert ct.check_D(True).status == ct.PASS and ct.check_D(True)
-    assert ct.check_D(False).status == ct.UNDECIDED and not ct.check_D(False)
+def test_check_D(e8):
+    """(D) is vacuous for e principal in the Levi, else undecided; a
+    CheckResult is true exactly when it passes."""
+    principal = _report(e8, LEVI, None, rs.rho(e8), True).verdict_D
+    other = _report(e8, LEVI, None, rs.rho(e8)).verdict_D
+    assert principal.status == ct.PASS and principal
+    assert other.status == ct.UNDECIDED and not other
 
 
 @pytest.mark.parametrize("flag", ["no", "yes", 1, 0, None])
@@ -289,10 +300,6 @@ def test_principal_flag_must_be_a_bool(flag):
     """A truthy string such as "no" once passed (D) as principal Levi type."""
     a2 = rs.build("A2")
     message = rf"^principal_in_levi must be a bool, got {flag!r}$"
-    with pytest.raises(TypeError, match=message):
-        ct.check_D(flag)
-    with pytest.raises(TypeError, match=message):
-        ct.check_A(a2, (0,), rs.rho(a2), flag)
     with pytest.raises(TypeError, match=message):
         ct.CertificateInput(a2, (0,), None, rs.rho(a2), flag)
 
@@ -397,10 +404,10 @@ def test_check_C_pass_set_is_coset(mask):
     pi0 = tuple(i for i in range(6) if mask & (1 << i))
     h = ct.h_regular(e6, pi0)
     dp = ct.delta_prime(e6, h)
-    assert ct.check_C(e6, pi0, h, dp).status == ct.PASS
+    assert _report(e6, pi0, h, dp).verdict_C.status == ct.PASS
     if pi0:
         shifted = dp + Fr(5, 3) * e6.simple_roots[pi0[0]]
-        assert ct.check_C(e6, pi0, h, shifted).status == ct.PASS
+        assert _report(e6, pi0, h, shifted).verdict_C.status == ct.PASS
 
 
 # one reader per input --------------------------------------------------------
@@ -412,13 +419,10 @@ def _zero(model):
 # every entry point that takes Pi_0, on a model and a Pi_0
 PI0_ENTRY_POINTS = {
     "levi_mask": lambda m, pi0: rs.levi_mask(m, pi0),
-    "levi_subsystem": lambda m, pi0: rs.levi_subsystem(m, pi0),
     "theta_for_levi": lambda m, pi0: ct.theta_for_levi(m, pi0),
     "h_regular": lambda m, pi0: ct.h_regular(m, pi0),
     "delta": lambda m, pi0: ct.delta(m, pi0, _zero(m)),
     "in_levi_span": lambda m, pi0: ct.in_levi_span(m, rs.rho(m), pi0),
-    "check_A": lambda m, pi0: ct.check_A(m, pi0, rs.rho(m)),
-    "check_C": lambda m, pi0: ct.check_C(m, pi0, _zero(m), rs.rho(m)),
     "CertificateInput": lambda m, pi0: ct.CertificateInput(m, pi0, None, rs.rho(m)),
 }
 
@@ -439,21 +443,17 @@ def test_levi_mask_is_the_bit_set():
     assert ct.CertificateInput(a2, (1, 0, 1), None, rs.rho(a2)).levi == (0, 1)
     # Pi_0 is a set: a repeated index is read once
     assert rs.levi_mask(a2, [0, 0]) == rs.levi_mask(a2, [0])
-    assert rs.levi_subsystem(a2, [0, 0]) == rs.levi_subsystem(a2, [0])
 
 
 # every entry point that reads h, on a model and a non-integral h
 H_ENTRY_POINTS = {
     "h_values": lambda m, h: rs.h_values(m, h),
     "graded_dims": lambda m, h: ob.graded_dims(m, h),
-    "centralizer_dim_from_h": lambda m, h: ob.centralizer_dim_from_h(m, h),
     "orbit_dim_from_h": lambda m, h: ob.orbit_dim_from_h(m, h),
-    "check_B": lambda m, h: ct.check_B(m, rs.rho(m), h),
     "delta_prime": lambda m, h: ct.delta_prime(m, h),
     "delta_full_levi": lambda m, h: ct.delta(m, range(m.rank), h),
     "delta_proper_levi": lambda m, h: ct.delta(m, (0,), h),
     "delta_empty_levi": lambda m, h: ct.delta(m, (), h),
-    "check_C": lambda m, h: ct.check_C(m, (0,), h, rs.rho(m)),
     "CertificateInput": lambda m, h: ct.CertificateInput(m, (0,), h, rs.rho(m)),
 }
 

@@ -256,51 +256,6 @@ def test_off_root_span_cases_fail_C_by_the_root_span_alone(label):
         assert any(residual.nums) and len(set(residual.coords)) == 1, argv
 
 
-@pytest.mark.parametrize("label,roots", [
-    ("E8", lambda e8: rs.levi_subsystem(e8, (0,))[0]),
-    ("E8", lambda e8: rs.levi_subsystem(e8, (0, 1))[0]),
-    ("E8", lambda e8: rs.levi_subsystem(e8, (0, 2, 4))[0]),
-    ("E8", lambda e8: rs.levi_subsystem(e8, (0, 1, 2, 3, 4, 6))[0]),
-    ("E8", lambda e8: rs.levi_subsystem(e8, range(8))[0]),
-    ("E8", lambda e8: {e8.positive_roots[30], -e8.positive_roots[30]}),
-    ("E8", lambda e8: e8.roots),
-    ("E8", lambda e8: {e8.simple_roots[0], e8.simple_roots[0] + e8.simple_roots[1],
-                       -e8.simple_roots[0], -(e8.simple_roots[0] + e8.simple_roots[1])}),
-    ("A2", lambda a2: {a2.simple_roots[0], a2.simple_roots[1],
-                       -a2.simple_roots[0], -a2.simple_roots[1]}),
-    ("E8", lambda e8: {rs.canonicalize(e8, (2, 0, 0, 0, 0, 0, 0, 0, 0))}),
-    ("A2", lambda a2: [rs.weight((2, 0, 0)), a2.simple_roots[0], rs.weight((0, 2, 0))]),
-], ids=["A1", "A2", "3A1", "A5+A1", "E8", "pm_pair", "all_roots", "not_closed",
-        "not_closed_a2", "not_a_root", "first_non_root"])
-def test_simple_system_of_matches_pair_scan(label, roots):
-    """The subsystems the simple_system_of tests build, on the walk by
-    height and on the pair scan: the same simple system or the same error."""
-    model = rs.build(label)
-    rts = list(roots(model))
-    assert (_outcome_of(rs.simple_system_of, model, rts)
-            == _outcome_of(_simple_system_by_pair_scan, model, rts))
-
-
-def _simple_system_by_pair_scan(model, roots):
-    """The positive roots of a closed root set that are no sum of two of
-    them, in model order; the set is closed when they pair non-positively
-    and generate exactly its positive roots."""
-    for v in roots:
-        if not model.is_root(v):
-            raise ValueError(f"{v} is not a root of {model.cartan_type}")
-    positives = set(model.positive_roots)
-    positive = {v if v in positives else -v for v in roots}
-    simples = ref._indecomposables([b for b in model.positive_roots if b in positive])
-    try:
-        closed = (all(a.dot(b) <= 0 for a, b in itertools.combinations(simples, 2))
-                  and set(ref.enumerate_positive(simples, len(positive))[0]) == positive)
-    except ValueError:  # the simple roots generate more roots than the set holds
-        closed = False
-    if not closed:
-        raise ValueError("root set is not closed under the subsystem structure")
-    return tuple(simples)
-
-
 @pytest.mark.parametrize("label", TYPES)
 def test_default_h_matches_h_regular(label):
     """For every Levi subset, in both --principal states, the input with the

@@ -1,6 +1,5 @@
 """Differential test: the closed-form rigidity criterion, the laid Levi
-Jordan blocks, the pairwise parity check, the run-built transpose, the
-one-pass collapse, the degree-graded centralizer oracle on the normal form,
+Jordan blocks, the pairwise parity check, the one-pass collapse, the degree-graded centralizer oracle on the normal form,
 the algebra basis and position map built once per (kind, n), the
 one-check-per-pair membership test, the one-pass ``Partition`` checks, the
 ``map``-built ``dim_z_partition`` sums and the nilradical listed by position
@@ -108,19 +107,6 @@ def test_parity_valid_on_many_parts():
     assert ob.parity_valid(Partition(parts + (1,), "so"))
 
 
-def test_transpose_matches_column_counts():
-    """Every partition of 18 in each kind: the column counts, as a gl
-    partition, when it is parity-valid; ValueError when it is not."""
-    for parts in all_partitions(18):
-        for kind in KINDS:
-            p = Partition(parts, kind)
-            if ob.parity_valid(p):
-                assert ob.transpose(p) == Partition(ref.transpose(p).parts), p
-            else:
-                with pytest.raises(ValueError, match=f"is not a valid {kind} partition"):
-                    ob.transpose(p)
-
-
 @st.composite
 def partition_inputs(draw):
     """Parts for the ``Partition`` constructor, as a tuple or a list: small
@@ -198,11 +184,6 @@ def test_nilradical_by_position_matches_the_block_filter():
     ``jordan_oracle`` is unchanged."""
     for kind, sizes in flag_shapes():
         assert ls._nilradical(kind, sizes) == ref.nilradical(kind, sizes), (kind, sizes)
-
-
-def test_transpose_of_a_huge_part():
-    p = Partition((10**6, 3, 1))
-    assert ob.transpose(p) == ref.transpose(p)
 
 
 @pytest.mark.parametrize("kind", ["so", "sp"])

@@ -2,8 +2,6 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from orbitcert import certify as ct
 from orbitcert import integral as ig
@@ -11,7 +9,6 @@ from orbitcert import linalg
 from orbitcert import rootsys as rs
 
 import conftest
-import epsilon_reference as ref
 
 
 def test_e8_flagship_integral_system(e8, flagship_lambda_prime, flagship_integral_simples):
@@ -71,77 +68,6 @@ def test_integral_system_b_c_dualization():
 def test_integral_simples_are_positive_roots(e8, flagship_lambda_prime):
     isys = ig.integral_system(e8, flagship_lambda_prime)
     assert all(b in e8.positive_roots for b in isys.simple_system)
-
-
-# antidominant representatives -------------------------------------------------
-
-def test_antidominant_already_there(e8):
-    _, simp = rs.levi_subsystem(e8, (0, 2))
-    mu = -2 * rs.rho(e8)
-    res = ig.antidominant_rep(e8, simp, mu)
-    assert res.word == () and res.weight == mu and res.minimal
-
-
-def test_antidominant_single_reflection():
-    a1 = rs.build("A1")
-    alpha = a1.simple_roots[0]
-    mu = Fr(3, 2) * alpha  # <mu, alpha^vee> = 3
-    res = ig.antidominant_rep(a1, (alpha,), mu)
-    assert res.word == (0,)
-    assert rs.pairing(a1, res.weight, alpha) == -3
-    assert res.minimal
-
-
-def test_antidominant_flagship_word_length(e8, flagship_lambda_prime):
-    isys = ig.integral_system(e8, flagship_lambda_prime)
-    res = ig.antidominant_rep(e8, isys.simple_system, flagship_lambda_prime)
-    sub_pos = ref.enumerate_positive(list(isys.simple_system))[0]
-    inversions = sum(1 for g in sub_pos if flagship_lambda_prime.dot(g) > 0)
-    assert res.minimal
-    assert len(res.word) == inversions
-    assert all(rs.pairing(e8, res.weight, b) <= 0 for b in isys.simple_system)
-    assert ig.apply_word(isys.simple_system, res.word, flagship_lambda_prime) == res.weight
-
-
-def test_antidominant_singular_flagged(e8):
-    _, simp = rs.levi_subsystem(e8, (0, 1))
-    mu = rs.fundamental_weights(e8)[0]  # vanishes on alpha_2's coroot
-    res = ig.antidominant_rep(e8, simp, mu)
-    assert not res.minimal
-    assert all(rs.pairing(e8, res.weight, b) <= 0 for b in simp)
-
-
-@pytest.mark.parametrize("simples, message", [
-    (lambda a2: [a2.positive_roots[-1], a2.simple_roots[0]],  # theta and a1 pair to 1
-     "pairings are not those of a finite-type simple system"),
-    (lambda a2: [rs.weight([1, 0, 0])], r"^\[1, 0, 0\] is not a root of A2$"),
-    (lambda a2: [a2.simple_roots[0]] * 2, "simple system is not linearly independent"),
-], ids=["theta_a1", "not_a_root", "repeated"])
-def test_antidominant_rep_rejects_a_non_simple_system(simples, message):
-    """The first two once returned minimal=True."""
-    a2 = rs.build("A2")
-    with pytest.raises(ValueError, match=message):
-        ig.antidominant_rep(a2, simples(a2), rs.weight([1, 2, -3]))
-
-
-@pytest.mark.parametrize("word", [(7,), (-1,), (True,), (0, 2), (1.0,)])
-def test_apply_word_rejects_indices_outside_the_system(word):
-    """(-1,) and (True,) once reflected in a root silently, (7,) raised IndexError."""
-    a2 = rs.build("A2")
-    with pytest.raises(ValueError, match=r"^word index .* is outside 0\.\.1$"):
-        ig.apply_word(a2.simple_roots, word, rs.rho(a2))
-
-
-@settings(max_examples=30)
-@given(st.integers(0, 10**9))
-def test_antidominant_replay_property(seed):
-    rng = random.Random(seed)
-    model = rs.build(rng.choice(["B3", "G2", "A4", "D4"]))
-    mu = rs.weight([Fr(rng.randint(-8, 8), rng.randint(1, 3))
-                    for _ in range(model.ambient_dim)])
-    res = ig.antidominant_rep(model, model.simple_roots, mu)
-    assert ig.apply_word(model.simple_roots, res.word, mu) == res.weight
-    assert all(rs.pairing(model, res.weight, a) <= 0 for a in model.simple_roots)
 
 
 # dimension formulas -----------------------------------------------------------

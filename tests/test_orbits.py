@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from induction_reference import transpose
 from orbitcert import certify as ct
 from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
@@ -52,11 +53,12 @@ def test_graded_dims_symmetric_for_levi_characteristics(mask):
 
 
 def test_centralizer_and_orbit_dims(e8, flagship_h):
-    assert ob.centralizer_dim_from_h(e8, flagship_h) == 46
-    assert ob.orbit_dim_from_h(e8, flagship_h) == 202
+    """dim z = dim g - dim O = dim g(0) + dim g(1)."""
     zero = rs.canonicalize(e8, (0,) * 9)
-    assert ob.centralizer_dim_from_h(e8, zero) == 248
-    assert ob.orbit_dim_from_h(e8, zero) == 0
+    for h, dim_orbit, dim_z in ((flagship_h, 202, 46), (zero, 0, 248)):
+        dims = ob.graded_dims(e8, h)
+        assert ob.orbit_dim_from_h(e8, h) == dim_orbit == e8.dim - dim_z
+        assert dims[0] + dims.get(1, 0) == dim_z
 
 
 def test_odd_orbit_dimension_raises_under_optimize():
@@ -75,7 +77,7 @@ def test_odd_orbit_dimension_raises_under_optimize():
 def test_g2_long_root_centralizer():
     g2 = rs.build("G2")
     h = ct.h_regular(g2, [1])  # the long simple root
-    assert ob.centralizer_dim_from_h(g2, h) == 8
+    assert g2.dim - ob.orbit_dim_from_h(g2, h) == 8
 
 
 # partitions ------------------------------------------------------------------
@@ -105,43 +107,11 @@ def test_parity_validity():
     assert ob.parity_valid(ob.Partition((4, 2, 1), "gl"))
 
 
-def test_transpose_examples():
-    assert ob.transpose(ob.Partition((2, 2))).parts == (2, 2)
-    assert ob.transpose(ob.Partition((3, 1))).parts == (2, 1, 1)
-    assert ob.transpose(ob.Partition((5,))).parts == (1,) * 5
-    assert ob.transpose(ob.Partition(())).parts == ()
-
-
 @pytest.mark.parametrize("parts,kind", [((2,), "so"), ((4, 2, 1), "so"), ((3, 1), "sp"),
                                         ((1,), "sp")])
-def test_transpose_rejects_an_invalid_partition(parts, kind):
-    """(2) in so once gave (1, 1); the input is checked as dim_z_partition checks it."""
-    p = ob.Partition(parts, kind)
-    for fn in (ob.transpose, ob.dim_z_partition):
-        with pytest.raises(ValueError, match=rf"^\({parts[0]},.* is not a valid {kind} partition$"):
-            fn(p)
-
-
-@given(st.lists(st.integers(1, 9), min_size=0, max_size=8))
-def test_transpose_involution(parts):
-    p = ob.Partition(tuple(sorted(parts, reverse=True)))
-    assert ob.transpose(ob.transpose(p)) == p
-
-
-@pytest.mark.parametrize("kind", ["so", "sp"])
-def test_transpose_involution_on_so_sp(kind):
-    """Every valid so/sp partition up to 12: its transpose is a gl partition,
-    whose transpose has the parts back.  (2, 2, 1) in so transposes to
-    (3, 2), which is not so-valid."""
-    checked = 0
-    for n in range(13):
-        for p in valid_partitions(n, kind):
-            t = ob.transpose(p)
-            assert t.kind == "gl", p
-            assert ob.transpose(t) == ob.Partition(p.parts), p
-            checked += 1
-    assert checked == {"so": 112, "sp": 93}[kind]
-    assert ob.transpose(ob.Partition((2, 2, 1), "so")) == ob.Partition((3, 2))
+def test_dim_z_partition_rejects_an_invalid_partition(parts, kind):
+    with pytest.raises(ValueError, match=rf"^\({parts[0]},.* is not a valid {kind} partition$"):
+        ob.dim_z_partition(ob.Partition(parts, kind))
 
 
 def test_dim_z_partition_examples():
@@ -158,7 +128,7 @@ def test_dim_z_partition_matches_transpose_squares():
     for n in range(13):
         for kind in ("gl", "so", "sp"):
             for p in valid_partitions(n, kind):
-                sq = sum(m * m for m in ob.transpose(p).parts)
+                sq = sum(m * m for m in transpose(p).parts)
                 odd = sum(q % 2 for q in p.parts)
                 assert ob.dim_z_partition(p) == {"gl": sq, "so": (sq - odd) // 2,
                                                  "sp": (sq + odd) // 2}[kind]
@@ -167,8 +137,8 @@ def test_dim_z_partition_matches_transpose_squares():
 @given(st.lists(st.integers(1, 7), min_size=1, max_size=6))
 def test_dim_z_gl_transpose_consistency(parts):
     p = ob.Partition(tuple(sorted(parts, reverse=True)))
-    double = ob.transpose(ob.transpose(p))
-    assert ob.dim_z_partition(p) == sum(m * m for m in ob.transpose(double).parts)
+    double = transpose(transpose(p))
+    assert ob.dim_z_partition(p) == sum(m * m for m in transpose(double).parts)
 
 
 # tables ----------------------------------------------------------------------

@@ -1,17 +1,20 @@
-"""Differential test: ``check_C`` and ``centralizer_dim_from_h`` against the
-reference certificate's quantities (tests/epsilon_reference.py).
+"""Differential test: the (C) verdict of ``certify`` and dim z read as
+dim g - ``orbit_dim_from_h`` against the reference certificate's
+quantities (tests/epsilon_reference.py).
 
-``check_C`` runs the integer (C) kernel that ``certify`` runs; the reference
-builds lambda' - delta' in epsilon coordinates and solves it over the Levi
-with the dual basis of the simple roots.
+``certify`` runs the integer (C) kernel; the reference builds
+lambda' - delta' in epsilon coordinates and solves it over the Levi with
+the dual basis of the simple roots.  Both sides read the input with their
+own ``CertificateInput``, so an h that input rejects gives the same error
+text on both.
 Seeded cases on every default type put lambda' on the Levi span, off it, on
 a random point of the root span and at a random epsilon vector, with h the
 regular characteristic of the Levi, a random integral h or h / 2.  On the
 E types lambda' also gets a multiple of the all-ones vector, so its
 coordinates do not sum to zero; on A4 and G2, where the all-ones vector is
 off the root span, the same shift puts lambda' off the root span.
-``centralizer_dim_from_h`` reads dim z off three counts of the root values;
-the reference sums the whole grading.  Its cases include h that are not
+``orbit_dim_from_h`` reads dim z off three counts of the root values; the
+reference sums the whole grading.  Its cases include h that are not
 characteristics (an odd orbit dimension) and h that are not integral.
 """
 import random
@@ -93,8 +96,12 @@ def _check_outcome(fn, *args):
     return res.status, res.detail, witness
 
 
-def _reference_check_C(model, levi, h, lam):
-    return ref.verdict_C(model, levi, lam - ref.delta_prime(model, h))
+def _engine_C(model, levi, h, lam):
+    return ct.certify(ct.CertificateInput(model, levi, h, lam)).verdict_C
+
+
+def _reference_C(model, levi, h, lam):
+    return ref.certify(ref.CertificateInput(model, levi, h, lam)).verdict_C
 
 
 @pytest.mark.parametrize("label", TYPES)
@@ -102,8 +109,8 @@ def test_check_C_matches_reference(label):
     model = rs.build(label)
     seen = set()
     for levi, h, lam, kind, h_kind in cases(label):
-        got = _check_outcome(ct.check_C, model, levi, h, lam)
-        assert got == _check_outcome(_reference_check_C, model, levi, h, lam), (levi, h, lam)
+        got = _check_outcome(_engine_C, model, levi, h, lam)
+        assert got == _check_outcome(_reference_C, model, levi, h, lam), (levi, h, lam)
         seen.add(got if isinstance(got, str) else (kind, h_kind, got[0]))
     statuses = {s[-1] for s in seen if isinstance(s, tuple)}
     assert statuses == {ct.PASS, ct.FAIL}
@@ -119,35 +126,25 @@ def test_check_C_matches_reference(label):
 
 
 @pytest.mark.parametrize("label", TYPES)
-def test_check_C_is_the_certify_verdict(label):
-    """``check_C`` and ``certify`` give the same (C) on inputs ``certify``
-    accepts."""
-    model = rs.build(label)
-    for levi, h, lam, _, _ in cases(label):
-        try:
-            report = ct.certify(ct.CertificateInput(model, levi, h, lam))
-        except ValueError:
-            continue
-        assert report.verdict_C == ct.check_C(model, levi, h, lam)
-
-
-@pytest.mark.parametrize("label", TYPES)
 def test_centralizer_dim_matches_reference(label):
+    """dim g - ``orbit_dim_from_h`` is the reference dim z where h is a
+    characteristic; not every integral h is one, and where dim O is odd
+    both raise the same error."""
     model = rs.build(label)
     rng = random.Random(f"centralizer-differential-{label}")
     odd = 0
     for _ in range(60):
         h = _integral_h(model, rng)
-        got = orb.centralizer_dim_from_h(model, h)
-        assert got == ref.centralizer_dim_from_h(model, h), h
-        # not every integral h is a characteristic: dim O is then odd, and
-        # orbit_dim_from_h raises where centralizer_dim_from_h does not
-        if (model.dim - got) % 2:
+        got = _outcome(orb.orbit_dim_from_h, model, h)
+        assert got == _outcome(ref.orbit_dim_from_h, model, h), h
+        dim_z = ref.centralizer_dim_from_h(model, h)
+        if (model.dim - dim_z) % 2:
             odd += 1
-            with pytest.raises(ValueError, match="is odd"):
-                orb.orbit_dim_from_h(model, h)
+            assert got.endswith("is odd: h is not the characteristic of a nilpotent"), h
+        else:
+            assert model.dim - got == dim_z, h
     assert odd
     h = Fr(1, 2) * rs.fundamental_coweights(model)[0]
-    message = _outcome(orb.centralizer_dim_from_h, model, h)
-    assert message == _outcome(ref.centralizer_dim_from_h, model, h)
+    message = _outcome(orb.orbit_dim_from_h, model, h)
+    assert message == _outcome(ref.orbit_dim_from_h, model, h)
     assert message.startswith("h is not integral on root ") and ": <a,h> = " in message

@@ -11,14 +11,15 @@ The experiment scripts in
 
 Every function, class and method in ``src/`` is reached from outside the
 tests (``unreached``): a name nothing but the tests reads is code kept for
-the tests alone, and the tests' references hold their own copies."""
+the tests alone, and the tests' references hold their own copies.  A public
+name is no exception: the package's export table names every public name,
+so it is not a use, and a public name only the tests reach needs a reason
+in ``UNREACHED_ALLOWED``."""
 import ast
 from collections import Counter
 from pathlib import Path
 
 import pytest
-
-import orbitcert
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "orbitcert").glob("*.py"))
@@ -93,16 +94,24 @@ def test_scanner_flags_fraction_imports(source):
     assert fraction_imports(ast.parse(source))
 
 
-# Kept although only the tests call them: acceptance criterion 8
-# (test_criterion_8_data_fidelity) checks that the embedded tables export
-# byte-identically as JSON, and these are that export.
-UNREACHED_ALLOWED = {"orbits.rigid_table_json", "orbits.duality_table_json"}
+# The public names kept although only the tests call them, each with its use.
+UNREACHED_ALLOWED = {
+    "integral.prop67_dim": "Prop. 6.7, the parametric dim VA formula: every report whose (B) "
+                           "is undecided tells the user to call it",
+    "orbits.bv_candidate": "the Barbasch-Vogan candidate weight h_dual - rho, kept for the "
+                           "derivation of the duality table (ROADMAP.md, item 3)",
+    "orbits.rigid_table_json": "acceptance criterion 8 (test_criterion_8_data_fidelity): the "
+                               "embedded rigid table exports byte-identically as JSON",
+    "orbits.duality_table_json": "acceptance criterion 8 (test_criterion_8_data_fidelity): the "
+                                 "embedded duality table exports byte-identically as JSON",
+}
 
 
-def referenced_names(tree: ast.AST) -> Counter:
+def referenced_names(tree: ast.AST, strings: bool = True) -> Counter:
     """How often each identifier is named in a tree: as a ``Name``, an
-    ``Attribute``, the last part of an import, or a string constant that is
-    an identifier (perfbench lists the functions it traces as strings)."""
+    ``Attribute``, the last part of an import, or, with ``strings``, a
+    string constant that is an identifier (perfbench lists the functions it
+    traces as strings)."""
     names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -111,7 +120,7 @@ def referenced_names(tree: ast.AST) -> Counter:
             names[node.attr] += 1
         elif isinstance(node, ast.alias):
             names[node.name.rpartition(".")[2]] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
             names[node.value] += 1
     return names
@@ -132,15 +141,18 @@ def definitions(tree: ast.Module):
                         yield f"{node.name}.{member.name}", member
 
 
-def unreached(sources: dict[str, ast.Module], outside: list[ast.AST], exports) -> list[str]:
+def unreached(sources: dict[str, ast.Module], outside: list[ast.AST]) -> list[str]:
     """The definitions in ``sources`` (module name -> tree) that nothing names
-    outside their own body: not the sources, not the ``outside`` trees (the
-    scripts and perfbench) and not ``exports``.  Dunders are left out, since
-    Python calls them.  The match is by name alone, so a dead function that
-    shares its name with a live one passes: this can miss dead code, but
-    never flags live code."""
-    named = Counter(exports)
-    for tree in [*sources.values(), *outside]:
+    outside their own body: not the sources and not the ``outside`` trees
+    (the scripts and perfbench).  The strings of the package's ``__init__``
+    do not count: its export table names every public name as a string.
+    Dunders are left out, since Python calls them.  The match is by name
+    alone, so a dead function that shares its name with a live one passes:
+    this can miss dead code, but never flags live code."""
+    named = Counter()
+    for module, tree in sources.items():
+        named += referenced_names(tree, strings=module != "__init__")
+    for tree in outside:
         named += referenced_names(tree)
     return [f"{module}.{name}" for module, tree in sources.items()
             for name, node in definitions(tree)
@@ -153,11 +165,11 @@ def _parse(path: Path) -> ast.Module:
 
 
 def test_every_definition_is_reached_outside_the_tests():
-    exports = [name for names in orbitcert._EXPORTS.values() for name in names]
     found = unreached({path.stem: _parse(path) for path in SOURCES},
-                      [_parse(path) for path in SCRIPTS + PERFBENCH], exports)
-    assert sorted(set(found) - UNREACHED_ALLOWED) == []
-    assert UNREACHED_ALLOWED <= set(found)  # an exception no longer needed is dropped
+                      [_parse(path) for path in SCRIPTS + PERFBENCH])
+    assert sorted(set(found) - set(UNREACHED_ALLOWED)) == []
+    assert set(UNREACHED_ALLOWED) <= set(found)  # an exception no longer needed is dropped
+    assert all(reason.strip() for reason in UNREACHED_ALLOWED.values())
 
 
 def test_reachability_scanner_flags_unreferenced_code():
@@ -172,8 +184,14 @@ def test_reachability_scanner_flags_unreferenced_code():
         "    def dead(self): return 0\n"
         "    def dead_too(self): return 0\n"
         "    def __eq__(self, other): return True\n")
-    script = ast.parse("import m\nm.used()\nm.Model().live()\nTRACED = ('traced',)\n")
-    assert unreached({"m": source}, [script], ["exported"]) == ["m.orphan", "m.Model.dead"]
-    assert unreached({"m": source}, [], []) == [
+    script = ast.parse("import m\nm.used()\nm.Model().live()\nm.exported()\n"
+                       "TRACED = ('traced',)\n")
+    assert unreached({"m": source}, [script]) == ["m.orphan", "m.Model.dead"]
+    assert unreached({"m": source}, []) == [
         "m.used", "m.orphan", "m.exported", "m.traced", "m.Model", "m.Model.live",
         "m.Model.dead"]
+    # a name the package exports, named only as a string in its export table
+    package = ast.parse("_EXPORTS = {'m': ('used', 'exported', 'orphan')}\n"
+                        "__all__ = sorted(name for names in _EXPORTS.values() for name in names)\n")
+    assert unreached({"__init__": package, "m": source}, [script]) == [
+        "m.orphan", "m.Model.dead"]

@@ -37,13 +37,14 @@ def levi_survey(label):
     rows = []
     for size in range(1, model.rank + 1):
         for pi0 in itertools.combinations(range(model.rank), size):
-            _, simp = rs.levi_subsystem(model, pi0)
-            labels = tuple(sorted(rs.classify_simple_system(simp)))
-            shorts = (sum(1 for a in simp if a.dot(a) == min_norm)
+            labels = tuple(sorted(rs.classify_gram([[model.gram[i][j] for j in pi0]
+                                                    for i in pi0])))
+            shorts = (sum(1 for i in pi0 if model.simple_roots[i].dot(model.simple_roots[i])
+                          == min_norm)
                       if len(norms) > 1 else None)
             h = ct.h_regular(model, pi0)
             graded = ob.graded_dims(model, h)
-            rows.append((labels, shorts, ob.centralizer_dim_from_h(model, h),
+            rows.append((labels, shorts, model.dim - ob.orbit_dim_from_h(model, h),
                          graded[0] - graded.get(2, 0)))
     return rows
 

@@ -2,7 +2,7 @@
 
 ``tests/epsilon_reference.py`` keeps the old ``Weight`` as ``FractionWeight``
 together with the epsilon code that ran on it.  Every comparison here is
-exact: equal coordinates as Fractions, equal booleans, words and
+exact: equal coordinates as Fractions, equal booleans and
 coefficients, and equal error messages.  The engine's scalars (dot
 products, pairings and Levi-span coefficients) must also have
 the type the contract gives them: an int when the value is an integer, else
@@ -18,7 +18,6 @@ from fractions import Fraction as Fr
 import pytest
 
 from orbitcert import certify as ct
-from orbitcert import integral as ig
 from orbitcert import rootsys as rs
 
 import epsilon_reference as ref
@@ -190,39 +189,6 @@ def test_in_levi_span_matches(label):
                    rs.combine(model, inside) + _rational(rng) * rng.choice(model.roots)):
             outcomes.add(_compare_span(model, mu, pi0))
     assert outcomes == {True, False}
-
-
-def _subsystems(model, rng):
-    """The simple system, a Levi subset, and integral systems of random weights."""
-    out = [model.simple_roots, rs.levi_subsystem(model, _levi_subsets(model, rng)[-1])[1]]
-    for v in _raw_vectors(rng, model.ambient_dim, 3):
-        out.append(ig.integral_system(model, rs.canonicalize(model, v)).simple_system)
-    return [s for s in out if s]
-
-
-@pytest.mark.parametrize("label", TYPES)
-def test_antidominant_rep_and_apply_word_match(label):
-    model = rs.build(label)
-    rng = random.Random(f"antidominant-{label}")
-    minimal = set()
-    for simples in _subsystems(model, rng):
-        ref_simples = [ref.fraction_weight(a) for a in simples]
-        vectors = _raw_vectors(rng, model.ambient_dim, 2)
-        vectors.append([0] * model.ambient_dim)
-        vectors += [list(rng.choice(model.roots).coords), list(rs.rho(model).coords)]
-        for v in vectors:
-            mu, ref_mu = rs.canonicalize(model, v), ref.canonicalize(model, v)
-            got = ig.antidominant_rep(model, simples, mu)
-            word, weight, regular = ref.antidominant_rep(ref_simples, ref_mu)
-            assert got.word == word and got.minimal == regular
-            _assert_same(got.weight, weight)
-            minimal.add(regular)
-            _assert_same(ig.apply_word(simples, got.word, mu),
-                         ref.apply_word(ref_simples, word, ref_mu))
-            random_word = [rng.randrange(len(simples)) for _ in range(rng.randint(0, 12))]
-            _assert_same(ig.apply_word(simples, random_word, mu),
-                         ref.apply_word(ref_simples, random_word, ref_mu))
-    assert minimal == {True, False}
 
 
 # Denominator pairs for + and -: equal (1 included), d2 | d1, d1 | d2, coprime,
