@@ -20,10 +20,10 @@ def main():
     h = ct.h_regular(e8, levi)
     print(f"h_regular(A5+A1) = {fmt(h)}")
 
-    dims = ob.graded_dims(e8, h)
+    dims = ct.graded_dims(e8, h)
     print(f"dim g(0) + dim g(1) = {dims[0]} + {dims[1]} = {dims[0] + dims[1]}")
     print(f"orbit dimension     = {e8.dim} - {dims[0] + dims[1]} = "
-          f"{ob.orbit_dim_from_h(e8, h)}")
+          f"{ct.orbit_dim_from_h(e8, h)}")
     row = ob.rigid_table("E8", "A5+A1")
     print(f"table row           = dim_z {row.dim_z}, q = {row.q_type}")
 

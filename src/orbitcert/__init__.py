@@ -14,14 +14,14 @@ import importlib
 
 # home submodule -> the public names it gives the package
 _EXPORTS = {
-    "certify": ("CertificateInput", "CertificateReport", "CheckResult", "delta", "delta_prime",
-                "h_regular", "in_levi_span", "theta_for_levi"),
+    "certify": ("CertificateInput", "CertificateReport", "CheckResult", "bv_candidate", "delta",
+                "delta_prime", "graded_dims", "h_regular", "in_levi_span", "orbit_dim_from_h",
+                "theta_for_levi"),
     "integral": ("IntegralSystem", "cor68_dim", "integral_system", "prop67_dim"),
     "lsinduce": ("GLBlock", "LeviDescriptor", "Tail", "centralizer_oracle", "collapse",
                  "induce", "is_rigid", "is_very_even", "jordan_oracle"),
-    "orbits": ("DualityRecord", "OrbitRecord", "Partition", "bv_candidate", "dim_z_partition",
-               "duality_table", "graded_dims", "orbit_dim_from_h", "parity_valid",
-               "rigid_table"),
+    "orbits": ("DualityRecord", "OrbitRecord", "Partition", "dim_z_partition", "duality_table",
+               "parity_valid", "rigid_table"),
     "rootsys": ("RootSystemModel", "Weight", "build", "canonicalize", "fundamental_coweights",
                 "pairing", "rho", "weight"),
 }

@@ -15,6 +15,11 @@ An overall pass certifies lambda as the highest weight of a primitive
 ideal carrying a one-dimensional representation of the associated
 W-algebra.
 
+The orbit dimensions of a characteristic h live here too, beside delta'
+that reads the same values: the ad-h grading (``graded_dims``), dim O
+(``orbit_dim_from_h``, whose g(0) + g(1) are the roots with <beta, h> in
+{0, +-1}), and the Barbasch-Vogan candidate ``bv_candidate``.
+
 Every entry point reads Pi_0 with ``rootsys.levi_mask`` and a given h with
 ``rootsys.h_values``, so a bad input gets one error text wherever it enters.
 
@@ -25,11 +30,12 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import rootsys
 from .integral import cor68_from_values
-from .orbits import orbit_dim_from_values
 from .rootsys import (RootSystemModel, Weight, combine, coweight, h_values, levi_mask,
                       root_values)
 
@@ -94,6 +100,56 @@ def delta(model: RootSystemModel, pi0, h: Weight) -> Weight:
 def delta_prime(model: RootSystemModel, h: Weight) -> Weight:
     """Half-sum of the positive roots alpha with <alpha, h> in {0, 1}."""
     return combine(model, _two_delta_prime(model, root_values(model, h_values(model, h))), 2)
+
+
+def graded_dims(model: RootSystemModel, h: Weight) -> dict[int, int]:
+    """dim g(i) for the grading by ad-h eigenvalues; h must be integral.
+
+    From <beta, h> = k on the positive roots (``rootsys.root_values``): beta
+    and -beta add one each to g(k) and g(-k), the Cartan to g(0)."""
+    dims: dict[int, int] = {0: model.rank}
+    for k, count in Counter(root_values(model, h_values(model, h))).items():
+        dims[k] = dims.get(k, 0) + count
+        dims[-k] = dims.get(-k, 0) + count
+    return {k: v for k, v in sorted(dims.items()) if v}
+
+
+def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
+    """dim O = dim g - dim z_g(e); odd only when h is not a characteristic."""
+    return orbit_dim_from_values(model, root_values(model, h_values(model, h)))
+
+
+def orbit_dim_from_values(model: RootSystemModel, values) -> int:
+    """``orbit_dim_from_h`` from <beta, h> on the positive roots (a list):
+    dim z_g(e) = dim g(0) + dim g(1) = rank + 2 #{0} + #{1} + #{-1}, since
+    +-beta are in g(0) at 0 and one of them is in g(1) at +-1."""
+    dim_orb = (model.dim - model.rank - 2 * values.count(0)
+               - values.count(1) - values.count(-1))
+    if dim_orb % 2:
+        raise ValueError(f"orbit dimension {dim_orb} is odd: h is not the "
+                         "characteristic of a nilpotent")
+    return dim_orb
+
+
+def bv_candidate(model: RootSystemModel, h_dual: Weight) -> Weight:
+    """Candidate highest weight h_dual - rho for the certificate pipeline.
+
+    h_dual is the dominant characteristic of a dual-side sl2-triple; the
+    associated variety of the primitive ideal at h_dual - rho is the closure
+    of the dual orbit.  Emits a warning when h_dual is not even, since dual
+    characteristics of rigid elements are always even.  h_dual is
+    canonicalized first, so every representative gives the same candidate.
+    """
+    h_dual = rootsys.canonicalize(model, h_dual)
+    nums, den = rootsys.simple_pairings(model, h_dual)
+    for alpha, value in zip(model.simple_roots, nums):
+        if value < 0:
+            raise ValueError(f"h_dual is not dominant: <{alpha}, h_dual> < 0")
+    # even on every positive root exactly when even on the simple roots
+    if any(value % (2 * den) for value in nums):
+        warnings.warn("h_dual is not even; dual characteristics of rigid "
+                      "elements are even", stacklevel=2)
+    return h_dual - rootsys.rho(model)
 
 
 def in_levi_span(model: RootSystemModel, mu: Weight, pi0

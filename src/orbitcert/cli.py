@@ -262,10 +262,12 @@ def _cmd_tables(args) -> int:
                     lambda r: {"algebra": r.algebra, "label": r.e_label,
                                "dual": r.e_dual_label}),
     }[args.table]
-    if args.algebra is not None and args.label is not None:
-        rec = lookup(args.algebra, args.label)
-        _emit(None if rec is None else one_row(rec), args.output)
-        return EXIT_PASS
+    if args.algebra is not None:
+        orb._check_table_algebra(args.algebra)  # the listing refuses it as the lookup does
+        if args.label is not None:
+            rec = lookup(args.algebra, args.label)
+            _emit(None if rec is None else one_row(rec), args.output)
+            return EXIT_PASS
     matches = [rec for rec in records
                if (args.algebra is None or rec.algebra == args.algebra)
                and (args.label is None or getattr(rec, label_field) == args.label)]

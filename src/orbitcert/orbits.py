@@ -1,11 +1,10 @@
-"""Nilpotent-orbit dimensions from sl2 characteristics and from partitions.
+"""Classical nilpotent orbits as partitions, and the exceptional reference tables.
 
-A characteristic is the semisimple member h of an sl2-triple, handed around
-as a Weight (an element of the Cartan via the invariant form).  The grading
-it induces on g gives dim z_g(e) = dim g(0) + dim g(1) and
-dim O = dim g - dim z_g(e).  Classical orbits are encoded by partitions;
-their centralizer dimensions come from the transpose-square-sum formulas
-and are cross-checked elsewhere against an exact matrix oracle.
+Classical orbits are encoded by partitions with a gl/so/sp context; their
+centralizer dimensions come from the transpose-square-sum formulas and are
+cross-checked elsewhere against an exact matrix oracle.  This module is the
+partition half of the engine and imports no root-system code: the orbit
+dimensions of an sl2 characteristic h live in ``certify``.
 
 Also embedded here: the reference tables of rigid elements in exceptional
 algebras (34 rows) and of non-minimal special rigid elements with their
@@ -13,54 +12,10 @@ Spaltenstein duals (8 rows).
 """
 from __future__ import annotations
 
-import json
 import numbers
-import warnings
-from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from itertools import count
 from operator import mul
-from typing import TYPE_CHECKING
-
-# The h-side functions import rootsys when called (absolutely: a relative
-# import resolves the package through __spec__.parent on every call), so the
-# partition side loads without it.
-if TYPE_CHECKING:
-    from .rootsys import RootSystemModel, Weight
-
-
-def graded_dims(model: RootSystemModel, h: Weight) -> dict[int, int]:
-    """dim g(i) for the grading by ad-h eigenvalues; h must be integral.
-
-    From <beta, h> = k on the positive roots (``rootsys.root_values``): beta
-    and -beta add one each to g(k) and g(-k), the Cartan to g(0)."""
-    import orbitcert.rootsys as rs
-    dims: dict[int, int] = {0: model.rank}
-    for k, count in Counter(rs.root_values(model, rs.h_values(model, h))).items():
-        dims[k] = dims.get(k, 0) + count
-        dims[-k] = dims.get(-k, 0) + count
-    return {k: v for k, v in sorted(dims.items()) if v}
-
-
-def _dim_z(model: RootSystemModel, values) -> int:
-    """dim g(0) + dim g(1) = rank + 2 #{0} + #{1} + #{-1} over <beta, h> on the
-    positive roots (a list): +-beta are in g(0) at 0, one of them in g(1) at +-1."""
-    return model.rank + 2 * values.count(0) + values.count(1) + values.count(-1)
-
-
-def orbit_dim_from_h(model: RootSystemModel, h: Weight) -> int:
-    """dim O = dim g - dim z_g(e); odd only when h is not a characteristic."""
-    import orbitcert.rootsys as rs
-    return orbit_dim_from_values(model, rs.root_values(model, rs.h_values(model, h)))
-
-
-def orbit_dim_from_values(model: RootSystemModel, values) -> int:
-    """``orbit_dim_from_h`` from <beta, h> on the positive roots (a list)."""
-    dim_orb = model.dim - _dim_z(model, values)
-    if dim_orb % 2:
-        raise ValueError(f"orbit dimension {dim_orb} is odd: h is not the "
-                         "characteristic of a nilpotent")
-    return dim_orb
 
 
 @dataclass(frozen=True)
@@ -223,33 +178,3 @@ def duality_table(algebra: str, e_label: str) -> DualityRecord | None:
         if rec.algebra == algebra and rec.e_label == e_label:
             return rec
     return None
-
-
-def rigid_table_json() -> str:
-    return json.dumps([asdict(rec) for rec in RIGID_TABLE], sort_keys=True)
-
-
-def duality_table_json() -> str:
-    return json.dumps([asdict(rec) for rec in DUALITY_TABLE], sort_keys=True)
-
-
-def bv_candidate(model: RootSystemModel, h_dual: Weight) -> Weight:
-    """Candidate highest weight h_dual - rho for the certificate pipeline.
-
-    h_dual is the dominant characteristic of a dual-side sl2-triple; the
-    associated variety of the primitive ideal at h_dual - rho is the closure
-    of the dual orbit.  Emits a warning when h_dual is not even, since dual
-    characteristics of rigid elements are always even.  h_dual is
-    canonicalized first, so every representative gives the same candidate.
-    """
-    import orbitcert.rootsys as rs
-    h_dual = rs.canonicalize(model, h_dual)
-    nums, den = rs.simple_pairings(model, h_dual)
-    for alpha, value in zip(model.simple_roots, nums):
-        if value < 0:
-            raise ValueError(f"h_dual is not dominant: <{alpha}, h_dual> < 0")
-    # even on every positive root exactly when even on the simple roots
-    if any(value % (2 * den) for value in nums):
-        warnings.warn("h_dual is not even; dual characteristics of rigid "
-                      "elements are even", stacklevel=2)
-    return h_dual - rs.rho(model)

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction as Fr
 
 from orbitcert import certify as ct
+from orbitcert import cli
 from orbitcert import integral as ig
 from orbitcert import lsinduce as ls
 from orbitcert import orbits as ob
@@ -49,7 +50,7 @@ def test_criterion_1_e8_flagship(e8, flagship_h, flagship_delta_prime,
                   for b in isys.simple_system}
         assert values == {1, 2}
         assert ig.cor68_dim(e8, flagship_lambda_prime) == 202                 # (g)
-        assert ob.orbit_dim_from_h(e8, flagship_h) == 202 == 248 - 46
+        assert ct.orbit_dim_from_h(e8, flagship_h) == 202 == 248 - 46
         assert report.overall == ct.PASS                                      # (h)
         assert time.monotonic() - start < 1.0
 
@@ -90,7 +91,7 @@ def test_criterion_2_table_levi_realizations():
                     if short_count is not None and shorts != short_count:
                         continue
                     # dim z = dim g - dim O at the regular characteristic of the Levi
-                    found.add(model.dim - ob.orbit_dim_from_h(model, ct.h_regular(model, pi0)))
+                    found.add(model.dim - ct.orbit_dim_from_h(model, ct.h_regular(model, pi0)))
             assert expected in found, (algebra, target, short_count, found)
 
 
@@ -232,18 +233,20 @@ DUALITY_ROWS = [
 ]
 
 
-def test_criterion_8_data_fidelity():
+def test_criterion_8_data_fidelity(capsys):
+    """The export is what ``orbitcert tables`` prints: the whole table as
+    JSON, keyed as the command keys its rows."""
     with criterion(8, "embedded tables byte-identical under JSON export"):
         assert len(ob.RIGID_TABLE) == 34
         assert len(ob.DUALITY_TABLE) == 8
-        expected_rigid = json.dumps(
-            [{"algebra": a, "bala_carter": l, "q_type": q, "dim_z": z}
-             for a, l, q, z in RIGID_ROWS], sort_keys=True)
-        assert ob.rigid_table_json() == expected_rigid
-        expected_duality = json.dumps(
-            [{"algebra": a, "e_label": l, "e_dual_label": d}
-             for a, l, d in DUALITY_ROWS], sort_keys=True)
-        assert ob.duality_table_json() == expected_duality
+        expected = {
+            "rigid": [{"algebra": a, "label": l, "q_type": q, "dim_z": z}
+                      for a, l, q, z in RIGID_ROWS],
+            "duality": [{"algebra": a, "label": l, "dual": d} for a, l, d in DUALITY_ROWS],
+        }
+        for table, rows in expected.items():
+            assert cli.main(["tables", "--table", table]) == 0
+            assert capsys.readouterr().out == json.dumps(rows, sort_keys=True) + "\n", table
 
 
 def test_criterion_9_integral_properties_random():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from orbitcert import certify as ct
 from orbitcert import cli
 from orbitcert import integral as ig
-from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
 
 import conftest
@@ -383,7 +382,7 @@ def test_certify_computes_each_quantity_once(monkeypatch, e8, flagship_lambda_pr
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        for mod in (rs, ct, ig, ob):
+        for mod in (rs, ct, ig):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     once = {"dynkin_labels": 1, "coroot_values": 1, "root_values": 1}
@@ -448,8 +447,8 @@ def test_levi_mask_is_the_bit_set():
 # every entry point that reads h, on a model and a non-integral h
 H_ENTRY_POINTS = {
     "h_values": lambda m, h: rs.h_values(m, h),
-    "graded_dims": lambda m, h: ob.graded_dims(m, h),
-    "orbit_dim_from_h": lambda m, h: ob.orbit_dim_from_h(m, h),
+    "graded_dims": lambda m, h: ct.graded_dims(m, h),
+    "orbit_dim_from_h": lambda m, h: ct.orbit_dim_from_h(m, h),
     "delta_prime": lambda m, h: ct.delta_prime(m, h),
     "delta_full_levi": lambda m, h: ct.delta(m, range(m.rank), h),
     "delta_proper_levi": lambda m, h: ct.delta(m, (0,), h),

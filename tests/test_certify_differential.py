@@ -31,7 +31,6 @@ from conftest import TYPES, rational
 from orbitcert import certify as ct
 from orbitcert import cli
 from orbitcert import integral as ig
-from orbitcert import orbits as orb
 from orbitcert import rootsys as rs
 
 CASES_PER_TYPE = 48
@@ -171,7 +170,7 @@ def _reference_root_coords(model, mu):
 
 def test_orbit_dim_from_values_matches_graded_dims():
     """dim O read off three counts of the root values equals dim g minus
-    dim g(0) + dim g(1) of the whole grading (``orbits.graded_dims``), or
+    dim g(0) + dim g(1) of the whole grading (``certify.graded_dims``), or
     raises the same odd-orbit error, for every integral h of the cases;
     ``orbit_dim_from_h`` agrees with the reference on every h.  The cases
     reach both parities."""
@@ -179,19 +178,19 @@ def test_orbit_dim_from_values_matches_graded_dims():
     for label in TYPES:
         model = rs.build(label)
         for _, _, h, _ in cases(label):
-            assert _outcome_of(orb.orbit_dim_from_h, model, h) == \
+            assert _outcome_of(ct.orbit_dim_from_h, model, h) == \
                 _outcome_of(ref.orbit_dim_from_h, model, h)
             try:
                 values = rs.root_values(model, rs.h_values(model, h))
             except ValueError:
                 continue  # h is not integral
-            dims = orb.graded_dims(model, h)
+            dims = ct.graded_dims(model, h)
             expected = model.dim - dims.get(0, 0) - dims.get(1, 0)
             parities.add(expected % 2)
             if expected % 2:
                 expected = (f"orbit dimension {expected} is odd: h is not the "
                             "characteristic of a nilpotent")
-            assert _outcome_of(orb.orbit_dim_from_values, model, values) == expected, h
+            assert _outcome_of(ct.orbit_dim_from_values, model, values) == expected, h
     assert parities == {0, 1}
 
 

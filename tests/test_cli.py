@@ -392,11 +392,15 @@ def test_tables_not_found_is_null(capsys):
 
 @pytest.mark.parametrize("table", ["rigid", "duality"])
 def test_tables_uncovered_algebra_is_usage_error(capsys, table):
-    """A one-row lookup goes through the library lookup, which refuses an
-    algebra the tables do not cover rather than answering null."""
-    code, out, err = run(capsys, "tables", "--table", table, "--algebra", "Q", "--label", "A1")
-    assert code == 2 and out == ""
-    assert err == "error: the tables cover G2, F4, E6, E7, E8, not 'Q'\n"
+    """A one-row lookup and a listing both refuse an algebra the tables do
+    not cover, with the library lookup's message, rather than answering
+    null, an empty list or a bare CSV header."""
+    for output in ("json", "text"):
+        for label in (("--label", "A1"), ()):
+            code, out, err = run(capsys, "--output", output, "tables", "--table", table,
+                                 "--algebra", "Q", *label)
+            assert code == 2 and out == "", (output, label)
+            assert err == "error: the tables cover G2, F4, E6, E7, E8, not 'Q'\n"
 
 
 def test_tables_full_dump(capsys):

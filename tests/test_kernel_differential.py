@@ -12,7 +12,6 @@ import pytest
 
 from orbitcert import certify as ct
 from orbitcert import integral as ig
-from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
 
 import epsilon_reference as ref
@@ -94,7 +93,7 @@ def test_levi_quantities_match(label):
         assert ct.theta_for_levi(model, pi0) == ref.theta_for_levi(model, pi0)
         h = ct.h_regular(model, pi0)
         assert h == ref.h_regular(model, pi0)
-        assert ob.graded_dims(model, h) == ref.graded_dims(model, h)
+        assert ct.graded_dims(model, h) == ref.graded_dims(model, h)
         dprime = ct.delta_prime(model, h)
         assert dprime == ref.delta_prime(model, h)
         shift = ct.delta(model, pi0, h)
@@ -133,7 +132,7 @@ def test_random_h_matches_including_errors(label):
     kinds = set()
     for h in _random_hs(rng, model, 15):
         pi0 = rng.choice(subsets)
-        outcome = _outcome(ob.graded_dims, model, h)
+        outcome = _outcome(ct.graded_dims, model, h)
         kinds.add(outcome[0])
         assert outcome == _outcome(ref.graded_dims, model, h)
         assert _outcome(ct.delta_prime, model, h) == _outcome(ref.delta_prime, model, h)

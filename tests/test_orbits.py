@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -20,18 +19,18 @@ DIM_G = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
 
 def test_graded_dims_zero(e8):
     zero = rs.canonicalize(e8, (0,) * 9)
-    assert ob.graded_dims(e8, zero) == {0: 248}
+    assert ct.graded_dims(e8, zero) == {0: 248}
 
 
 def test_graded_dims_sl2():
     a1 = rs.build("A1")
     a = a1.simple_roots[0]
     h = Fraction(2, a.dot(a)) * a
-    assert ob.graded_dims(a1, h) == {-2: 1, 0: 1, 2: 1}
+    assert ct.graded_dims(a1, h) == {-2: 1, 0: 1, 2: 1}
 
 
 def test_graded_dims_e8_example(e8, flagship_h):
-    dims = ob.graded_dims(e8, flagship_h)
+    dims = ct.graded_dims(e8, flagship_h)
     assert dims[0] + dims[1] == 46
     assert sum(dims.values()) == 248
     assert all(dims[k] == dims[-k] for k in dims)
@@ -40,14 +39,14 @@ def test_graded_dims_e8_example(e8, flagship_h):
 def test_graded_dims_rejects_non_integral(e8):
     from fractions import Fraction as Fr
     with pytest.raises(ValueError):
-        ob.graded_dims(e8, Fr(1, 2) * e8.simple_roots[0])
+        ct.graded_dims(e8, Fr(1, 2) * e8.simple_roots[0])
 
 
 @given(st.integers(0, 255))
 def test_graded_dims_symmetric_for_levi_characteristics(mask):
     e8 = rs.build("E8")
     pi0 = [i for i in range(8) if mask & (1 << i)]
-    dims = ob.graded_dims(e8, ct.h_regular(e8, pi0))
+    dims = ct.graded_dims(e8, ct.h_regular(e8, pi0))
     assert all(dims[k] == dims[-k] for k in dims)
     assert sum(dims.values()) == 248
 
@@ -56,16 +55,16 @@ def test_centralizer_and_orbit_dims(e8, flagship_h):
     """dim z = dim g - dim O = dim g(0) + dim g(1)."""
     zero = rs.canonicalize(e8, (0,) * 9)
     for h, dim_orbit, dim_z in ((flagship_h, 202, 46), (zero, 0, 248)):
-        dims = ob.graded_dims(e8, h)
-        assert ob.orbit_dim_from_h(e8, h) == dim_orbit == e8.dim - dim_z
+        dims = ct.graded_dims(e8, h)
+        assert ct.orbit_dim_from_h(e8, h) == dim_orbit == e8.dim - dim_z
         assert dims[0] + dims.get(1, 0) == dim_z
 
 
 def test_odd_orbit_dimension_raises_under_optimize():
     # h = (1, 0) on A1 pairs to 1 with the root: dim O would be 3 - 2 = 1
-    code = ("from orbitcert import rootsys as rs, orbits as ob\n"
+    code = ("from orbitcert import rootsys as rs, certify as ct\n"
             "try:\n"
-            "    ob.orbit_dim_from_h(rs.build('A1'), rs.weight((1, 0)))\n"
+            "    ct.orbit_dim_from_h(rs.build('A1'), rs.weight((1, 0)))\n"
             "except ValueError as exc:\n"
             "    print('raised:', exc)\n")
     src = str(Path(ob.__file__).resolve().parents[1])
@@ -77,7 +76,7 @@ def test_odd_orbit_dimension_raises_under_optimize():
 def test_g2_long_root_centralizer():
     g2 = rs.build("G2")
     h = ct.h_regular(g2, [1])  # the long simple root
-    assert g2.dim - ob.orbit_dim_from_h(g2, h) == 8
+    assert g2.dim - ct.orbit_dim_from_h(g2, h) == 8
 
 
 # partitions ------------------------------------------------------------------
@@ -180,21 +179,12 @@ def test_duality_rows_reference_rigid_rows():
         assert ob.rigid_table(rec.algebra, rec.e_label) is not None
 
 
-def test_table_exports_parse():
-    rows = json.loads(ob.rigid_table_json())
-    assert len(rows) == 34
-    assert {"algebra": "E8", "bala_carter": "A5+A1", "q_type": "2A1",
-            "dim_z": 46} in rows
-    duality_rows = json.loads(ob.duality_table_json())
-    assert len(duality_rows) == 8
-
-
 # bv candidate ----------------------------------------------------------------
 
 def test_bv_candidate_a1():
     a1 = rs.build("A1")
     alpha = a1.simple_roots[0]
-    out = ob.bv_candidate(a1, alpha)  # 2 rho^vee as a weight is alpha itself
+    out = ct.bv_candidate(a1, alpha)  # 2 rho^vee as a weight is alpha itself
     assert out == rs.Weight(("1/2", "-1/2"))
 
 
@@ -203,13 +193,13 @@ def test_bv_candidate_zero(e8):
     zero = rs.canonicalize(e8, (0,) * 9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ob.bv_candidate(e8, zero) == -rs.rho(e8)
+        assert ct.bv_candidate(e8, zero) == -rs.rho(e8)
 
 
 def test_bv_candidate_identity(e8, flagship_h):
     # h from the A5+A1 example is dominant? it is not; use a dominant even weight
     h_dual = 2 * rs.rho(e8)
-    assert ob.bv_candidate(e8, h_dual) + rs.rho(e8) == h_dual
+    assert ct.bv_candidate(e8, h_dual) + rs.rho(e8) == h_dual
 
 
 def test_bv_candidate_even_raises_no_warning(e8):
@@ -217,7 +207,7 @@ def test_bv_candidate_even_raises_no_warning(e8):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ob.bv_candidate(e8, 2 * rs.rho(e8)) == rs.rho(e8)
+        assert ct.bv_candidate(e8, 2 * rs.rho(e8)) == rs.rho(e8)
 
 
 def test_bv_candidate_canonicalizes_h_dual(e8):
@@ -225,18 +215,19 @@ def test_bv_candidate_canonicalizes_h_dual(e8):
     all-ones vector are one element, so they give one candidate: the
     all-ones vector is h_dual = 0, whose candidate is -rho."""
     ones = rs.weight([1] * 9)
-    assert ob.bv_candidate(e8, ones) == -rs.rho(e8)
+    assert ct.bv_candidate(e8, ones) == -rs.rho(e8)
     h_dual = 2 * rs.rho(e8)
-    assert ob.bv_candidate(e8, h_dual + Fraction(5, 3) * ones) == rs.rho(e8)
+    assert ct.bv_candidate(e8, h_dual + Fraction(5, 3) * ones) == rs.rho(e8)
 
 
 def test_bv_candidate_rejects_non_dominant(e8):
     with pytest.raises(ValueError):
-        ob.bv_candidate(e8, -rs.rho(e8))
+        ct.bv_candidate(e8, -rs.rho(e8))
 
 
 def test_bv_candidate_warns_on_odd(e8):
     # rho is 1 on every simple root; rho / 2 is dominant but not integral
     for h_dual in (rs.rho(e8), Fraction(1, 2) * rs.rho(e8)):
-        with pytest.warns(UserWarning, match="not even"):
-            ob.bv_candidate(e8, h_dual)
+        with pytest.warns(UserWarning, match="not even") as record:
+            ct.bv_candidate(e8, h_dual)
+        assert record[0].filename == __file__  # the warning names the caller's line

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from orbitcert import certify as ct
 from orbitcert import integral as ig
-from orbitcert import orbits as ob
 from orbitcert import rootsys as rs
 
 import conftest
@@ -475,7 +474,7 @@ def test_root_membership_matches_the_root_lists(label):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda e8: ob.graded_dims(e8, rs.weight([5, 3, 1, -1, -3, -5, 1, -1, 0, 7, 7])),
+    (lambda e8: ct.graded_dims(e8, rs.weight([5, 3, 1, -1, -3, -5, 1, -1, 0, 7, 7])),
      "expected 9 coordinates, got 11"),
     (lambda e8: ig.integral_system(e8, rs.weight([1, 2])), "expected 9 coordinates, got 2"),
     (lambda e8: ct.CertificateInput(e8, (0, 1), None, rs.weight([5, 5])),

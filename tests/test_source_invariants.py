@@ -6,6 +6,12 @@ or ``//``) and no environment reads (every bound is a constant, not a
 knob).  Only ``rootsys`` imports ``fractions``, for the ``Weight`` I/O
 boundary, so the command line, the linear algebra and the certificate,
 integral-system, orbit and induction layers keep to integers.
+The engine has two halves that do not import each other: the partition
+half (``orbits``, ``lsinduce``) and the root-system half (``rootsys``,
+``certify``, ``integral``); ``linalg`` serves both and imports neither.
+Every engine module but ``cli``, which loads each command's engine when it
+runs, imports at module level only: no import inside a function and none
+under ``TYPE_CHECKING``, so its dependencies are the ones it states.
 The experiment scripts in
 ``scripts/`` check their conclusions, so they follow the ``assert`` rule too.
 
@@ -27,6 +33,14 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 FRACTION_MODULES = {"rootsys.py"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+PARTITION_HALF = ("orbits", "lsinduce")
+ROOT_SYSTEM_HALF = ("rootsys", "certify", "integral")
+# each engine module -> the engine modules it must not import; the partition
+# half loads linalg, so linalg imports neither half
+FORBIDDEN_IMPORTS = {**dict.fromkeys(PARTITION_HALF, ROOT_SYSTEM_HALF),
+                     **dict.fromkeys(ROOT_SYSTEM_HALF, PARTITION_HALF),
+                     "linalg": PARTITION_HALF + ROOT_SYSTEM_HALF}
 
 
 def violations(tree: ast.AST) -> list[str]:
@@ -94,16 +108,103 @@ def test_scanner_flags_fraction_imports(source):
     assert fraction_imports(ast.parse(source))
 
 
+def engine_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) for each orbitcert submodule a tree imports, relatively
+    (``from . import linalg``, ``from .orbits import Partition``) or
+    absolutely (``import orbitcert.rootsys``, ``from orbitcert import
+    certify``); a name imported from the package itself counts as its own."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.partition(".")[2]) for alias in node.names
+                      if alias.name.startswith("orbitcert.")]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module == "orbitcert" or (node.module or "").startswith("orbitcert."):
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            found += ([(node.lineno, module)] if module
+                      else [(node.lineno, alias.name) for alias in node.names])
+    return found
+
+
+def crossing_imports(tree: ast.AST, module: str) -> list[str]:
+    return [f"{line}: imports {name}" for line, name in engine_imports(tree)
+            if name in FORBIDDEN_IMPORTS[module]]
+
+
+def deferred_imports(tree: ast.AST) -> list[str]:
+    """The imports inside a function or under ``if TYPE_CHECKING:``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS) or isinstance(node, ast.If) and (
+                getattr(node.test, "id", None) == "TYPE_CHECKING"
+                or getattr(node.test, "attr", None) == "TYPE_CHECKING"):
+            found.update(f"{inner.lineno}: import" for stmt in node.body
+                         for inner in ast.walk(stmt)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN_IMPORTS))
+def test_engine_halves_import_nothing_of_each_other(module):
+    path = ROOT / "src" / "orbitcert" / f"{module}.py"
+    assert crossing_imports(ast.parse(path.read_text(), filename=str(path)), module) == []
+
+
+@pytest.mark.parametrize("source, module", [
+    ("from .rootsys import Weight", "orbits"),
+    ("from . import linalg, certify", "lsinduce"),
+    ("import orbitcert.integral as ig", "orbits"),
+    ("from orbitcert.rootsys import build", "lsinduce"),
+    ("from orbitcert import rootsys", "orbits"),
+    ("from .orbits import Partition", "certify"),
+    ("from orbitcert import lsinduce", "linalg"),
+    ("from . import rootsys", "linalg"),
+    ("def f():\n    import orbitcert.lsinduce as ls", "rootsys"),
+])
+def test_scanner_flags_crossing_imports(source, module):
+    assert crossing_imports(ast.parse(source), module)
+
+
+def test_scanner_passes_imports_within_a_half():
+    source = ast.parse("import json\nfrom . import linalg\nfrom .orbits import Partition\n"
+                       "from orbitcert import lsinduce\n")
+    assert crossing_imports(source, "lsinduce") == []
+    assert crossing_imports(ast.parse("from . import rootsys\nfrom .integral import x"),
+                            "certify") == []
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "cli.py"],
+                         ids=lambda path: path.name)
+def test_engine_imports_at_module_level(path):
+    assert deferred_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("source", [
+    "def f():\n    import orbitcert.rootsys as rs",
+    "class C:\n    def m(self):\n        from . import rootsys",
+    "async def f():\n    import json",
+    "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .rootsys import Weight",
+    "import typing\nif typing.TYPE_CHECKING:\n    import json",
+])
+def test_scanner_flags_deferred_imports(source):
+    assert deferred_imports(ast.parse(source))
+
+
+def test_scanner_passes_module_level_imports():
+    assert deferred_imports(ast.parse("import json\nfrom . import rootsys\nif X:\n"
+                                      "    import csv\ndef f():\n    return json\n")) == []
+
+
 # The public names kept although only the tests call them, each with its use.
 UNREACHED_ALLOWED = {
     "integral.prop67_dim": "Prop. 6.7, the parametric dim VA formula: every report whose (B) "
                            "is undecided tells the user to call it",
-    "orbits.bv_candidate": "the Barbasch-Vogan candidate weight h_dual - rho, kept for the "
-                           "derivation of the duality table (ROADMAP.md, item 3)",
-    "orbits.rigid_table_json": "acceptance criterion 8 (test_criterion_8_data_fidelity): the "
-                               "embedded rigid table exports byte-identically as JSON",
-    "orbits.duality_table_json": "acceptance criterion 8 (test_criterion_8_data_fidelity): the "
-                                 "embedded duality table exports byte-identically as JSON",
+    "certify.bv_candidate": "the Barbasch-Vogan candidate weight h_dual - rho, kept for the "
+                            "derivation of the duality table (ROADMAP.md, item 3)",
 }
 
 
@@ -125,8 +226,6 @@ def referenced_names(tree: ast.AST, strings: bool = True) -> Counter:
             names[node.value] += 1
     return names
 
-
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def definitions(tree: ast.Module):

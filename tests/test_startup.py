@@ -2,7 +2,7 @@
 public names are imported from their home modules on first access (PEP 562).
 Each CLI command, run in a fresh interpreter, loads only the engine it
 runs: the root-system commands (certify, delta-prime, integral, info,
-pairing) load no ``lsinduce``, ``random`` or ``csv``, and the partition
+pairing) load no ``orbits``, ``lsinduce``, ``random`` or ``csv``, and the partition
 commands (rigid, induce, dimz, oracle, tables) load no ``rootsys``,
 ``certify``, ``integral``, ``fractions`` or ``decimal``.  A module counts as
 loaded by the command when it was not already loaded when the interpreter
@@ -29,20 +29,20 @@ RUN_COMMAND = "from orbitcert.cli import main\ncode = main(sys.argv[1:])"
 
 ROOT_SYSTEM_FREE = {"orbitcert.rootsys", "orbitcert.certify", "orbitcert.integral",
                     "fractions", "decimal"}
-INDUCTION_FREE = {"orbitcert.lsinduce", "random", "csv"}
+PARTITION_FREE = {"orbitcert.orbits", "orbitcert.lsinduce", "random", "csv"}
 E8_H = "5,3,1,-1,-3,-5,1,-1,0"
 E8_LAMBDA_PRIME = "1,7/6,1/3,1/2,2/3,5/6,1/6,-1/6,-9/2"
 DESCRIPTOR = '{"gl_blocks":[{"k":3,"d":[2,1]}]}'
 # case -> (argv, exit code, modules it must not load)
 COMMANDS = {
     "certify": (["certify", "--type", "E8", "--levi", "a1,a2,a3,a4,a5,a7",
-                 "--lambda-prime", E8_LAMBDA_PRIME, "--principal"], 0, INDUCTION_FREE),
-    "delta-prime": (["delta-prime", "--type", "E8", "--h", E8_H], 0, INDUCTION_FREE),
+                 "--lambda-prime", E8_LAMBDA_PRIME, "--principal"], 0, PARTITION_FREE),
+    "delta-prime": (["delta-prime", "--type", "E8", "--h", E8_H], 0, PARTITION_FREE),
     "integral": (["integral", "--type", "E8", "--lambda-prime", E8_LAMBDA_PRIME], 0,
-                 INDUCTION_FREE),
-    "info": (["info", "--type", "G2"], 0, INDUCTION_FREE),
+                 PARTITION_FREE),
+    "info": (["info", "--type", "G2"], 0, PARTITION_FREE),
     "pairing": (["pairing", "--type", "A2", "--lambda", "1,0,-1", "--root", "1,-1,0"], 0,
-                INDUCTION_FREE),
+                PARTITION_FREE),
     "rigid": (["rigid", "--type", "sp", "--partition", "4,4,2,2"], 0, ROOT_SYSTEM_FREE),
     "induce": (["induce", "--type", "sp", "--ambient", "6", "--levi", DESCRIPTOR], 0,
                ROOT_SYSTEM_FREE),

@@ -43,8 +43,8 @@ def levi_survey(label):
                           == min_norm)
                       if len(norms) > 1 else None)
             h = ct.h_regular(model, pi0)
-            graded = ob.graded_dims(model, h)
-            rows.append((labels, shorts, model.dim - ob.orbit_dim_from_h(model, h),
+            graded = ct.graded_dims(model, h)
+            rows.append((labels, shorts, model.dim - ct.orbit_dim_from_h(model, h),
                          graded[0] - graded.get(2, 0)))
     return rows
 
@@ -192,7 +192,7 @@ def test_subregular_d_row_from_sl2_labels(label, parts, d_nodes, a_nodes):
     h = rs.combine(e8, coeffs, scale_den * den)
     values = rs.h_values(e8, h)
     assert [values[node] for node in nodes] == labels
-    graded = ob.graded_dims(e8, h)
+    graded = ct.graded_dims(e8, h)
     rec = ob.rigid_table("E8", label)
     assert graded[0] + graded.get(1, 0) == rec.dim_z
     assert graded[0] - graded.get(2, 0) == reductive_dim(rec.q_type)
