@@ -2,7 +2,7 @@
 """Paired benchmark runs of two checkouts, with the verdict on a claimed gain.
 
 Usage: python scripts/paired_bench.py --parent DIR --change DIR --workload W
-                                      --seed S --pairs N
+                                      --seed S --pairs N [--metric NAME]
 
 Each pair runs ``perfbench/run.py`` once in each checkout, for the
 ``run_seconds`` of the parent's BENCHMARK.json, tracing off; the side that
@@ -10,10 +10,12 @@ runs first alternates from pair to pair (the parent first in pair 1).  The
 report gives, per end-to-end metric of BENCHMARK.json, each side's median
 and quartiles and how far the change's median is from the parent's, in the
 metric's better direction, against its bound.  For the claimed metric
-(``CLAIMED``) it gives the pairs won, ties counting for neither side, and the
-verdict of the paired rule: a gain is shown when the change wins at least
-nine tenths of the pairs and the medians differ, in the better direction,
-by more than the parent's interquartile range.  It also reports the ops
+(``--metric``: an end-to-end name of the parent's BENCHMARK.json, whose
+better direction is read from there; ``ops_per_s`` by default) it gives the
+pairs won, ties counting for neither side, and the verdict of the paired
+rule: a gain is shown when the change wins at least nine tenths of the
+pairs and the medians differ, in the better direction, by more than the
+parent's interquartile range.  It also reports the ops
 attempted and failed on each side and whether every run of both sides gave
 the same output sha256.  The exit code is 0 whether or not the gain is shown.
 """
@@ -31,7 +33,6 @@ from pathlib import Path
 _BENCH = runpy.run_path(str(Path(__file__).with_name("bench.py")))
 run_once, quartiles = _BENCH["run_once"], _BENCH["quartiles"]
 
-CLAIMED = "ops_per_s"
 SIDES = ("parent", "change")
 
 
@@ -58,12 +59,17 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--metric", default="ops_per_s",
+                        help="the claimed end-to-end metric (default ops_per_s)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for the parent's quartiles")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    if args.metric not in metrics:
+        parser.error(f"--metric must be one of {', '.join(metrics)}, not {args.metric!r}")
+    claimed = args.metric
     seconds = spec["run_seconds"]
 
     values = {side: {name: [] for name in metrics} for side in SIDES}
@@ -77,8 +83,8 @@ def main(argv: list[str]) -> int:
             counts[side]["failed"] += result["failed"]
             for name in metrics:
                 values[side][name].append(result["metrics"][name]["value"])
-            print(f"pair {pair + 1}/{args.pairs} {side}: {CLAIMED} "
-                  f"{result['metrics'][CLAIMED]['value']:.1f}", file=sys.stderr, flush=True)
+            print(f"pair {pair + 1}/{args.pairs} {side}: {claimed} "
+                  f"{result['metrics'][claimed]['value']:.6g}", file=sys.stderr, flush=True)
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds} s runs")
     for name, spec_metric in metrics.items():
@@ -96,9 +102,9 @@ def main(argv: list[str]) -> int:
         print(f"{side}: {counts[side]['failed']} of {counts[side]['attempted']} ops failed")
     print("output sha256: " + ("the same in every run" if len(shas) == 1
                                else f"differs: {sorted(shas)}"))
-    v = verdict(values["parent"][CLAIMED], values["change"][CLAIMED],
-                metrics[CLAIMED]["better"] == "higher")
-    print(f"{CLAIMED}: change won {v['wins']} of {v['pairs']} pairs; median gap "
+    v = verdict(values["parent"][claimed], values["change"][claimed],
+                metrics[claimed]["better"] == "higher")
+    print(f"{claimed}: change won {v['wins']} of {v['pairs']} pairs; median gap "
           f"{v['gap']:.6g} against the parent's interquartile range {v['parent_iqr']:.6g}")
     print(f"verdict: gain {'shown' if v['shown'] else 'not shown'}")
     return 0

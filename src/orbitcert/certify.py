@@ -32,10 +32,10 @@ import itertools
 import numbers
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import rootsys
 from .integral import cor68_from_values
+from .record import Record
 from .rootsys import (RootSystemModel, Weight, combine, coweight, h_values, levi_mask,
                       root_values)
 
@@ -185,11 +185,13 @@ def _levi_solve(model: RootSystemModel, w: Weight, mask: int
     return False, w - combine(model, [x if mask >> i & 1 else 0 for i, x in enumerate(nums)], den)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     status: str
-    witness: object = None
-    detail: str = ""
+    witness: object
+    detail: str
+
+    def __init__(self, status, witness=None, detail=""):
+        self.__dict__.update(status=status, witness=witness, detail=detail)
 
     def __bool__(self) -> bool:
         return self.status == PASS
@@ -202,9 +204,9 @@ def _verdict_A(model: RootSystemModel, mask: int, values, den: int) -> CheckResu
     """(A) for e regular in the Levi of ``mask``, from
     <lambda', beta^vee> = values[k] / den (``rootsys.coroot_values``)."""
     off = ~mask
-    for beta, s, val in zip(model.positive_roots, model.supports, values):
+    for k, (s, val) in enumerate(zip(model.supports, values)):
         if not s & off and val > 0 and val % den == 0:
-            return CheckResult(FAIL, witness=beta,
+            return CheckResult(FAIL, witness=combine(model, model.pos_coefficients[k]),
                                detail=f"<lambda', alpha^vee> = {val // den} in Z_>0")
     return CheckResult(PASS)
 
@@ -238,28 +240,25 @@ def _verdict_D(principal_in_levi: bool) -> CheckResult:
     return CheckResult(UNDECIDED, detail="cannot decide W-algebra module structure")
 
 
-@dataclass(frozen=True)
-class CertificateInput:
+class CertificateInput(Record):
     model: RootSystemModel
     levi: tuple[int, ...]          # indices into the simple system
     # characteristic of e inside the Levi; None is the regular one, h_regular(model, levi)
     h: Weight | None
     lambda_prime: Weight           # lambda + rho
-    principal_in_levi: bool = False
-    # <alpha_i, h> on the simple roots, read once here and used by ``certify``
-    h_simple: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    principal_in_levi: bool
+    # <alpha_i, h> on the simple roots, read once here and used by ``certify``;
+    # it follows from the fields before it, so it adds nothing to equality
+    h_simple: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, model, levi, h, lambda_prime, principal_in_levi=False):
         # a bool only: a string such as "no" is truthy, and would pass for e principal
-        if type(self.principal_in_levi) is not bool:
-            raise TypeError(f"principal_in_levi must be a bool, got {self.principal_in_levi!r}")
-        model = self.model
-        mask = levi_mask(model, self.levi)
+        if type(principal_in_levi) is not bool:
+            raise TypeError(f"principal_in_levi must be a bool, got {principal_in_levi!r}")
+        mask = levi_mask(model, levi)
         levi = tuple(i for i in range(model.rank) if mask >> i & 1)
-        object.__setattr__(self, "levi", levi)
-        h = None if self.h is None else rootsys.canonicalize(model, self.h)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "lambda_prime", rootsys.canonicalize(model, self.lambda_prime))
+        h = None if h is None else rootsys.canonicalize(model, h)
+        lambda_prime = rootsys.canonicalize(model, lambda_prime)
         if h is None:
             # 2 rho_0^vee is integral and a sum of Levi coroots, so in their span
             values = _regular_values(model, mask)
@@ -268,14 +267,14 @@ class CertificateInput:
             ok, residual = _levi_solve(model, h, mask)
             if not ok:
                 raise ValueError(f"h is not in the Levi coroot span; residual {residual}")
-        object.__setattr__(self, "h_simple", tuple(values))
-        if self.principal_in_levi and any(values[i] != 2 for i in levi):
+        if principal_in_levi and any(values[i] != 2 for i in levi):
             raise ValueError("principal_in_levi requires <alpha, h> = 2 "
                              "on every Levi simple root")
+        self.__dict__.update(model=model, levi=levi, h=h, lambda_prime=lambda_prime,
+                             principal_in_levi=principal_in_levi, h_simple=tuple(values))
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Record):
     verdict_A: CheckResult
     verdict_B: CheckResult
     verdict_C: CheckResult
@@ -284,9 +283,15 @@ class CertificateReport:
     dim_orbit: int
     cor68: int | None
     delta_prime: Weight
-    unverified: tuple[str, ...] = field(default=(
-        "the normalizer of the centralizer torus acts on it without nonzero "
-        "fixed points (side condition, not machine-checkable here)",))
+    unverified: tuple[str, ...]
+
+    def __init__(self, verdict_A, verdict_B, verdict_C, verdict_D, dim_g, dim_orbit, cor68,
+                 delta_prime, unverified=(
+                     "the normalizer of the centralizer torus acts on it without nonzero "
+                     "fixed points (side condition, not machine-checkable here)",)):
+        self.__dict__.update(verdict_A=verdict_A, verdict_B=verdict_B, verdict_C=verdict_C,
+                             verdict_D=verdict_D, dim_g=dim_g, dim_orbit=dim_orbit, cor68=cor68,
+                             delta_prime=delta_prime, unverified=unverified)
 
     @property
     def overall(self) -> str:

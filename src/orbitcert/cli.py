@@ -166,7 +166,7 @@ def _parse_partition(text: str, kind: str) -> Partition:
 def _cmd_info(args) -> int:
     import orbitcert.rootsys as rs
     model = rs.build(args.type)
-    _emit({"dim": model.dim, "positive_roots": len(model.positive_roots),
+    _emit({"dim": model.dim, "positive_roots": len(model.pos_coefficients),
            "rank": model.rank}, args.output)
     return EXIT_PASS
 

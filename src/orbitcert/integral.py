@@ -18,14 +18,12 @@ the formula is a count of integral roots and a sign test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rootsys
+from .record import Record
 from .rootsys import RootSystemModel, Weight
 
 
-@dataclass(frozen=True)
-class IntegralSystem:
+class IntegralSystem(Record):
     """The integral subsystem of lambda' = lambda + rho."""
 
     lambda_prime: Weight
@@ -33,6 +31,10 @@ class IntegralSystem:
     simple_system: tuple[Weight, ...]  # roots dual to the simple coroots, positive in Delta
     cartan_type: tuple[str, ...]       # labels of Delta(lambda) itself: B and C not swapped
     cor68: int | None                  # cor68_dim of lambda', from the same coroot values
+
+    def __init__(self, lambda_prime, coroots, simple_system, cartan_type, cor68):
+        self.__dict__.update(lambda_prime=lambda_prime, coroots=coroots,
+                             simple_system=simple_system, cartan_type=cartan_type, cor68=cor68)
 
     @property
     def size(self) -> int:

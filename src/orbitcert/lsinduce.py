@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
 from . import linalg
 from .orbits import Partition, _int_parts, dim_z_partition, parity_valid
+from .record import Record
 
 MAX_ORACLE_AMBIENT = 16  # jordan_oracle and centralizer_oracle
 _ENTRY_RANGE = 9  # random integer entries are drawn from [-9, 9]
@@ -31,57 +31,61 @@ class TrialBudgetExhausted(ValueError):
     """A randomized oracle used up its draws: the run is undecided, not wrong."""
 
 
-@dataclass(frozen=True)
-class GLBlock:
+class GLBlock(Record):
     k: int
     d: Partition  # partition of k, gl context
 
+    def __init__(self, k, d):
+        self.__dict__.update(k=k, d=d)
 
-@dataclass(frozen=True)
-class Tail:
+
+class Tail(Record):
     m: int
     c: Partition  # parity-valid partition of m in the ambient's so/sp context
 
+    def __init__(self, m, c):
+        self.__dict__.update(m=m, c=c)
 
-@dataclass(frozen=True)
-class LeviDescriptor:
+
+class LeviDescriptor(Record):
     """A Levi subalgebra gl_{k_1} x ... x gl_{k_r} (x X_m) with orbit data."""
 
     kind: str  # ambient type: gl | so | sp
     ambient: int
     gl_blocks: tuple[GLBlock, ...]
-    tail: Tail | None = None
+    tail: Tail | None
 
-    def __post_init__(self):
-        if self.kind not in ("gl", "so", "sp"):
-            raise ValueError(f"unknown ambient type {self.kind!r}")
-        _int_value(self.ambient, "ambient")
-        if self.tail is not None:
-            _int_value(self.tail.m, "m")
-        for blk in self.gl_blocks:
+    def __init__(self, kind, ambient, gl_blocks, tail=None):
+        if kind not in ("gl", "so", "sp"):
+            raise ValueError(f"unknown ambient type {kind!r}")
+        _int_value(ambient, "ambient")
+        if tail is not None:
+            _int_value(tail.m, "m")
+        for blk in gl_blocks:
             _int_value(blk.k, "k")
             if blk.d.total != blk.k:
                 raise ValueError(f"gl block partition {blk.d.parts} is not of {blk.k}")
-        if self.kind == "gl":
-            if self.tail is not None:
+        if kind == "gl":
+            if tail is not None:
                 raise ValueError("gl ambient admits no classical tail")
-            if sum(b.k for b in self.gl_blocks) != self.ambient:
+            if sum(b.k for b in gl_blocks) != ambient:
                 raise ValueError("gl block sizes must sum to the ambient size")
         else:
-            m = self.tail.m if self.tail else 0
-            if 2 * sum(b.k for b in self.gl_blocks) + m != self.ambient:
+            m = tail.m if tail else 0
+            if 2 * sum(b.k for b in gl_blocks) + m != ambient:
                 raise ValueError("sum 2k_i + m must equal the ambient size")
-            if self.kind == "sp" and (self.ambient % 2 or m % 2):
+            if kind == "sp" and (ambient % 2 or m % 2):
                 raise ValueError("sp ambient and tail must be even")
-            if self.tail is not None:
-                c = self.tail.c
-                if c.kind != self.kind:  # checked and kept in the ambient kind, as JSON reads it
-                    c = Partition(c.parts, self.kind)
-                    object.__setattr__(self, "tail", Tail(self.tail.m, c))
-                if c.total != self.tail.m:
-                    raise ValueError(f"tail partition {c.parts} is not of {self.tail.m}")
+            if tail is not None:
+                c = tail.c
+                if c.kind != kind:  # checked and kept in the ambient kind, as JSON reads it
+                    c = Partition(c.parts, kind)
+                    tail = Tail(tail.m, c)
+                if c.total != tail.m:
+                    raise ValueError(f"tail partition {c.parts} is not of {tail.m}")
                 if not parity_valid(c):
-                    raise ValueError(f"tail partition {c.parts} is not {self.kind}-valid")
+                    raise ValueError(f"tail partition {c.parts} is not {kind}-valid")
+        self.__dict__.update(kind=kind, ambient=ambient, gl_blocks=gl_blocks, tail=tail)
 
     def to_json_dict(self) -> dict:
         out: dict = {"type": self.kind, "ambient": self.ambient,

@@ -13,29 +13,29 @@ Spaltenstein duals (8 rows).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from itertools import count
 from operator import mul
 
+from .record import Record
 
-@dataclass(frozen=True)
-class Partition:
+
+class Partition(Record):
     """Weakly decreasing positive parts with a gl/so/sp context."""
 
     parts: tuple[int, ...]
-    kind: str = "gl"
+    kind: str
 
-    def __post_init__(self):
-        parts = _int_parts(self.parts)
+    def __init__(self, parts, kind="gl"):
+        parts = _int_parts(parts)
         if parts and min(parts) < 0:
             raise ValueError("parts must be positive")
         if 0 in parts:
             parts = tuple(p for p in parts if p)
-        object.__setattr__(self, "parts", parts)
         if list(parts) != sorted(parts, reverse=True):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
-        if self.kind not in ("gl", "so", "sp"):
-            raise ValueError(f"unknown type context {self.kind!r}")
+        if kind not in ("gl", "so", "sp"):
+            raise ValueError(f"unknown type context {kind!r}")
+        self.__dict__.update(parts=parts, kind=kind)
 
     @property
     def total(self) -> int:
@@ -84,19 +84,23 @@ def dim_z_partition(p: Partition) -> int:
     return (sq + odd) // 2
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Record):
     algebra: str
     bala_carter: str
     q_type: str
     dim_z: int
 
+    def __init__(self, algebra, bala_carter, q_type, dim_z):
+        self.__dict__.update(algebra=algebra, bala_carter=bala_carter, q_type=q_type, dim_z=dim_z)
 
-@dataclass(frozen=True)
-class DualityRecord:
+
+class DualityRecord(Record):
     algebra: str
     e_label: str
     e_dual_label: str
+
+    def __init__(self, algebra, e_label, e_dual_label):
+        self.__dict__.update(algebra=algebra, e_label=e_label, e_dual_label=e_dual_label)
 
 
 # Rigid elements in exceptional algebras: (algebra, Bala-Carter label of e,

@@ -66,7 +66,6 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
@@ -215,6 +214,15 @@ def parse_rational(token: str) -> Fraction:
 # the documented token form [+-]p[/q], in ASCII digits, read straight to integers
 _INTEGER_TOKEN = r"([+-]?[0-9]+)(?:/([0-9]+))?"
 
+# The size limits of a weight read from text: the digits written in each
+# token's numerator and in its denominator, and the digits of the lcm of the
+# weight's denominators.  An integer a command prints from such a weight has
+# at most a few digits more than a numerator and the lcm together, so it
+# stays under the 4300 digits that Python converts between int and str.
+MAX_TOKEN_DIGITS = 2000
+MAX_LCM_DIGITS = 2000
+_LCM_BOUND = 10 ** MAX_LCM_DIGITS
+
 
 def read_weight(model: RootSystemModel, text: str, root_coords: bool) -> Weight:
     """The comma-separated tokens of ``text`` as one Weight over the lcm of
@@ -223,11 +231,16 @@ def read_weight(model: RootSystemModel, text: str, root_coords: bool) -> Weight:
     [+-]p[/q] is read as integers in the order ``Fraction`` reads it (p,
     then q, then the zero check); any other token goes through
     ``parse_rational``, so every value and every error is the one
-    ``Fraction`` gives."""
+    ``Fraction`` gives, except that a token whose numerator or denominator
+    is written with more than MAX_TOKEN_DIGITS digits, or a weight whose
+    lcm of denominators has more than MAX_LCM_DIGITS digits, raises
+    ValueError naming the limit before any value is built from it."""
     fullmatch = re.compile(_INTEGER_TOKEN).fullmatch  # compiled on first use, then from re's cache
     nums, dens = [], []
     for part in text.split(","):
         token = part.strip()
+        if len(token) > MAX_TOKEN_DIGITS:  # a shorter token has fewer digits in each part
+            _check_token_digits(token)
         m = fullmatch(token)
         if m is None:
             value = parse_rational(token)
@@ -240,10 +253,26 @@ def read_weight(model: RootSystemModel, text: str, root_coords: bool) -> Weight:
         nums.append(num)
         dens.append(den)
     den = math.lcm(*dens)
+    if den >= _LCM_BOUND:
+        raise ValueError(f"the lcm of the denominators has more than the limit of "
+                         f"{MAX_LCM_DIGITS} digits")
     nums = [x * (den // d) for x, d in zip(nums, dens)]
     if root_coords:
         return combine(model, nums, den)
     return canonicalize(model, Weight.from_ints(nums, den))
+
+
+def _check_token_digits(token: str) -> None:
+    """ValueError when the numerator or the denominator written in ``token``
+    (the parts before and after "/") has more than MAX_TOKEN_DIGITS digits,
+    so that no part is too long for ``int``.  A decimal's denominator, a
+    power of ten, is bounded by the lcm check."""
+    numerator, _, denominator = token.partition("/")
+    for part, what in ((numerator, "numerator"), (denominator, "denominator")):
+        digits = sum(map(str.isdigit, part))
+        if digits > MAX_TOKEN_DIGITS:
+            raise ValueError(f"a {what} has {digits} digits, more than the limit of "
+                             f"{MAX_TOKEN_DIGITS}")
 
 
 def rational(num: int, den: int) -> numbers.Rational:
@@ -301,13 +330,14 @@ def parse_label(label: str) -> tuple[str, int]:
     return series, rank
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystemModel:
     """Immutable simple root system, held as its simple roots.
 
     Models are interned by :func:`build` (one instance per Cartan label), so
-    identity comparison and hashing are the intended semantics.  Every table
-    is derived from the simple roots once, on first use; the integer ones
+    identity comparison and hashing are the intended semantics, and a
+    pickled model loads as the interned one.  Every table is derived from
+    the simple roots once, on first use (``cached_property`` writes it to
+    the instance ``__dict__``, past ``__setattr__``); the integer ones
     (``gram``, ``cartan``, ``pos_coefficients``, ``coroot_coefficients``)
     carry the arithmetic, and ``positive_roots`` are the same roots in
     epsilon coordinates, in the order of ``pos_coefficients``.
@@ -318,6 +348,22 @@ class RootSystemModel:
     simple_roots: tuple[Weight, ...]
     sum_zero: bool  # canonicalizer: project onto the sum-zero hyperplane?
 
+    def __init__(self, cartan_type, ambient_dim, simple_roots, sum_zero):
+        self.__dict__.update(cartan_type=cartan_type, ambient_dim=ambient_dim,
+                             simple_roots=simple_roots, sum_zero=sum_zero)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RootSystemModel is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RootSystemModel is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return build, (self.cartan_type,)
+
+    def __repr__(self):
+        return f"build({self.cartan_type!r})"
+
     @property
     def rank(self) -> int:
         return len(self.simple_roots)
@@ -325,7 +371,7 @@ class RootSystemModel:
     @property
     def dim(self) -> int:
         """dim g = #roots + rank."""
-        return 2 * len(self.positive_roots) + self.rank
+        return 2 * len(self.pos_coefficients) + self.rank
 
     @cached_property
     def pos_coefficients(self) -> tuple[tuple[int, ...], ...]:

@@ -27,8 +27,9 @@ position map built once per (kind, n) (``lsinduce._algebra_basis``,
 ``lsinduce._positions``) replaced.  ``_in_algebra`` is the membership check
 that walked all n^2 entries through a generator, so each mirrored pair twice,
 which the one-check-per-pair loop replaced; this module's sampler calls it.
-``partition_parts`` is the body of ``Partition.__post_init__`` as it was
-before the one-pass checks, returning the parts it kept; ``dim_z_partition``
+``partition_parts`` is the check of ``Partition`` (then a dataclass
+``__post_init__``) as it was before the one-pass checks, returning the
+parts it kept; ``dim_z_partition``
 is the formula before its ``map`` sums; ``nilradical`` is the filter of
 ``lsinduce._algebra_basis`` by block index that ``jordan_oracle`` ran before
 ``lsinduce._nilradical`` listed the nilradical by position.

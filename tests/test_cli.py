@@ -3,6 +3,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -502,6 +503,61 @@ def test_exponent_notation_is_usage_error(capsys, token):
                          "--lambda", f"{token},0,0", "--root", "1,-1,0")
     assert code == 2 and out == ""
     assert err == f"error: exponent notation is not accepted: {token!r}\n"
+
+
+def _digit_limit_weights(extra: int) -> str:
+    """Nine E8 entries: numerators of MAX_TOKEN_DIGITS + extra digits over
+    two coprime denominators whose lcm has MAX_LCM_DIGITS + extra digits."""
+    half = rs.MAX_LCM_DIGITS // 2
+    a, b = 10 ** half, 10 ** (rs.MAX_LCM_DIGITS - half - 1 + extra) + 1
+    assert len(str(math.lcm(a, b))) == rs.MAX_LCM_DIGITS + extra
+    digits = "9" * (rs.MAX_TOKEN_DIGITS + extra)
+    return f"{digits}/{a},-{digits}/{b},{digits},1,2,3,4,5,6"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--type", "E8", "--levi", "1,2,3", "--lambda-prime"],
+    ["certify", "--type", "E8", "--levi", "1,2,3", "--principal", "--lambda-prime"],
+    ["certify", "--type", "E8", "--levi", "1", "--h", f"{'9' * rs.MAX_TOKEN_DIGITS},"
+     f"-{'9' * rs.MAX_TOKEN_DIGITS},0,0,0,0,0,0,0", "--lambda-prime"],
+    ["pairing", "--type", "E8", "--root", "1,-1,0,0,0,0,0,0,0", "--lambda"],
+    ["integral", "--type", "E8", "--lambda-prime"],
+])
+def test_input_at_the_digit_limits_prints_its_report(capsys, argv):
+    """Every integer a command prints from inputs at the limits stays under
+    the interpreter's 4300 digits for int-to-str conversion; (C)'s witness
+    for such a lambda' has a numerator of about 4000 digits."""
+    code, out, err = run(capsys, *argv, _digit_limit_weights(0))
+    assert code in (0, 1, 3) and err == ""
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize("weight, message", [
+    (_digit_limit_weights(1), "a numerator has 2001 digits, more than the limit of 2000"),
+    (f"1/{'7' * 2001},0,0,0,0,0,0,0,0",
+     "a denominator has 2001 digits, more than the limit of 2000"),
+    ("9" * 5000 + ",0,0,0,0,0,0,0,0", "a numerator has 5000 digits, more than the limit of 2000"),
+    (_digit_limit_weights(1).replace("9" * 2001, "1"),
+     "the lcm of the denominators has more than the limit of 2000 digits"),
+    ("." + "0" * 1999 + "1,0,0,0,0,0,0,0,0",  # 1 / 10**2000
+     "the lcm of the denominators has more than the limit of 2000 digits"),
+], ids=["numerator", "denominator", "long-numerator", "lcm", "decimal-lcm"])
+def test_input_past_a_digit_limit_exits_2_before_computing(capsys, weight, message):
+    """One digit past a limit is a usage error naming the limit, raised while
+    the input is read: the certificate is never started.  Two 3000-digit
+    denominators, each under the interpreter's limit, used to get a computed
+    certificate that then failed to print (C)'s witness, and exit 2 for it."""
+    assert (rs.MAX_TOKEN_DIGITS, rs.MAX_LCM_DIGITS) == (2000, 2000)  # as the messages say
+    with mock.patch.object(ct, "CertificateInput", side_effect=AssertionError("computed")):
+        for lam in (weight, f"1/{'7' * 3000},1/{'1' * 2999}3,0,0,0,0,0,0,0"):
+            code, out, err = run(capsys, "certify", "--type", "E8", "--levi", "1,2,3",
+                                 "--lambda-prime", lam)
+            assert (code, out) == (2, "") and err.startswith("error: ")
+            assert "limit" in err and "Exceeds" not in err
+    assert err.startswith("error: a denominator has 3000 digits")
+    code, out, err = run(capsys, "certify", "--type", "E8", "--levi", "1,2,3",
+                         "--lambda-prime", weight)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_errors_print_weights_as_rationals(capsys):

@@ -9,7 +9,9 @@ integers beyond the interpreter's digit limit) each token is placed in
 every position of an epsilon vector and of a simple-root vector, for
 models with and without the sum-zero canonicalizer.  Both parsers give the
 same Weight (equal numerators and denominator) or raise the same exception
-type with the same text.
+type with the same text, except on the tokens past ``read_weight``'s digit
+limits, where the reference raises the interpreter's digit-limit error and
+``read_weight`` a ValueError naming its own limit (``LONG``).
 """
 import itertools
 import random
@@ -33,9 +35,15 @@ TOKENS = (
     "abc", "0x10", "nan", "inf", "1,5",
     # non-ASCII digits
     "١", "١/٢", "-٣", "１", "1/٣", "²", "१०",
-    # beyond the digit limit of int(str): numerator, then denominator
-    "9" * 5000, "-" + "9" * 5000, "1/" + "7" * 5000, "1/0" + "0" * 5000,
 )
+# beyond the digit limit of int(str), numerator then denominator -> read_weight's error
+LONG = {
+    "9" * 5000: "a numerator has 5000 digits, more than the limit of 2000",
+    "-" + "9" * 5000: "a numerator has 5000 digits, more than the limit of 2000",
+    "1/" + "7" * 5000: "a denominator has 5000 digits, more than the limit of 2000",
+    "1/0" + "0" * 5000: "a denominator has 5001 digits, more than the limit of 2000",
+}
+TOKENS += tuple(LONG)
 LABELS = ("A2", "G2", "B3", "F4", "E8")
 
 
@@ -57,7 +65,11 @@ def test_every_token_in_every_position(label):
             entries[pos] = token
             text = ",".join(entries)
             got = _outcome(rs.read_weight, model, text, root_coords)
-            assert got == _outcome(ref._parse_weight, model, text, root_coords), (text, got)
+            want = _outcome(ref._parse_weight, model, text, root_coords)
+            if token in LONG:
+                assert want[2].startswith("Exceeds the limit (4300 digits)"), want
+                want = "error", "ValueError", LONG[token]
+            assert got == want, (text, got)
 
 
 @pytest.mark.parametrize("label", LABELS)

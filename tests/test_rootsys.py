@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 from decimal import Decimal
@@ -45,6 +46,22 @@ def test_build_interns_label_spellings():
     """One model per (series, rank), whatever the spelling of the label."""
     assert rs.build("e8") is rs.build("E8") is rs.build("E_8") is rs.build(" e 8 ")
     assert rs.build("b3") is rs.build("B3") is not rs.build("C3")
+
+
+@pytest.mark.parametrize("label", sorted(
+    {f"{series}{low}" for series, (low, _) in rs._VALID_RANKS.items()} | set(conftest.TYPES)))
+def test_pickled_model_is_the_interned_one(label):
+    """A model pickles, copies and deep-copies to the model ``build`` interns
+    for its label; it is immutable, and its repr is that ``build`` call."""
+    model = rs.build(label)
+    assert pickle.loads(pickle.dumps(model)) is model
+    assert copy.copy(model) is model and copy.deepcopy(model) is model
+    assert repr(model) == f"build({model.cartan_type!r})"
+    for name in ("cartan_type", "rank", "pos_coefficients"):
+        with pytest.raises(AttributeError, match=f"immutable: cannot assign '{name}'"):
+            setattr(model, name, None)
+        with pytest.raises(AttributeError, match=f"immutable: cannot delete '{name}'"):
+            delattr(model, name)
 
 
 def test_rank_bound():

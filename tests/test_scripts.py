@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script runs and prints its conclusion; the
 mutation probe is checked without running the suite."""
 import ast
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -135,3 +136,42 @@ def test_paired_bench_verdict():
     for bad in ((parent, parent[:9]), ([1.0], [2.0])):
         with pytest.raises(ValueError):
             verdict(*bad, True)
+
+
+def test_paired_bench_claims_the_named_metric(capsys):
+    """``--metric`` names the claimed metric, and its better direction comes
+    from BENCHMARK.json: a cold start that falls is a gain, one that rises
+    is not; an unknown name is a usage error.  ``run_once`` is a stand-in,
+    so no benchmark runs."""
+    main = runpy.run_path(str(SCRIPTS / "paired_bench.py"))["main"]
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    assert {m["name"]: m["better"] for m in spec["end_to_end"]}["cli_cold_s"] == "lower"
+    calls = []
+
+    def fake_run_once(checkout, workload, seconds, seed):
+        side = "change" if checkout.name == "change" else "parent"
+        pair = sum(c == side for c in calls)
+        calls.append(side)
+        cold = (0.080 if side == "parent" else rise) + 0.001 * (pair % 3)
+        metrics = {name: {"value": 1.0} for name in names} | {"cli_cold_s": {"value": cold}}
+        return {"attempted": 10, "failed": 0, "metrics": metrics}, "sha"
+
+    main.__globals__["run_once"] = fake_run_once
+    root = SCRIPTS.parent
+    argv = ["--parent", str(root), "--change", str(root / "change"), "--workload", "w",
+            "--seed", "1", "--pairs", "10"]
+    for rise, shown in ((0.070, "shown"), (0.090, "not shown")):
+        calls.clear()
+        assert main(argv + ["--metric", "cli_cold_s"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == f"verdict: gain {shown}"
+        assert out[-2].startswith(f"cli_cold_s: change won {10 if shown == 'shown' else 0} "
+                                  f"of 10 pairs")
+        assert calls == ["parent", "change", "change", "parent"] * 5
+    calls.clear()
+    assert main(argv) == 0  # ops_per_s by default: every pair a tie
+    assert capsys.readouterr().out.splitlines()[-2].startswith("ops_per_s: change won 0")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--metric", "nope"])
+    assert exc.value.code == 2 and "--metric must be one of setup_s," in capsys.readouterr().err

@@ -8,7 +8,8 @@ boundary, so the command line, the linear algebra and the certificate,
 integral-system, orbit and induction layers keep to integers.
 The engine has two halves that do not import each other: the partition
 half (``orbits``, ``lsinduce``) and the root-system half (``rootsys``,
-``certify``, ``integral``); ``linalg`` serves both and imports neither.
+``certify``, ``integral``); ``linalg`` and ``record`` serve both and import
+neither.
 Every engine module but ``cli``, which loads each command's engine when it
 runs, imports at module level only: no import inside a function and none
 under ``TYPE_CHECKING``, so its dependencies are the ones it states.
@@ -36,11 +37,11 @@ FRACTION_MODULES = {"rootsys.py"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 PARTITION_HALF = ("orbits", "lsinduce")
 ROOT_SYSTEM_HALF = ("rootsys", "certify", "integral")
-# each engine module -> the engine modules it must not import; the partition
-# half loads linalg, so linalg imports neither half
+# each engine module -> the engine modules it must not import; both halves
+# load linalg and record, so they import neither half
 FORBIDDEN_IMPORTS = {**dict.fromkeys(PARTITION_HALF, ROOT_SYSTEM_HALF),
                      **dict.fromkeys(ROOT_SYSTEM_HALF, PARTITION_HALF),
-                     "linalg": PARTITION_HALF + ROOT_SYSTEM_HALF}
+                     **dict.fromkeys(("linalg", "record"), PARTITION_HALF + ROOT_SYSTEM_HALF)}
 
 
 def violations(tree: ast.AST) -> list[str]:
@@ -163,6 +164,7 @@ def test_engine_halves_import_nothing_of_each_other(module):
     ("from .orbits import Partition", "certify"),
     ("from orbitcert import lsinduce", "linalg"),
     ("from . import rootsys", "linalg"),
+    ("from .orbits import Partition", "record"),
     ("def f():\n    import orbitcert.lsinduce as ls", "rootsys"),
 ])
 def test_scanner_flags_crossing_imports(source, module):

@@ -4,7 +4,9 @@ Each CLI command, run in a fresh interpreter, loads only the engine it
 runs: the root-system commands (certify, delta-prime, integral, info,
 pairing) load no ``orbits``, ``lsinduce``, ``random`` or ``csv``, and the partition
 commands (rigid, induce, dimz, oracle, tables) load no ``rootsys``,
-``certify``, ``integral``, ``fractions`` or ``decimal``.  A module counts as
+``certify``, ``integral``, ``fractions`` or ``decimal``.  No command loads
+``dataclasses`` or the ``inspect`` it imports: the engine's records are
+``orbitcert.record.Record`` subclasses.  A module counts as
 loaded by the command when it was not already loaded when the interpreter
 started, so a module that the host's site set-up imports is not charged to
 the program."""
@@ -27,9 +29,10 @@ print(" ".join(sorted(set(sys.modules) - before)))
 sys.exit(code)"""
 RUN_COMMAND = "from orbitcert.cli import main\ncode = main(sys.argv[1:])"
 
+COLD_FREE = {"dataclasses", "inspect"}  # no command loads these
 ROOT_SYSTEM_FREE = {"orbitcert.rootsys", "orbitcert.certify", "orbitcert.integral",
-                    "fractions", "decimal"}
-PARTITION_FREE = {"orbitcert.orbits", "orbitcert.lsinduce", "random", "csv"}
+                    "fractions", "decimal"} | COLD_FREE
+PARTITION_FREE = {"orbitcert.orbits", "orbitcert.lsinduce", "random", "csv"} | COLD_FREE
 E8_H = "5,3,1,-1,-3,-5,1,-1,0"
 E8_LAMBDA_PRIME = "1,7/6,1/3,1/2,2/3,5/6,1/6,-1/6,-9/2"
 DESCRIPTOR = '{"gl_blocks":[{"k":3,"d":[2,1]}]}'
