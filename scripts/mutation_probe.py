@@ -16,14 +16,18 @@ by module; a module only deleted from has none.
 
 The checkout holding this script is copied once to a temporary directory;
 the working tree is never written.  The unmutated suite must pass there
-first.  Then each mutant is written into the copy and the Tier-1 suite runs
-on it with ``-x`` (``TIER1``), with ``PYTHONPATH`` at the copy's ``src``, and
-the module is restored.  A mutant is killed when the run fails (the first
-failing test is reported), or exceeds ``TIMEOUT_FACTOR`` times the
-unmutated run's time or ``MEMORY_LIMIT``; it survives when the suite
-passes.  One line per mutant gives the file, line, edit and outcome; a
-summary line per module gives the counts.  The exit code is 0 whether or
-not mutants survive.
+first, and per module so must the test files that import it
+(``importing_tests``).  Then each mutant is written into the copy, the
+module's test files run on it with ``-x`` (``TIER1``), and only when they
+pass does the whole Tier-1 suite run, with ``PYTHONPATH`` at the copy's
+``src``; then the module is restored.  So a survivor's verdict is the full
+suite's, and most killed mutants cost one short run.  A mutant is killed
+when a run fails (the first failing test is reported), or exceeds
+``TIMEOUT_FACTOR`` times the same tests' unmutated time or ``MEMORY_LIMIT``;
+it survives when the suite passes.  One line per mutant gives the file,
+line, edit and outcome; a line per module gives its test files and their
+unmutated time, and a summary line the counts.  The exit code is 0 whether
+or not mutants survive.
 """
 from __future__ import annotations
 
@@ -169,13 +173,33 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_suite(copy: Path, timeout: float | None = None) -> tuple[str, str, float]:
-    """(outcome, first failing test, seconds) of one ``-x`` Tier-1 run in the copy."""
+def importing_tests(checkout: Path, module: str) -> list[str]:
+    """The ``tests/test_*.py`` files of the checkout that import
+    ``orbitcert.<module>`` (any import of the package, for ``__init__``),
+    relative to the checkout, in name order."""
+    target = "orbitcert" if module == "__init__" else f"orbitcert.{module}"
+    out = []
+    for path in sorted((checkout / "tests").glob("test_*.py")):
+        names = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+        if any(name == target or name.startswith(target + ".") for name in names):
+            out.append(path.relative_to(checkout).as_posix())
+    return out
+
+
+def run_suite(copy: Path, timeout: float | None = None,
+              tests: list[str] | None = None) -> tuple[str, str, float]:
+    """(outcome, first failing test, seconds) of one ``-x`` Tier-1 run in the
+    copy, over the given test files or else the whole suite."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)  # no examples carried over
     path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     try:
-        proc = subprocess.run(TIER1, cwd=copy, capture_output=True, text=True,
+        proc = subprocess.run(TIER1 + (tests or []), cwd=copy, capture_output=True, text=True,
                               timeout=timeout, env={**os.environ, "PYTHONPATH": path},
                               preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
@@ -190,9 +214,10 @@ def run_suite(copy: Path, timeout: float | None = None) -> tuple[str, str, float
 def probe(names: list[str], run=run_suite, select=sample,
           header: str = f"seed {SEED}, {SAMPLE} mutants per module") -> int:
     """Run ``run`` (``run_suite``) on a copy of the checkout, unmutated and
-    then once per mutant that ``select(module, source)`` (``sample``) picks
-    in each module, and print the report under ``header``; 1 if the
-    unmutated suite fails, else 0."""
+    then on each mutant that ``select(module, source)`` (``sample``) picks
+    in each module: first over the module's ``importing_tests``, then, if
+    those pass, over the whole suite.  Print the report under ``header``;
+    1 if the unmutated suite or a module's unmutated tests fail, else 0."""
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(CHECKOUT, copy, ignore=IGNORED)
@@ -205,11 +230,24 @@ def probe(names: list[str], run=run_suite, select=sample,
             rel = PACKAGE / f"{name}.py"
             source = (copy / rel).read_text()
             chosen = select(name, source)
+            tests = importing_tests(copy, name)
+            if chosen and tests:
+                outcome, failed, tests_s = run(copy, tests=tests)
+                if outcome != "survived":
+                    print(f"the unmutated tests of {name} fail at {failed}", file=sys.stderr)
+                    return 1
+                print(f"{name}: {len(tests)} test files import it, {tests_s:.1f} s unmutated",
+                      flush=True)
             killed = 0
             for m in chosen:
                 (copy / rel).write_text(m.apply(source))
                 try:
-                    outcome, failed, seconds = run(copy, TIMEOUT_FACTOR * base_s)
+                    outcome, failed, seconds = "survived", "", 0.0
+                    if tests:
+                        outcome, failed, seconds = run(copy, TIMEOUT_FACTOR * tests_s, tests)
+                    if outcome == "survived":
+                        outcome, failed, more = run(copy, TIMEOUT_FACTOR * base_s)
+                        seconds += more
                 finally:
                     (copy / rel).write_text(source)
                 killed += outcome == "killed"

@@ -23,7 +23,7 @@ _EXPORTS = {
     "orbits": ("DualityRecord", "OrbitRecord", "Partition", "dim_z_partition", "duality_table",
                "parity_valid", "rigid_table"),
     "rootsys": ("RootSystemModel", "Weight", "build", "canonicalize", "fundamental_coweights",
-                "pairing", "rho", "weight"),
+                "pairing", "rho"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 # the engine submodules, read as attributes of the package ("certify" among them)

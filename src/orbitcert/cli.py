@@ -35,6 +35,9 @@ if TYPE_CHECKING:
     from .rootsys import RootSystemModel
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
+# The digits a partition's part is written with, as for a weight's entries; the
+# partition commands print sums of at most L^2 such parts, far under int's 4300.
+MAX_PART_DIGITS = 2000
 
 
 def _parse_levi_indices(text: str, model: RootSystemModel) -> tuple[int, ...]:
@@ -47,10 +50,14 @@ def _parse_levi_indices(text: str, model: RootSystemModel) -> tuple[int, ...]:
         m = re.fullmatch(r"(?:alpha|a)?(\d+)", token)
         if m is None:
             raise ValueError(f"malformed simple root name {token!r}")
-        idx = int(m.group(1))
-        if not 1 <= idx <= model.rank:
-            raise ValueError(f"simple root index {idx} out of 1..{model.rank}")
-        out.append(idx - 1)
+        digits = m.group(1)
+        if len(digits) > 2:  # leading zeros, or past any rank: int reads at most 4300 digits
+            from orbitcert.rootsys import decimal_digits
+            digits = decimal_digits(digits)
+        if len(digits) > 2 or not 1 <= int(digits) <= model.rank:
+            raise ValueError(f"simple root index {int(digits) if len(digits) <= 2 else digits} "
+                             f"out of 1..{model.rank}")
+        out.append(int(digits) - 1)
     return tuple(sorted(set(out)))
 
 
@@ -159,8 +166,18 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 def _parse_partition(text: str, kind: str) -> Partition:
     import orbitcert.orbits as orb
-    parts = tuple(int(x) for x in text.split(",") if x.strip())
-    return orb.Partition(parts, kind)
+    return orb.Partition(tuple(_parse_part(x) for x in text.split(",") if x.strip()), kind)
+
+
+def _parse_part(token: str) -> int:
+    """``int(token)``, but a usage error naming the limit when the token has
+    more than MAX_PART_DIGITS digits, before ``int`` reads it."""
+    if len(token) > MAX_PART_DIGITS:  # a shorter token has fewer digits
+        digits = sum(map(str.isdigit, token))
+        if digits > MAX_PART_DIGITS:
+            raise ValueError(f"a part has {digits} digits, more than the limit of "
+                             f"{MAX_PART_DIGITS}")
+    return int(token)
 
 
 def _cmd_info(args) -> int:

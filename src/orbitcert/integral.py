@@ -52,9 +52,9 @@ def integral_system(model: RootSystemModel, lambda_prime: Weight) -> IntegralSys
     # the integral positive roots by coroot height, and the sorted ones among
     # them whose coroots are simple in the integral coroot system
     integral = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
-    codes = model.coroot_codes
+    coeffs = model.coroot_coefficients
     simple = sorted(integral[pos] for pos in
-                    rootsys.height_simples([codes[k] for k in integral]))
+                    rootsys.height_simples([coeffs[k] for k in integral]))
     cartan_type = rootsys.classify_gram(rootsys.root_gram(model, simple))
     chosen = sorted(integral)
     npos = len(model.positive_roots)

@@ -53,13 +53,15 @@ vector's coordinates on the simple roots and whether it lies in the root
 span are one product; ``coweight`` reads the same coweight rows.
 
 The simple system of a root subsystem is found by height too
-(``height_simples``): walk its positive roots in order of height and keep a
-root unless it minus a simple root already kept is in the subsystem.  By
-the same lemma inside the subsystem, whose simple roots have smaller height
-than the roots above them, the walk is exact; it costs one set lookup per
-pair of a root and a simple root found before it.  The integral system
-walks coroots by coroot height (the order of ``coroot_steps``), and
-``classify_gram`` names it from the integer ``root_gram`` of the roots found.
+(``height_simples``): walk the coefficient tuples of its positive roots in
+order of height and keep a root unless it minus a simple root already kept
+is in the subsystem.  By the same lemma inside the subsystem, whose simple
+roots have smaller height than the roots above them, the walk is exact; it
+costs one tuple subtraction and set lookup per pair of a root and a simple
+root found before it.  The integral system walks its ``coroot_coefficients``
+by coroot height (the order of ``coroot_steps``), and ``classify_gram``
+names it from ``root_gram``, the integer Gram matrix of the roots found,
+read from their ``pos_coefficients`` and ``gram``.
 """
 from __future__ import annotations
 
@@ -294,10 +296,6 @@ def _weight(nums: tuple[int, ...], den: int) -> Weight:
     return w
 
 
-# Coerce a sequence of ints/Fractions/strings into a Weight.
-weight = Weight
-
-
 # The largest rank a label may ask for: D32 builds in 0.4 s but A120 takes 17 s
 # (2-core host, Python 3.11), and labels come from outside the program.
 MAX_RANK = 32
@@ -323,11 +321,18 @@ def parse_label(label: str) -> tuple[str, int]:
     m = re.fullmatch(r"([A-Ga-g])\s*_?\s*(\d+)", label.strip())
     if not m:
         raise ValueError(f"malformed Cartan type {label!r}")
-    series, rank = m.group(1).upper(), int(m.group(2))
+    series, digits = m.group(1).upper(), decimal_digits(m.group(2))
     lo, hi = _VALID_RANKS[series]
-    if not lo <= rank <= hi:
-        raise ValueError(f"rank out of range for type {series}{rank}")
-    return series, rank
+    if len(digits) > 2 or not lo <= int(digits) <= hi:  # MAX_RANK has two digits
+        raise ValueError(f"rank out of range for type {series}{digits}")
+    return series, int(digits)
+
+
+def decimal_digits(digits: str) -> str:
+    """A run of decimal digits, as ``\\d`` matches them, written as
+    ``str(int(digits))`` writes it: ASCII, without leading zeros.  Read one
+    digit at a time, since ``int`` refuses a run of more than 4300 digits."""
+    return "".join(str(int(c)) for c in digits).lstrip("0") or "0"
 
 
 class RootSystemModel:
@@ -412,13 +417,6 @@ class RootSystemModel:
         return self._form[1]
 
     @cached_property
-    def form_rows(self) -> tuple[tuple[int, ...], ...]:
-        """(beta, a_j) = form_rows[k][j] / gram_den for positive root k: the
-        rows of ``pos_coefficients`` times ``gram``."""
-        return tuple(tuple(sum(map(mul, coeff, col)) for col in zip(*self.gram))
-                     for coeff in self.pos_coefficients)
-
-    @cached_property
     def cartan(self) -> tuple[tuple[int, ...], ...]:
         """cartan[i][j] = <a_i, a_j^vee>."""
         return _cartan_of(self.gram)
@@ -451,11 +449,6 @@ class RootSystemModel:
                 row.append(q)
             out.append(tuple(row))
         return tuple(out)
-
-    @cached_property
-    def coroot_codes(self) -> tuple[int, ...]:
-        """``pack`` of the coroot coefficients: sums and differences of coroots as ints."""
-        return tuple(pack(self.coroot_coefficients))
 
     @cached_property
     def root_steps(self) -> tuple[tuple[int, int, int], ...]:
@@ -731,7 +724,7 @@ def _simple_root_data(series: str, rank: int) -> tuple[int, list[Weight], bool]:
         return rank, simples, False
     if series == "G":
         a1 = _eps(0, 3) - _eps(1, 3)
-        a2 = weight((-2, 1, 1))
+        a2 = Weight((-2, 1, 1))
         return 3, [a1, a2], False
     if series == "F":
         half = Fraction(1, 2)
@@ -739,7 +732,7 @@ def _simple_root_data(series: str, rank: int) -> tuple[int, list[Weight], bool]:
             _eps(1, 4) - _eps(2, 4),
             _eps(2, 4) - _eps(3, 4),
             _eps(3, 4),
-            weight((half, -half, -half, -half)),
+            Weight((half, -half, -half, -half)),
         ], False
     raise RuntimeError(f"no simple roots for series {series}")
 
@@ -835,40 +828,24 @@ def levi_mask(model: RootSystemModel, pi0) -> int:
     return mask
 
 
-def pack(vectors) -> list[int]:
-    """Encode nonnegative integer vectors as ints, additively.
-
-    Digits are in the balanced base 2m + 1 (m the largest entry), so the
-    difference of two codes is the code of the difference vector, and a
-    difference is a member's code only when it is that member.
-    """
-    vectors = list(vectors)
-    base = 2 * max((max(v) for v in vectors), default=0) + 1
-    return [sum(c * base ** i for i, c in enumerate(v)) for v in vectors]
-
-
-def height_simples(codes: list[int]) -> list[int]:
-    """Positions of the simple roots among the ``pack`` codes of a root
+def height_simples(vectors: list[tuple[int, ...]]) -> list[int]:
+    """Positions of the simple roots among the coefficient tuples of a root
     subsystem's positive roots, listed by weakly increasing height: a root
     is simple unless it minus a simple root found before it is a member."""
-    members = set(codes)
+    members = set(vectors)
     simple: list[int] = []
-    simple_codes: list[int] = []
-    for pos, code in enumerate(codes):
-        for other in simple_codes:
-            if code - other in members:
-                break
-        else:
+    for pos, v in enumerate(vectors):
+        if not any(tuple(map(sub, v, vectors[s])) in members for s in simple):
             simple.append(pos)
-            simple_codes.append(code)
     return simple
 
 
 def root_gram(model: RootSystemModel, ks) -> list[list[int]]:
     """(beta_k, beta_j) * gram_den for the positive roots k, j in ``ks``:
-    ``form_rows`` times the coefficient vectors."""
-    form_rows, coeffs = model.form_rows, model.pos_coefficients
-    return [[sum(map(mul, form_rows[k], coeffs[j])) for j in ks] for k in ks]
+    their coefficient vectors times the symmetric ``gram``."""
+    coeffs = [model.pos_coefficients[k] for k in ks]
+    rows = [[sum(map(mul, c, g)) for g in model.gram] for c in coeffs]
+    return [[sum(map(mul, row, c)) for c in coeffs] for row in rows]
 
 
 def classify_gram(gram) -> tuple[str, ...]:

@@ -255,7 +255,7 @@ def test_criterion_9_integral_properties_random():
             model = rs.build(label)
             rng = random.Random(sum(map(ord, label)))
             for _ in range(200):
-                mu = rs.weight([Fr(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                mu = rs.Weight([Fr(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
                                 for _ in range(model.ambient_dim)])
                 isys = ig.integral_system(model, mu)
                 simples = isys.simple_system

@@ -245,7 +245,7 @@ def test_check_A_validates_input_in_both_principal_states(e8, principal):
     with pytest.raises(ValueError, match=r"^Pi_0 must be a subset of 0\.\.7$"):
         ct.CertificateInput(e8, (99,), None, rs.rho(e8), principal)
     with pytest.raises(ValueError, match="^expected 9 coordinates, got 2$"):
-        ct.CertificateInput(e8, (0,), None, rs.weight((1, 2)), principal)
+        ct.CertificateInput(e8, (0,), None, rs.Weight((1, 2)), principal)
 
 
 def test_check_B_flagship(e8, flagship_lambda_prime, flagship_h):
@@ -412,7 +412,7 @@ def test_check_C_pass_set_is_coset(mask):
 # one reader per input --------------------------------------------------------
 
 def _zero(model):
-    return rs.weight([0] * model.ambient_dim)
+    return rs.Weight([0] * model.ambient_dim)
 
 
 # every entry point that takes Pi_0, on a model and a Pi_0

@@ -81,7 +81,7 @@ def cases(label):
         principal = kind == "h_double" or rng.random() < 0.6
         out.append(_case(model, levi, h, lam, principal))
     if label in OFF_ROOT_SPAN_TYPES:
-        ones = rs.weight([1] * model.ambient_dim)
+        ones = rs.Weight([1] * model.ambient_dim)
         for _ in range(OFF_ROOT_SPAN_CASES):
             levi = tuple(sorted(rng.sample(range(model.rank), rng.randint(0, model.rank))))
             h = ct.h_regular(model, levi)
@@ -148,7 +148,7 @@ def test_library_matches_reference(label):
         values, den = rs.coroot_values(model, lam)
         by_height = [k for k, _, _ in model.coroot_steps if values[k] % den == 0]
         walk = sorted(by_height[pos] for pos in
-                      rs.height_simples([model.coroot_codes[k] for k in by_height]))
+                      rs.height_simples([model.coroot_coefficients[k] for k in by_height]))
         coroots = {ref.coroot(model.positive_roots[k]): k for k in sorted(by_height)}
         scan = [coroots[cv] for cv in ref._indecomposables(list(coroots))]
         assert walk == scan

@@ -85,7 +85,7 @@ def test_seeded_integral_systems(label):
     fundamental = epsilon_reference.fundamental_weights(model)
     seen = set()
     for _ in range(60):
-        lam = rs.weight([0] * model.ambient_dim)
+        lam = rs.Weight([0] * model.ambient_dim)
         for pi in fundamental:
             lam = lam + Fr(rng.randint(-5, 5), rng.choice(DENOMINATORS)) * pi
         isys = ig.integral_system(model, lam)
@@ -100,7 +100,7 @@ def test_non_levi_integral_types():
                                     ("C4", (0, 0, 0, Fr(1, 2)), ("D4",)),  # +-e_i+-e_j
                                     ("B4", (Fr(1, 2), 0, 0, 0), ("B3", "A1"))]:
         model = rs.build(label)
-        lam = rs.weight([0] * model.ambient_dim)
+        lam = rs.Weight([0] * model.ambient_dim)
         for c, pi in zip(dynkin, epsilon_reference.fundamental_weights(model)):
             lam = lam + c * pi
         isys = ig.integral_system(model, lam)

@@ -560,6 +560,54 @@ def test_input_past_a_digit_limit_exits_2_before_computing(capsys, weight, messa
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+LONG_DIGITS = "1" * 5000  # past int's 4300-digit limit for string conversion
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["info", "--type", "E" + LONG_DIGITS], f"rank out of range for type E{LONG_DIGITS}"),
+    (["certify", "--type", "E8", "--levi", LONG_DIGITS, "--lambda-prime", "0,0,0,0,0,0,0,0,0"],
+     f"simple root index {LONG_DIGITS} out of 1..8"),
+    (["dimz", "--type", "gl", "--partition", LONG_DIGITS],
+     "a part has 5000 digits, more than the limit of 2000"),
+    (["rigid", "--type", "gl", "--partition", LONG_DIGITS],
+     "a part has 5000 digits, more than the limit of 2000"),
+], ids=["rank", "levi-index", "dimz-part", "rigid-part"])
+def test_integer_past_its_bound_exits_2_with_its_limit(capsys, argv, message):
+    """A rank, a simple root index or a partition's part written with more
+    digits than ``int`` reads is a usage error that states the bound, not
+    the interpreter's digit-limit message."""
+    assert cli.MAX_PART_DIGITS == 2000  # as the message says
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_indices_keep_their_leading_zeros_meaning(capsys):
+    argv = ["certify", "--type", "E8", "--lambda-prime", "0,0,0,0,0,0,0,0,0", "--levi"]
+    expected = run(capsys, *argv, "1,2,7")
+    assert expected[0] in (0, 1, 3)
+    assert run(capsys, *argv, "a01,alpha002," + "0" * 5000 + "7") == expected
+    assert run(capsys, *argv[:2], "E" + "0" * 5000 + "8", *argv[3:], "1,2,7") == expected
+    # an index out of range is printed as int prints it
+    for index, shown in (("09", "9"), ("a\u0669\u0669", "99"), ("0" * 5000 + "10", "10")):
+        assert run(capsys, *argv, index) == (2, "", f"error: simple root index {shown} out of 1..8\n")
+
+
+@pytest.mark.parametrize("command", ["dimz", "rigid"])
+@pytest.mark.parametrize("kind", ["gl", "so", "sp"])
+def test_parts_at_the_digit_limit_print_their_report(capsys, command, kind):
+    """Parts of MAX_PART_DIGITS digits, one padded with a blank that ``int``
+    skips: every integer printed stays under the interpreter's 4300 digits
+    for int-to-str conversion."""
+    big = " " + "9" * cli.MAX_PART_DIGITS
+    parts = {"gl": f"{big},1", "so": f"{big},{big},3,1", "sp": f"{big},{big},2,2"}[kind]
+    code, out, err = run(capsys, command, "--type", kind, "--partition", parts)
+    assert (code, err) == (0, "")
+    assert json.loads(out)
+    code, out, err = run(capsys, command, "--type", kind, "--partition", "9" + parts.strip())
+    assert (code, out) == (2, "")
+    assert err == "error: a part has 2001 digits, more than the limit of 2000\n"
+
+
 def test_errors_print_weights_as_rationals(capsys):
     code, out, err = run(capsys, "certify", "--type", "A2", "--levi", "a1",
                          "--h", "1,0,-1", "--lambda-prime", "1,0,0")

@@ -53,13 +53,13 @@ def test_integral_system_reflection_stable(e8, flagship_lambda_prime):
 
 def test_integral_system_b_c_dualization():
     b4 = rs.build("B4")
-    lp = rs.weight((Fr(1, 2), Fr(1, 2), Fr(1, 2), 0))
+    lp = rs.Weight((Fr(1, 2), Fr(1, 2), Fr(1, 2), 0))
     isys = ig.integral_system(b4, lp)
     # the coroot subsystem has a C3 component; the root side reports B3
     assert isys.cartan_type == ("B3", "A1")
     assert isys.size == 20
     c3 = rs.build("C3")
-    lp = rs.weight((Fr(1, 2), Fr(1, 2), 0))
+    lp = rs.Weight((Fr(1, 2), Fr(1, 2), 0))
     isys = ig.integral_system(c3, lp)
     # long coroots (e_i+-e_j)/1... pair integrally iff i,j <= 2; short e_i stay
     assert sum(len(rs.build(lbl).positive_roots) for lbl in isys.cartan_type) * 2 == isys.size
@@ -134,7 +134,7 @@ def test_integral_component_counts_on_random_weights(label):
     model = rs.build(label)
     rng = random.Random(hash(label) % (2**32))
     for _ in range(40):
-        mu = rs.weight([Fr(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+        mu = rs.Weight([Fr(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
                         for _ in range(model.ambient_dim)])
         isys = ig.integral_system(model, mu)
         for i, a in enumerate(isys.simple_system):

@@ -37,7 +37,7 @@ def _levi_subsets(model, rng):
 
 
 def _random_vector(rng, model):
-    return rs.weight([Fr(rng.randint(-6, 6), rng.choice(DENOMINATORS))
+    return rs.Weight([Fr(rng.randint(-6, 6), rng.choice(DENOMINATORS))
                       for _ in range(model.ambient_dim)])
 
 

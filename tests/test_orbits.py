@@ -64,7 +64,7 @@ def test_odd_orbit_dimension_raises_under_optimize():
     # h = (1, 0) on A1 pairs to 1 with the root: dim O would be 3 - 2 = 1
     code = ("from orbitcert import rootsys as rs, certify as ct\n"
             "try:\n"
-            "    ct.orbit_dim_from_h(rs.build('A1'), rs.weight((1, 0)))\n"
+            "    ct.orbit_dim_from_h(rs.build('A1'), rs.Weight((1, 0)))\n"
             "except ValueError as exc:\n"
             "    print('raised:', exc)\n")
     src = str(Path(ob.__file__).resolve().parents[1])
@@ -214,7 +214,7 @@ def test_bv_candidate_canonicalizes_h_dual(e8):
     """In the E8 model a weight and that weight plus a multiple of the
     all-ones vector are one element, so they give one candidate: the
     all-ones vector is h_dual = 0, whose candidate is -rho."""
-    ones = rs.weight([1] * 9)
+    ones = rs.Weight([1] * 9)
     assert ct.bv_candidate(e8, ones) == -rs.rho(e8)
     h_dual = 2 * rs.rho(e8)
     assert ct.bv_candidate(e8, h_dual + Fraction(5, 3) * ones) == rs.rho(e8)

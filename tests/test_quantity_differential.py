@@ -36,7 +36,7 @@ H_KINDS = ("regular", "regular", "integral", "half")
 def _integral_h(model, rng):
     """A random h integral on every root: an integer combination of the
     fundamental coweights."""
-    h = rs.weight([0] * model.ambient_dim)
+    h = rs.Weight([0] * model.ambient_dim)
     for w in rs.fundamental_coweights(model):
         h = h + rng.randint(-2, 2) * w
     return h
@@ -47,7 +47,7 @@ def cases(label):
     """(levi, h, lambda', lambda kind, h kind) for one type, seeded by its label."""
     model = rs.build(label)
     rng = random.Random(f"quantity-differential-{label}")
-    ones = rs.weight([1] * model.ambient_dim)
+    ones = rs.Weight([1] * model.ambient_dim)
     out = []
     for n in range(CASES_PER_TYPE):
         kind = LAMBDA_KINDS[n % len(LAMBDA_KINDS)]
@@ -65,7 +65,7 @@ def cases(label):
         elif kind == "root_span":
             lam = rs.combine(model, [rational(rng) for _ in range(model.rank)])
         elif kind == "epsilon":
-            lam = rs.weight([rational(rng) for _ in range(model.ambient_dim)])
+            lam = rs.Weight([rational(rng) for _ in range(model.ambient_dim)])
         elif kind == "ones":
             lam = lam + rational(rng, nonzero=True) * ones
         if h_kind == "half":

@@ -58,9 +58,10 @@ def test_mutation_probe_mutants_and_copy(capsys):
         assert sum(a != b for a, b in zip(original, mutated)) == 1, m
     seen = []
 
-    def run(copy, timeout=None):
+    def run(copy, timeout=None, tests=None):
         assert copy != SCRIPTS.parent
-        seen.append((copy / "src" / "orbitcert" / "integral.py").read_text())
+        if not tests:  # the full runs: the unmutated suite, then each survivor's
+            seen.append((copy / "src" / "orbitcert" / "integral.py").read_text())
         return "survived", "", 0.0
 
     assert probe["probe"](["integral"], run) == 0
@@ -99,17 +100,63 @@ def test_mutation_probe_changed_lines(capsys):
     assert probe["on_lines"](source, set()) == []
     seen = []
 
-    def run(copy, timeout=None):
+    def run(copy, timeout=None, tests=None):
         seen.append((copy / "src" / "orbitcert" / "integral.py").read_text())
-        return ("survived", "", 0.0) if len(seen) == 1 else ("killed", "test_x", 0.0)
+        return ("survived", "", 0.0) if len(seen) <= 2 else ("killed", "test_x", 0.0)
 
     assert probe["probe"](["integral"], run, lambda name, src: probe["on_lines"](src, lines),
                           "every mutant on the lines changed since REV") == 0
-    assert seen == [source] + [m.apply(source) for m in chosen]
+    assert seen == [source, source] + [m.apply(source) for m in chosen]
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith("; every mutant on the lines changed since REV")
     assert out[-1] == f"integral: {len(chosen)} killed, 0 survived of {len(chosen)}"
     assert probe["main"](["--changed"]) == 2  # REV is required
+
+
+def test_mutation_probe_runs_the_importing_tests_first(tmp_path, capsys):
+    """A mutant runs first over the test files that import its module, with
+    a timeout scaled from their own unmutated run, and over the whole suite
+    only when they pass.  Checked on written test files and a stand-in suite."""
+    probe = runpy.run_path(str(SCRIPTS / "mutation_probe.py"))
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    for name, text in {"test_a.py": "from orbitcert import integral as ig\n",
+                       "test_b.py": "import orbitcert.integral\n",
+                       "test_c.py": "def f():\n    from orbitcert.integral import cor68_dim\n",
+                       "test_d.py": "from orbitcert import rootsys, Weight\nimport integral\n",
+                       "test_e.py": "import orbitcert\nfrom . import integral\n",
+                       "helper.py": "from orbitcert import integral\n"}.items():
+        (tests / name).write_text(text)
+    select = probe["importing_tests"]
+    assert select(tmp_path, "integral") == ["tests/test_a.py", "tests/test_b.py",
+                                            "tests/test_c.py"]
+    assert select(tmp_path, "rootsys") == ["tests/test_d.py"]
+    assert select(tmp_path, "__init__") == [f"tests/test_{c}.py" for c in "abcde"]
+    assert select(tmp_path, "linalg") == []
+    assert "tests/test_integral.py" in select(SCRIPTS.parent, "integral")
+    assert "tests/test_lsinduce.py" not in select(SCRIPTS.parent, "integral")
+
+    source = (SCRIPTS.parent / "src" / "orbitcert" / "integral.py").read_text()
+    chosen = probe["mutants"](source)[:3]
+    calls = []
+
+    def run(copy, timeout=None, tests=None):
+        mutated = (copy / "src" / "orbitcert" / "integral.py").read_text() != source
+        calls.append((mutated, timeout, tuple(tests or ())))
+        killed = mutated and tests and len(calls) != 4  # the second mutant passes them
+        return ("killed", "test_x", 1.0) if killed else ("survived", "", 2.0 if tests else 10.0)
+
+    assert probe["probe"](["integral"], run, lambda name, src: chosen) == 0
+    first = tuple(select(SCRIPTS.parent, "integral"))
+    factor = probe["TIMEOUT_FACTOR"]
+    assert calls == [(False, None, ()), (False, None, first),
+                     (True, factor * 2.0, first),
+                     (True, factor * 2.0, first), (True, factor * 10.0, ()),
+                     (True, factor * 2.0, first)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == f"integral: {len(first)} test files import it, 2.0 s unmutated"
+    assert out[-1] == "integral: 2 killed, 1 survived of 3"
+    assert "survived (12.0 s)" in out[3]
 
 
 def test_paired_bench_verdict():

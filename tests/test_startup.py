@@ -108,3 +108,12 @@ def test_star_import_binds_exactly_all():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(orbitcert.__all__)
     assert all(namespace[name] is getattr(orbitcert, name) for name in namespace)
+
+
+def test_public_names_are_distinct_objects():
+    """No object has two public names: each name of ``__all__`` is one thing
+    a caller can reach only by that name."""
+    names_of: dict[int, list[str]] = {}
+    for name in orbitcert.__all__:
+        names_of.setdefault(id(getattr(orbitcert, name)), []).append(name)
+    assert [names for names in names_of.values() if len(names) > 1] == []

@@ -285,15 +285,15 @@ def test_regular_values_are_those_of_h_regular():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda e8: rs.weight([1] * 9) + rs.weight([1] * 8), ValueError,
+    (lambda e8: rs.Weight([1] * 9) + rs.Weight([1] * 8), ValueError,
      "vectors of different lengths: 9 and 8"),
-    (lambda e8: rs.weight([Fr(1, 3)] * 9) - rs.weight([1] * 8), ValueError,
+    (lambda e8: rs.Weight([Fr(1, 3)] * 9) - rs.Weight([1] * 8), ValueError,
      "vectors of different lengths: 9 and 8"),
-    (lambda e8: rs.weight([1] * 2).dot(rs.weight([Fr(1, 2)] * 3)), ValueError,
+    (lambda e8: rs.Weight([1] * 2).dot(rs.Weight([Fr(1, 2)] * 3)), ValueError,
      "vectors of different lengths: 2 and 3"),
-    (lambda e8: ct.in_levi_span(e8, rs.weight([1] * 8), (0,)), ValueError,
+    (lambda e8: ct.in_levi_span(e8, rs.Weight([1] * 8), (0,)), ValueError,
      "expected 9 coordinates, got 8"),
-    (lambda e8: rs.span_coords(e8, rs.weight([1] * 10)), ValueError,
+    (lambda e8: rs.span_coords(e8, rs.Weight([1] * 10)), ValueError,
      "expected 9 coordinates, got 10"),
     (lambda e8: ct.in_levi_span(e8, e8.simple_roots[0], (True,)), ValueError,
      "Pi_0 must be a subset of 0..7"),
