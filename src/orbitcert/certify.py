@@ -158,11 +158,12 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
 
     Returns (True, coefficients) on success or (False, residual) on failure;
     each coefficient is an int when integral, else a Fraction.
-    mu's coordinates on the simple roots (those of its projection onto the
-    root span) and whether mu lies in the root span come from one product
-    (``rootsys.span_coords``); membership is the support check that the
-    coordinates outside Pi_0 vanish, plus mu lying in the root span, so
-    inputs outside the root span fail with the honest residual.
+    Membership is one walk over mu's integer products with the coweight
+    rows and then the complement rows (``rootsys.levi_coords``): a row in
+    Pi_0 gives its coefficient, and the first nonzero product on a coweight
+    outside Pi_0 or on a complement row ends the walk, so inputs outside
+    the root span fail too.  Only then is the residual built: mu less its
+    projection onto the root span restricted to Pi_0 (``rootsys.levi_part``).
     """
     mask = levi_mask(model, pi0)
     return _levi_solve(model, rootsys.canonicalize(model, mu), mask)
@@ -171,18 +172,12 @@ def in_levi_span(model: RootSystemModel, mu: Weight, pi0
 def _levi_solve(model: RootSystemModel, w: Weight, mask: int
                 ) -> tuple[bool, tuple[numbers.Rational, ...] | Weight]:
     """``in_levi_span`` of a canonical w, for Pi_0 given as its bit set
-    (coefficients in increasing index)."""
-    nums, den, inside = rootsys.span_coords(model, w)
-    if inside:
-        coeffs = []
-        for i, x in enumerate(nums):
-            if mask >> i & 1:
-                coeffs.append(rootsys.rational(x, den))
-            elif x:
-                break
-        else:
-            return True, tuple(coeffs)
-    return False, w - combine(model, [x if mask >> i & 1 else 0 for i, x in enumerate(nums)], den)
+    (coefficients in increasing index); the residual is built only on a
+    miss."""
+    coeffs = rootsys.levi_coords(model, w, mask)
+    if coeffs is not None:
+        return True, coeffs
+    return False, w - rootsys.levi_part(model, w, mask)
 
 
 class CheckResult(Record):

@@ -35,8 +35,9 @@ if TYPE_CHECKING:
     from .rootsys import RootSystemModel
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
-# The digits a partition's part is written with, as for a weight's entries; the
-# partition commands print sums of at most L^2 such parts, far under int's 4300.
+# The digits a partition's part, or an integer of a --levi descriptor, is written
+# with, as for a weight's entries; the partition commands print sums of at most
+# L^2 such parts, far under int's 4300.
 MAX_PART_DIGITS = 2000
 
 
@@ -169,15 +170,22 @@ def _parse_partition(text: str, kind: str) -> Partition:
     return orb.Partition(tuple(_parse_part(x) for x in text.split(",") if x.strip()), kind)
 
 
-def _parse_part(token: str) -> int:
+def _parse_part(token: str, what: str = "a part") -> int:
     """``int(token)``, but a usage error naming the limit when the token has
     more than MAX_PART_DIGITS digits, before ``int`` reads it."""
     if len(token) > MAX_PART_DIGITS:  # a shorter token has fewer digits
         digits = sum(map(str.isdigit, token))
         if digits > MAX_PART_DIGITS:
-            raise ValueError(f"a part has {digits} digits, more than the limit of "
+            raise ValueError(f"{what} has {digits} digits, more than the limit of "
                              f"{MAX_PART_DIGITS}")
     return int(token)
+
+
+def _parse_descriptor(text: str, kind: str, ambient: int | None):
+    """The --levi descriptor JSON, each integer in it read by ``_parse_part``."""
+    import orbitcert.lsinduce as ls
+    data = json.loads(text, parse_int=lambda token: _parse_part(token, "a JSON integer"))
+    return ls.LeviDescriptor.from_json_dict(data, kind, ambient)
 
 
 def _cmd_info(args) -> int:
@@ -237,7 +245,7 @@ def _cmd_integral(args) -> int:
 
 def _cmd_induce(args) -> int:
     import orbitcert.lsinduce as ls
-    levi = ls.LeviDescriptor.from_json_dict(json.loads(args.levi), args.type, args.ambient)
+    levi = _parse_descriptor(args.levi, args.type, args.ambient)
     result = ls.induce(levi)
     if ls.is_very_even(result):
         print("note: very even partition; labels orbits I/II ambiguously",
@@ -300,7 +308,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_oracle(args) -> int:
     import orbitcert.lsinduce as ls
-    levi = ls.LeviDescriptor.from_json_dict(json.loads(args.levi), args.type, args.ambient)
+    levi = _parse_descriptor(args.levi, args.type, args.ambient)
     try:
         result = ls.jordan_oracle(levi, seed=args.seed, trials=args.trials)
     except ls.TrialBudgetExhausted as exc:  # a ValueError, but a verdict, not a usage error

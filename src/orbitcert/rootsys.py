@@ -28,7 +28,7 @@ The E-type models live in the 9-coordinate quotient of R^9 by the diagonal
 sub-root-systems of E8 generated by {a2..a7, a8} and {a3..a7, a8}.  All
 other types use the standard orthonormal epsilon-models and the identity
 canonicalizer.  A vector enters simple-root coordinates once
-(``simple_pairings``, ``dynkin_labels``, ``h_values``, ``span_coords``, all
+(``simple_pairings``, ``dynkin_labels``, ``h_values``, ``levi_coords``, all
 reading ``nums`` and ``den``) and leaves them once (``combine``); an element
 h of the Cartan leaves its simple values through ``coweight``.
 
@@ -46,11 +46,14 @@ addition per root: ``root_steps`` writes each positive root as a simple root
 or as an earlier positive root plus a simple root, and ``coroot_steps`` does
 the same for the coroots on the simple coroots, in order of coroot height.
 ``root_values`` runs the first on h's simple values; ``coroot_values`` runs
-the second on a weight's Dynkin labels.  ``span_coords`` reads one cached
+the second on a weight's Dynkin labels.  ``levi_coords`` walks one cached
 integer matrix, the fundamental coweights as ambient rows over one
-denominator stacked on a basis of the complement of the root span, so a
-vector's coordinates on the simple roots and whether it lies in the root
-span are one product; ``coweight`` reads the same coweight rows.
+denominator stacked on a basis of the complement of the root span: a
+vector's product with a coweight row is its coordinate on that simple root,
+and it lies in the span of a set of simple roots exactly when its products
+with the other coweight rows and with the complement rows vanish, so the
+walk ends at the first nonzero one of those; ``levi_part`` and
+``coweight`` read the same coweight rows.
 
 The simple system of a root subsystem is found by height too
 (``height_simples``): walk the coefficient tuples of its positive roots in
@@ -465,14 +468,16 @@ class RootSystemModel:
 
     @cached_property
     def span_rows(self) -> tuple[list[list[int]], int]:
-        """(rows, den) for the one product ``span_coords`` makes with w.nums.
-        The first rank rows are the fundamental coweights: omega_i^vee =
-        rows[i] / den in ambient coordinates, the inverse of the Gram matrix
-        times the simple-root rows.  Since (a_j, omega_i^vee) = delta_ij,
-        w's orthogonal projection onto the span of the simple roots is
-        sum_i (rows[i] . w.nums) / (den w.den) a_i.  The rows after them
+        """(rows, den) for the walk ``levi_coords`` makes over w.nums, one
+        integer product per row.  The first rank rows are the fundamental
+        coweights: omega_i^vee = rows[i] / den in ambient coordinates, the
+        inverse of the Gram matrix times the simple-root rows.  Since
+        (a_j, omega_i^vee) = delta_ij, w's orthogonal projection onto the
+        span of the simple roots is sum_i (rows[i] . w.nums) / (den w.den) a_i.  The rows after them
         span the orthogonal complement of that span (``span_complement``),
-        so w lies in the span exactly when they all pair to zero with it."""
+        so w lies in the span exactly when they all pair to zero with it,
+        and in the span of a subset of the simple roots when, besides, its
+        coordinates on the other simple roots vanish."""
         inverse = linalg.inverse(self.gram)
         if inverse is None:
             raise RuntimeError(f"{self.cartan_type}: the Gram matrix is singular")
@@ -648,16 +653,39 @@ def _steps(coeffs, order) -> tuple[tuple[int, int, int], ...]:
     return tuple(steps)
 
 
-def span_coords(model: RootSystemModel, w: Weight) -> tuple[list[int], int, bool]:
-    """(nums, den, inside): w's orthogonal projection onto the span of the
-    simple roots is sum_i (nums[i] / den) a_i, and inside says whether w
-    lies in that span; one integer product with ``span_rows``."""
+def levi_coords(model: RootSystemModel, w: Weight, mask: int
+                ) -> tuple[numbers.Rational, ...] | None:
+    """w's coefficients on the simple roots of Pi_0, given as its bit set
+    ``mask`` (a subset of 0..rank-1), in increasing index, when w lies in
+    their span, each an int when integral and else a Fraction; None when it
+    does not.  One walk over ``span_rows``: the product with a coweight row
+    in Pi_0 is that coefficient, over ``den`` times w.den, and the first
+    nonzero product with a coweight row outside Pi_0 or with a complement
+    row (no bit of ``mask`` is set that high) ends the walk."""
     _check_length(model, w)
     nums = w.nums
     rows, den = model.span_rows
-    values = [sum(map(mul, row, nums)) for row in rows]
-    rank = model.rank
-    return values[:rank], w.den * den, not any(values[rank:])
+    den *= w.den
+    coeffs = []
+    for i, row in enumerate(rows):
+        x = sum(map(mul, row, nums))
+        if mask >> i & 1:  # rational(x, den), inlined on (C)'s hot path
+            coeffs.append(x // den if x % den == 0 else Fraction(x, den))
+        elif x:
+            return None
+    return tuple(coeffs)
+
+
+def levi_part(model: RootSystemModel, w: Weight, mask: int) -> Weight:
+    """sum_i c_i a_i over the simple roots of Pi_0, given as its bit set
+    ``mask``, where sum_i c_i a_i is w's orthogonal projection onto the
+    span of all the simple roots: one integer product with each coweight
+    row of ``span_rows`` in Pi_0, then ``combine``."""
+    _check_length(model, w)
+    nums = w.nums
+    rows, den = model.span_rows
+    return combine(model, [sum(map(mul, row, nums)) if mask >> i & 1 else 0
+                           for i, row in enumerate(rows[:model.rank])], den * w.den)
 
 
 def combine(model: RootSystemModel, coeffs, den: int = 1) -> Weight:

@@ -374,9 +374,9 @@ def test_certify_computes_each_quantity_once(monkeypatch, e8, flagship_lambda_pr
     (A) and the integral system, the root values feed dim O and delta'.
     The default h (None) is not read at all: its simple values come from the
     Levi, and only (C) reads simple-root coordinates, those of lambda'.
-    A given h is checked in the Levi coroot span by the same one product."""
+    A given h is checked in the Levi coroot span by the same one walk."""
     calls = collections.Counter()
-    for name in ("dynkin_labels", "h_values", "coroot_values", "root_values", "span_coords"):
+    for name in ("dynkin_labels", "h_values", "coroot_values", "root_values", "levi_coords"):
         original = getattr(rs, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -386,8 +386,8 @@ def test_certify_computes_each_quantity_once(monkeypatch, e8, flagship_lambda_pr
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     once = {"dynkin_labels": 1, "coroot_values": 1, "root_values": 1}
-    for h, reads in ((flagship_h, {"h_values": 1, "span_coords": 2}),
-                     (None, {"span_coords": 1})):
+    for h, reads in ((flagship_h, {"h_values": 1, "levi_coords": 2}),
+                     (None, {"levi_coords": 1})):
         for principal, overall in ((True, ct.PASS), (False, ct.UNDECIDED)):
             calls.clear()
             inp = ct.CertificateInput(e8, LEVI, h, flagship_lambda_prime,

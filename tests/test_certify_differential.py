@@ -154,18 +154,19 @@ def test_library_matches_reference(label):
         assert walk == scan
         assert got.simple_system == tuple(model.positive_roots[k] for k in walk)
         for mu in (h, lam, lam - rs.rho(model)):
-            nums, den, _ = rs.span_coords(model, mu)
-            assert [Fr(x, den) for x in nums] == list(_reference_root_coords(model, mu))
+            coords, inside = _reference_root_coords(model, mu)
+            assert rs.levi_coords(model, mu, (1 << model.rank) - 1) == (coords if inside
+                                                                        else None)
             assert ct.in_levi_span(model, mu, levi) == ref.in_levi_span(model, mu, levi)
 
 
 def _reference_root_coords(model, mu):
-    """mu's projection onto the root span on the simple roots: the reference
-    solve over every simple root, of mu less its residual when mu is off the
-    root span."""
+    """(coords, inside): mu's projection onto the root span on the simple
+    roots, and whether mu lies in the root span: the reference solve over
+    every simple root, of mu less its residual when mu is off the root span."""
     every = range(model.rank)
     ok, info = ref.in_levi_span(model, mu, every)
-    return info if ok else ref.in_levi_span(model, mu - info, every)[1]
+    return (info, True) if ok else (ref.in_levi_span(model, mu - info, every)[1], False)
 
 
 def test_orbit_dim_from_values_matches_graded_dims():
@@ -246,9 +247,9 @@ def test_off_root_span_cases_fail_C_by_the_root_span_alone(label):
     assert {"--principal" in argv for argv, _, _, _ in extra} == {True, False}
     for argv, levi, h, lam in extra:
         mu = lam - ct.delta_prime(model, h)
-        nums, _, _ = rs.span_coords(model, mu)
-        assert all(nums[i] == 0 for i in range(model.rank) if i not in levi), argv
-        assert not rs.span_coords(model, lam)[2], argv
+        coords, _ = _reference_root_coords(model, mu)
+        assert all(coords[i] == 0 for i in range(model.rank) if i not in levi), argv
+        assert not _reference_root_coords(model, lam)[1], argv
         report = ct.certify(ct.CertificateInput(model, levi, h, lam, "--principal" in argv))
         assert report.verdict_C.status == ct.FAIL, argv
         residual = report.verdict_C.witness

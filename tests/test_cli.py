@@ -571,11 +571,18 @@ LONG_DIGITS = "1" * 5000  # past int's 4300-digit limit for string conversion
      "a part has 5000 digits, more than the limit of 2000"),
     (["rigid", "--type", "gl", "--partition", LONG_DIGITS],
      "a part has 5000 digits, more than the limit of 2000"),
-], ids=["rank", "levi-index", "dimz-part", "rigid-part"])
+    (["induce", "--type", "gl", "--ambient", "3",
+      "--levi", '{"gl_blocks": [{"k": %s, "d": [1]}]}' % LONG_DIGITS],
+     "a JSON integer has 5000 digits, more than the limit of 2000"),
+    (["oracle", "--type", "gl", "--ambient", "3",
+      "--levi", '{"gl_blocks": [{"k": 1, "d": [%s]}]}' % LONG_DIGITS],
+     "a JSON integer has 5000 digits, more than the limit of 2000"),
+], ids=["rank", "levi-index", "dimz-part", "rigid-part", "induce-descriptor",
+        "oracle-descriptor"])
 def test_integer_past_its_bound_exits_2_with_its_limit(capsys, argv, message):
-    """A rank, a simple root index or a partition's part written with more
-    digits than ``int`` reads is a usage error that states the bound, not
-    the interpreter's digit-limit message."""
+    """A rank, a simple root index, a partition's part or an integer of a
+    --levi descriptor written with more digits than ``int`` reads is a usage
+    error that states the bound, not the interpreter's digit-limit message."""
     assert cli.MAX_PART_DIGITS == 2000  # as the message says
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -606,6 +613,30 @@ def test_parts_at_the_digit_limit_print_their_report(capsys, command, kind):
     code, out, err = run(capsys, command, "--type", kind, "--partition", "9" + parts.strip())
     assert (code, out) == (2, "")
     assert err == "error: a part has 2001 digits, more than the limit of 2000\n"
+
+
+@pytest.mark.parametrize("command", ["induce", "oracle"])
+def test_descriptor_integers_at_and_past_the_digit_limit(capsys, command):
+    """Integers of MAX_PART_DIGITS digits in a --levi descriptor, one of them
+    negative, are read: induce prints the induced partition, and the oracle
+    refuses the ambient by its own bound.  One digit more in any of them is
+    a usage error naming the limit, raised while the JSON is read."""
+    big = "9" * cli.MAX_PART_DIGITS
+    for ambient, m, part in ((big, big, big), (big, "-" + big, big)):
+        descriptor = f'{{"ambient": {ambient}, "tail": {{"m": {m}, "c": [{part}]}}}}'
+        code, out, err = run(capsys, command, "--type", "so", "--levi", descriptor)
+        assert "limit" not in err and "Exceeds" not in err
+        if command == "induce" and not m.startswith("-"):
+            assert (code, err) == (0, "") and json.loads(out) == [int(big)]
+        else:
+            assert (code, out) == (2, "") and err.startswith("error: ")
+    for position in range(3):
+        numbers = [big] * 3
+        numbers[position] = "9" + big
+        descriptor = '{"ambient": %s, "tail": {"m": %s, "c": [%s]}}' % tuple(numbers)
+        code, out, err = run(capsys, command, "--type", "so", "--levi", descriptor)
+        assert (code, out, err) == (
+            2, "", "error: a JSON integer has 2001 digits, more than the limit of 2000\n")
 
 
 def test_errors_print_weights_as_rationals(capsys):

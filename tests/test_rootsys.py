@@ -513,12 +513,14 @@ def test_root_membership_matches_the_root_lists(label):
     (lambda e8: ct.CertificateInput(e8, (0, 1), rs.Weight([5, 5]), rs.rho(e8)),
      "expected 9 coordinates, got 2"),
     (lambda e8: rs.simple_pairings(e8, rs.Weight([1] * 10)), "expected 9 coordinates, got 10"),
-    (lambda e8: rs.span_coords(e8, rs.Weight([1])), "expected 9 coordinates, got 1"),
+    (lambda e8: rs.levi_coords(e8, rs.Weight([1]), 0b111), "expected 9 coordinates, got 1"),
+    (lambda e8: rs.levi_part(e8, rs.Weight([1] * 10), 0b111), "expected 9 coordinates, got 10"),
     (lambda e8: rs.combine(e8, [1, 2]), "expected 8 simple-root coefficients"),
     (lambda e8: rs.coweight(e8, [2] * 9), "expected 8 simple values"),
     (lambda e8: rs.combine(e8, [Fr(1, 2)] * 9), "expected 8 simple-root coefficients"),
 ], ids=["graded_dims", "integral_system", "certificate_lambda_prime", "certificate_h",
-        "simple_pairings", "span_coords", "combine", "coweight", "combine_rational"])
+        "simple_pairings", "levi_coords", "levi_part", "combine", "coweight",
+        "combine_rational"])
 def test_kernel_rejects_vectors_of_the_wrong_length(e8, call, message):
     with pytest.raises(ValueError, match=message):
         call(e8)

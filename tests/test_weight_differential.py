@@ -238,7 +238,7 @@ def test_sum_and_difference_by_denominator_pair(kind):
 @pytest.mark.parametrize("label, complement", [("E6", 3), ("E7", 2), ("E8", 1)])
 def test_in_levi_span_one_product_matches(label, complement):
     """The E-type models keep the complement of their root span in the rows
-    of the one product (3, 2 and 1 rows); ``in_levi_span`` agrees with the
+    of ``span_rows`` (3, 2 and 1 rows); ``in_levi_span`` agrees with the
     reference on inputs in the Levi span, off it, and off the root span
     with no coordinate outside Pi_0, where only those rows can tell."""
     model = rs.build(label)
@@ -257,8 +257,102 @@ def test_in_levi_span_one_product_matches(label, complement):
         cases += [mu + Fr(2, 3) * v for v in off_root_span]
         for w in cases:
             outcomes.add(_compare_span(model, w, pi0))
-            assert rs.span_coords(model, w)[2] == (w in cases[:2])
+            assert ref.in_levi_span(model, w, range(model.rank))[0] == (w in cases[:2])
     assert outcomes == {True, False}
+
+
+def _compare_walk(model, w, pi0):
+    """``in_levi_span`` and the walk under it against ``ref.in_levi_span``:
+    the same verdict, the same coefficients of the same types, the same
+    residual; the walk on the canonical w gives the coefficients or None."""
+    got, expected = ct.in_levi_span(model, w, pi0), ref.in_levi_span(model, w, pi0)
+    assert got[0] == expected[0]
+    if got[0]:
+        assert got[1] == expected[1]
+        assert list(map(type, got[1])) == list(map(type, expected[1]))
+    else:
+        assert isinstance(got[1], rs.Weight) and got[1] == expected[1]
+        assert got[1].to_strings() == expected[1].to_strings()
+    coords = rs.levi_coords(model, rs.canonicalize(model, w), rs.levi_mask(model, pi0))
+    assert coords == (got[1] if got[0] else None)
+    return got[0]
+
+
+# types whose ambient space is larger than their rank
+COMPLEMENT_TYPES = ("A3", "A5", "G2", "E6", "E7", "E8")
+
+
+@pytest.mark.parametrize("label", ["A5", "B3", "C4", "D5", "G2", "F4", "E6", "E7", "E8"])
+def test_levi_walk_ends_at_the_first_coweight_row_outside_pi0(label):
+    """With Pi_0 all but the first, a middle and the last simple root, the
+    first nonzero coordinate outside Pi_0 is put at each of those rows in
+    turn, with every later one outside Pi_0 nonzero too, and once alone;
+    each miss, and the hit with none, matches the reference."""
+    model = rs.build(label)
+    rng = random.Random(f"walk-exit-{label}")
+    rank = model.rank
+    outside = sorted({0, rank // 2, rank - 1})
+    pi0 = tuple(i for i in range(rank) if i not in outside)
+    inside = [_rational(rng) if i in pi0 else 0 for i in range(rank)]
+    assert _compare_walk(model, rs.combine(model, inside), pi0)
+    for first in outside:
+        for later in (True, False):
+            coeffs = list(inside)
+            for i in outside:
+                if i == first or later and i > first:
+                    coeffs[i] = Fr(rng.choice((-5, -1, 1, 5)), rng.choice(DENOMINATORS))
+            assert not _compare_walk(model, rs.combine(model, coeffs), pi0)
+
+
+@pytest.mark.parametrize("label", COMPLEMENT_TYPES)
+def test_levi_walk_ends_at_a_complement_row(label):
+    """A vector in the span of Pi_0 plus a nonzero part off the root span
+    passes every coweight row and misses on a complement row, for Pi_0 of
+    every size from empty to full.  On E8 canonicalize removes the only
+    complement direction, so the miss shows on the walk of the raw vector
+    while ``in_levi_span`` (which canonicalizes) agrees with the reference."""
+    model = rs.build(label)
+    rng = random.Random(f"walk-complement-{label}")
+    rank = model.rank
+    assert model.ambient_dim > rank
+    off_span = [c for c in (rs.canonicalize(model, v) for v in rs.span_complement(model))
+                if any(c.nums)]
+    assert bool(off_span) == (label != "E8")  # E8's one row is the all-ones direction
+    raw_off_span = rs.Weight.from_ints(rs.span_complement(model)[0].nums)
+    for size in range(rank + 1):
+        pi0 = tuple(sorted(rng.sample(range(rank), size)))
+        mask = rs.levi_mask(model, pi0)
+        mu = rs.combine(model, [_rational(rng) if i in pi0 else 0 for i in range(rank)])
+        assert _compare_walk(model, mu, pi0)
+        for v in off_span:
+            assert not _compare_walk(model, mu + Fr(rng.choice((-2, 1, 3)), 2) * v, pi0)
+        if not off_span:
+            assert rs.levi_coords(model, mu + raw_off_span, mask) is None
+            assert _compare_walk(model, mu + raw_off_span, pi0)
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_levi_walk_with_pi0_empty_and_full(label):
+    """Pi_0 empty: only zero is a hit (no coefficients); any root misses at
+    its first nonzero coordinate.  Pi_0 full: the coweight rows never end
+    the walk, so a vector in the root span is a hit with all its coordinates,
+    and only a part off the root span misses."""
+    model = rs.build(label)
+    rng = random.Random(f"walk-empty-full-{label}")
+    rank, every = model.rank, tuple(range(model.rank))
+    zero = rs.canonicalize(model, [0] * model.ambient_dim)
+    assert _compare_walk(model, zero, ())
+    assert ct.in_levi_span(model, zero, ()) == (True, ())
+    for beta in model.roots:
+        assert not _compare_walk(model, beta, ())
+        assert _compare_walk(model, beta, every)
+    for raw in _raw_vectors(rng, model.ambient_dim, 20):
+        w = rs.canonicalize(model, raw)
+        in_root_span = all(v.dot(w) == 0 for v in rs.span_complement(model))
+        assert _compare_walk(model, w, every) == in_root_span
+        assert _compare_walk(model, w, ()) == (not any(w.nums))
+    full = rs.combine(model, [_rational(rng) for _ in range(rank)])
+    assert _compare_walk(model, full, every)
 
 
 def test_h_regular_matches_reference_on_every_levi():
@@ -293,7 +387,7 @@ def test_regular_values_are_those_of_h_regular():
      "vectors of different lengths: 2 and 3"),
     (lambda e8: ct.in_levi_span(e8, rs.Weight([1] * 8), (0,)), ValueError,
      "expected 9 coordinates, got 8"),
-    (lambda e8: rs.span_coords(e8, rs.Weight([1] * 10)), ValueError,
+    (lambda e8: rs.levi_coords(e8, rs.Weight([1] * 10), 0b1), ValueError,
      "expected 9 coordinates, got 10"),
     (lambda e8: ct.in_levi_span(e8, e8.simple_roots[0], (True,)), ValueError,
      "Pi_0 must be a subset of 0..7"),
@@ -305,7 +399,7 @@ def test_regular_values_are_those_of_h_regular():
      "Pi_0 must be a subset of 0..5"),
     (lambda e8: rs.combine(e8, [1, Fr(1, 2)]), ValueError,
      "expected 8 simple-root coefficients"),
-], ids=["add", "sub", "dot", "span_length", "span_coords_length", "levi_bool",
+], ids=["add", "sub", "dot", "span_length", "levi_coords_length", "levi_bool",
         "levi_high", "levi_negative", "levi_rank", "combine"])
 def test_fast_paths_keep_their_errors(call, error, message):
     with pytest.raises(error) as info:
