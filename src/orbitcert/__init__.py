@@ -14,9 +14,8 @@ import importlib
 
 # home submodule -> the public names it gives the package
 _EXPORTS = {
-    "certify": ("CertificateInput", "CertificateReport", "CheckResult", "bv_candidate", "delta",
-                "delta_prime", "graded_dims", "h_regular", "in_levi_span", "orbit_dim_from_h",
-                "theta_for_levi"),
+    "certify": ("CertificateInput", "CertificateReport", "CheckResult", "delta", "delta_prime",
+                "graded_dims", "h_regular", "in_levi_span", "orbit_dim_from_h", "theta_for_levi"),
     "integral": ("IntegralSystem", "cor68_dim", "integral_system", "prop67_dim"),
     "lsinduce": ("GLBlock", "LeviDescriptor", "Tail", "centralizer_oracle", "collapse",
                  "induce", "is_rigid", "is_very_even", "jordan_oracle"),

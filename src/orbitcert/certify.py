@@ -16,9 +16,9 @@ ideal carrying a one-dimensional representation of the associated
 W-algebra.
 
 The orbit dimensions of a characteristic h live here too, beside delta'
-that reads the same values: the ad-h grading (``graded_dims``), dim O
+that reads the same values: the ad-h grading (``graded_dims``) and dim O
 (``orbit_dim_from_h``, whose g(0) + g(1) are the roots with <beta, h> in
-{0, +-1}), and the Barbasch-Vogan candidate ``bv_candidate``.
+{0, +-1}).
 
 Every entry point reads Pi_0 with ``rootsys.levi_mask`` and a given h with
 ``rootsys.h_values``, so a bad input gets one error text wherever it enters.
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import warnings
 from collections import Counter
 
 from . import rootsys
@@ -129,27 +128,6 @@ def orbit_dim_from_values(model: RootSystemModel, values) -> int:
         raise ValueError(f"orbit dimension {dim_orb} is odd: h is not the "
                          "characteristic of a nilpotent")
     return dim_orb
-
-
-def bv_candidate(model: RootSystemModel, h_dual: Weight) -> Weight:
-    """Candidate highest weight h_dual - rho for the certificate pipeline.
-
-    h_dual is the dominant characteristic of a dual-side sl2-triple; the
-    associated variety of the primitive ideal at h_dual - rho is the closure
-    of the dual orbit.  Emits a warning when h_dual is not even, since dual
-    characteristics of rigid elements are always even.  h_dual is
-    canonicalized first, so every representative gives the same candidate.
-    """
-    h_dual = rootsys.canonicalize(model, h_dual)
-    nums, den = rootsys.simple_pairings(model, h_dual)
-    for alpha, value in zip(model.simple_roots, nums):
-        if value < 0:
-            raise ValueError(f"h_dual is not dominant: <{alpha}, h_dual> < 0")
-    # even on every positive root exactly when even on the simple roots
-    if any(value % (2 * den) for value in nums):
-        warnings.warn("h_dual is not even; dual characteristics of rigid "
-                      "elements are even", stacklevel=2)
-    return h_dual - rootsys.rho(model)
 
 
 def in_levi_span(model: RootSystemModel, mu: Weight, pi0

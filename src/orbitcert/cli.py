@@ -182,9 +182,13 @@ def _parse_part(token: str, what: str = "a part") -> int:
 
 
 def _parse_descriptor(text: str, kind: str, ambient: int | None):
-    """The --levi descriptor JSON, each integer in it read by ``_parse_part``."""
+    """The --levi descriptor JSON, each integer in it read by ``_parse_part``;
+    JSON nested past the decoder's recursion limit is a usage error too."""
     import orbitcert.lsinduce as ls
-    data = json.loads(text, parse_int=lambda token: _parse_part(token, "a JSON integer"))
+    try:
+        data = json.loads(text, parse_int=lambda token: _parse_part(token, "a JSON integer"))
+    except RecursionError:
+        raise ValueError("the descriptor JSON is nested too deeply") from None
     return ls.LeviDescriptor.from_json_dict(data, kind, ambient)
 
 
@@ -318,17 +322,39 @@ def _cmd_oracle(args) -> int:
     return EXIT_PASS
 
 
+# command word -> (handler, stages).  The stages are the engine functions and
+# classes the command runs, each named "module.name" in its home module, in
+# call order; tests/test_stages.py runs every branch of each command and
+# fails when a stage is not called.
 _COMMANDS = {
-    "info": _cmd_info,
-    "pairing": _cmd_pairing,
-    "delta-prime": _cmd_delta_prime,
-    "certify": _cmd_certify,
-    "integral": _cmd_integral,
-    "induce": _cmd_induce,
-    "rigid": _cmd_rigid,
-    "dimz": _cmd_dimz,
-    "tables": _cmd_tables,
-    "oracle": _cmd_oracle,
+    "info": (_cmd_info, ("cli.parse_argv", "rootsys.build")),
+    "pairing": (_cmd_pairing, ("cli.parse_argv", "rootsys.build", "rootsys.read_weight",
+                               "rootsys.pairing")),
+    "delta-prime": (_cmd_delta_prime, (
+        "cli.parse_argv", "rootsys.build", "rootsys.read_weight", "certify.delta_prime",
+        "rootsys.h_values", "rootsys.root_values", "rootsys.combine")),
+    "certify": (_cmd_certify, (
+        "cli.parse_argv", "rootsys.build", "rootsys.read_weight", "certify.CertificateInput",
+        "certify._regular_values", "rootsys.h_values", "certify.certify",
+        "rootsys.coroot_values", "certify._verdict_A", "integral.cor68_from_values",
+        "rootsys.root_values", "certify.orbit_dim_from_values", "rootsys.combine",
+        "certify._verdict_C", "certify._levi_solve", "rootsys.levi_coords",
+        "rootsys.levi_part")),
+    "integral": (_cmd_integral, (
+        "cli.parse_argv", "rootsys.build", "rootsys.read_weight", "integral.integral_system",
+        "rootsys.coroot_values", "rootsys.height_simples", "rootsys.classify_gram",
+        "integral.cor68_from_values", "rootsys.format_type")),
+    "induce": (_cmd_induce, ("cli.parse_argv", "cli._parse_descriptor", "lsinduce.induce",
+                             "lsinduce.collapse", "lsinduce.is_very_even")),
+    "rigid": (_cmd_rigid, ("cli.parse_argv", "cli._parse_partition", "lsinduce.is_rigid",
+                           "lsinduce.induce")),
+    "dimz": (_cmd_dimz, ("cli.parse_argv", "cli._parse_partition", "orbits.dim_z_partition")),
+    "tables": (_cmd_tables, ("cli.parse_argv", "orbits._check_table_algebra",
+                             "orbits.rigid_table", "orbits.duality_table")),
+    "oracle": (_cmd_oracle, (
+        "cli.parse_argv", "cli._parse_descriptor", "lsinduce.jordan_oracle",
+        "lsinduce._random_element", "lsinduce._jordan_chain", "linalg.integer_row_basis",
+        "orbits.dim_z_partition")),
 }
 
 
@@ -355,7 +381,7 @@ def parse_argv(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_argv(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ValueError as exc:  # bad input, json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,6 @@
-"""The certificate is invariant under diagram automorphisms.
+"""Relations of the certificate that need no reference implementation: it
+is invariant under diagram automorphisms, and monotone in the Levi (at the
+end of this file).
 
 A diagram automorphism sigma of the simple roots extends to an isometry of
 the ambient space that maps roots to roots.  It maps a certificate on
@@ -6,7 +8,6 @@ the ambient space that maps roots to roots.  It maps a certificate on
 statuses of (A)-(D), the overall verdict, dim O and cor68 are equal, delta'
 maps to sigma delta', and the witness of (C) maps too (its coefficients
 move to the permuted simple roots; its residual is sigma of the residual).
-This relation needs no reference implementation.
 
 In the epsilon models, A_n's automorphism reverses and negates the
 coordinates (a_i <-> a_{n-1-i}, 0-based) and D_n's negates the last one
@@ -130,3 +131,67 @@ def test_certificate_maps_under_the_diagram_automorphism(labels):
                     ("B", "pass"), ("B", "fail"), ("B", "undecided"),
                     ("C", "pass"), ("C", "fail"), ("D", "pass"), ("D", "undecided"),
                     ("overall", "pass"), ("overall", "fail"), ("overall", "undecided")}
+
+
+# Levi monotonicity --------------------------------------------------------------
+#
+# Take Pi_0 inside Pi_0' and one h in the Levi coroot span of Pi_0, given
+# explicitly to both inputs.  dim O, cor68, (B) and delta' read only h,
+# lambda' and the model, so they agree; and the Q-span of Pi_0 lies in that of
+# Pi_0', so (C) passing on Pi_0 passes on Pi_0' with the same coefficients
+# and 0 on the added roots, and (C) failing on Pi_0' fails on Pi_0.
+
+MONOTONE_TYPES = ("A4", "A5", "D4", "D5", "E6", "E7")
+
+
+def _enlarged_levis(label):
+    """(input on Pi_0, input on a larger Pi_0') for every proper Levi subset
+    Pi_0 of one type, with a seeded Pi_0' and h the regular characteristic
+    of Pi_0; lambda' is delta' plus a seeded vector in the span of Pi_0,
+    delta' plus one in the span of Pi_0', rho and a random ambient vector."""
+    model = rs.build(label)
+    rng = random.Random(f"monotone-{label}")
+    for size in range(model.rank):
+        for levi in itertools.combinations(range(model.rank), size):
+            outside = [i for i in range(model.rank) if i not in levi]
+            added = rng.sample(outside, rng.randint(1, len(outside)))
+            larger = tuple(sorted(levi + tuple(added)))
+            h = ct.h_regular(model, levi)
+            dp = ct.delta_prime(model, h)
+            spans = []
+            for pi0 in (levi, larger):
+                on = dp
+                for i in pi0:
+                    on = on + _rational(rng) * model.simple_roots[i]
+                spans.append(on)
+            for lam in (*spans, rs.rho(model),
+                        rs.Weight([_rational(rng) for _ in range(model.ambient_dim)])):
+                yield (ct.CertificateInput(model, levi, h, lam),
+                       ct.CertificateInput(model, larger, h, lam))
+
+
+def test_certificate_is_monotone_in_the_levi():
+    """Every pair of the sample obeys the relations, and the sample reaches
+    (C) pass and fail on each side, including a fail on Pi_0 beside a pass
+    on Pi_0'."""
+    seen = set()
+    count = 0
+    for label in MONOTONE_TYPES:
+        for small, large in _enlarged_levis(label):
+            report, large_report = ct.certify(small), ct.certify(large)
+            assert (large_report.dim_orbit, large_report.cor68, large_report.delta_prime) == (
+                report.dim_orbit, report.cor68, report.delta_prime)
+            assert large_report.verdict_B == report.verdict_B
+            passed = report.verdict_C.status == ct.PASS
+            large_passed = large_report.verdict_C.status == ct.PASS
+            if passed:
+                by_root = dict(zip(small.levi, report.verdict_C.witness))
+                assert large_report.verdict_C.witness == tuple(by_root.get(i, 0)
+                                                               for i in large.levi)
+            if not large_passed:
+                assert not passed
+            seen |= {("small", passed), ("large", large_passed), ("pair", passed, large_passed)}
+            count += 1
+    assert count > 800
+    assert {("small", True), ("small", False), ("large", True), ("large", False),
+            ("pair", False, True)} <= seen

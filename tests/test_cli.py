@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_certify_differential as certify_differential
@@ -599,6 +599,18 @@ def test_indices_keep_their_leading_zeros_meaning(capsys):
         assert run(capsys, *argv, index) == (2, "", f"error: simple root index {shown} out of 1..8\n")
 
 
+DEEP_JSON = "[" * 3000 + "]" * 3000  # past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("command", ["induce", "oracle"])
+@pytest.mark.parametrize("levi", [DEEP_JSON, '{"gl_blocks":[{"k":1,"d":%s}]}' % DEEP_JSON])
+def test_deeply_nested_descriptor_is_usage_error(capsys, command, levi):
+    """JSON nested past the decoder's recursion limit is bad input, not a
+    crash: exit 2 with a message that says so."""
+    code, out, err = run(capsys, command, "--type", "gl", "--ambient", "3", "--levi", levi)
+    assert (code, out, err) == (2, "", "error: the descriptor JSON is nested too deeply\n")
+
+
 @pytest.mark.parametrize("command", ["dimz", "rigid"])
 @pytest.mark.parametrize("kind", ["gl", "so", "sp"])
 def test_parts_at_the_digit_limit_print_their_report(capsys, command, kind):
@@ -832,6 +844,8 @@ def argvs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(argvs())
+@example(["induce", "--type", "gl", "--ambient", "3", "--levi", DEEP_JSON])
+@example(["oracle", "--type", "gl", "--ambient", "3", "--levi", DEEP_JSON])
 def test_argv_fuzz_exit_codes_and_streams(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -177,57 +177,3 @@ def test_rigid_table_orbit_dims_even():
 def test_duality_rows_reference_rigid_rows():
     for rec in ob.DUALITY_TABLE:
         assert ob.rigid_table(rec.algebra, rec.e_label) is not None
-
-
-# bv candidate ----------------------------------------------------------------
-
-def test_bv_candidate_a1():
-    a1 = rs.build("A1")
-    alpha = a1.simple_roots[0]
-    out = ct.bv_candidate(a1, alpha)  # 2 rho^vee as a weight is alpha itself
-    assert out == rs.Weight(("1/2", "-1/2"))
-
-
-def test_bv_candidate_zero(e8):
-    import warnings
-    zero = rs.canonicalize(e8, (0,) * 9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert ct.bv_candidate(e8, zero) == -rs.rho(e8)
-
-
-def test_bv_candidate_identity(e8, flagship_h):
-    # h from the A5+A1 example is dominant? it is not; use a dominant even weight
-    h_dual = 2 * rs.rho(e8)
-    assert ct.bv_candidate(e8, h_dual) + rs.rho(e8) == h_dual
-
-
-def test_bv_candidate_even_raises_no_warning(e8):
-    # 2 rho is 2 on every simple root: even, so no warning
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert ct.bv_candidate(e8, 2 * rs.rho(e8)) == rs.rho(e8)
-
-
-def test_bv_candidate_canonicalizes_h_dual(e8):
-    """In the E8 model a weight and that weight plus a multiple of the
-    all-ones vector are one element, so they give one candidate: the
-    all-ones vector is h_dual = 0, whose candidate is -rho."""
-    ones = rs.Weight([1] * 9)
-    assert ct.bv_candidate(e8, ones) == -rs.rho(e8)
-    h_dual = 2 * rs.rho(e8)
-    assert ct.bv_candidate(e8, h_dual + Fraction(5, 3) * ones) == rs.rho(e8)
-
-
-def test_bv_candidate_rejects_non_dominant(e8):
-    with pytest.raises(ValueError):
-        ct.bv_candidate(e8, -rs.rho(e8))
-
-
-def test_bv_candidate_warns_on_odd(e8):
-    # rho is 1 on every simple root; rho / 2 is dominant but not integral
-    for h_dual in (rs.rho(e8), Fraction(1, 2) * rs.rho(e8)):
-        with pytest.warns(UserWarning, match="not even") as record:
-            ct.bv_candidate(e8, h_dual)
-        assert record[0].filename == __file__  # the warning names the caller's line

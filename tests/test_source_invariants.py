@@ -205,8 +205,6 @@ def test_scanner_passes_module_level_imports():
 UNREACHED_ALLOWED = {
     "integral.prop67_dim": "Prop. 6.7, the parametric dim VA formula: every report whose (B) "
                            "is undecided tells the user to call it",
-    "certify.bv_candidate": "the Barbasch-Vogan candidate weight h_dual - rho, kept for the "
-                            "derivation of the duality table (ROADMAP.md, item 3)",
 }
 
 
