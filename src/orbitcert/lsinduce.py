@@ -16,10 +16,11 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import zip_longest
 from types import MappingProxyType
 
 from . import linalg
-from .orbits import Partition, _int_parts, dim_z_partition, parity_valid
+from .orbits import Partition, _check_valid, _int_parts, dim_z_partition, parity_valid
 from .record import Record
 
 MAX_ORACLE_AMBIENT = 16  # jordan_oracle and centralizer_oracle
@@ -143,11 +144,9 @@ def _json_parts(value) -> tuple[int, ...]:
     return tuple(_int_value(x, "partition part") for x in value)
 
 
-def _componentwise_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return tuple(x + y for x, y in zip(a, b))
+def _column_sum(rows) -> tuple[int, ...]:
+    """The entrywise sum of integer tuples, each padded with zeros to the longest."""
+    return tuple(map(sum, zip_longest(*rows, fillvalue=0)))
 
 
 def dominates(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
@@ -211,13 +210,6 @@ def collapse(parts, kind: str) -> Partition:
     return result
 
 
-def _fold_gl(blocks: tuple[GLBlock, ...]) -> tuple[int, ...]:
-    total: tuple[int, ...] = ()
-    for blk in blocks:
-        total = _componentwise_sum(total, blk.d.parts)
-    return total
-
-
 def induce(levi: LeviDescriptor) -> Partition:
     """The induced nilpotent orbit of the ambient algebra, as a partition.
 
@@ -225,12 +217,12 @@ def induce(levi: LeviDescriptor) -> Partition:
     fold the gl blocks, then one maximal-Levi step c + 2d followed by
     collapse.  Folding is a componentwise sum, so block order does not matter.
     """
-    folded = _fold_gl(levi.gl_blocks)
+    folded = _column_sum(blk.d.parts for blk in levi.gl_blocks)
     if levi.kind == "gl":
         return Partition(folded, "gl")
     c = levi.tail.c.parts if levi.tail else ()
     doubled = tuple(2 * part for part in folded)
-    return collapse(_componentwise_sum(c, doubled), levi.kind)
+    return collapse(_column_sum((c, doubled)), levi.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +443,11 @@ def _nilradical(kind: str, sizes) -> list[tuple[tuple[int, int, int], ...]]:
             if (element := at.get((i, j)))]
 
 
+def _check_ambient(n: int) -> None:
+    if n > MAX_ORACLE_AMBIENT:
+        raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
+
+
 def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Partition:
     """Ground-truth induced orbit via exact matrices and ranks of powers.
 
@@ -474,8 +471,7 @@ def jordan_oracle(levi: LeviDescriptor, seed: int = 0, trials: int = 8) -> Parti
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{_MAX_TRIALS}")
     n = levi.ambient
-    if n > MAX_ORACLE_AMBIENT:
-        raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
+    _check_ambient(n)
     base = _levi_base_matrix(levi)
     if not _in_algebra(base, levi.kind):
         raise RuntimeError(f"Levi base matrix is not in {levi.kind}_{n}")
@@ -503,11 +499,9 @@ def centralizer_oracle(p: Partition) -> int:
     canonical positions, then takes the kernel by exact linear algebra.  As
     e has degree 2, rank(ad e) is the sum of the ranks of g_k -> g_(k+2).
     """
-    if not parity_valid(p):
-        raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
+    _check_valid(p)
     n = p.total
-    if n > MAX_ORACLE_AMBIENT:
-        raise ValueError(f"ambient {n} exceeds the oracle bound {MAX_ORACLE_AMBIENT}")
+    _check_ambient(n)
     basis = _algebra_basis(p.kind, n)
     e = _lay(_normal_form(p.kind, p.parts), p.kind, n)
     if not _in_algebra(e, p.kind):
@@ -600,8 +594,7 @@ def is_rigid(p: Partition) -> tuple[bool, LeviDescriptor | None]:
     occurring exactly twice is at k, k + 1; the first k - 1 parts drop by 2
     and the pair becomes v - 1, v - 1.  No rule, or gl (1^n): p is rigid.
     """
-    if not parity_valid(p):
-        raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
+    _check_valid(p)
     n, parts, gl = p.total, p.parts, p.kind == "gl"
     if p.kind == "so" and n <= 2:
         # so_2 is abelian (gl_1 in it is the whole algebra): no proper Levi

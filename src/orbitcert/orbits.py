@@ -65,6 +65,12 @@ def parity_valid(p: Partition) -> bool:
     return bad[::2] == bad[1::2]
 
 
+def _check_valid(p: Partition) -> None:
+    """ValueError unless p is ``parity_valid``."""
+    if not parity_valid(p):
+        raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
+
+
 def dim_z_partition(p: Partition) -> int:
     """dim of the centralizer of a nilpotent with Jordan type p.
 
@@ -73,8 +79,7 @@ def dim_z_partition(p: Partition) -> int:
     oracle on every tested instance.  sum m_i^2 is read off the parts as
     sum (2i - 1) p_i, so a huge part costs nothing.
     """
-    if not parity_valid(p):
-        raise ValueError(f"{p.parts} is not a valid {p.kind} partition")
+    _check_valid(p)
     sq = sum(map(mul, count(1, 2), p.parts))
     odd = sum(map((1).__and__, p.parts))
     if p.kind == "gl":
@@ -168,17 +173,16 @@ def _check_table_algebra(algebra: str) -> None:
 def rigid_table(algebra: str, bala_carter: str) -> OrbitRecord | None:
     """Exact embedded row lookup: None for a row absent from the table,
     ValueError for an algebra outside G2, F4, E6, E7 and E8."""
-    _check_table_algebra(algebra)
-    for rec in RIGID_TABLE:
-        if rec.algebra == algebra and rec.bala_carter == bala_carter:
-            return rec
-    return None
+    return _row(RIGID_TABLE, algebra, "bala_carter", bala_carter)
 
 
 def duality_table(algebra: str, e_label: str) -> DualityRecord | None:
     """As ``rigid_table``, in the duality table."""
+    return _row(DUALITY_TABLE, algebra, "e_label", e_label)
+
+
+def _row(table, algebra: str, field: str, label: str):
+    """The first row of ``table`` for ``algebra`` whose ``field`` is ``label``."""
     _check_table_algebra(algebra)
-    for rec in DUALITY_TABLE:
-        if rec.algebra == algebra and rec.e_label == e_label:
-            return rec
-    return None
+    return next((rec for rec in table
+                 if rec.algebra == algebra and getattr(rec, field) == label), None)

@@ -112,35 +112,26 @@ class Weight:
     def __setattr__(self, name, value):
         raise AttributeError(f"Weight is immutable: cannot assign {name!r}")
 
-    def __add__(self, other: "Weight") -> "Weight":
+    def __add__(self, other: "Weight", op=add) -> "Weight":
+        """self + other, or self - other with ``op=sub`` (``__sub__``): over
+        the larger denominator when one divides the other, else the product."""
         a, b = self.nums, other.nums
         if len(a) != len(b):
             raise _length_error(self, other)
         d1, d2 = self.den, other.den
         if d1 == d2:
-            return Weight.from_ints(list(map(add, a, b)), d1)
+            return Weight.from_ints(list(map(op, a, b)), d1)
         if d1 % d2 == 0:
-            k = d1 // d2
+            k = op(0, d1 // d2)  # the scale of other, with the sign of op
             return Weight.from_ints([x + k * y for x, y in zip(a, b)], d1)
         if d2 % d1 == 0:
             k = d2 // d1
-            return Weight.from_ints([k * x + y for x, y in zip(a, b)], d2)
-        return Weight.from_ints([x * d2 + y * d1 for x, y in zip(a, b)], d1 * d2)
+            return Weight.from_ints(list(map(op, [k * x for x in a], b)), d2)
+        k = op(0, d1)
+        return Weight.from_ints([x * d2 + k * y for x, y in zip(a, b)], d1 * d2)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        a, b = self.nums, other.nums
-        if len(a) != len(b):
-            raise _length_error(self, other)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return Weight.from_ints(list(map(sub, a, b)), d1)
-        if d1 % d2 == 0:
-            k = d1 // d2
-            return Weight.from_ints([x - k * y for x, y in zip(a, b)], d1)
-        if d2 % d1 == 0:
-            k = d2 // d1
-            return Weight.from_ints([k * x - y for x, y in zip(a, b)], d2)
-        return Weight.from_ints([x * d2 - y * d1 for x, y in zip(a, b)], d1 * d2)
+        return self.__add__(other, sub)
 
     def __neg__(self) -> "Weight":
         return _weight(tuple(-x for x in self.nums), self.den)
@@ -733,43 +724,34 @@ def _eps(i: int, dim: int) -> Weight:
     return Weight(tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim)))
 
 
+def _chain(dim: int, indices) -> list[Weight]:
+    """The simple roots e_i - e_(i+1) for i in ``indices``, in R^dim."""
+    return [_eps(i, dim) - _eps(i + 1, dim) for i in indices]
+
+
 def _simple_root_data(series: str, rank: int) -> tuple[int, list[Weight], bool]:
     """(ambient_dim, simple roots, sum_zero flag) for one irreducible type."""
     if series == "A":
         dim = rank + 1
-        return dim, [_eps(i, dim) - _eps(i + 1, dim) for i in range(rank)], False
+        return dim, _chain(dim, range(rank)), False
     if series == "B":
-        simples = [_eps(i, rank) - _eps(i + 1, rank) for i in range(rank - 1)]
-        simples.append(_eps(rank - 1, rank))
-        return rank, simples, False
+        return rank, _chain(rank, range(rank - 1)) + [_eps(rank - 1, rank)], False
     if series == "C":
-        simples = [_eps(i, rank) - _eps(i + 1, rank) for i in range(rank - 1)]
-        simples.append(2 * _eps(rank - 1, rank))
-        return rank, simples, False
+        return rank, _chain(rank, range(rank - 1)) + [2 * _eps(rank - 1, rank)], False
     if series == "D":
-        simples = [_eps(i, rank) - _eps(i + 1, rank) for i in range(rank - 1)]
-        simples.append(_eps(rank - 2, rank) + _eps(rank - 1, rank))
-        return rank, simples, False
+        last = _eps(rank - 2, rank) + _eps(rank - 1, rank)
+        return rank, _chain(rank, range(rank - 1)) + [last], False
     if series == "G":
-        a1 = _eps(0, 3) - _eps(1, 3)
-        a2 = Weight((-2, 1, 1))
-        return 3, [a1, a2], False
+        return 3, _chain(3, range(1)) + [Weight((-2, 1, 1))], False
     if series == "F":
         half = Fraction(1, 2)
-        return 4, [
-            _eps(1, 4) - _eps(2, 4),
-            _eps(2, 4) - _eps(3, 4),
-            _eps(3, 4),
-            Weight((half, -half, -half, -half)),
-        ], False
+        return 4, _chain(4, range(1, 3)) + [_eps(3, 4), Weight((half, -half, -half, -half))], False
     raise RuntimeError(f"no simple roots for series {series}")
 
 
 def _e8_simples() -> list[Weight]:
     dim = 9
-    simples = [_eps(i, dim) - _eps(i + 1, dim) for i in range(7)]
-    simples.append(_sum_zero(_eps(5, dim) + _eps(6, dim) + _eps(7, dim)))
-    return simples
+    return _chain(dim, range(7)) + [_sum_zero(_eps(5, dim) + _eps(6, dim) + _eps(7, dim))]
 
 
 # E7/E6 are generated by these (0-based) subsets of the E8 simple system

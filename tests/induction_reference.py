@@ -33,6 +33,8 @@ parts it kept; ``dim_z_partition``
 is the formula before its ``map`` sums; ``nilradical`` is the filter of
 ``lsinduce._algebra_basis`` by block index that ``jordan_oracle`` ran before
 ``lsinduce._nilradical`` listed the nilradical by position.
+``_componentwise_sum`` is the two-tuple sum of the two-loop search, which
+``lsinduce`` now writes as its one column sum, ``_column_sum``.
 Two edits: in ``parity_valid``,
 ``p.parts.count(q)`` stands for the ``Partition.multiplicity(q)`` it called,
 which was that expression and has no other caller, and
@@ -48,12 +50,19 @@ from itertools import zip_longest
 from orbitcert import linalg
 from orbitcert import lsinduce as ls
 from orbitcert.lsinduce import (MAX_ORACLE_AMBIENT, GLBlock, LeviDescriptor, Tail,
-                                TrialBudgetExhausted, _componentwise_sum, _random_element,
-                                _sl2_weights, dominates, induce)
+                                TrialBudgetExhausted, _random_element, _sl2_weights,
+                                dominates, induce)
 from orbitcert.orbits import Partition, _int_parts
 
 DEFAULT_RIGID_AMBIENT = 14
 _MAX_TRIES = 200  # degree-2 samples per target Jordan type
+
+
+def _componentwise_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    n = max(len(a), len(b))
+    a = a + (0,) * (n - len(a))
+    b = b + (0,) * (n - len(b))
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def parity_valid(p: Partition) -> bool:

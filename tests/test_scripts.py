@@ -3,10 +3,13 @@ mutation probe is checked without running the suite."""
 import ast
 import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from orbitcert import cli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -222,3 +225,32 @@ def test_paired_bench_claims_the_named_metric(capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--metric", "nope"])
     assert exc.value.code == 2 and "--metric must be one of setup_s," in capsys.readouterr().err
+
+
+def test_cross_python_is_stable_and_covers_every_command(capsys, monkeypatch):
+    """Two children on this interpreter print one sha256 and the script exits
+    0; the corpus runs every command and reaches every exit code; two
+    different sha256 values, or a child that fails, make it exit 1."""
+    script = SCRIPTS / "cross_python.py"
+    run = subprocess.run([sys.executable, str(script), sys.executable, sys.executable],
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    sha, exits = lines[0].split("  ")[:2]
+    assert len(sha) == 64 and exits.startswith("exits 0x")
+    assert {part.split("x")[0] for part in exits.split()[1:]} == {"0", "1", "2", "3"}
+    script_globals = runpy.run_path(str(script))
+    commands = {next(token for token in argv if token in cli._COMMANDS)
+                for argv in script_globals["corpus"]()}
+    assert commands == set(cli._COMMANDS)
+    main = script_globals["main"]
+    children = iter([(0, '{"sha256": "a", "exits": {"0": 1}, "python": "3"}'),
+                     (0, '{"sha256": "b", "exits": {"0": 1}, "python": "3"}'),
+                     (5, "")])
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kwargs: subprocess.CompletedProcess(
+        argv, *next(children), "child error"))
+    assert main(["p", "q"]) == 1
+    assert capsys.readouterr().out == "a  exits 0x1  Python 3  p\nb  exits 0x1  Python 3  q\n"
+    assert main(["r"]) == 1
+    assert capsys.readouterr().out == "failed  r: exit 5\nchild error\n"
